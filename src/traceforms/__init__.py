@@ -13,7 +13,6 @@ properties of the semidirect groups Z/m x| Z/p^k.
 from .algebra import (
     BadPrime,
     Matrix,
-    ModPoly,
     RationalPoly,
     SingularKrylov,
     charpoly,

@@ -1,5 +1,5 @@
-"""Exact arithmetic substrate: integers, rational polynomials, prime-field
-polynomials, matrices, and rational irreducibility."""
+"""Exact arithmetic substrate: integers, rational polynomials, Z/qZ
+polynomial lists, matrices, and rational irreducibility."""
 
 from .intmath import (
     divisors,
@@ -21,7 +21,7 @@ from .matrix import (
     krylov_matrix,
     solve_linear,
 )
-from .modpoly import BadPrime, ModPoly, cycle_type_mod_p, factor_mod_p, mod_gcd
+from .modpoly import BadPrime, cycle_type_mod_p, factor_mod_p, mod_gcd
 from .poly import (
     RationalPoly,
     discriminant,
@@ -36,7 +36,6 @@ from .poly import (
 __all__ = [
     "BadPrime",
     "Matrix",
-    "ModPoly",
     "RationalPoly",
     "SingularKrylov",
     "charpoly",

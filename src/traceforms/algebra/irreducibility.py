@@ -16,7 +16,16 @@ import math
 from itertools import combinations, islice
 
 from .intmath import primes_above
-from .modpoly import ModPoly, factor_mod_p, mod_xgcd, _integer_discriminant
+from .modpoly import (
+    _integer_discriminant,
+    factor_mod_p,
+    mod_add,
+    mod_divmod,
+    mod_mul,
+    mod_reduce,
+    mod_sub,
+    mod_xgcd,
+)
 from .poly import RationalPoly, is_separable, primitive_integer_coeffs
 
 _CANDIDATE_PRIMES = 5
@@ -38,55 +47,11 @@ def _monicize(coeffs: list[int]) -> list[int]:
     return [c * b ** (n - 1 - i) for i, c in enumerate(coeffs[:-1])] + [1]
 
 
-# -- integer polynomial helpers (lists, lowest degree first) --
-
-
-def _trim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _pmul(a: list[int], b: list[int], q: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _trim([c % q for c in out])
-
-
-def _padd(a: list[int], b: list[int], q: int) -> list[int]:
-    out = list(a) + [0] * max(0, len(b) - len(a))
-    for i, y in enumerate(b):
-        out[i] = (out[i] + y) % q
-    return _trim(out)
-
-
-def _psub(a: list[int], b: list[int], q: int) -> list[int]:
-    out = list(a) + [0] * max(0, len(b) - len(a))
-    for i, y in enumerate(b):
-        out[i] = (out[i] - y) % q
-    return _trim(out)
-
-
-def _pdivmod_monic(a: list[int], b: list[int], q: int) -> tuple[list[int], list[int]]:
-    # b must be monic mod q
-    assert b and b[-1] == 1
-    rem = [c % q for c in a]
-    dd = len(b) - 1
-    if len(rem) <= dd:
-        return [], _trim(rem)
-    quo = [0] * (len(rem) - dd)
-    for i in range(len(quo) - 1, -1, -1):
-        c = rem[i + dd]
-        quo[i] = c
-        if c:
-            for j in range(dd + 1):
-                rem[i + j] = (rem[i + j] - c * b[j]) % q
-    return _trim(quo), _trim(rem)
+def _product(parts, q: int) -> list[int]:
+    out = [1]
+    for part in parts:
+        out = mod_mul(out, part, q)
+    return out
 
 
 def _hensel_step(f, g, h, s, t, q):
@@ -95,18 +60,18 @@ def _hensel_step(f, g, h, s, t, q):
     Requires f = g h (mod q), s g + t h = 1 (mod q), g and h monic.
     """
     q2 = q * q
-    e = _psub([c % q2 for c in f], _pmul(g, h, q2), q2)
-    qq, r = _pdivmod_monic(_pmul(s, e, q2), h, q2)
-    g1 = _padd(_padd(g, _pmul(t, e, q2), q2), _pmul(qq, g, q2), q2)
-    h1 = _padd(h, r, q2)
-    b = _psub(_padd(_pmul(s, g1, q2), _pmul(t, h1, q2), q2), [1], q2)
-    c, d = _pdivmod_monic(_pmul(s, b, q2), h1, q2)
-    s1 = _psub(s, d, q2)
-    t1 = _psub(_psub(t, _pmul(t, b, q2), q2), _pmul(c, g1, q2), q2)
+    e = mod_sub(f, mod_mul(g, h, q2), q2)
+    qq, r = mod_divmod(mod_mul(s, e, q2), h, q2)
+    g1 = mod_add(mod_add(g, mod_mul(t, e, q2), q2), mod_mul(qq, g, q2), q2)
+    h1 = mod_add(h, r, q2)
+    b = mod_sub(mod_add(mod_mul(s, g1, q2), mod_mul(t, h1, q2), q2), [1], q2)
+    c, d = mod_divmod(mod_mul(s, b, q2), h1, q2)
+    s1 = mod_sub(s, d, q2)
+    t1 = mod_sub(mod_sub(t, mod_mul(t, b, q2), q2), mod_mul(c, g1, q2), q2)
     return g1, h1, s1, t1
 
 
-def _lift_factors(f: list[int], factors: list[list[int]], p: int, target: int) -> tuple[list[list[int]], int]:
+def _lift_factors(f: list[int], factors: list[tuple[int, ...]], p: int, target: int) -> tuple[list[list[int]], int]:
     """Hensel-lift monic factors of monic f from mod p to mod p^(2^j) >= target.
 
     `factors` are monic mod p with product f mod p, pairwise coprime
@@ -116,19 +81,12 @@ def _lift_factors(f: list[int], factors: list[list[int]], p: int, target: int) -
     while modulus < target:
         modulus *= modulus
 
-    def lift(poly: list[int], parts: list[list[int]]) -> list[list[int]]:
+    def lift(poly: list[int], parts: list[tuple[int, ...]]) -> list[list[int]]:
         if len(parts) == 1:
-            return [[c % modulus for c in poly]]
+            return [mod_reduce(poly, modulus)]
         half = len(parts) // 2
-        g = [1]
-        for part in parts[:half]:
-            g = _pmul(g, part, p)
-        h = [1]
-        for part in parts[half:]:
-            h = _pmul(h, part, p)
-        s_mp, t_mp, d = mod_xgcd(ModPoly(p, g), ModPoly(p, h))
-        assert d.degree == 0, "modular factors are not coprime"
-        s, t = list(s_mp.coeffs), list(t_mp.coeffs)
+        g, h = _product(parts[:half], p), _product(parts[half:], p)
+        s, t, _ = mod_xgcd(g, h, p)  # gcd 1: the parts are distinct irreducibles
         q = p
         while q < modulus:
             g, h, s, t = _hensel_step(poly, g, h, s, t, q)
@@ -136,10 +94,8 @@ def _lift_factors(f: list[int], factors: list[list[int]], p: int, target: int) -
         return lift(g, parts[:half]) + lift(h, parts[half:])
 
     lifted = lift(f, factors)
-    prod = [1]
-    for part in lifted:
-        prod = _pmul(prod, part, modulus)
-    assert prod == _trim([c % modulus for c in f]), "lifted product mismatch"
+    if _product(lifted, modulus) != mod_reduce(f, modulus):
+        raise ArithmeticError("Hensel lifting lost the product identity")
     return lifted, modulus
 
 
@@ -183,7 +139,7 @@ def is_irreducible_over_rationals(f: RationalPoly) -> bool:
 
     candidates: list[tuple[int, list[list[int]]]] = []
     for p in islice((p for p in primes_above(1) if disc % p), _CANDIDATE_PRIMES):
-        factors = [list(g.coeffs) for g, _ in factor_mod_p(ModPoly(p, work))]
+        factors = [g for g, _ in factor_mod_p(work, p)]
         if len(factors) == 1:
             return True  # irreducible mod p certifies irreducibility over Q
         candidates.append((p, factors))
@@ -207,9 +163,7 @@ def is_irreducible_over_rationals(f: RationalPoly) -> bool:
             degree = sum(len(lifted[i]) - 1 for i in subset)
             if degree not in possible:
                 continue
-            candidate = [1]
-            for i in subset:
-                candidate = _pmul(candidate, lifted[i], modulus)
+            candidate = _product((lifted[i] for i in subset), modulus)
             candidate = [_symmetric(c, modulus) for c in candidate]
             if _divides_exactly(work, candidate):
                 return False

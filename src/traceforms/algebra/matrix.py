@@ -53,6 +53,18 @@ class Matrix:
         return cls([[entries[i] if i == j else 0 for j in range(n)] for i in range(n)])
 
     @classmethod
+    def random_symmetric(cls, n: int, bound: int, rng) -> "Matrix":
+        """Symmetric n x n integer matrix, entries uniform in [-bound, bound].
+
+        The upper triangle is drawn row by row from `rng` (a random.Random).
+        """
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                rows[i][j] = rows[j][i] = rng.randint(-bound, bound)
+        return cls(rows)
+
+    @classmethod
     def from_columns(cls, cols) -> "Matrix":
         cols = [tuple(c) for c in cols]
         return cls([[cols[j][i] for j in range(len(cols))] for i in range(len(cols[0]))])

@@ -1,17 +1,25 @@
-"""Univariate polynomials over a prime field GF(p), plus full factorization.
+"""Polynomials over Z/qZ as plain coefficient lists, plus factorization mod p.
 
-Coefficients are integers in [0, p) stored lowest degree first; the zero
-polynomial is the empty tuple.  Factorization is squarefree decomposition,
-then distinct-degree splitting, then Cantor-Zassenhaus equal-degree
-splitting.  The randomness inside equal-degree splitting is drawn from a
-PRNG seeded by the input polynomial, so results are reproducible and the
-returned factor list is sorted canonically.
+This is the package's one Z/qZ polynomial kernel: factorization mod p here
+and Hensel lifting in `irreducibility` both run on it.  A polynomial is a
+trimmed list of integers in [0, q), lowest degree first; the zero polynomial
+is the empty list.  Every function takes the modulus q explicitly.
+`mod_divmod` inverts the divisor's leading coefficient mod q, so it works for
+prime q and, with monic divisors, for the prime powers of Hensel lifting.
+
+Factorization follows von zur Gathen & Gerhard, *Modern Computer Algebra*,
+ch. 14: squarefree decomposition, then distinct-degree splitting, then
+Cantor-Zassenhaus equal-degree splitting.  The randomness inside equal-degree
+splitting is drawn from a PRNG seeded by the input polynomial, so results are
+reproducible and the returned factor list is sorted canonically.  Cycle types
+need only factor degrees, which distinct-degree splitting gives directly.
 """
 
 from __future__ import annotations
 
 import random
 from functools import lru_cache
+from itertools import zip_longest
 
 from .intmath import is_prime
 from .poly import RationalPoly, discriminant, primitive_integer_coeffs
@@ -21,275 +29,201 @@ class BadPrime(ValueError):
     """The prime divides the leading coefficient or the discriminant."""
 
 
-class ModPoly:
-    """Immutable polynomial over GF(p)."""
-
-    __slots__ = ("p", "coeffs")
-
-    def __init__(self, p: int, coeffs=()):
-        cs = [c % p for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ModPoly is immutable")
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ModPoly)
-            and self.p == other.p
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.p, self.coeffs))
-
-    def __repr__(self):
-        return f"ModPoly(p={self.p}, coeffs={list(self.coeffs)})"
-
-    def _check(self, other: "ModPoly") -> None:
-        if self.p != other.p:
-            raise ValueError("mixed moduli")
-
-    def __add__(self, other):
-        self._check(other)
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = (out[i] + c) % self.p
-        return ModPoly(self.p, out)
-
-    def __sub__(self, other):
-        self._check(other)
-        out = list(self.coeffs) + [0] * max(0, len(other.coeffs) - len(self.coeffs))
-        for i, c in enumerate(other.coeffs):
-            out[i] = (out[i] - c) % self.p
-        return ModPoly(self.p, out)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return ModPoly(self.p, tuple(c * other for c in self.coeffs))
-        self._check(other)
-        if self.is_zero or other.is_zero:
-            return ModPoly(self.p)
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return ModPoly(self.p, out)
-
-    __rmul__ = __mul__
-
-    def __divmod__(self, other):
-        self._check(other)
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        p = self.p
-        inv = pow(other.coeffs[-1], -1, p)
-        rem = list(self.coeffs)
-        dd = other.degree
-        if len(rem) <= dd:
-            return ModPoly(p), self
-        quo = [0] * (len(rem) - dd)
-        for i in range(len(quo) - 1, -1, -1):
-            c = rem[i + dd] * inv % p
-            quo[i] = c
-            if c:
-                for j in range(dd + 1):
-                    rem[i + j] = (rem[i + j] - c * other.coeffs[j]) % p
-        return ModPoly(p, quo), ModPoly(p, rem)
-
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
-    def __mod__(self, other):
-        return divmod(self, other)[1]
-
-    def monic(self) -> "ModPoly":
-        if self.is_zero:
-            raise ValueError("zero polynomial cannot be made monic")
-        if self.coeffs[-1] == 1:
-            return self
-        inv = pow(self.coeffs[-1], -1, self.p)
-        return ModPoly(self.p, tuple(c * inv for c in self.coeffs))
-
-    def derivative(self) -> "ModPoly":
-        return ModPoly(self.p, tuple(i * c for i, c in enumerate(self.coeffs) if i))
+def mod_reduce(a, q: int) -> list[int]:
+    """Coefficients of a reduced mod q, trailing zeros trimmed."""
+    out = [c % q for c in a]
+    while out and out[-1] == 0:
+        out.pop()
+    return out
 
 
-def mod_gcd(f: ModPoly, g: ModPoly) -> ModPoly:
-    """Monic gcd over GF(p)."""
-    a, b = f, g
-    while not b.is_zero:
-        a, b = b, a % b
-    return a.monic() if not a.is_zero else a
+def mod_add(a, b, q: int) -> list[int]:
+    return mod_reduce([x + y for x, y in zip_longest(a, b, fillvalue=0)], q)
 
 
-def mod_xgcd(f: ModPoly, g: ModPoly) -> tuple[ModPoly, ModPoly, ModPoly]:
-    """(s, t, d) with s f + t g = d, d the monic gcd."""
-    p = f.p
-    a, b = f, g
-    sa, sb = ModPoly(p, (1,)), ModPoly(p)
-    ta, tb = ModPoly(p), ModPoly(p, (1,))
-    while not b.is_zero:
-        q, r = divmod(a, b)
-        a, b = b, r
-        sa, sb = sb, sa - q * sb
-        ta, tb = tb, ta - q * tb
-    if a.is_zero:
-        return sa, ta, a
-    inv = pow(a.coeffs[-1], -1, p)
-    return sa * inv, ta * inv, a.monic()
+def mod_sub(a, b, q: int) -> list[int]:
+    return mod_reduce([x - y for x, y in zip_longest(a, b, fillvalue=0)], q)
 
 
-def mod_pow(base: ModPoly, e: int, modulus: ModPoly) -> ModPoly:
-    """base**e reduced mod modulus."""
-    result = ModPoly(base.p, (1,))
-    base = base % modulus
+def mod_mul(a, b, q: int) -> list[int]:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return mod_reduce(out, q)
+
+
+def mod_divmod(a, b, q: int) -> tuple[list[int], list[int]]:
+    """(quotient, remainder) of a by b mod q.
+
+    The leading coefficient of b must be a unit mod q; otherwise `pow`
+    raises ValueError.
+    """
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    inv = pow(b[-1], -1, q)
+    dd = len(b) - 1
+    rem = list(a)
+    quo = [0] * max(0, len(rem) - dd)
+    for i in range(len(quo) - 1, -1, -1):
+        c = rem[i + dd] % q * inv % q
+        quo[i] = c
+        if c:
+            for j in range(dd):
+                rem[i + j] -= c * b[j]
+    return mod_reduce(quo, q), mod_reduce(rem[:dd], q)
+
+
+def mod_monic(a, q: int) -> list[int]:
+    if not a:
+        raise ValueError("zero polynomial cannot be made monic")
+    inv = pow(a[-1], -1, q)
+    return [c * inv % q for c in a]
+
+
+def mod_gcd(a, b, q: int) -> list[int]:
+    """Monic gcd mod q (empty when both inputs are zero)."""
+    while b:
+        a, b = b, mod_divmod(a, b, q)[1]
+    return mod_monic(a, q) if a else []
+
+
+def mod_xgcd(a, b, q: int) -> tuple[list[int], list[int], list[int]]:
+    """(s, t, d) with s a + t b = d mod q, d the monic gcd."""
+    s0, s1, t0, t1 = [1], [], [], [1]
+    while b:
+        quo, rem = mod_divmod(a, b, q)
+        a, b = b, rem
+        s0, s1 = s1, mod_sub(s0, mod_mul(quo, s1, q), q)
+        t0, t1 = t1, mod_sub(t0, mod_mul(quo, t1, q), q)
+    if not a:
+        return s0, t0, a
+    inv = [pow(a[-1], -1, q)]
+    return mod_mul(s0, inv, q), mod_mul(t0, inv, q), mod_monic(a, q)
+
+
+def mod_pow(base, e: int, modulus, q: int) -> list[int]:
+    """base**e reduced mod (modulus, q)."""
+    result = [1]
+    base = mod_divmod(base, modulus, q)[1]
     while e:
         if e & 1:
-            result = result * base % modulus
-        base = base * base % modulus
+            result = mod_divmod(mod_mul(result, base, q), modulus, q)[1]
+        base = mod_divmod(mod_mul(base, base, q), modulus, q)[1]
         e >>= 1
     return result
 
 
-def _pth_root(f: ModPoly) -> ModPoly:
-    # over GF(p) the Frobenius fixes coefficients, so g(x^p) -> g(x) directly
-    return ModPoly(f.p, tuple(f.coeffs[i] for i in range(0, len(f.coeffs), f.p)))
-
-
-def _squarefree_decomposition(f: ModPoly) -> list[tuple[ModPoly, int]]:
-    """Monic f as a list of (squarefree factor, multiplicity)."""
-    p = f.p
-    out: list[tuple[ModPoly, int]] = []
+def _squarefree_decomposition(f: list[int], p: int) -> list[tuple[list[int], int]]:
+    """Monic f over GF(p) as a list of (squarefree factor, multiplicity)."""
+    out: list[tuple[list[int], int]] = []
     e = 1
-    while f.degree > 0:
-        df = f.derivative()
-        if df.is_zero:
-            f = _pth_root(f)
+    while len(f) > 1:
+        df = mod_reduce([i * c for i, c in enumerate(f)][1:], p)
+        if not df:
+            # over GF(p) the Frobenius fixes coefficients, so g(x^p) -> g(x) directly
+            f = f[::p]
             e *= p
             continue
-        c = mod_gcd(f, df)
-        w = f // c
+        c = mod_gcd(f, df, p)
+        w = mod_divmod(f, c, p)[0]
         i = 1
-        while w.degree > 0:
-            y = mod_gcd(w, c)
-            z = w // y
-            if z.degree > 0:
+        while len(w) > 1:
+            y = mod_gcd(w, c, p)
+            z = mod_divmod(w, y, p)[0]
+            if len(z) > 1:
                 out.append((z, i * e))
             w = y
-            c = c // y
+            c = mod_divmod(c, y, p)[0]
             i += 1
-        if c.degree > 0:
-            f = _pth_root(c)
+        if len(c) > 1:
+            f = c[::p]
             e *= p
         else:
             break
     return out
 
 
-def _distinct_degree(f: ModPoly) -> list[tuple[ModPoly, int]]:
+def _distinct_degree(f: list[int], p: int) -> list[tuple[list[int], int]]:
     """Squarefree monic f as (product of irreducibles of degree d, d) pairs."""
-    p = f.p
     out = []
-    x = ModPoly(p, (0, 1))
-    h = x % f
+    x = h = [0, 1]  # only read when deg f >= 2, where x mod f = x
     d = 0
     rest = f
-    while rest.degree >= 2 * (d + 1):
+    while len(rest) - 1 >= 2 * (d + 1):
         d += 1
-        h = mod_pow(h, p, rest)
-        g = mod_gcd(h - x, rest)
-        if g.degree > 0:
+        h = mod_pow(h, p, rest, p)
+        g = mod_gcd(mod_sub(h, x, p), rest, p)
+        if len(g) > 1:
             out.append((g, d))
-            rest = rest // g
-            h = h % rest
-    if rest.degree > 0:
-        out.append((rest, rest.degree))
+            rest = mod_divmod(rest, g, p)[0]
+            h = mod_divmod(h, rest, p)[1]
+    if len(rest) > 1:
+        out.append((rest, len(rest) - 1))
     return out
 
 
-def _poly_seed(f: ModPoly) -> int:
-    acc = f.p
-    for c in f.coeffs:
+def _poly_seed(f: list[int], p: int) -> int:
+    acc = p
+    for c in f:
         acc = (acc * 1000003 + c) & 0xFFFFFFFFFFFFFFFF
     return acc
 
 
-def _equal_degree_split(f: ModPoly, d: int, rng: random.Random) -> list[ModPoly]:
+def _equal_degree_split(f: list[int], d: int, p: int, rng: random.Random) -> list[list[int]]:
     """Cantor-Zassenhaus split of a monic squarefree f with all factors of degree d."""
-    if f.degree == d:
+    n = len(f) - 1
+    if n == d:
         return [f]
-    p = f.p
     while True:
-        a = ModPoly(p, [rng.randrange(p) for _ in range(f.degree)])
-        if a.degree < 1:
+        a = mod_reduce([rng.randrange(p) for _ in range(n)], p)
+        if len(a) < 2:
             continue
-        g = mod_gcd(a, f)
-        if 0 < g.degree < f.degree:
-            pass  # lucky split by a shared factor
-        elif p == 2:
-            t = a
-            b = a
-            for _ in range(d - 1):
-                b = b * b % f
-                t = t + b
-            g = mod_gcd(t, f)
-        else:
-            b = mod_pow(a, (p**d - 1) // 2, f)
-            g = mod_gcd(b - ModPoly(p, (1,)), f)
-        if 0 < g.degree < f.degree:
-            return _equal_degree_split(g, d, rng) + _equal_degree_split(f // g, d, rng)
+        g = mod_gcd(a, f, p)
+        if not 0 < len(g) - 1 < n:  # otherwise a lucky split by a shared factor
+            if p == 2:
+                t = b = a
+                for _ in range(d - 1):
+                    b = mod_divmod(mod_mul(b, b, p), f, p)[1]
+                    t = mod_add(t, b, p)
+                g = mod_gcd(t, f, p)
+            else:
+                b = mod_pow(a, (p**d - 1) // 2, f, p)
+                g = mod_gcd(mod_sub(b, [1], p), f, p)
+        if 0 < len(g) - 1 < n:
+            cofactor = mod_divmod(f, g, p)[0]
+            return _equal_degree_split(g, d, p, rng) + _equal_degree_split(cofactor, d, p, rng)
 
 
-def factor_mod_p(f: ModPoly) -> list[tuple[ModPoly, int]]:
-    """Factor f into monic irreducibles; returns sorted (factor, exponent) pairs.
+def factor_mod_p(f, p: int) -> list[tuple[tuple[int, ...], int]]:
+    """Factor the integer polynomial f mod the prime p into monic irreducibles.
 
-    The leading coefficient of f is the implicit unit:
-    f = lc * prod(factor**exponent).
+    f is a coefficient sequence, lowest degree first.  Returns sorted
+    (monic coefficient tuple, exponent) pairs; the leading coefficient of f
+    mod p is the implicit unit: f = lc * prod(factor**exponent) mod p.
     """
-    if f.is_zero:
+    if not is_prime(p):
+        raise ValueError(f"modulus {p} is not prime")
+    a = mod_reduce(f, p)
+    if not a:
         raise ValueError("cannot factor the zero polynomial")
-    if not is_prime(f.p):
-        raise ValueError(f"modulus {f.p} is not prime")
-    if f.degree == 0:
-        return []
-    rng = random.Random(_poly_seed(f))
-    result: list[tuple[ModPoly, int]] = []
-    for squarefree, mult in _squarefree_decomposition(f.monic()):
-        for product, d in _distinct_degree(squarefree):
-            for irreducible in _equal_degree_split(product, d, rng):
-                result.append((irreducible, mult))
-    result.sort(key=lambda pair: (pair[0].degree, pair[0].coeffs))
+    rng = random.Random(_poly_seed(a, p))
+    result = []
+    for squarefree, mult in _squarefree_decomposition(mod_monic(a, p), p):
+        for product, d in _distinct_degree(squarefree, p):
+            for irreducible in _equal_degree_split(product, d, p, rng):
+                result.append((tuple(irreducible), mult))
+    result.sort(key=lambda pair: (len(pair[0]), pair[0]))
     return result
 
 
 @lru_cache(maxsize=4096)
 def _integer_discriminant(int_coeffs: tuple[int, ...]) -> int:
-    disc = discriminant(RationalPoly(int_coeffs))
-    assert disc.denominator == 1
-    return disc.numerator
+    # integral: the leading coefficient divides Res(f, f') for integer f
+    return discriminant(RationalPoly(int_coeffs)).numerator
 
 
 def cycle_type_mod_p(f: RationalPoly, p: int) -> tuple[int, ...]:
@@ -297,7 +231,10 @@ def cycle_type_mod_p(f: RationalPoly, p: int) -> tuple[int, ...]:
 
     Raises BadPrime when p divides the leading coefficient or the
     discriminant of the cleared-denominator form of f (the factorization
-    pattern mod such p does not reflect a Frobenius cycle type).
+    pattern mod such p does not reflect a Frobenius cycle type).  Otherwise
+    f mod p is squarefree of degree deg f, and distinct-degree splitting
+    alone gives the pattern: a degree-k block of degree-d factors holds k/d
+    of them.
     """
     if f.degree < 1:
         raise ValueError("cycle type requires degree >= 1")
@@ -308,8 +245,7 @@ def cycle_type_mod_p(f: RationalPoly, p: int) -> tuple[int, ...]:
         raise BadPrime(f"{p} divides the leading coefficient")
     if _integer_discriminant(tuple(ints)) % p == 0:
         raise BadPrime(f"{p} divides the discriminant")
-    factors = factor_mod_p(ModPoly(p, ints))
-    assert all(e == 1 for _, e in factors)
-    degrees = tuple(sorted(g.degree for g, _ in factors))
-    assert sum(degrees) == f.degree
-    return degrees
+    degrees: list[int] = []
+    for block, d in _distinct_degree(mod_monic(mod_reduce(ints, p), p), p):
+        degrees += [d] * ((len(block) - 1) // d)
+    return tuple(sorted(degrees))

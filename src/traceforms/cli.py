@@ -29,14 +29,11 @@ class InputError(Exception):
     """Maps to exit code 2."""
 
 
-def _parse_diag(text: str) -> SymmetricForm:
+def _parse_diag(text: str) -> list:
     try:
-        entries = [serialize.rational_from_str(part.strip()) for part in text.split(",")]
+        return [serialize.rational_from_str(part.strip()) for part in text.split(",")]
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"bad diagonal {text!r}: {exc}")
-    if not entries:
-        raise InputError("empty diagonal")
-    return SymmetricForm.diagonal(entries)
 
 
 def _load_form_file(path: str) -> SymmetricForm:
@@ -55,7 +52,7 @@ def _load_form_file(path: str) -> SymmetricForm:
 
 def _gather_forms(args, minimum: int, maximum: int) -> list[SymmetricForm]:
     forms = [_load_form_file(path) for path in args.form or []]
-    forms += [_parse_diag(text) for text in args.diag or []]
+    forms += [SymmetricForm.diagonal(_parse_diag(text)) for text in args.diag or []]
     if not minimum <= len(forms) <= maximum:
         raise InputError(
             f"expected between {minimum} and {maximum} forms via --form/--diag, got {len(forms)}"
@@ -144,7 +141,7 @@ def cmd_equivalent(args) -> int:
 
 def cmd_galois(args) -> int:
     if args.diag:
-        diag = [serialize.rational_from_str(part) for part in args.diag.split(",")]
+        diag = _parse_diag(args.diag)
         if args.n is not None and args.n != len(diag):
             raise InputError(f"--n {args.n} does not match --diag of length {len(diag)}")
     elif args.n is not None:
@@ -187,8 +184,8 @@ def cmd_group_verify(args) -> int:
     try:
         group = groups.construct_group(args.p, args.k, args.m)
         index_divisors = [args.n] if args.n is not None else None
-        if index_divisors and group.m % args.n != 0:
-            raise InputError(f"--n {args.n} does not divide m = {group.m}")
+        if index_divisors and (args.n < 1 or group.m % args.n != 0):
+            raise InputError(f"--n {args.n} is not a positive divisor of m = {group.m}")
         report = groups.verify_group(
             group,
             index_divisors=index_divisors,

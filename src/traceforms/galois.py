@@ -76,13 +76,11 @@ def sample_cycle_types(
     f: RationalPoly,
     prime_budget: int,
     prime_floor: int = DEFAULT_PRIME_FLOOR,
-    seed: int = 0,
 ) -> CycleTypeSample:
     """Collect cycle types of f at the first `prime_budget` good primes above
     `prime_floor`, counting skipped bad primes separately.
 
-    The prime walk is deterministic (consecutive primes ascending); `seed` is
-    accepted for interface uniformity and recorded nowhere.
+    The prime walk is deterministic (consecutive primes ascending).
     """
     if f.degree < 1:
         raise ValueError("cycle types require degree >= 1")
@@ -142,20 +140,17 @@ def generic_experiment(
     entries = tuple(Fraction(e) for e in diag)
     if any(e == 0 for e in entries):
         raise ValueError("diagonal entries must be nonzero")
+    if prime_budget < 0:
+        raise ValueError("prime budget must be non-negative")
     n = len(entries)
-    rng = random.Random(seed)
-    rows = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            rows[i][j] = rows[j][i] = rng.randint(-coeff_bound, coeff_bound)
-    a = Matrix(rows)
+    a = Matrix.random_symmetric(n, coeff_bound, random.Random(seed))
     f = charpoly(a * Matrix.diagonal(entries))
     separable = is_separable(f)
     irreducible = separable and is_irreducible_over_rationals(f)
     stats = None
     verdict = INCONCLUSIVE
     if irreducible:
-        stats = sample_cycle_types(f, prime_budget, prime_floor, seed)
+        stats = sample_cycle_types(f, prime_budget, prime_floor)
         verdict = sn_certificate(stats, n)
     return SpecReport(
         n=n,

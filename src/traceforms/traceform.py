@@ -144,15 +144,6 @@ def _mix(seed: int, counter: int) -> int:
     )
 
 
-def _candidate(seed: int, counter: int, n: int, bound: int) -> Matrix:
-    rng = random.Random(_mix(seed, counter))
-    rows = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            rows[i][j] = rows[j][i] = rng.randint(-bound, bound)
-    return Matrix(rows)
-
-
 def realize(form: SymmetricForm, policy: SearchPolicy | None = None) -> Certificate:
     """Produce a scaled-trace-form certificate for a non-degenerate form.
 
@@ -175,11 +166,13 @@ def realize(form: SymmetricForm, policy: SearchPolicy | None = None) -> Certific
     found = None
     if n == 1:
         found = Matrix([[1]])  # f = x - d1, alpha = d1: the trace on F = Q is the identity
+        f = RationalPoly((-diag[0], 1))
         tries = 1
     else:
         for bound in policy.bound_schedule:
             for _ in range(policy.max_tries_per_bound):
-                candidate = _candidate(policy.seed, counter, n, bound)
+                rng = random.Random(_mix(policy.seed, counter))
+                candidate = Matrix.random_symmetric(n, bound, rng)
                 counter += 1
                 tries += 1
                 f = charpoly(candidate * dprime)
@@ -198,7 +191,6 @@ def realize(form: SymmetricForm, policy: SearchPolicy | None = None) -> Certific
         )
 
     m = found * dprime
-    f = charpoly(m)
     e1 = tuple(Fraction(1 if i == 0 else 0) for i in range(n))
     p_prime = krylov_matrix(m, e1)  # irreducible f makes every nonzero vector cyclic
 
@@ -211,7 +203,6 @@ def realize(form: SymmetricForm, policy: SearchPolicy | None = None) -> Certific
 
     alpha = solve_alpha(f, moments)
     gram = Matrix([[moments[i + j] for j in range(n)] for i in range(n)])
-    assert gram == scaled_trace_gram(f, alpha)
 
     cert = Certificate(
         D=form,

@@ -12,9 +12,17 @@ def _run_main(argv, capsys):
     return code, out
 
 
-def _run_fresh_process(argv, stdin_file=None):
-    cmd = [sys.executable, "-m", "traceforms.cli", *argv]
+def _run_fresh_process(argv, *python_flags):
+    cmd = [sys.executable, *python_flags, "-m", "traceforms.cli", *argv]
     return subprocess.run(cmd, capture_output=True, text=True)
+
+
+def _assert_input_error(argv, capsys):
+    # exit 2 with a single error line on stderr and no traceback
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_realize_one_dim(capsys):
@@ -53,6 +61,11 @@ def test_byte_identical_output():
     c = _run_fresh_process(["galois", "--diag", "1,2,3", "--primes", "40", "--seed", "5"])
     d = _run_fresh_process(["galois", "--diag", "1,2,3", "--primes", "40", "--seed", "5"])
     assert c.stdout == d.stdout
+    # stripping asserts must not change any result
+    e = _run_fresh_process(["realize", "--diag", "1,-1,7", "--seed", "123"], "-O")
+    g = _run_fresh_process(["galois", "--diag", "1,2,3", "--primes", "40", "--seed", "5"], "-O")
+    assert e.returncode == 0 and e.stdout == a.stdout
+    assert g.returncode == c.returncode and g.stdout == c.stdout
 
 
 def test_realize_degenerate_is_usage_error(capsys):
@@ -139,6 +152,8 @@ def test_galois_cli(capsys):
     assert code == 2
     code, _ = _run_main(["galois", "--primes", "10"], capsys)
     assert code == 2
+    _assert_input_error(["galois", "--diag", "1,abc"], capsys)
+    _assert_input_error(["galois", "--diag", "1,2,3", "--primes", "-5"], capsys)
 
 
 def test_group_verify_cli(capsys):
@@ -151,6 +166,7 @@ def test_group_verify_cli(capsys):
 
     code, _ = _run_main(["group-verify", "--p", "2", "--k", "1", "--m", "4"], capsys)
     assert code == 2
+    _assert_input_error(["group-verify", "--p", "2", "--k", "1", "--m", "3", "--n", "0"], capsys)
 
     code, out = _run_main(
         ["group-verify", "--p", "2", "--k", "1", "--m", "15", "--n", "5"], capsys

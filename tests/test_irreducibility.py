@@ -12,7 +12,7 @@ from traceforms.algebra import (
     primes_above,
 )
 from traceforms.algebra.irreducibility import _lift_factors, _monicize
-from traceforms.algebra.modpoly import BadPrime, ModPoly, factor_mod_p
+from traceforms.algebra.modpoly import BadPrime, factor_mod_p, mod_mul
 
 X = RationalPoly.x()
 
@@ -119,16 +119,14 @@ def test_hensel_lift_round_trip():
         p = next(
             q for q in primes_above(2) if _integer_discriminant(tuple(work)) % q
         )
-        factors = [list(g.coeffs) for g, _ in factor_mod_p(ModPoly(p, work))]
+        factors = [list(g) for g, _ in factor_mod_p(work, p)]
         target = 2 * mignotte_bound(work) + 1
         lifted, modulus = _lift_factors(work, factors, p, target)
         assert modulus >= target
         product = [1]
-        from traceforms.algebra.irreducibility import _pmul
-
         for part in lifted:
             assert part[-1] == 1  # monic
-            product = _pmul(product, part, modulus)
+            product = mod_mul(product, part, modulus)
         assert product == [c % modulus for c in work]
         for lifted_part, base_part in zip(lifted, factors):
             assert [c % p for c in lifted_part] == base_part
