@@ -2,8 +2,8 @@
 
 Determinants go through Bareiss fraction-free elimination on a
 denominator-cleared integer copy, characteristic polynomials through the
-Faddeev-LeVerrier recurrence (safe in characteristic zero) with an
-evaluation/interpolation cross-check wired in as an `assert`, and congruence
+Faddeev-LeVerrier recurrence (safe in characteristic zero) on such a copy,
+checked against Bareiss determinants at n+1 points, and congruence
 diagonalization through symmetric row+column elimination.
 """
 
@@ -193,36 +193,38 @@ def _int_det_bareiss(a: list[list[int]]) -> int:
 
 
 def charpoly(m: Matrix) -> RationalPoly:
-    """Monic characteristic polynomial det(xI - M) by Faddeev-LeVerrier."""
+    """Monic characteristic polynomial det(xI - M), computed in integers.
+
+    With L the lcm of the entries' denominators, Faddeev-LeVerrier runs on
+    B = L*M, where every trace divides by k exactly, and c_k(M) = c_k(B) / L^k.
+    The integer result is checked against Bareiss determinants det(cI - B) at
+    the n+1 points c = 0..n, which pin a degree-n polynomial down; a mismatch
+    raises ArithmeticError.
+    """
     if not m.is_square:
         raise ValueError("characteristic polynomial of a non-square matrix")
     n = m.nrows
-    ident = Matrix.identity(n)
-    acc = ident
-    coeffs = [Fraction(1)]  # x^n downward
+    scale = math.lcm(*(x.denominator for row in m.rows for x in row))
+    b = [[x.numerator * (scale // x.denominator) for x in row] for row in m.rows]
+    coeffs = [1]  # det(xI - B), x^n downward
+    acc = [row[:] for row in b]  # B * (B^(k-1) + c_1 B^(k-2) + ... + c_(k-1) I)
     for k in range(1, n + 1):
-        mn = m * acc
-        ck = -mn.trace() / k
-        coeffs.append(ck)
-        acc = mn + ident * ck
-    result = RationalPoly(reversed(coeffs))
-    assert result == _charpoly_interpolation(m), "charpoly cross-check failed"
-    return result
-
-
-def _charpoly_interpolation(m: Matrix) -> RationalPoly:
-    """det(xI - M) reconstructed from n+1 determinant evaluations."""
-    n = m.nrows
-    ident = Matrix.identity(n)
-    points = [(Fraction(c), (ident * c - m).det()) for c in range(n + 1)]
-    total = RationalPoly.zero()
-    for i, (xi, yi) in enumerate(points):
-        term = RationalPoly.constant(yi)
-        for j, (xj, _) in enumerate(points):
-            if i != j:
-                term = term * RationalPoly((-xj / (xi - xj), 1 / (xi - xj)))
-        total = total + term
-    return total
+        coeffs.append(-sum(acc[i][i] for i in range(n)) // k)
+        if k < n:
+            for i in range(n):
+                acc[i][i] += coeffs[-1]
+            cols = list(zip(*acc))
+            acc = [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in b]
+    for c in range(n + 1):
+        value = 0
+        for coeff in coeffs:
+            value = value * c + coeff
+        shifted = [[-x for x in row] for row in b]
+        for i in range(n):
+            shifted[i][i] += c
+        if _int_det_bareiss(shifted) != value:
+            raise ArithmeticError(f"charpoly cross-check failed at x = {c}/{scale}")
+    return RationalPoly(reversed([Fraction(ck, scale**k) for k, ck in enumerate(coeffs)]))
 
 
 def krylov_matrix(m: Matrix, v: Vector) -> Matrix:
@@ -308,5 +310,6 @@ def congruence_diagonalize(b: Matrix) -> tuple[Matrix, tuple[Fraction, ...]]:
 
     qm = Matrix(q)
     d = tuple(a[i][i] for i in range(n))
-    assert qm.transpose() * b * qm == Matrix.diagonal(d), "congruence check failed"
+    if qm.transpose() * b * qm != Matrix.diagonal(d):
+        raise ArithmeticError("congruence check failed")
     return qm, d

@@ -17,7 +17,7 @@ import json
 import sys
 
 from . import galois, groups, quadform, serialize, traceform
-from .quadform import DegenerateForm, SymmetricForm
+from .quadform import SymmetricForm
 from .traceform import SearchExhausted, SearchPolicy
 
 OK = 0
@@ -26,7 +26,7 @@ USAGE = 2
 
 
 class InputError(Exception):
-    """Maps to exit code 2."""
+    """Maps to exit code 2, as does any ValueError a command raises."""
 
 
 def _parse_diag(text: str) -> list:
@@ -69,21 +69,14 @@ def _emit(args, payload: dict) -> None:
 def cmd_realize(args) -> int:
     (form,) = _gather_forms(args, 1, 1)
     schedule = SearchPolicy.bound_schedule
-    if args.bounds:
+    if args.bounds is not None:
         try:
             schedule = tuple(int(b) for b in args.bounds.split(","))
         except ValueError as exc:
             raise InputError(f"bad bound schedule: {exc}")
-    try:
-        policy = SearchPolicy(
-            seed=args.seed, bound_schedule=schedule, max_tries_per_bound=args.tries
-        )
-    except ValueError as exc:
-        raise InputError(str(exc))
+    policy = SearchPolicy(seed=args.seed, bound_schedule=schedule, max_tries_per_bound=args.tries)
     try:
         cert = traceform.realize(form, policy)
-    except DegenerateForm as exc:
-        raise InputError(f"degenerate form: {exc}")
     except SearchExhausted as exc:
         _emit(args, {"error": "search_exhausted", "detail": str(exc), "seed": args.seed})
         return NEGATIVE
@@ -112,20 +105,13 @@ def cmd_verify(args) -> int:
 
 def cmd_invariants(args) -> int:
     (form,) = _gather_forms(args, 1, 1)
-    try:
-        inv = quadform.invariants(form)
-    except DegenerateForm as exc:
-        raise InputError(f"degenerate form: {exc}")
-    _emit(args, serialize.invariants_to_json(inv))
+    _emit(args, serialize.invariants_to_json(quadform.invariants(form)))
     return OK
 
 
 def cmd_equivalent(args) -> int:
     first, second = _gather_forms(args, 2, 2)
-    try:
-        same = quadform.equivalent(first, second)
-    except DegenerateForm as exc:
-        raise InputError(f"degenerate form: {exc}")
+    same = quadform.equivalent(first, second)
     _emit(
         args,
         {
@@ -148,12 +134,9 @@ def cmd_galois(args) -> int:
         diag = [1] * args.n
     else:
         raise InputError("need --diag or --n")
-    try:
-        report = galois.generic_experiment(
-            diag, args.bound, args.primes, seed=args.seed, prime_floor=args.prime_floor
-        )
-    except ValueError as exc:
-        raise InputError(str(exc))
+    report = galois.generic_experiment(
+        diag, args.bound, args.primes, seed=args.seed, prime_floor=args.prime_floor
+    )
     stats = None
     if report.cycle_stats is not None:
         stats = {
@@ -181,18 +164,15 @@ def cmd_galois(args) -> int:
 
 
 def cmd_group_verify(args) -> int:
-    try:
-        group = groups.construct_group(args.p, args.k, args.m)
-        index_divisors = [args.n] if args.n is not None else None
-        if index_divisors and (args.n < 1 or group.m % args.n != 0):
-            raise InputError(f"--n {args.n} is not a positive divisor of m = {group.m}")
-        report = groups.verify_group(
-            group,
-            index_divisors=index_divisors,
-            exhaustive=True if args.exhaustive else None,
-        )
-    except groups.InvalidParams as exc:
-        raise InputError(str(exc))
+    group = groups.construct_group(args.p, args.k, args.m)
+    index_divisors = [args.n] if args.n is not None else None
+    if index_divisors and (args.n < 1 or group.m % args.n != 0):
+        raise InputError(f"--n {args.n} is not a positive divisor of m = {group.m}")
+    report = groups.verify_group(
+        group,
+        index_divisors=index_divisors,
+        exhaustive=True if args.exhaustive else None,
+    )
     _emit(args, report)
     return OK if report["all_pass"] else NEGATIVE
 
@@ -284,7 +264,8 @@ def main(argv=None) -> int:
         return USAGE if exc.code not in (0,) else 0
     try:
         return args.run(args)
-    except InputError as exc:
+    except (InputError, ValueError) as exc:
+        # DegenerateForm, InvalidParams and the factorization limit are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
 

@@ -28,6 +28,9 @@ from typing import NamedTuple
 
 from .algebra import divisors, euler_phi, factorize, is_prime
 
+# groups up to this order also run the exhaustive normal-subgroup enumeration
+EXHAUSTIVE_MAX_ORDER = 300
+
 
 class InvalidParams(ValueError):
     """Parameters do not admit the semidirect construction."""
@@ -275,23 +278,32 @@ def quotient_check_exhaustive(group: SemidirectGroup) -> bool:
     return True
 
 
+def _quotient_checks(
+    group: SemidirectGroup, exhaustive: "bool | None"
+) -> tuple[bool, "bool | None"]:
+    """(derived, enumerated or None when the exhaustive path is skipped)."""
+    derived = quotient_check_derived(group)
+    if exhaustive is None:
+        exhaustive = group.order <= EXHAUSTIVE_MAX_ORDER
+    if not exhaustive:
+        return derived, None
+    enumerated = quotient_check_exhaustive(group)
+    if enumerated != derived:
+        raise ArithmeticError(
+            f"quotient check paths disagree on {group}: "
+            f"derived={derived} exhaustive={enumerated}"
+        )
+    return derived, enumerated
+
+
 def prime_to_p_quotient_check(group: SemidirectGroup, exhaustive: "bool | None" = None) -> bool:
     """True iff the only quotient of order prime to p is trivial.
 
     Runs the derived check always and the exhaustive enumeration when the
-    group is small (order <= 300) or when forced; the two paths must agree.
+    group is small (order <= EXHAUSTIVE_MAX_ORDER) or when forced; the two
+    paths must agree.
     """
-    derived = quotient_check_derived(group)
-    if exhaustive is None:
-        exhaustive = group.order <= 300
-    if exhaustive:
-        enumerated = quotient_check_exhaustive(group)
-        if enumerated != derived:
-            raise ArithmeticError(
-                f"quotient check paths disagree on {group}: "
-                f"derived={derived} exhaustive={enumerated}"
-            )
-    return derived
+    return _quotient_checks(group, exhaustive)[0]
 
 
 def index_subgroups(group: SemidirectGroup, n: int) -> tuple[frozenset, frozenset]:
@@ -317,11 +329,7 @@ def verify_group(
 ) -> dict:
     """Check all three structural properties; returns a JSON-ready report."""
     lemma_a = p_generated_subgroup(group) == frozenset(group.elements())
-    derived = quotient_check_derived(group)
-    run_exhaustive = exhaustive if exhaustive is not None else group.order <= 300
-    enumerated = quotient_check_exhaustive(group) if run_exhaustive else None
-    if enumerated is not None and enumerated != derived:
-        raise ArithmeticError(f"quotient check paths disagree on {group}")
+    derived, enumerated = _quotient_checks(group, exhaustive)
     part_c = []
     for n in index_divisors if index_divisors is not None else divisors(group.m):
         h0, h1 = index_subgroups(group, n)
@@ -341,12 +349,8 @@ def verify_group(
         "lemma_b": {"derived": derived, "exhaustive": enumerated},
         "lemma_c": part_c,
     }
-    report["all_pass"] = (
-        lemma_a
-        and derived
-        and (enumerated is None or enumerated)
-        and all(entry["ok"] for entry in part_c)
-    )
+    # enumerated, when run, equals derived
+    report["all_pass"] = lemma_a and derived and all(entry["ok"] for entry in part_c)
     return report
 
 

@@ -67,20 +67,8 @@ class WittInvariants:
     hasse_minus_at: frozenset  # places where the Hasse invariant is -1
 
 
-def _split_two_units(r: Fraction) -> tuple[int, int]:
-    """2-adic valuation and an odd integer with the same square class as the unit part."""
-    num, den = r.numerator, r.denominator
-    v = 0
-    while num % 2 == 0:
-        num //= 2
-        v += 1
-    while den % 2 == 0:
-        den //= 2
-        v -= 1
-    return v, num * den
-
-
-def _split_odd_units(r: Fraction, p: int) -> tuple[int, int]:
+def _split_units(r: Fraction, p: int) -> tuple[int, int]:
+    """p-adic valuation and a p-free integer with the same square class as the unit part."""
     num, den = r.numerator, r.denominator
     v = 0
     while num % p == 0:
@@ -89,7 +77,7 @@ def _split_odd_units(r: Fraction, p: int) -> tuple[int, int]:
     while den % p == 0:
         den //= p
         v -= 1
-    return v, num * den  # p-free integer in the unit's square class
+    return v, num * den
 
 
 def hilbert_symbol(a, b, place) -> int:
@@ -102,13 +90,13 @@ def hilbert_symbol(a, b, place) -> int:
     if not isinstance(place, int) or not is_prime(place):
         raise ValueError(f"place must be a prime or '{REAL_PLACE}', got {place}")
     if place == 2:
-        alpha, u = _split_two_units(a)
-        beta, w = _split_two_units(b)
+        alpha, u = _split_units(a, 2)
+        beta, w = _split_units(b, 2)
         eps = ((u - 1) // 2) * ((w - 1) // 2)
         omega = alpha * ((w * w - 1) // 8) + beta * ((u * u - 1) // 8)
         return -1 if (eps + omega) % 2 else 1
-    alpha, u = _split_odd_units(a, place)
-    beta, w = _split_odd_units(b, place)
+    alpha, u = _split_units(a, place)
+    beta, w = _split_units(b, place)
     sign = 1
     if alpha % 2 and beta % 2 and (place - 1) // 2 % 2:
         sign = -sign
@@ -193,9 +181,9 @@ def _is_local_square(r: Fraction, place) -> bool:
     if place == REAL_PLACE:
         return r > 0
     if place == 2:
-        v, u = _split_two_units(r)
+        v, u = _split_units(r, 2)
         return v % 2 == 0 and u % 8 in (1, -7)
-    v, u = _split_odd_units(r, place)
+    v, u = _split_units(r, place)
     return v % 2 == 0 and legendre_symbol(u, place) == 1
 
 

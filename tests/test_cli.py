@@ -71,6 +71,7 @@ def test_byte_identical_output():
 def test_realize_degenerate_is_usage_error(capsys):
     code, _ = _run_main(["realize", "--diag", "1,0"], capsys)
     assert code == 2
+    _assert_input_error(["realize", "--diag", "1,1", "--bounds", ""], capsys)
 
 
 def test_verify_detects_tampered_alpha(tmp_path, capsys):
@@ -109,6 +110,8 @@ def test_invariants_output(capsys):
 def test_invariants_degenerate(capsys):
     code, _ = _run_main(["invariants", "--diag", "1,0"], capsys)
     assert code == 2
+    # one above FACTOR_LIMIT: an input outside the supported range, not a verdict
+    _assert_input_error(["invariants", "--diag", "1,3317044064679887385961981"], capsys)
 
 
 def test_equivalent_exit_codes(capsys):
@@ -118,6 +121,9 @@ def test_equivalent_exit_codes(capsys):
     assert code == 1 and json.loads(out)["equivalent"] is False
     code, _ = _run_main(["equivalent", "--diag", "1,1"], capsys)
     assert code == 2
+    _assert_input_error(
+        ["equivalent", "--diag", "1,3317044064679887385961981", "--diag", "1,1"], capsys
+    )
 
 
 def test_form_file_input(tmp_path, capsys):

@@ -1,7 +1,11 @@
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from traceforms.algebra import (
     Matrix,
@@ -14,9 +18,23 @@ from traceforms.algebra import (
     solve_linear,
     squarefree_part,
 )
-from traceforms.algebra.matrix import _charpoly_interpolation
 
 X = RationalPoly.x()
+
+
+def _charpoly_interpolation(m: Matrix) -> RationalPoly:
+    """det(xI - M) reconstructed from n+1 determinant evaluations."""
+    n = m.nrows
+    ident = Matrix.identity(n)
+    points = [(Fraction(c), (ident * c - m).det()) for c in range(n + 1)]
+    total = RationalPoly.zero()
+    for i, (xi, yi) in enumerate(points):
+        term = RationalPoly.constant(yi)
+        for j, (xj, _) in enumerate(points):
+            if i != j:
+                term = term * RationalPoly((-xj / (xi - xj), 1 / (xi - xj)))
+        total = total + term
+    return total
 
 
 def _random_matrix(rng, n, span=9, denominators=False):
@@ -88,6 +106,39 @@ def test_charpoly_matches_interpolation():
         n = rng.randrange(1, 7)
         m = _random_matrix(rng, n)
         assert charpoly(m) == _charpoly_interpolation(m)
+
+
+RATIONAL_ENTRIES = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 8).flatmap(
+        lambda n: st.lists(
+            st.lists(RATIONAL_ENTRIES, min_size=n, max_size=n), min_size=n, max_size=n
+        )
+    )
+)
+def test_charpoly_matches_interpolation_property(rows):
+    m = Matrix(rows)
+    assert charpoly(m) == _charpoly_interpolation(m)
+
+
+def test_charpoly_cross_check_raises_under_optimize():
+    # a wrong determinant must be caught even with asserts stripped
+    script = """
+import sys
+import traceforms.algebra.matrix as matrix
+real = matrix._int_det_bareiss
+matrix._int_det_bareiss = lambda a: real(a) + 1
+try:
+    matrix.charpoly(matrix.Matrix([[1, 2], [3, 4]]))
+except ArithmeticError:
+    sys.exit(0 if sys.flags.optimize else 3)
+sys.exit(4)
+"""
+    run = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
 
 
 def test_charpoly_evaluates_to_det():

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from traceforms.algebra import Matrix, squarefree_part
 from traceforms.quadform import (
@@ -103,6 +105,17 @@ def test_hilbert_against_bruteforce_oracle():
     assert _local_solvable_bruteforce(-1, -1, 3, 1)
     assert hilbert_symbol(-1, -1, 3) == 1
     assert hilbert_symbol(1, 3, 3) == 1
+
+
+SQUAREFREE = st.integers(-30, 30).filter(lambda n: n != 0 and squarefree_part(n) == n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=SQUAREFREE, b=SQUAREFREE, p=st.sampled_from([2, 3, 5]))
+def test_hilbert_symbol_matches_bruteforce_property(a, b, p):
+    # depth 4 at p = 2 and 2 at odd p decide every squarefree pair in range both ways
+    depth = 4 if p == 2 else 2
+    assert (hilbert_symbol(a, b, p) == 1) == _local_solvable_bruteforce(a, b, p, depth)
 
 
 def test_invariants_examples():
