@@ -28,7 +28,7 @@ from .algebra import (
     legendre_symbol,
     power_traces,
     squarefree_part,
-    trace_of_element,
+    trace_moments,
 )
 from .galois import (
     CERTIFIED,

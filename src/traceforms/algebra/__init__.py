@@ -30,7 +30,7 @@ from .poly import (
     power_traces,
     primitive_integer_coeffs,
     resultant,
-    trace_of_element,
+    trace_moments,
 )
 
 __all__ = [
@@ -61,6 +61,6 @@ __all__ = [
     "resultant",
     "solve_linear",
     "squarefree_part",
-    "trace_of_element",
+    "trace_moments",
     "valuation",
 ]

@@ -7,7 +7,9 @@ quadratic-time classical algorithms cost nothing.
 
 Alongside the arithmetic this module provides the trace machinery for
 quotient rings Q[x]/(f): power sums of the roots of a monic f via Newton's
-identities, and traces of arbitrary ring elements.
+identities, and the trace moments Tr(g x^m).  The trace is linear and
+Tr(x^k) is the k-th power sum, so every moment is a Hankel product of g's
+coefficients with the power sums; no element is ever reduced mod f.
 """
 
 from __future__ import annotations
@@ -41,10 +43,6 @@ class RationalPoly:
     @classmethod
     def x(cls) -> "RationalPoly":
         return cls((0, 1))
-
-    @classmethod
-    def monomial(cls, k: int, c=1) -> "RationalPoly":
-        return cls((0,) * k + (c,))
 
     @classmethod
     def constant(cls, c) -> "RationalPoly":
@@ -246,15 +244,18 @@ def power_traces(f: RationalPoly, m: int) -> tuple[Fraction, ...]:
     return tuple(tr)
 
 
-def trace_of_element(f: RationalPoly, g: RationalPoly) -> Fraction:
-    """Trace of (g mod f) acting by multiplication on Q[x]/(f)."""
+def trace_moments(f: RationalPoly, g: RationalPoly, count: int) -> tuple[Fraction, ...]:
+    """Traces Tr(g x^m) on Q[x]/(f) for m = 0..count-1.
+
+    Moment m is sum_k g_k tr[k + m] with tr the power sums of f, so g need
+    not be reduced mod f and no polynomial division takes place.
+    """
     if not f.is_monic or f.degree < 1:
         raise ValueError("trace requires a monic modulus of degree >= 1")
-    gbar = g % f
-    if gbar.is_zero:
-        return Fraction(0)
-    tr = power_traces(f, gbar.degree)
-    return sum((c * tr[k] for k, c in enumerate(gbar.coeffs)), Fraction(0))
+    tr = power_traces(f, g.degree + count - 1)
+    return tuple(
+        sum((c * tr[k + m] for k, c in enumerate(g.coeffs)), Fraction(0)) for m in range(count)
+    )
 
 
 def resultant(f: RationalPoly, g: RationalPoly) -> Fraction:

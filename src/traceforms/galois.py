@@ -138,8 +138,12 @@ def generic_experiment(
     charpoly(A diag(d)) for separability and irreducibility, then sample cycle
     types and issue the S_n verdict."""
     entries = tuple(Fraction(e) for e in diag)
+    if not entries:
+        raise ValueError("diagonal must be non-empty")
     if any(e == 0 for e in entries):
         raise ValueError("diagonal entries must be nonzero")
+    if coeff_bound < 1:
+        raise ValueError("coefficient bound must be positive")
     if prime_budget < 0:
         raise ValueError("prime budget must be non-negative")
     n = len(entries)

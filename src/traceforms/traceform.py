@@ -28,10 +28,9 @@ from .algebra import (
     congruence_diagonalize,
     is_irreducible_over_rationals,
     is_separable,
-    krylov_matrix,
     power_traces,
     solve_linear,
-    trace_of_element,
+    trace_moments,
 )
 from .quadform import DegenerateForm, SymmetricForm
 
@@ -99,16 +98,11 @@ def scaled_trace_gram(f: RationalPoly, alpha: RationalPoly) -> Matrix:
     """
     if not f.is_monic or f.degree < 1:
         raise ValueError("modulus must be monic of degree >= 1")
-    if (alpha % f).is_zero:
+    reduced = alpha % f
+    if reduced.is_zero:
         raise ValueError("alpha vanishes mod f")
     n = f.degree
-    traces = power_traces(f, n - 1)  # reduced elements have degree < n
-    moments = []
-    for s in range(2 * n - 1):
-        g = (alpha * RationalPoly.monomial(s)) % f
-        moments.append(
-            sum((c * traces[k] for k, c in enumerate(g.coeffs)), Fraction(0))
-        )
+    moments = trace_moments(f, reduced, 2 * n - 1)
     return Matrix([[moments[i + j] for j in range(n)] for i in range(n)])
 
 
@@ -132,8 +126,8 @@ def solve_alpha(f: RationalPoly, moments) -> RationalPoly:
     except ValueError:
         raise ValueError("trace pairing is singular; modulus is not separable")
     alpha = RationalPoly(solution)
-    for m in range(n, 2 * n - 1):
-        if trace_of_element(f, alpha * RationalPoly.monomial(m)) != moments[m]:
+    for m, trace in enumerate(trace_moments(f, alpha, 2 * n - 1)[n:], n):
+        if trace != moments[m]:
             raise InconsistentHankel(f"moment {m} is inconsistent")
     return alpha
 
@@ -190,16 +184,14 @@ def realize(form: SymmetricForm, policy: SearchPolicy | None = None) -> Certific
             f"(bounds {policy.bound_schedule}, seed {policy.seed})"
         )
 
+    # one walk M^k e1, k < 2n-1: its first n vectors form P' (independent for irreducible f,
+    # and verify_certificate checks det P); e1^T D' M^k e1 = d_1 (M^k e1)_1 for diagonal D'
     m = found * dprime
-    e1 = tuple(Fraction(1 if i == 0 else 0) for i in range(n))
-    p_prime = krylov_matrix(m, e1)  # irreducible f makes every nonzero vector cyclic
-
-    # e1^T D' M^m e1 collapses to d_1 * (M^m e1)_1 for diagonal D'
-    moments = []
-    w = e1
-    for _ in range(2 * n - 1):
-        moments.append(diag[0] * w[0])
-        w = m * w
+    walk = [tuple(Fraction(1 if i == 0 else 0) for i in range(n))]
+    for _ in range(2 * n - 2):
+        walk.append(m * walk[-1])
+    p_prime = Matrix.from_columns(walk[:n])
+    moments = [diag[0] * w[0] for w in walk]
 
     alpha = solve_alpha(f, moments)
     gram = Matrix([[moments[i + j] for j in range(n)] for i in range(n)])

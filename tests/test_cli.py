@@ -1,8 +1,13 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from traceforms.algebra.intmath import FACTOR_LIMIT
 from traceforms.cli import main
 
 
@@ -160,6 +165,9 @@ def test_galois_cli(capsys):
     assert code == 2
     _assert_input_error(["galois", "--diag", "1,abc"], capsys)
     _assert_input_error(["galois", "--diag", "1,2,3", "--primes", "-5"], capsys)
+    _assert_input_error(["galois", "--diag", "1,2,3", "--bound", "0"], capsys)
+    _assert_input_error(["galois", "--diag", "1,2,3", "--bound", "-3"], capsys)
+    _assert_input_error(["galois", "--n", "0"], capsys)
 
 
 def test_group_verify_cli(capsys):
@@ -190,3 +198,79 @@ def test_quiet_flag(capsys):
 def test_usage_error_exit_code(capsys):
     assert main(["realize"]) == 2  # no form given
     assert main(["no-such-command"]) == 2
+
+
+# argv fuzzing: every subcommand with a random subset of its flags, each value
+# drawn from a pool of good and bad inputs; sizes stay small so a run is cheap
+BAD = st.sampled_from(["", "0", "-3", "abc", "1/0"])
+
+
+def _pool(*good):
+    return st.one_of(st.sampled_from(good), BAD)
+
+
+SMALL_INTS = _pool("1", "2", "3")
+DIAGS = st.one_of(
+    st.lists(st.sampled_from(["1", "-1", "2", "2/3", "-5"]), min_size=1, max_size=3).map(",".join),
+    st.just(f"1,{FACTOR_LIMIT + 1}"),
+    BAD,
+)
+BOUNDS = _pool("1", "1,2", "2,1")
+PRIMES = _pool("5", "20")
+FLOORS = _pool("100", str(FACTOR_LIMIT + 1))
+GROUP = {"--p": _pool("2", "3"), "--k": _pool("1", "2"), "--m": _pool("3", "7", "15")}
+# flags every drawn argv carries (the default of 300 galois primes is slow),
+# then optional ones; equivalent needs a second --diag to reach a verdict
+REQUIRED = {
+    "realize": {"--diag": DIAGS},
+    "verify": {},
+    "invariants": {"--diag": DIAGS},
+    "equivalent": {"--diag": DIAGS},
+    "galois": {"--primes": PRIMES},
+    "group-verify": GROUP,
+}
+OPTIONAL = {
+    "realize": {"--bounds": BOUNDS, "--tries": SMALL_INTS},
+    "verify": {},
+    "invariants": {},
+    "equivalent": {"--diag": DIAGS},
+    "galois": {"--n": SMALL_INTS, "--diag": DIAGS, "--bound": SMALL_INTS, "--prime-floor": FLOORS},
+    "group-verify": {"--n": _pool("1", "3", "5"), "--exhaustive": st.none()},
+}
+COMMON = {"--seed": SMALL_INTS, "--quiet": st.none()}
+
+
+def _draw_flags(data, pool, optional):
+    names = sorted(pool)
+    if optional:
+        names = data.draw(st.lists(st.sampled_from(names), unique=True)) if names else []
+    argv = []
+    for name in names:
+        value = data.draw(pool[name])
+        argv += [name] if value is None else [name, value]
+    return argv
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_cli_argv_fuzz(data):
+    command = data.draw(st.sampled_from(sorted(REQUIRED)))
+    argv = [command]
+    if command == "verify":
+        argv.append(data.draw(_pool("missing.json")))
+    argv += _draw_flags(data, REQUIRED[command], optional=False)
+    argv += _draw_flags(data, OPTIONAL[command], optional=True)
+    argv += _draw_flags(data, COMMON, optional=True)
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2), argv
+    if code == 2:
+        assert sum("error:" in line for line in err.splitlines()) == 1, (argv, err)
+        assert "Traceback" not in err
+    elif "--quiet" in argv:
+        assert out == ""
+    else:
+        json.loads(out)

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from traceforms.algebra import (
     Matrix,
@@ -13,10 +15,21 @@ from traceforms.algebra import (
     power_traces,
     primitive_integer_coeffs,
     resultant,
-    trace_of_element,
+    trace_moments,
 )
 
 X = RationalPoly.x()
+
+
+def _trace_of_element(f: RationalPoly, g: RationalPoly) -> Fraction:
+    """Trace of (g mod f) acting by multiplication on Q[x]/(f)."""
+    if not f.is_monic or f.degree < 1:
+        raise ValueError("trace requires a monic modulus of degree >= 1")
+    gbar = g % f
+    if gbar.is_zero:
+        return Fraction(0)
+    tr = power_traces(f, gbar.degree)
+    return sum((c * tr[k] for k, c in enumerate(gbar.coeffs)), Fraction(0))
 
 
 def _random_poly(rng, max_degree=6, span=9):
@@ -97,12 +110,23 @@ def test_newton_consistency_against_companion_matrix():
             power = power * comp
 
 
+def _trace(f, g):
+    (trace,) = trace_moments(f, g, 1)
+    return trace
+
+
 def test_trace_of_element_examples():
     f = X * X - 2
-    assert trace_of_element(f, RationalPoly.one()) == 2
-    assert trace_of_element(f, X) == 0
-    assert trace_of_element(f, RationalPoly((Fraction(1, 2), Fraction(1, 4)))) == 1
-    assert trace_of_element(f, X * 100 + 7) == 14  # linearity: 100*Tr(x) + 7*Tr(1)
+    assert _trace(f, RationalPoly.one()) == 2
+    assert _trace(f, X) == 0
+    assert _trace(f, RationalPoly((Fraction(1, 2), Fraction(1, 4)))) == 1
+    assert _trace(f, X * 100 + 7) == 14  # linearity: 100*Tr(x) + 7*Tr(1)
+    assert trace_moments(f, X * 100 + 7, 4) == (14, 400, 28, 800)
+    assert trace_moments(f, f * (X + 3), 3) == (0, 0, 0)  # unreduced zero element
+    assert trace_moments(f, RationalPoly.zero(), 2) == (0, 0)
+    assert trace_moments(f, X, 0) == ()
+    with pytest.raises(ValueError):
+        trace_moments(X * 2 - 1, X, 1)
 
 
 def test_trace_linearity_random():
@@ -111,9 +135,23 @@ def test_trace_linearity_random():
     for _ in range(50):
         g, h = _random_poly(rng, 5), _random_poly(rng, 5)
         c = Fraction(rng.randrange(-5, 6), rng.randrange(1, 5))
-        assert trace_of_element(f, g + c * h) == trace_of_element(
-            f, g
-        ) + c * trace_of_element(f, h)
+        assert _trace(f, g + c * h) == _trace(f, g) + c * _trace(f, h)
+
+
+RATIONALS = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_trace_moments_match_division_oracle(data):
+    n = data.draw(st.integers(1, 8))
+    f = RationalPoly(data.draw(st.lists(RATIONALS, min_size=n, max_size=n)) + [1])
+    g = RationalPoly(data.draw(st.lists(RATIONALS, max_size=2 * n + 4)))
+    count = data.draw(st.integers(1, 2 * n))
+    moments = trace_moments(f, g, count)
+    assert len(moments) == count
+    for m, moment in enumerate(moments):
+        assert moment == _trace_of_element(f, g * RationalPoly((0,) * m + (1,)))
 
 
 def test_resultant_and_discriminant():

@@ -146,6 +146,22 @@ def test_verify_rejects_tampering():
     assert not check and check.failed_clause == "not_irreducible"
 
 
+def test_unreduced_alpha():
+    # alpha + f h is the same element of Q[x]/(f) as alpha, whatever its degree
+    rng = random.Random(57)
+    cert = realize(SymmetricForm.diagonal([2, -3, 5]), SearchPolicy(seed=9))
+    for _ in range(10):
+        h = RationalPoly(
+            [Fraction(rng.randrange(-9, 10), rng.randrange(1, 4)) for _ in range(rng.randrange(1, 9))]
+        )
+        if h.is_zero:
+            continue
+        assert scaled_trace_gram(F2, ALPHA2 + F2 * h) == scaled_trace_gram(F2, ALPHA2)
+        assert verify_certificate(replace(cert, alpha=cert.alpha + cert.f * h))
+        check = verify_certificate(replace(cert, alpha=cert.f * h))
+        assert not check and check.failed_clause == "alpha_zero"
+
+
 def test_realize_one_dimensional():
     cert = realize(SymmetricForm.diagonal([5]))
     assert cert.f == RationalPoly((-5, 1))
