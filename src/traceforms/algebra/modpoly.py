@@ -13,6 +13,12 @@ Cantor-Zassenhaus equal-degree splitting.  The randomness inside equal-degree
 splitting is drawn from a PRNG seeded by the input polynomial, so results are
 reproducible and the returned factor list is sorted canonically.  Cycle types
 need only factor degrees, which distinct-degree splitting gives directly.
+
+Distinct-degree splitting (Alg. 14.3 there) takes gcd(x^(p^d) - x, rest) for
+d = 1, 2, ...  It computes one Frobenius power per prime: x^p mod f by binary
+powering against the fixed reduction table x^n, ..., x^(2n-2) mod f, then
+each later x^(p^d) = h(x^p) as one vector-matrix product with the Frobenius
+rows x^(i p) mod f, i < n (the transpose of Berlekamp's Q matrix, §14.2).
 """
 
 from __future__ import annotations
@@ -147,20 +153,83 @@ def _squarefree_decomposition(f: list[int], p: int) -> list[tuple[list[int], int
     return out
 
 
+def _times_x(h: list[int], x_n: list[int], p: int) -> list[int]:
+    """x * h mod (f, p) for dense length-n h, given x_n = x^n mod f: shift up,
+    fold the top coefficient back in."""
+    top = h[-1]
+    return [(c + top * r) % p for c, r in zip([0] + h[:-1], x_n)]
+
+
+def _reduction_table(f: list[int], p: int) -> list[list[int]]:
+    """Rows x^n, ..., x^(2n-2) mod the monic f of degree n >= 2, dense length n."""
+    n = len(f) - 1
+    table = [[-c % p for c in f[:n]]]
+    for _ in range(n - 2):
+        table.append(_times_x(table[-1], table[0], p))
+    return table
+
+
+def _mul_reduce(a: list[int], b: list[int], table: list[list[int]], p: int) -> list[int]:
+    """a * b mod (f, p) for dense length-n a, b and f's reduction table."""
+    n = len(a)
+    prod = [0] * (2 * n - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                prod[i + j] += x * y
+    out = prod[:n]
+    for c, row in zip(prod[n:], table):
+        c %= p
+        if c:
+            for i, r in enumerate(row):
+                out[i] += c * r
+    return [c % p for c in out]
+
+
+def _x_power(p: int, table: list[list[int]]) -> list[int]:
+    """x^p mod (f, p), dense, by left-to-right binary powering from x."""
+    n = len(table[0])
+    h = [0, 1] + [0] * (n - 2)
+    for bit in bin(p)[3:]:
+        h = _mul_reduce(h, h, table, p)
+        if bit == "1":
+            h = _times_x(h, table[0], p)
+    return h
+
+
 def _distinct_degree(f: list[int], p: int) -> list[tuple[list[int], int]]:
-    """Squarefree monic f as (product of irreducibles of degree d, d) pairs."""
+    """Squarefree monic f as (product of irreducibles of degree d, d) pairs.
+
+    h runs through x^(p^d) mod f: x^p by powering against f's reduction
+    table, then h(x^p) = h^p as one product with the Frobenius rows
+    x^(i p) mod f.  h stays reduced mod f, not mod the shrinking rest: rest
+    divides f, so gcd(h - x, rest) is the same.
+    """
+    n = len(f) - 1
     out = []
-    x = h = [0, 1]  # only read when deg f >= 2, where x mod f = x
+    x = [0, 1]
     d = 0
     rest = f
-    while len(rest) - 1 >= 2 * (d + 1):
+    while len(rest) - 1 >= 2 * (d + 1):  # first pass only when n >= 2
         d += 1
-        h = mod_pow(h, p, rest, p)
+        if d == 1:
+            table = _reduction_table(f, p)
+            h = frobenius = _x_power(p, table)
+        else:
+            if d == 2:
+                rows = [[1] + [0] * (n - 1), frobenius]
+                for _ in range(n - 2):
+                    rows.append(_mul_reduce(rows[-1], frobenius, table, p))
+            acc = [0] * n
+            for c, row in zip(h, rows):
+                if c:
+                    for j, r in enumerate(row):
+                        acc[j] += c * r
+            h = [c % p for c in acc]
         g = mod_gcd(mod_sub(h, x, p), rest, p)
         if len(g) > 1:
             out.append((g, d))
             rest = mod_divmod(rest, g, p)[0]
-            h = mod_divmod(h, rest, p)[1]
     if len(rest) > 1:
         out.append((rest, len(rest) - 1))
     return out
@@ -241,9 +310,15 @@ def cycle_type_mod_p(f: RationalPoly, p: int) -> tuple[int, ...]:
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     ints = primitive_integer_coeffs(f)
+    return _cycle_type(ints, _integer_discriminant(tuple(ints)), p)
+
+
+def _cycle_type(ints: list[int], disc: int, p: int) -> tuple[int, ...]:
+    """`cycle_type_mod_p` at the prime p, for f's primitive integer
+    coefficients and integer discriminant computed once per f."""
     if ints[-1] % p == 0:
         raise BadPrime(f"{p} divides the leading coefficient")
-    if _integer_discriminant(tuple(ints)) % p == 0:
+    if disc % p == 0:
         raise BadPrime(f"{p} divides the discriminant")
     degrees: list[int] = []
     for block, d in _distinct_degree(mod_monic(mod_reduce(ints, p), p), p):

@@ -236,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--primes", type=int, default=300, help="prime sample budget")
     p.add_argument(
         "--prime-floor", type=int, default=galois.DEFAULT_PRIME_FLOOR,
-        help="sample primes above this floor",
+        help="sample primes above this floor (below FACTOR_LIMIT, where primality is proven)",
     )
     p.set_defaults(run=cmd_galois)
 

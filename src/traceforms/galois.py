@@ -25,12 +25,14 @@ from .algebra import (
     Matrix,
     RationalPoly,
     charpoly,
-    cycle_type_mod_p,
     is_irreducible_over_rationals,
     is_prime,
     is_separable,
     primes_above,
+    primitive_integer_coeffs,
 )
+from .algebra.intmath import FACTOR_LIMIT
+from .algebra.modpoly import _cycle_type, _integer_discriminant
 
 CERTIFIED = "certified"
 INCONCLUSIVE = "inconclusive"
@@ -80,19 +82,25 @@ def sample_cycle_types(
     """Collect cycle types of f at the first `prime_budget` good primes above
     `prime_floor`, counting skipped bad primes separately.
 
-    The prime walk is deterministic (consecutive primes ascending).
+    The prime walk is deterministic (consecutive primes ascending) and must
+    stay at or below FACTOR_LIMIT, where `is_prime` is a proof.  The integer
+    coefficients and discriminant of f are computed once, not per prime.
     """
     if f.degree < 1:
         raise ValueError("cycle types require degree >= 1")
-    if not is_separable(f):
+    ints = primitive_integer_coeffs(f)
+    disc = _integer_discriminant(tuple(ints))
+    if disc == 0:
         raise NotSquarefree("polynomial has a repeated root")
     counts: dict[tuple[int, ...], int] = {}
     used = skipped = 0
     for p in primes_above(prime_floor):
         if used >= prime_budget:
             break
+        if p > FACTOR_LIMIT:
+            raise ValueError(f"prime walk passed FACTOR_LIMIT at {p}: primality is not proven there")
         try:
-            t = cycle_type_mod_p(f, p)
+            t = _cycle_type(ints, disc, p)
         except BadPrime:
             skipped += 1
             continue
@@ -146,6 +154,8 @@ def generic_experiment(
         raise ValueError("coefficient bound must be positive")
     if prime_budget < 0:
         raise ValueError("prime budget must be non-negative")
+    if prime_floor >= FACTOR_LIMIT:
+        raise ValueError(f"prime floor must be below FACTOR_LIMIT = {FACTOR_LIMIT}")
     n = len(entries)
     a = Matrix.random_symmetric(n, coeff_bound, random.Random(seed))
     f = charpoly(a * Matrix.diagonal(entries))

@@ -4,7 +4,18 @@ from fractions import Fraction
 
 import pytest
 
-from traceforms.algebra import Matrix, RationalPoly, charpoly, is_separable
+from traceforms.algebra import (
+    BadPrime,
+    Matrix,
+    RationalPoly,
+    charpoly,
+    cycle_type_mod_p,
+    is_separable,
+    primes_above,
+    primitive_integer_coeffs,
+)
+from traceforms.algebra.intmath import FACTOR_LIMIT
+from traceforms.algebra.modpoly import _integer_discriminant
 from traceforms.galois import (
     CERTIFIED,
     INCONCLUSIVE,
@@ -36,6 +47,45 @@ def test_sample_examples():
 
     with pytest.raises(NotSquarefree):
         sample_cycle_types((X - 1) * (X - 1), 5)
+
+
+def _tally_public(f, budget, floor):
+    # the walk of sample_cycle_types, one public cycle_type_mod_p call per prime
+    counts = {}
+    used = 0
+    bad = []
+    for p in primes_above(floor):
+        if used >= budget:
+            break
+        try:
+            t = cycle_type_mod_p(f, p)
+        except BadPrime:
+            bad.append(p)
+            continue
+        counts[t] = counts.get(t, 0) + 1
+        used += 1
+    return counts, used, bad
+
+
+def test_hoisted_walk_matches_public_cycle_types():
+    # 3/2 x^3 - 5/7 x + 1/3 clears to 63 x^3 - 30 x + 14: lc 3^2 * 7, disc -2^2 3^5 7 2087
+    f = RationalPoly((Fraction(1, 3), Fraction(-5, 7), 0, Fraction(3, 2)))
+    ints = primitive_integer_coeffs(f)
+    disc = _integer_discriminant(tuple(ints))
+    assert ints == [14, -30, 0, 63] and disc % 2087 == 0 and ints[-1] % 2087 != 0
+    for floor, bad in ((1, 3), (2080, 2087)):  # 3 divides lc, 2087 only the discriminant
+        counts, used, bad_primes = _tally_public(f, 40, floor)
+        assert bad in bad_primes
+        s = sample_cycle_types(f, 40, floor)
+        assert (s.counts, s.primes_used, s.primes_skipped) == (counts, used, len(bad_primes))
+
+
+def test_prime_walk_stays_in_proven_range():
+    with pytest.raises(ValueError, match="FACTOR_LIMIT"):
+        sample_cycle_types(X**3 - X - 1, 5, prime_floor=FACTOR_LIMIT - 1)
+    assert sample_cycle_types(X**3 - X - 1, 0, prime_floor=FACTOR_LIMIT - 1).primes_used == 0
+    with pytest.raises(ValueError, match="FACTOR_LIMIT"):
+        generic_experiment([1, 2, 3], 9, 5, prime_floor=FACTOR_LIMIT)
 
 
 def test_sn_certificate_rules():

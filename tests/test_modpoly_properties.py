@@ -1,6 +1,6 @@
 """Property-based differential tests of the Z/qZ list kernel and its users."""
 
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from traceforms.algebra import (
@@ -12,7 +12,18 @@ from traceforms.algebra import (
     is_prime,
     primitive_integer_coeffs,
 )
-from traceforms.algebra.modpoly import mod_add, mod_divmod, mod_mul, mod_reduce, mod_xgcd
+from traceforms.algebra.modpoly import (
+    _distinct_degree,
+    _squarefree_decomposition,
+    mod_add,
+    mod_divmod,
+    mod_gcd,
+    mod_mul,
+    mod_pow,
+    mod_reduce,
+    mod_sub,
+    mod_xgcd,
+)
 
 PRIMES = st.sampled_from([p for p in range(2, 400) if is_prime(p)])
 PRIME_POWERS = st.tuples(st.sampled_from([2, 3, 5, 7, 101]), st.integers(2, 4)).map(
@@ -42,6 +53,42 @@ def test_cycle_type_matches_full_factorization(coeffs, p):
     factors = factor_mod_p(primitive_integer_coeffs(f), p)
     assert all(e == 1 for _, e in factors)
     assert pattern == tuple(sorted(len(g) - 1 for g, _ in factors))
+
+
+def _distinct_degree_oracle(f, p):
+    """Squarefree monic f as (product of irreducibles of degree d, d) pairs."""
+    out = []
+    x = h = [0, 1]  # only read when deg f >= 2, where x mod f = x
+    d = 0
+    rest = f
+    while len(rest) - 1 >= 2 * (d + 1):
+        d += 1
+        h = mod_pow(h, p, rest, p)
+        g = mod_gcd(mod_sub(h, x, p), rest, p)
+        if len(g) > 1:
+            out.append((g, d))
+            rest = mod_divmod(rest, g, p)[0]
+            h = mod_divmod(h, rest, p)[1]
+    if len(rest) > 1:
+        out.append((rest, len(rest) - 1))
+    return out
+
+
+# small p (n > p is common), and primes near 10**3 and 10**6
+DDF_PRIMES = st.sampled_from([2, 3, 5, 7, 991, 997, 1009, 1013, 999953, 999983, 1000003, 1000033])
+
+
+@settings(max_examples=400, deadline=None)
+@given(p=DDF_PRIMES, lower=st.lists(st.integers(0, 10**7), min_size=1, max_size=9), zero_constant=st.booleans())
+@example(p=2, lower=[0, 1, 1, 0, 0, 1, 0], zero_constant=True)  # x(x+1)(x^2+x+1)(x^3+x+1)
+@example(p=3, lower=[0, 2, 0, 2, 2, 1, 1], zero_constant=True)  # x(x+1)(x^2+1)(x^3+2x+1)
+@example(p=2, lower=[1, 1, 0, 0, 0, 0, 0, 0, 0], zero_constant=False)  # x^9+x+1
+def test_distinct_degree_matches_oracle(p, lower, zero_constant):
+    f = [c % p for c in lower] + [1]
+    if zero_constant:
+        f[0] = 0
+    assume(_squarefree_decomposition(f, p) == [(f, 1)])
+    assert _distinct_degree(f, p) == _distinct_degree_oracle(f, p)
 
 
 def _check_divmod(a, b, q):
