@@ -26,10 +26,8 @@ from .poly import (
     RationalPoly,
     discriminant,
     is_separable,
-    poly_gcd,
     power_traces,
     primitive_integer_coeffs,
-    resultant,
     trace_moments,
 )
 
@@ -54,11 +52,9 @@ __all__ = [
     "mignotte_bound",
     "mod_gcd",
     "next_prime",
-    "poly_gcd",
     "power_traces",
     "primes_above",
     "primitive_integer_coeffs",
-    "resultant",
     "solve_linear",
     "squarefree_part",
     "trace_moments",

@@ -1,4 +1,6 @@
-"""Exact integer helpers: primality, factorization, square classes, Legendre symbols.
+"""Exact integer helpers: primality, factorization, square classes, Legendre
+symbols, and Bareiss determinants (of rational matrices through a copy whose
+rows are cleared of denominators).
 
 Factorization is trial division up to 10**6 followed by Brent's variant of
 Pollard's rho.  Inputs are capped at the range where the fixed Miller-Rabin
@@ -10,6 +12,7 @@ anything larger is rejected rather than risk a wrong answer.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 FACTOR_LIMIT = 3_317_044_064_679_887_385_961_980  # deterministic MR witness range
 
@@ -20,7 +23,12 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin primality test."""
+    """Deterministic Miller-Rabin primality test.
+
+    A proof only for n <= FACTOR_LIMIT: above it a strong pseudoprime to all
+    twelve witnesses exists (FACTOR_LIMIT + 1 = 1287836182261 * 2575672364521)
+    and passes, so callers that need a proven prime refuse larger moduli.
+    """
     if n < 2:
         return False
     for p in _MR_WITNESSES:
@@ -178,3 +186,41 @@ def divisors(m: int) -> list[int]:
     for p, e in factorize(m).items():
         out = [d * p**i for d in out for i in range(e + 1)]
     return sorted(out)
+
+
+def _int_det_bareiss(a: list[list[int]]) -> int:
+    """Determinant of a square integer matrix by Bareiss fraction-free
+    elimination, in place; all interior divisions are exact."""
+    n = len(a)
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        pivot = a[k][k]
+        for i in range(k + 1, n):
+            aik = a[i][k]
+            row_i, row_k = a[i], a[k]
+            for j in range(k + 1, n):
+                row_i[j] = (row_i[j] * pivot - aik * row_k[j]) // prev
+            row_i[k] = 0
+        prev = pivot
+    return sign * a[-1][-1]
+
+
+def _rational_det(rows) -> Fraction:
+    """Exact determinant of a square matrix of Fractions: Bareiss on an
+    integer copy, each row multiplied by the lcm of its denominators."""
+    scale = 1
+    int_rows = []
+    for row in rows:
+        lcm = math.lcm(*(x.denominator for x in row))
+        scale *= lcm
+        int_rows.append([x.numerator * (lcm // x.denominator) for x in row])
+    return Fraction(_int_det_bareiss(int_rows), scale)

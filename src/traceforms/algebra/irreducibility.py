@@ -17,7 +17,6 @@ from itertools import combinations, islice
 
 from .intmath import primes_above
 from .modpoly import (
-    _integer_discriminant,
     factor_mod_p,
     mod_add,
     mod_divmod,
@@ -26,7 +25,7 @@ from .modpoly import (
     mod_sub,
     mod_xgcd,
 )
-from .poly import RationalPoly, is_separable, primitive_integer_coeffs
+from .poly import RationalPoly, discriminant, primitive_integer_coeffs
 
 _CANDIDATE_PRIMES = 5
 
@@ -131,11 +130,11 @@ def is_irreducible_over_rationals(f: RationalPoly) -> bool:
         raise ValueError("irreducibility is only defined for degree >= 1")
     if f.degree == 1:
         return True
-    if not is_separable(f):
-        return False  # a repeated factor, so certainly reducible at degree >= 2
     work = _monicize(primitive_integer_coeffs(f))
     n = len(work) - 1
-    disc = _integer_discriminant(tuple(work))
+    disc = discriminant(RationalPoly(work)).numerator
+    if disc == 0:
+        return False  # a repeated factor, so certainly reducible at degree >= 2
 
     candidates: list[tuple[int, list[list[int]]]] = []
     for p in islice((p for p in primes_above(1) if disc % p), _CANDIDATE_PRIMES):

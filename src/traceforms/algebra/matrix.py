@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from .intmath import _int_det_bareiss, _rational_det
 from .poly import RationalPoly
 
 Vector = tuple[Fraction, ...]
@@ -156,40 +157,7 @@ class Matrix:
         """Exact determinant (Bareiss on a denominator-cleared copy)."""
         if not self.is_square:
             raise ValueError("determinant of a non-square matrix")
-        scale = 1
-        int_rows = []
-        for row in self.rows:
-            lcm = 1
-            for x in row:
-                lcm = lcm * x.denominator // math.gcd(lcm, x.denominator)
-            scale *= lcm
-            int_rows.append([int(x * lcm) for x in row])
-        return Fraction(_int_det_bareiss(int_rows), scale)
-
-
-def _int_det_bareiss(a: list[list[int]]) -> int:
-    """Bareiss fraction-free elimination; all interior divisions are exact."""
-    n = len(a)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = a[k][k]
-        for i in range(k + 1, n):
-            aik = a[i][k]
-            row_i, row_k = a[i], a[k]
-            for j in range(k + 1, n):
-                row_i[j] = (row_i[j] * pivot - aik * row_k[j]) // prev
-            row_i[k] = 0
-        prev = pivot
-    return sign * a[-1][-1]
+        return _rational_det(self.rows)
 
 
 def charpoly(m: Matrix) -> RationalPoly:

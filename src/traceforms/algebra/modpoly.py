@@ -24,10 +24,9 @@ rows x^(i p) mod f, i < n (the transpose of Berlekamp's Q matrix, §14.2).
 from __future__ import annotations
 
 import random
-from functools import lru_cache
 from itertools import zip_longest
 
-from .intmath import is_prime
+from .intmath import FACTOR_LIMIT, is_prime
 from .poly import RationalPoly, discriminant, primitive_integer_coeffs
 
 
@@ -267,15 +266,23 @@ def _equal_degree_split(f: list[int], d: int, p: int, rng: random.Random) -> lis
             return _equal_degree_split(g, d, p, rng) + _equal_degree_split(cofactor, d, p, rng)
 
 
+def _require_proven_prime(p: int) -> None:
+    """ValueError unless p is prime; above FACTOR_LIMIT `is_prime` is no proof."""
+    if p > FACTOR_LIMIT:
+        raise ValueError(f"modulus {p} exceeds FACTOR_LIMIT = {FACTOR_LIMIT}: primality is not proven there")
+    if not is_prime(p):
+        raise ValueError(f"modulus {p} is not prime")
+
+
 def factor_mod_p(f, p: int) -> list[tuple[tuple[int, ...], int]]:
     """Factor the integer polynomial f mod the prime p into monic irreducibles.
 
     f is a coefficient sequence, lowest degree first.  Returns sorted
     (monic coefficient tuple, exponent) pairs; the leading coefficient of f
     mod p is the implicit unit: f = lc * prod(factor**exponent) mod p.
+    Raises ValueError unless p is a prime at most FACTOR_LIMIT.
     """
-    if not is_prime(p):
-        raise ValueError(f"modulus {p} is not prime")
+    _require_proven_prime(p)
     a = mod_reduce(f, p)
     if not a:
         raise ValueError("cannot factor the zero polynomial")
@@ -289,12 +296,6 @@ def factor_mod_p(f, p: int) -> list[tuple[tuple[int, ...], int]]:
     return result
 
 
-@lru_cache(maxsize=4096)
-def _integer_discriminant(int_coeffs: tuple[int, ...]) -> int:
-    # integral: the leading coefficient divides Res(f, f') for integer f
-    return discriminant(RationalPoly(int_coeffs)).numerator
-
-
 def cycle_type_mod_p(f: RationalPoly, p: int) -> tuple[int, ...]:
     """Sorted degrees of the irreducible factors of f mod p.
 
@@ -303,14 +304,13 @@ def cycle_type_mod_p(f: RationalPoly, p: int) -> tuple[int, ...]:
     pattern mod such p does not reflect a Frobenius cycle type).  Otherwise
     f mod p is squarefree of degree deg f, and distinct-degree splitting
     alone gives the pattern: a degree-k block of degree-d factors holds k/d
-    of them.
+    of them.  Raises ValueError unless p is a prime at most FACTOR_LIMIT.
     """
     if f.degree < 1:
         raise ValueError("cycle type requires degree >= 1")
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    _require_proven_prime(p)
     ints = primitive_integer_coeffs(f)
-    return _cycle_type(ints, _integer_discriminant(tuple(ints)), p)
+    return _cycle_type(ints, discriminant(RationalPoly(ints)).numerator, p)
 
 
 def _cycle_type(ints: list[int], disc: int, p: int) -> tuple[int, ...]:

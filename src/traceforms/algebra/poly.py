@@ -10,12 +10,19 @@ quotient rings Q[x]/(f): power sums of the roots of a monic f via Newton's
 identities, and the trace moments Tr(g x^m).  The trace is linear and
 Tr(x^k) is the k-th power sum, so every moment is a Hankel product of g's
 coefficients with the power sums; no element is ever reduced mod f.
+
+The same power sums give the discriminant: the Gram matrix of the trace form
+of 1, x -> Tr(x^2), is the Hankel matrix (Tr(x^(i+j)))_(i,j<n), and its
+determinant is disc(f) for monic f.  Separability is disc(f) != 0, so no
+Euclidean algorithm runs over Q.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+
+from .intmath import _rational_det
 
 
 class RationalPoly:
@@ -169,9 +176,6 @@ class RationalPoly:
             acc = acc * x + c
         return acc
 
-    def derivative(self) -> "RationalPoly":
-        return RationalPoly(tuple(i * c for i, c in enumerate(self.coeffs) if i))
-
     def monic(self) -> "RationalPoly":
         if self.is_zero:
             raise ValueError("zero polynomial cannot be made monic")
@@ -208,23 +212,6 @@ def _coerce(value):
     return NotImplemented
 
 
-def poly_gcd(f: RationalPoly, g: RationalPoly) -> RationalPoly:
-    """Monic gcd in Q[x] (a nonzero constant gcd is returned as 1)."""
-    a, b = f, g
-    while not b.is_zero:
-        a, b = b, a % b
-    if a.is_zero:
-        return a
-    return a.monic()
-
-
-def is_separable(f: RationalPoly) -> bool:
-    """True iff f has no repeated roots, i.e. gcd(f, f') is constant."""
-    if f.degree < 1:
-        raise ValueError("separability is only defined for degree >= 1")
-    return poly_gcd(f, f.derivative()).degree == 0
-
-
 def power_traces(f: RationalPoly, m: int) -> tuple[Fraction, ...]:
     """Traces of multiplication by x**k on Q[x]/(f), k = 0..m.
 
@@ -258,36 +245,22 @@ def trace_moments(f: RationalPoly, g: RationalPoly, count: int) -> tuple[Fractio
     )
 
 
-def resultant(f: RationalPoly, g: RationalPoly) -> Fraction:
-    """Resultant of f and g via the classical Euclidean recursion."""
-    if f.is_zero or g.is_zero:
-        return Fraction(0)
-    a, b = f, g
-    res = Fraction(1)
-    if a.degree < b.degree:
-        if (a.degree * b.degree) % 2:
-            res = -res
-        a, b = b, a
-    while b.degree > 0:
-        r = a % b
-        if r.is_zero:
-            return Fraction(0) if a.degree > 0 and b.degree > 0 else res
-        res *= b.leading ** (a.degree - r.degree)
-        if (a.degree * b.degree) % 2:
-            res = -res
-        a, b = b, r
-    return res * b.coeffs[0] ** a.degree
-
-
 def discriminant(f: RationalPoly) -> Fraction:
-    """disc(f) = (-1)^(n(n-1)/2) res(f, f') / lc(f)."""
+    """disc(f) = lc(f)^(2n-2) det(Tr(x^(i+j)))_(i,j<n), the traces being the
+    power sums of the monic f / lc(f).
+
+    The Hankel determinant is prod_(i<j) (r_i - r_j)^2 over the roots.
+    """
     n = f.degree
     if n < 1:
         raise ValueError("discriminant requires degree >= 1")
-    if n == 1:
-        return Fraction(1)
-    sign = -1 if (n * (n - 1) // 2) % 2 else 1
-    return sign * resultant(f, f.derivative()) / f.leading
+    tr = power_traces(f.monic(), 2 * n - 2)
+    return f.leading ** (2 * n - 2) * _rational_det([tr[i : i + n] for i in range(n)])
+
+
+def is_separable(f: RationalPoly) -> bool:
+    """True iff f has no repeated roots, i.e. disc(f) != 0."""
+    return discriminant(f) != 0
 
 
 def primitive_integer_coeffs(f: RationalPoly) -> list[int]:

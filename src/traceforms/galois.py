@@ -25,6 +25,7 @@ from .algebra import (
     Matrix,
     RationalPoly,
     charpoly,
+    discriminant,
     is_irreducible_over_rationals,
     is_prime,
     is_separable,
@@ -32,7 +33,7 @@ from .algebra import (
     primitive_integer_coeffs,
 )
 from .algebra.intmath import FACTOR_LIMIT
-from .algebra.modpoly import _cycle_type, _integer_discriminant
+from .algebra.modpoly import _cycle_type
 
 CERTIFIED = "certified"
 INCONCLUSIVE = "inconclusive"
@@ -89,7 +90,7 @@ def sample_cycle_types(
     if f.degree < 1:
         raise ValueError("cycle types require degree >= 1")
     ints = primitive_integer_coeffs(f)
-    disc = _integer_discriminant(tuple(ints))
+    disc = discriminant(RationalPoly(ints)).numerator
     if disc == 0:
         raise NotSquarefree("polynomial has a repeated root")
     counts: dict[tuple[int, ...], int] = {}

@@ -88,6 +88,13 @@ def test_verify_detects_tampered_alpha(tmp_path, capsys):
     code, out = _run_main(["verify", str(bad_file)], capsys)
     assert code == 1
     assert json.loads(out) == {"valid": False, "failed_clause": "gram_mismatch"}
+    # D = A = P = gram = I2 and f = (x - 1)^2 = charpoly(A D): a repeated root
+    identity = [["1", "0"], ["0", "1"]]
+    data.update(A=identity, P=identity, gram=identity, f=["1", "-2", "1"])
+    bad_file.write_text(json.dumps(data))
+    code, out = _run_main(["verify", str(bad_file)], capsys)
+    assert code == 1
+    assert json.loads(out) == {"valid": False, "failed_clause": "not_separable"}
 
 
 def test_verify_malformed_json(tmp_path, capsys):

@@ -10,12 +10,13 @@ from traceforms.algebra import (
     RationalPoly,
     charpoly,
     cycle_type_mod_p,
+    discriminant,
     is_separable,
     primes_above,
     primitive_integer_coeffs,
+    squarefree_part,
 )
 from traceforms.algebra.intmath import FACTOR_LIMIT
-from traceforms.algebra.modpoly import _integer_discriminant
 from traceforms.galois import (
     CERTIFIED,
     INCONCLUSIVE,
@@ -71,7 +72,7 @@ def test_hoisted_walk_matches_public_cycle_types():
     # 3/2 x^3 - 5/7 x + 1/3 clears to 63 x^3 - 30 x + 14: lc 3^2 * 7, disc -2^2 3^5 7 2087
     f = RationalPoly((Fraction(1, 3), Fraction(-5, 7), 0, Fraction(3, 2)))
     ints = primitive_integer_coeffs(f)
-    disc = _integer_discriminant(tuple(ints))
+    disc = discriminant(RationalPoly(ints)).numerator
     assert ints == [14, -30, 0, 63] and disc % 2087 == 0 and ints[-1] % 2087 != 0
     for floor, bad in ((1, 3), (2080, 2087)):  # 3 divides lc, 2087 only the discriminant
         counts, used, bad_primes = _tally_public(f, 40, floor)
@@ -187,8 +188,6 @@ def test_block_split_rejects_bad_shapes():
 def test_discriminant_of_specializations_is_generically_nonsquare():
     # induction base seen through specializations: binary case discriminants
     # are almost never rational squares
-    from traceforms.algebra import discriminant, squarefree_part
-
     rng = random.Random(62)
     square_hits = 0
     trials = 200

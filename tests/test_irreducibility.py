@@ -7,6 +7,7 @@ import pytest
 from traceforms.algebra import (
     RationalPoly,
     cycle_type_mod_p,
+    discriminant,
     is_irreducible_over_rationals,
     mignotte_bound,
     primes_above,
@@ -56,6 +57,9 @@ def test_non_monic_cases():
     assert is_irreducible_over_rationals(RationalPoly((-1, 0, 3)))  # 3x^2 - 1
     assert is_irreducible_over_rationals(RationalPoly((Fraction(-1, 3), 0, 1)))
     assert not is_irreducible_over_rationals(RationalPoly((Fraction(-1, 4), 0, 1)))
+    # (3x^2 - 1)^2 (x/2 + 1): a repeated non-monic factor times a rational one
+    f = RationalPoly((-1, 0, 3)) ** 2 * RationalPoly((1, Fraction(1, 2)))
+    assert not is_irreducible_over_rationals(f)
 
 
 def _mignotte_coeff_bound(ints, d, j):
@@ -112,13 +116,10 @@ def test_hensel_lift_round_trip():
         ints = [rng.randrange(-9, 10) for _ in range(degree)] + [1]
         f = RationalPoly(ints)
         work = _monicize(list(ints))
-        from traceforms.algebra.modpoly import _integer_discriminant
-
-        if _integer_discriminant(tuple(work)) == 0:
+        disc = discriminant(RationalPoly(work)).numerator
+        if disc == 0:
             continue
-        p = next(
-            q for q in primes_above(2) if _integer_discriminant(tuple(work)) % q
-        )
+        p = next(q for q in primes_above(2) if disc % q)
         factors = [list(g) for g, _ in factor_mod_p(work, p)]
         target = 2 * mignotte_bound(work) + 1
         lifted, modulus = _lift_factors(work, factors, p, target)

@@ -10,6 +10,7 @@ from traceforms.algebra import (
     mod_gcd,
     next_prime,
 )
+from traceforms.algebra.intmath import FACTOR_LIMIT, is_prime
 from traceforms.algebra.modpoly import mod_add, mod_divmod, mod_mul, mod_pow, mod_reduce, mod_xgcd
 
 
@@ -101,6 +102,17 @@ def test_cycle_type_examples():
     assert cycle_type_mod_p(f, 3) == (2,)
     with pytest.raises(BadPrime):
         cycle_type_mod_p(f, 2)  # 2 divides disc = 8
+
+
+def test_moduli_above_factor_limit_are_refused():
+    # FACTOR_LIMIT + 1 = 1287836182261 * 2575672364521 passes all twelve
+    # Miller-Rabin witnesses, so it is no proven prime
+    n = FACTOR_LIMIT + 1
+    assert n == 1287836182261 * 2575672364521 and is_prime(n)
+    with pytest.raises(ValueError, match="FACTOR_LIMIT"):
+        cycle_type_mod_p(RationalPoly((-1, 0, 1)), n)
+    with pytest.raises(ValueError, match="FACTOR_LIMIT"):
+        factor_mod_p([-1, 0, 1], n)
 
 
 def test_cycle_type_degrees_sum():

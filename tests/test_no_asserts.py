@@ -1,7 +1,10 @@
-"""Runtime checks in the package must survive `python -O`."""
+"""Package structure: runtime checks survive `python -O`, and the public
+names resolve."""
 
 import ast
 from pathlib import Path
+
+import traceforms.algebra
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "traceforms"
 
@@ -15,3 +18,8 @@ def test_no_assert_statements_in_package():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_algebra_exports_resolve():
+    missing = [name for name in traceforms.algebra.__all__ if not hasattr(traceforms.algebra, name)]
+    assert missing == []

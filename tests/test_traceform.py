@@ -145,6 +145,12 @@ def test_verify_rejects_tampering():
     check = verify_certificate(cert2)
     assert not check and check.failed_clause == "not_irreducible"
 
+    # A = D = P = gram = I2: f = charpoly(A D) = (x - 1)^2 has a repeated root
+    i2 = Matrix.identity(2)
+    cert3 = Certificate(D=SymmetricForm(i2), A=i2, f=(X - 1) ** 2, alpha=RationalPoly.one(), P=i2, gram=i2)
+    check = verify_certificate(cert3)
+    assert not check and check.failed_clause == "not_separable"
+
 
 def test_unreduced_alpha():
     # alpha + f h is the same element of Q[x]/(f) as alpha, whatever its degree
