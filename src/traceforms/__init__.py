@@ -14,7 +14,6 @@ from .algebra import (
     BadPrime,
     Matrix,
     RationalPoly,
-    SingularKrylov,
     charpoly,
     congruence_diagonalize,
     cycle_type_mod_p,
@@ -24,7 +23,6 @@ from .algebra import (
     is_irreducible_over_rationals,
     is_prime,
     is_separable,
-    krylov_matrix,
     legendre_symbol,
     power_traces,
     squarefree_part,

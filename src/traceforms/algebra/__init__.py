@@ -15,10 +15,8 @@ from .intmath import (
 from .irreducibility import is_irreducible_over_rationals, mignotte_bound
 from .matrix import (
     Matrix,
-    SingularKrylov,
     charpoly,
     congruence_diagonalize,
-    krylov_matrix,
     solve_linear,
 )
 from .modpoly import BadPrime, cycle_type_mod_p, factor_mod_p, mod_gcd
@@ -35,7 +33,6 @@ __all__ = [
     "BadPrime",
     "Matrix",
     "RationalPoly",
-    "SingularKrylov",
     "charpoly",
     "congruence_diagonalize",
     "cycle_type_mod_p",
@@ -47,7 +44,6 @@ __all__ = [
     "is_irreducible_over_rationals",
     "is_prime",
     "is_separable",
-    "krylov_matrix",
     "legendre_symbol",
     "mignotte_bound",
     "mod_gcd",

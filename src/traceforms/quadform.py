@@ -23,8 +23,8 @@ from .algebra import (
     factorize,
     is_prime,
     legendre_symbol,
-    squarefree_part,
 )
+from .algebra.intmath import FACTOR_LIMIT
 
 REAL_PLACE = "inf"
 
@@ -114,6 +114,14 @@ def _diagonal_entries(form: SymmetricForm) -> tuple[Fraction, ...]:
     return d
 
 
+def _square_class_from_factors(sign: int, num: dict[int, int], den: dict[int, int]) -> int:
+    # squarefree parts of |numerator| and denominator, coprime-combined by a gcd
+    a = math.prod(p for p, e in num.items() if e % 2)
+    b = math.prod(p for p, e in den.items() if e % 2)
+    g = math.gcd(a, b)
+    return sign * (a // g) * (b // g)
+
+
 def square_class(r: Fraction) -> int:
     """Signed squarefree integer representing r modulo squares.
 
@@ -122,10 +130,9 @@ def square_class(r: Fraction) -> int:
     gcd, which keeps intermediate values small."""
     if r == 0:
         raise ValueError("0 has no square class")
-    num = squarefree_part(r.numerator)
-    den = squarefree_part(r.denominator)
-    g = math.gcd(abs(num), den)
-    return (num // g) * (den // g)
+    return _square_class_from_factors(
+        -1 if r < 0 else 1, factorize(r.numerator), factorize(r.denominator)
+    )
 
 
 def _square_class_product(a: int, b: int) -> int:
@@ -137,12 +144,49 @@ def _square_class_product(a: int, b: int) -> int:
 def relevant_places(entries) -> list:
     """The real place, 2, and every odd prime dividing some entry's numerator
     or denominator; all Hilbert symbols among the entries are +1 elsewhere."""
+    return _classes_and_places([Fraction(e) for e in entries])[1]
+
+
+def _classes_and_places(entries) -> tuple[list[int], list]:
+    """Square class of each nonzero entry and the relevant places of all of
+    them, factoring each numerator and denominator once.
+
+    Every numerator and denominator is checked against FACTOR_LIMIT before
+    any is factored, so an input outside the supported range fails at once."""
+    for e in entries:
+        if abs(e.numerator) > FACTOR_LIMIT or e.denominator > FACTOR_LIMIT:
+            raise ValueError(
+                f"diagonal entry {e} has a numerator or denominator above "
+                f"FACTOR_LIMIT = {FACTOR_LIMIT}, beyond the proven factorization range"
+            )
+    classes = []
     primes = {2}
     for e in entries:
-        e = Fraction(e)
-        primes.update(factorize(e.numerator))
-        primes.update(factorize(e.denominator))
-    return sorted(primes) + [REAL_PLACE]
+        num, den = factorize(e.numerator), factorize(e.denominator)
+        primes.update(num)
+        primes.update(den)
+        classes.append(_square_class_from_factors(-1 if e < 0 else 1, num, den))
+    return classes, sorted(primes) + [REAL_PLACE]
+
+
+def _invariants_and_places(entries) -> tuple[WittInvariants, list]:
+    """Witt invariants of <entries> (Fractions, all nonzero) and its relevant places."""
+    classes, places = _classes_and_places(entries)
+    n = len(entries)
+    disc = 1  # square class of the product, reduced entry by entry
+    for c in classes:
+        disc = _square_class_product(disc, c)
+    pos = sum(1 for e in entries if e > 0)
+    signature = (pos, n - pos)
+    minus = []
+    for place in places:
+        sign = 1
+        for i in range(n):
+            for j in range(i + 1, n):
+                sign *= hilbert_symbol(entries[i], entries[j], place)
+        if sign == -1:
+            minus.append(place)
+    return WittInvariants(n, disc, signature, frozenset(minus)), places
 
 
 def invariants_of_diagonal(entries) -> WittInvariants:
@@ -150,21 +194,7 @@ def invariants_of_diagonal(entries) -> WittInvariants:
     entries = [Fraction(e) for e in entries]
     if any(e == 0 for e in entries):
         raise DegenerateForm("zero diagonal entry")
-    n = len(entries)
-    disc = 1  # square class of the product, reduced entry by entry
-    for e in entries:
-        disc = _square_class_product(disc, square_class(e))
-    pos = sum(1 for e in entries if e > 0)
-    signature = (pos, n - pos)
-    minus = []
-    for place in relevant_places(entries):
-        sign = 1
-        for i in range(n):
-            for j in range(i + 1, n):
-                sign *= hilbert_symbol(entries[i], entries[j], place)
-        if sign == -1:
-            minus.append(place)
-    return WittInvariants(n, disc, signature, frozenset(minus))
+    return _invariants_and_places(entries)[0]
 
 
 def invariants(form: SymmetricForm) -> WittInvariants:
@@ -198,14 +228,13 @@ def is_isotropic(form: SymmetricForm) -> bool:
     n = len(entries)
     if n == 1:
         return False
-    inv = invariants_of_diagonal(entries)
+    inv, places = _invariants_and_places(entries)
     disc = Fraction(inv.disc)
     if n == 2:
         return inv.disc == -1
     pos, neg = inv.signature
     if n >= 5:
         return pos > 0 and neg > 0
-    places = relevant_places(entries)
     for place in places:
         hasse = -1 if place in inv.hasse_minus_at else 1
         if n == 3:

@@ -20,6 +20,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 
 from .algebra import (
     Matrix,
@@ -185,13 +186,18 @@ def realize(form: SymmetricForm, policy: SearchPolicy | None = None) -> Certific
         )
 
     # one walk M^k e1, k < 2n-1: its first n vectors form P' (independent for irreducible f,
-    # and verify_certificate checks det P); e1^T D' M^k e1 = d_1 (M^k e1)_1 for diagonal D'
+    # and verify_certificate checks det P); e1^T D' M^k e1 = d_1 (M^k e1)_1 for diagonal D'.
+    # It runs in integers on B = L M (L = M's denominator), so M^k e1 = B^k e1 / L^k.
     m = found * dprime
-    walk = [tuple(Fraction(1 if i == 0 else 0) for i in range(n))]
+    b, scale = m.numerators, m.denominator
+    walk = [(1,) + (0,) * (n - 1)]
     for _ in range(2 * n - 2):
-        walk.append(m * walk[-1])
-    p_prime = Matrix.from_columns(walk[:n])
-    moments = [diag[0] * w[0] for w in walk]
+        v = walk[-1]
+        walk.append(tuple(sum(map(mul, row, v)) for row in b))
+    p_prime = Matrix.from_columns(
+        [Fraction(x, scale**k) for x in w] for k, w in enumerate(walk[:n])
+    )
+    moments = [diag[0] * Fraction(w[0], scale**k) for k, w in enumerate(walk)]
 
     alpha = solve_alpha(f, moments)
     gram = Matrix([[moments[i + j] for j in range(n)] for i in range(n)])

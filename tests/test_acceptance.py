@@ -16,9 +16,9 @@ from traceforms.algebra import (
     charpoly,
     cycle_type_mod_p,
     is_irreducible_over_rationals,
-    krylov_matrix,
     primes_above,
 )
+from matrix_oracles import krylov_matrix
 from traceforms.algebra.modpoly import BadPrime
 from traceforms.galois import CERTIFIED, INCONCLUSIVE, generic_experiment, sample_cycle_types, sn_certificate
 from traceforms.groups import Element, construct_group, sweep_parameters, verify_group

@@ -22,12 +22,13 @@ def _run_fresh_process(argv, *python_flags):
     return subprocess.run(cmd, capture_output=True, text=True)
 
 
-def _assert_input_error(argv, capsys):
-    # exit 2 with a single error line on stderr and no traceback
+def _assert_input_error(argv, capsys, match=""):
+    # exit 2 with a single error line on stderr (containing `match`) and no traceback
     code = main(argv)
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert match in err
 
 
 def test_realize_one_dim(capsys):
@@ -123,7 +124,7 @@ def test_invariants_degenerate(capsys):
     code, _ = _run_main(["invariants", "--diag", "1,0"], capsys)
     assert code == 2
     # one above FACTOR_LIMIT: an input outside the supported range, not a verdict
-    _assert_input_error(["invariants", "--diag", "1,3317044064679887385961981"], capsys)
+    _assert_input_error(["invariants", "--diag", "1,3317044064679887385961981"], capsys, "FACTOR_LIMIT")
 
 
 def test_equivalent_exit_codes(capsys):
@@ -134,7 +135,7 @@ def test_equivalent_exit_codes(capsys):
     code, _ = _run_main(["equivalent", "--diag", "1,1"], capsys)
     assert code == 2
     _assert_input_error(
-        ["equivalent", "--diag", "1,3317044064679887385961981", "--diag", "1,1"], capsys
+        ["equivalent", "--diag", "1,3317044064679887385961981", "--diag", "1,1"], capsys, "FACTOR_LIMIT"
     )
 
 

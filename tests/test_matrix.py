@@ -1,20 +1,21 @@
+import math
 import random
 import subprocess
 import sys
 from fractions import Fraction
 
+import matrix_oracles as oracle
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from matrix_oracles import SingularKrylov, krylov_matrix
 
 from traceforms.algebra import (
     Matrix,
     RationalPoly,
-    SingularKrylov,
     charpoly,
     congruence_diagonalize,
     is_irreducible_over_rationals,
-    krylov_matrix,
     solve_linear,
     squarefree_part,
 )
@@ -249,3 +250,96 @@ def test_solve_linear():
             continue
         x = tuple(Fraction(rng.randrange(-9, 10), rng.randrange(1, 4)) for _ in range(n))
         assert solve_linear(a, a * x) == x
+
+
+# ints and Fractions with mixed denominators, as callers pass them
+ENTRIES = st.one_of(st.integers(-20, 20), RATIONAL_ENTRIES)
+
+
+@st.composite
+def _square_rows(draw, n):
+    rows = draw(st.lists(st.lists(ENTRIES, min_size=n, max_size=n), min_size=n, max_size=n))
+    kind = draw(st.sampled_from(("dense", "dense", "zero", "singular")))
+    if kind == "zero":
+        rows = [[0] * n for _ in range(n)]
+    elif kind == "singular":
+        c = draw(RATIONAL_ENTRIES)
+        rows[-1] = [c * x for x in rows[0]] if n > 1 else [0]
+    return rows
+
+
+def _assert_lowest_terms(m):
+    assert m.denominator > 0
+    assert math.gcd(m.denominator, *(x for row in m.numerators for x in row)) == 1
+
+
+def _assert_is(m, expected_rows):
+    """m holds exactly expected_rows, in lowest terms, and compares and hashes
+    equal to a Matrix built from those Fractions."""
+    assert m.rows == tuple(tuple(row) for row in expected_rows)
+    _assert_lowest_terms(m)
+    rebuilt = Matrix(expected_rows)
+    assert m == rebuilt and hash(m) == hash(rebuilt)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 8).flatmap(
+        lambda n: st.tuples(
+            _square_rows(n), _square_rows(n), st.lists(ENTRIES, min_size=n, max_size=n), ENTRIES
+        )
+    )
+)
+def test_integer_matrix_matches_fraction_oracles(data):
+    rows_a, rows_b, vec, scalar = data
+    a, b = Matrix(rows_a), Matrix(rows_b)
+    ra, rb = oracle.as_rows(rows_a), oracle.as_rows(rows_b)
+    _assert_is(a, ra)
+    # the same matrix spelled with strings, plain Fractions and ints compares and hashes alike
+    for spelled in ([[str(x) for x in row] for row in rows_a], ra):
+        assert Matrix(spelled) == a and hash(Matrix(spelled)) == hash(a)
+
+    _assert_is(a * b, oracle.mul(ra, rb))
+    _assert_is(a.transpose() * b * a, oracle.mul(oracle.mul(oracle.transpose(ra), rb), ra))
+    _assert_is(a.transpose(), oracle.transpose(ra))
+    _assert_is(a + b, [[x + y for x, y in zip(r, s)] for r, s in zip(ra, rb)])
+    _assert_is(a - b, [[x - y for x, y in zip(r, s)] for r, s in zip(ra, rb)])
+    _assert_is(a * scalar, [[x * scalar for x in row] for row in ra])
+    _assert_is(scalar * a, [[scalar * x for x in row] for row in ra])
+    _assert_is((a * 6) * Fraction(1, 6), ra)
+    assert a * tuple(vec) == oracle.mul_vector(ra, vec)
+    assert a.det() == oracle.det(ra)
+    assert a.trace() == sum(ra[i][i] for i in range(len(ra)))
+    assert a.is_symmetric == (ra == tuple(oracle.transpose(ra)))
+
+    if oracle.det(ra) == 0:
+        with pytest.raises(ValueError):
+            solve_linear(a, tuple(vec))
+    else:
+        assert solve_linear(a, tuple(vec)) == oracle.solve_linear(ra, vec)
+
+    sym = a + a.transpose()
+    hollow = Matrix([[0 if i == j else x for j, x in enumerate(row)] for i, row in enumerate(sym.rows)])
+    for form in (sym, hollow):
+        q, d = congruence_diagonalize(form)
+        q_ref, d_ref = oracle.congruence_diagonalize(form.rows)
+        _assert_is(q, q_ref)
+        assert d == d_ref
+
+
+def test_equal_matrices_compare_and_hash_alike():
+    half = Matrix([[Fraction(1, 2), 3], [0, -1]])
+    for same in (
+        [[Fraction(2, 4), Fraction(6, 2)], [Fraction(0, 7), -1]],
+        [["1/2", "3"], ["0", Fraction(-3, 3)]],
+        [[Fraction(1, 2), 3.0], [0, -1]],
+    ):
+        assert Matrix(same) == half and hash(Matrix(same)) == hash(half)
+    ints = Matrix([[1, 2], [3, 4]])
+    assert ints == Matrix([[Fraction(1), Fraction(2)], [Fraction(3), Fraction(4)]])
+    assert ints.denominator == 1 and ints.numerators == ((1, 2), (3, 4))
+    assert half.denominator == 2 and half.numerators == ((1, 6), (0, -2))
+    zero = half - half
+    assert zero == Matrix([[0, 0], [0, 0]]) and zero.denominator == 1
+    assert half * 2 == Matrix([[1, 6], [0, -2]]) and (half * 2).denominator == 1
+    assert half != Matrix([[1, 3], [0, -1]]) and half != half.rows

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -6,16 +7,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from traceforms.algebra import Matrix, squarefree_part
+from traceforms.algebra import Matrix, factorize, squarefree_part
+from traceforms import quadform
+from traceforms.algebra.intmath import FACTOR_LIMIT
 from traceforms.quadform import (
     REAL_PLACE,
     DegenerateForm,
     SymmetricForm,
+    WittInvariants,
+    _is_local_square,
     equivalent,
     hilbert_symbol,
     invariants,
+    invariants_of_diagonal,
     is_isotropic,
     relevant_places,
+    square_class,
 )
 
 PLACES = [2, 3, 5, 7, 11, 97, REAL_PLACE]
@@ -258,3 +265,82 @@ def test_relevant_places_cover_all_nontrivial_symbols():
         for p in [2, 3, 5, 7, 11, 13, 17, 19, 23]:
             if p not in places:
                 assert hilbert_symbol(a, b, p) == 1
+
+
+def _places_oracle(entries):
+    primes = {2}
+    for e in entries:
+        primes.update(factorize(e.numerator))
+        primes.update(factorize(e.denominator))
+    return sorted(primes) + [REAL_PLACE]
+
+
+def _invariants_oracle(entries):
+    """The invariants as read off before each entry was factored once: square
+    classes entry by entry, then the places factored a second time."""
+    disc = 1
+    for e in entries:
+        c = square_class(e)
+        g = math.gcd(disc, c)  # disc and c squarefree: the product's class drops g^2
+        disc = (disc // g) * (c // g)
+    pos = sum(1 for e in entries if e > 0)
+    minus = []
+    for place in _places_oracle(entries):
+        sign = 1
+        for i in range(len(entries)):
+            for j in range(i + 1, len(entries)):
+                sign *= hilbert_symbol(entries[i], entries[j], place)
+        if sign == -1:
+            minus.append(place)
+    return WittInvariants(len(entries), disc, (pos, len(entries) - pos), frozenset(minus))
+
+
+def _is_isotropic_oracle(entries):
+    """Local criteria per dimension on the oracle invariants, places factored again."""
+    n = len(entries)
+    if n == 1:
+        return False
+    inv = _invariants_oracle(entries)
+    if n == 2:
+        return inv.disc == -1
+    pos, neg = inv.signature
+    if n >= 5:
+        return pos > 0 and neg > 0
+    disc = Fraction(inv.disc)
+    for place in _places_oracle(entries):
+        hasse = -1 if place in inv.hasse_minus_at else 1
+        if n == 3:
+            if hilbert_symbol(-1, -disc, place) != hasse:
+                return False
+        elif _is_local_square(disc, place) and hasse == -hilbert_symbol(-1, -1, place):
+            return False
+    return True
+
+
+NONZERO_RATIONALS = st.builds(
+    Fraction,
+    st.integers(1, 10**6).flatmap(lambda k: st.sampled_from([k, -k])),
+    st.integers(1, 2000),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(NONZERO_RATIONALS, min_size=1, max_size=6))
+def test_factor_once_matches_two_pass_oracle(entries):
+    assert invariants_of_diagonal(entries) == _invariants_oracle(entries)
+    assert invariants(SymmetricForm.diagonal(entries)) == _invariants_oracle(entries)
+    assert is_isotropic(SymmetricForm.diagonal(entries)) == _is_isotropic_oracle(entries)
+    assert relevant_places(entries) == _places_oracle(entries)
+
+
+def test_factor_limit_is_checked_before_factoring(monkeypatch):
+    calls = []
+    real = quadform.factorize
+    monkeypatch.setattr(quadform, "factorize", lambda n: calls.append(n) or real(n))
+    for entries in ([3, FACTOR_LIMIT + 1], [5, Fraction(1, FACTOR_LIMIT + 2)], [-(FACTOR_LIMIT + 1)]):
+        with pytest.raises(ValueError, match="FACTOR_LIMIT"):
+            invariants_of_diagonal(entries)
+        with pytest.raises(ValueError, match="FACTOR_LIMIT"):
+            is_isotropic(SymmetricForm.diagonal([7, 1] + entries))
+    assert calls == []  # no entry was factored before the limit was met
+    assert invariants_of_diagonal([FACTOR_LIMIT, 1]).dim == 2

@@ -9,8 +9,8 @@ from traceforms.algebra import (
     RationalPoly,
     charpoly,
     is_irreducible_over_rationals,
-    krylov_matrix,
 )
+from matrix_oracles import krylov_matrix
 from traceforms.quadform import DegenerateForm, SymmetricForm, equivalent
 from traceforms.traceform import (
     Certificate,
