@@ -3,10 +3,11 @@ symbols, and Bareiss determinants (of rational matrices through a copy whose
 rows are cleared of denominators).
 
 Factorization is trial division up to 10**6 followed by Brent's variant of
-Pollard's rho.  Inputs are capped at the range where the fixed Miller-Rabin
-witness set is a proven primality certificate (about 3.3 * 10**24, covering
-the numerators that certificate Gram matrices produce at dimension 6);
-anything larger is rejected rather than risk a wrong answer.
+Pollard's rho.  Primality tests and factorizations are capped at the range
+where the fixed Miller-Rabin witness set is a proven primality certificate
+(about 3.3 * 10**24, covering the numerators that certificate Gram matrices
+produce at dimension 6); anything larger is rejected rather than risk a wrong
+answer.
 """
 
 from __future__ import annotations
@@ -23,12 +24,14 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin primality test.
+    """Deterministic Miller-Rabin primality test, a proof for every n it answers.
 
-    A proof only for n <= FACTOR_LIMIT: above it a strong pseudoprime to all
-    twelve witnesses exists (FACTOR_LIMIT + 1 = 1287836182261 * 2575672364521)
-    and passes, so callers that need a proven prime refuse larger moduli.
+    Raises ValueError for n > FACTOR_LIMIT: a strong pseudoprime to all twelve
+    witnesses lies just above it (FACTOR_LIMIT + 1 = 1287836182261 *
+    2575672364521), so an answer there would prove nothing.
     """
+    if n > FACTOR_LIMIT:
+        raise ValueError(f"{n} exceeds FACTOR_LIMIT = {FACTOR_LIMIT}: primality is not proven there")
     if n < 2:
         return False
     for p in _MR_WITNESSES:

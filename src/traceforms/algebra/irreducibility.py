@@ -1,10 +1,13 @@
 """Complete irreducibility decision for rational polynomials.
 
-Pipeline: clear denominators, force the polynomial monic by the root-scaling
-substitution, rule out repeated factors, factor modulo a handful of good
-primes (keeping the one with the fewest modular factors), Hensel-lift that
-factorization past twice the Landau-Mignotte coefficient bound, and search
-subset recombinations of the lifted factors for a true integer divisor.
+Pipeline: clear denominators, rule out repeated factors by the discriminant,
+and read the cycle types of f at the first few good primes (dividing neither
+leading coefficient nor discriminant) from distinct-degree splitting, as the
+Galois sampler does.  An irreducible image or disjoint degree subset-sum sets
+decide at once; otherwise the monic form of f is factored mod the good prime
+with the fewest factors (its image there is squarefree), Hensel-lifted past
+twice the Landau-Mignotte coefficient bound, and subset recombinations of
+the lifted factors are searched for a true integer divisor.
 
 Degrees in this package stay small, so the exponential recombination step is
 a few dozen candidates at worst.
@@ -13,10 +16,12 @@ a few dozen candidates at worst.
 from __future__ import annotations
 
 import math
-from itertools import combinations, islice
+from itertools import combinations
 
 from .intmath import primes_above
 from .modpoly import (
+    BadPrime,
+    _cycle_type,
     factor_mod_p,
     mod_add,
     mod_divmod,
@@ -130,28 +135,32 @@ def is_irreducible_over_rationals(f: RationalPoly) -> bool:
         raise ValueError("irreducibility is only defined for degree >= 1")
     if f.degree == 1:
         return True
-    work = _monicize(primitive_integer_coeffs(f))
-    n = len(work) - 1
-    disc = discriminant(RationalPoly(work)).numerator
+    ints = primitive_integer_coeffs(f)
+    disc = discriminant(RationalPoly(ints)).numerator
     if disc == 0:
         return False  # a repeated factor, so certainly reducible at degree >= 2
 
-    candidates: list[tuple[int, list[list[int]]]] = []
-    for p in islice((p for p in primes_above(1) if disc % p), _CANDIDATE_PRIMES):
-        factors = [g for g, _ in factor_mod_p(work, p)]
-        if len(factors) == 1:
-            return True  # irreducible mod p certifies irreducibility over Q
-        candidates.append((p, factors))
+    # a true factor's degree must be a subset sum of the cycle type at every
+    # good prime; an empty intersection (an irreducible image among them, whose
+    # sums are only 0 and n) certifies irreducibility
+    possible = set(range(1, len(ints) - 1))
+    candidates: list[tuple[int, int]] = []
+    for p in primes_above(1):
+        try:
+            degrees = _cycle_type(ints, disc, p)
+        except BadPrime:
+            continue
+        possible &= _subset_sums(degrees)
+        if not possible:
+            return True
+        candidates.append((len(degrees), p))
+        if len(candidates) == _CANDIDATE_PRIMES:
+            break
 
-    # a true factor's degree must be a subset sum of the modular degrees at
-    # every good prime; an empty intersection certifies irreducibility
-    possible = set(range(1, n))
-    for _, factors in candidates:
-        possible &= _subset_sums([len(g) - 1 for g in factors])
-    if not possible:
-        return True
-
-    p, factors = min(candidates, key=lambda c: (len(c[1]), c[0]))
+    # at a good prime the monic form's image is squarefree, as lifting needs
+    _, p = min(candidates)
+    work = _monicize(ints)
+    factors = [g for g, _ in factor_mod_p(work, p)]
     lifted, modulus = _lift_factors(work, factors, p, 2 * mignotte_bound(work) + 1)
 
     r = len(lifted)

@@ -26,7 +26,7 @@ from __future__ import annotations
 import random
 from itertools import zip_longest
 
-from .intmath import FACTOR_LIMIT, is_prime
+from .intmath import is_prime
 from .poly import RationalPoly, discriminant, primitive_integer_coeffs
 
 
@@ -267,9 +267,8 @@ def _equal_degree_split(f: list[int], d: int, p: int, rng: random.Random) -> lis
 
 
 def _require_proven_prime(p: int) -> None:
-    """ValueError unless p is prime; above FACTOR_LIMIT `is_prime` is no proof."""
-    if p > FACTOR_LIMIT:
-        raise ValueError(f"modulus {p} exceeds FACTOR_LIMIT = {FACTOR_LIMIT}: primality is not proven there")
+    """ValueError unless p is prime; `is_prime` itself refuses p above
+    FACTOR_LIMIT, where it would be no proof."""
     if not is_prime(p):
         raise ValueError(f"modulus {p} is not prime")
 

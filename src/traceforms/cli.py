@@ -110,16 +110,14 @@ def cmd_invariants(args) -> int:
 
 
 def cmd_equivalent(args) -> int:
-    first, second = _gather_forms(args, 2, 2)
-    same = quadform.equivalent(first, second)
+    # each form is diagonalized and factored once, for the verdict and the report
+    first, second = (quadform.invariants(form) for form in _gather_forms(args, 2, 2))
+    same = first == second
     _emit(
         args,
         {
             "equivalent": same,
-            "invariants": [
-                serialize.invariants_to_json(quadform.invariants(first)),
-                serialize.invariants_to_json(quadform.invariants(second)),
-            ],
+            "invariants": [serialize.invariants_to_json(first), serialize.invariants_to_json(second)],
         },
     )
     return OK if same else NEGATIVE

@@ -83,9 +83,10 @@ def sample_cycle_types(
     """Collect cycle types of f at the first `prime_budget` good primes above
     `prime_floor`, counting skipped bad primes separately.
 
-    The prime walk is deterministic (consecutive primes ascending) and must
-    stay at or below FACTOR_LIMIT, where `is_prime` is a proof.  The integer
-    coefficients and discriminant of f are computed once, not per prime.
+    The prime walk is deterministic (consecutive primes ascending) and draws
+    no prime once the budget is spent; past FACTOR_LIMIT `is_prime` raises
+    ValueError.  The integer coefficients and discriminant of f are computed
+    once, not per prime.
     """
     if f.degree < 1:
         raise ValueError("cycle types require degree >= 1")
@@ -95,11 +96,9 @@ def sample_cycle_types(
         raise NotSquarefree("polynomial has a repeated root")
     counts: dict[tuple[int, ...], int] = {}
     used = skipped = 0
-    for p in primes_above(prime_floor):
-        if used >= prime_budget:
-            break
-        if p > FACTOR_LIMIT:
-            raise ValueError(f"prime walk passed FACTOR_LIMIT at {p}: primality is not proven there")
+    walk = primes_above(prime_floor)
+    while used < prime_budget:
+        p = next(walk)
         try:
             t = _cycle_type(ints, disc, p)
         except BadPrime:

@@ -52,13 +52,13 @@ class SemidirectGroup:
         self.p = p
         self.k = k
         self.m = m
-        self.alpha = alpha % m if m > 1 else 0
+        self.alpha = alpha % m
         self.pk = p**k
         self.order = m * self.pk
         # alpha^x for x mod p^k; the exponent only matters mod p
         cycle = [1]
         for _ in range(p - 1):
-            cycle.append(cycle[-1] * alpha % m if m > 1 else 0)
+            cycle.append(cycle[-1] * alpha % m)
         self._alpha_pow = [cycle[x % p] for x in range(self.pk)]
 
     def __repr__(self):
@@ -86,14 +86,11 @@ class SemidirectGroup:
         return self.multiply(self.multiply(h, g), self.inverse(h))
 
     def _geometric_sum(self, beta: int, n: int) -> int:
-        # 1 + beta + ... + beta^(n-1) mod m, by binary splitting
-        if n == 0:
-            return 0
-        half = self._geometric_sum(beta, n // 2)
-        total = (half + pow(beta, n // 2, self.m) * half) % self.m if self.m > 1 else 0
-        if n % 2:
-            total = (total + pow(beta, n - 1, self.m)) % self.m if self.m > 1 else 0
-        return total
+        # 1 + beta + ... + beta^(n-1) = (beta^n - 1) / (beta - 1) mod m; beta^n
+        # is taken mod m (beta - 1), so the division stays exact
+        if beta == 1:
+            return n % self.m
+        return (pow(beta, n, self.m * (beta - 1)) - 1) // (beta - 1) % self.m
 
     def power(self, g: Element, n: int) -> Element:
         """g**n for n >= 0, with the closed form checked against iteration."""
@@ -108,9 +105,7 @@ class SemidirectGroup:
             base = self.multiply(base, base)
             e >>= 1
         closed = Element(
-            g.a * self._geometric_sum(self._alpha_pow[g.x], n) % self.m
-            if self.m > 1
-            else 0,
+            g.a * self._geometric_sum(self._alpha_pow[g.x], n) % self.m,
             n * g.x % self.pk,
         )
         if closed != result:
@@ -124,11 +119,7 @@ class SemidirectGroup:
         # order of the Z/p^k coordinate, then the additive order of what the
         # corresponding power leaves in the Z/m coordinate
         ox = self.pk // math.gcd(g.x, self.pk) if g.x else 1
-        c = (
-            g.a * self._geometric_sum(self._alpha_pow[g.x], ox) % self.m
-            if self.m > 1
-            else 0
-        )
+        c = g.a * self._geometric_sum(self._alpha_pow[g.x], ox) % self.m
         return ox * (self.m // math.gcd(c, self.m))
 
     def subgroup_closure(self, gens) -> frozenset:

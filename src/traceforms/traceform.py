@@ -156,30 +156,22 @@ def realize(form: SymmetricForm, policy: SearchPolicy | None = None) -> Certific
     q, diag = congruence_diagonalize(form.gram)
     dprime = Matrix.diagonal(diag)
 
-    tries = 0
-    counter = 0
-    found = None
     if n == 1:
-        found = Matrix([[1]])  # f = x - d1, alpha = d1: the trace on F = Q is the identity
-        f = RationalPoly((-diag[0], 1))
-        tries = 1
+        # f = x - d1, alpha = d1: the trace on F = Q is the identity
+        candidates = [Matrix([[1]])]
     else:
-        for bound in policy.bound_schedule:
-            for _ in range(policy.max_tries_per_bound):
-                rng = random.Random(_mix(policy.seed, counter))
-                candidate = Matrix.random_symmetric(n, bound, rng)
-                counter += 1
-                tries += 1
-                f = charpoly(candidate * dprime)
-                if not is_separable(f):
-                    continue
-                if not is_irreducible_over_rationals(f):
-                    continue
-                found = candidate
-                break
-            if found is not None:
-                break
-    if found is None:
+        schedule = (b for b in policy.bound_schedule for _ in range(policy.max_tries_per_bound))
+        candidates = (
+            Matrix.random_symmetric(n, bound, random.Random(_mix(policy.seed, k)))
+            for k, bound in enumerate(schedule)
+        )
+    tries = 0
+    for found in candidates:
+        tries += 1
+        f = charpoly(found * dprime)
+        if is_separable(f) and is_irreducible_over_rationals(f):
+            break
+    else:
         raise SearchExhausted(
             f"no irreducible specialization in {tries} tries "
             f"(bounds {policy.bound_schedule}, seed {policy.seed})"

@@ -7,6 +7,7 @@ import sys
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from traceforms import quadform
 from traceforms.algebra.intmath import FACTOR_LIMIT
 from traceforms.cli import main
 
@@ -137,6 +138,56 @@ def test_equivalent_exit_codes(capsys):
     _assert_input_error(
         ["equivalent", "--diag", "1,3317044064679887385961981", "--diag", "1,1"], capsys, "FACTOR_LIMIT"
     )
+
+
+EQUIVALENT_6_10_15_VS_1_1_1 = """{
+  "equivalent": false,
+  "invariants": [
+    {
+      "dim": 3,
+      "disc": "1",
+      "hasse_minus_one_at": [
+        "2",
+        "3"
+      ],
+      "signature": [
+        3,
+        0
+      ]
+    },
+    {
+      "dim": 3,
+      "disc": "1",
+      "hasse_minus_one_at": [],
+      "signature": [
+        3,
+        0
+      ]
+    }
+  ]
+}
+"""
+
+
+def test_equivalent_reads_each_form_once(monkeypatch, capsys):
+    # one diagonalization per form and one factorization per numerator and
+    # denominator, shared by the verdict and the report
+    calls = {"congruence_diagonalize": 0, "factorize": 0}
+
+    def counting(name):
+        inner = getattr(quadform, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return inner(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(quadform, name, counting(name))
+    code, out = _run_main(["equivalent", "--diag", "6,10,15", "--diag", "1,1,1"], capsys)
+    assert (code, out) == (1, EQUIVALENT_6_10_15_VS_1_1_1)
+    assert calls == {"congruence_diagonalize": 2, "factorize": 12}
 
 
 def test_form_file_input(tmp_path, capsys):

@@ -9,10 +9,13 @@ from traceforms.algebra import (
     is_prime,
     legendre_symbol,
     next_prime,
+    primes_above,
     squarefree_part,
     valuation,
 )
 from traceforms.algebra.intmath import FACTOR_LIMIT
+from traceforms.groups import construct_group
+from traceforms.quadform import hilbert_symbol
 
 
 def test_factorize_examples():
@@ -111,6 +114,25 @@ def test_primality_basics():
     assert not is_prime(2**32 + 1)
     assert next_prime(100) == 101
     assert next_prime(1) == 2
+
+
+def test_primality_is_refused_above_factor_limit():
+    # FACTOR_LIMIT + 1 = 1287836182261 * 2575672364521 is a strong pseudoprime
+    # to every witness: each routine that needs a proven prime refuses it
+    # rather than treat it as prime
+    n = FACTOR_LIMIT + 1
+    assert not is_prime(FACTOR_LIMIT)  # the limit itself is still decided
+    refusals = [
+        lambda: is_prime(n),
+        lambda: next_prime(FACTOR_LIMIT),
+        lambda: next(primes_above(FACTOR_LIMIT)),
+        lambda: legendre_symbol(2, n),
+        lambda: hilbert_symbol(3, 5, n),
+        lambda: construct_group(n, 1, 2 * n + 1),
+    ]
+    for call in refusals:
+        with pytest.raises(ValueError, match="FACTOR_LIMIT"):
+            call()
 
 
 def test_phi_and_divisors():

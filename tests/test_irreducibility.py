@@ -1,18 +1,30 @@
 import math
 import random
 from fractions import Fraction
+from itertools import combinations, islice
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from traceforms.algebra import (
     RationalPoly,
     cycle_type_mod_p,
     discriminant,
+    irreducibility,
     is_irreducible_over_rationals,
     mignotte_bound,
     primes_above,
+    primitive_integer_coeffs,
 )
-from traceforms.algebra.irreducibility import _lift_factors, _monicize
+from traceforms.algebra.irreducibility import (
+    _divides_exactly,
+    _lift_factors,
+    _monicize,
+    _product,
+    _subset_sums,
+    _symmetric,
+)
 from traceforms.algebra.modpoly import BadPrime, factor_mod_p, mod_mul
 
 X = RationalPoly.x()
@@ -139,3 +151,115 @@ def test_known_irreducibles():
     assert is_irreducible_over_rationals(RationalPoly((1, 1, 1, 1, 1)))  # Phi_5
     assert is_irreducible_over_rationals(RationalPoly((1, 1, 1, 1, 1, 1, 1)))  # Phi_7
     assert not is_irreducible_over_rationals(RationalPoly((1, 1, 1)) * RationalPoly((1, 1)))
+
+
+def _factor_every_prime_oracle(f: RationalPoly) -> bool:
+    """The earlier decision: a full factorization mod each of the first five
+    primes not dividing the discriminant of the monic form, then the same
+    Hensel lifting and recombination."""
+    if f.degree == 1:
+        return True
+    work = _monicize(primitive_integer_coeffs(f))
+    n = len(work) - 1
+    disc = discriminant(RationalPoly(work)).numerator
+    if disc == 0:
+        return False
+    candidates = []
+    for p in islice((p for p in primes_above(1) if disc % p), 5):
+        factors = [g for g, _ in factor_mod_p(work, p)]
+        if len(factors) == 1:
+            return True
+        candidates.append((p, factors))
+    possible = set(range(1, n))
+    for _, factors in candidates:
+        possible &= _subset_sums([len(g) - 1 for g in factors])
+    if not possible:
+        return True
+    p, factors = min(candidates, key=lambda c: (len(c[1]), c[0]))
+    lifted, modulus = _lift_factors(work, factors, p, 2 * mignotte_bound(work) + 1)
+    r = len(lifted)
+    for size in range(1, r // 2 + 1):
+        for subset in combinations(range(r), size):
+            if 2 * size == r and 0 not in subset:
+                continue
+            if sum(len(lifted[i]) - 1 for i in subset) not in possible:
+                continue
+            candidate = _product((lifted[i] for i in subset), modulus)
+            if _divides_exactly(work, [_symmetric(c, modulus) for c in candidate]):
+                return False
+    return True
+
+
+RATIONALS = st.fractions(min_value=-20, max_value=20, max_denominator=6)
+LEADING = st.sampled_from([1, -1, 2, 3, 4, 6, 9, 12, -10, Fraction(1, 2), Fraction(2, 3), Fraction(-5, 4)])
+
+
+def _rational_polys(min_degree, max_degree):
+    return st.builds(
+        lambda lower, lc: RationalPoly(lower + [lc]),
+        st.lists(RATIONALS, min_size=min_degree, max_size=max_degree),
+        LEADING,
+    )
+
+
+@st.composite
+def _lc_meets_disc(draw):
+    # p divides the leading and the next coefficient, so p divides the
+    # discriminant as well: a prime the old and the new filter see differently
+    p = draw(st.sampled_from([2, 3, 5]))
+    lower = draw(st.lists(st.integers(-12, 12), min_size=1, max_size=7))
+    return RationalPoly(lower[:-1] + [p * lower[-1], p * draw(st.integers(1, 4))])
+
+
+POLYS = st.one_of(
+    _rational_polys(1, 8),
+    st.builds(lambda g, h: g * h, _rational_polys(1, 4), _rational_polys(1, 4)),
+    st.builds(lambda g: g * g, _rational_polys(1, 4)),
+    _lc_meets_disc(),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(f=POLYS)
+@example(f=RationalPoly((1, 0, 0, 0, 1)))  # x^4 + 1, reducible mod every prime
+@example(f=RationalPoly((1, 0, -10, 0, 1)))  # minimal polynomial of sqrt2 + sqrt3
+@example(f=RationalPoly((576, 0, -960, 0, 352, 0, -40, 0, 1)))  # of sqrt2 + sqrt3 + sqrt5
+@example(f=RationalPoly((-1, 0, 4)) * RationalPoly((1, 0, 0, 2)))  # 2 divides lc and disc
+@example(f=RationalPoly((0, 1, 1, 2)))  # x (2x^2 + x + 1): 2 divides lc, not disc = -7
+def test_matches_factor_every_prime_oracle(f):
+    assert is_irreducible_over_rationals(f) == _factor_every_prime_oracle(f)
+
+
+def _decided_by_cycle_types(f: RationalPoly) -> bool:
+    """An irreducible image or an empty degree-set intersection among the
+    first five good primes, read from the public cycle types."""
+    possible = set(range(1, f.degree))
+    good = 0
+    for p in primes_above(1):
+        try:
+            possible &= _subset_sums(cycle_type_mod_p(f, p))
+        except BadPrime:
+            continue
+        good += 1
+        if good == 5:
+            return not possible
+
+
+@settings(max_examples=150, deadline=None)
+@given(f=POLYS)
+@example(f=RationalPoly((1, 0, 0, 0, 1)))
+@example(f=RationalPoly((576, 0, -960, 0, 352, 0, -40, 0, 1)))
+def test_factor_mod_p_runs_at_most_once_per_decision(f):
+    calls = []
+
+    def spy(g, p):
+        calls.append(p)
+        return factor_mod_p(g, p)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(irreducibility, "factor_mod_p", spy)
+        is_irreducible_over_rationals(f)
+    if f.degree == 1 or discriminant(f) == 0 or _decided_by_cycle_types(f):
+        assert calls == []
+    else:
+        assert len(calls) == 1

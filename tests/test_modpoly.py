@@ -106,9 +106,11 @@ def test_cycle_type_examples():
 
 def test_moduli_above_factor_limit_are_refused():
     # FACTOR_LIMIT + 1 = 1287836182261 * 2575672364521 passes all twelve
-    # Miller-Rabin witnesses, so it is no proven prime
+    # Miller-Rabin witnesses, so is_prime refuses it rather than answer
     n = FACTOR_LIMIT + 1
-    assert n == 1287836182261 * 2575672364521 and is_prime(n)
+    assert n == 1287836182261 * 2575672364521
+    with pytest.raises(ValueError, match="FACTOR_LIMIT"):
+        is_prime(n)
     with pytest.raises(ValueError, match="FACTOR_LIMIT"):
         cycle_type_mod_p(RationalPoly((-1, 0, 1)), n)
     with pytest.raises(ValueError, match="FACTOR_LIMIT"):

@@ -1,5 +1,5 @@
-"""Package structure: runtime checks survive `python -O`, and the public
-names resolve."""
+"""Package structure: runtime checks survive `python -O`, the public names
+resolve, and FACTOR_LIMIT is enforced in one place per job."""
 
 import ast
 from pathlib import Path
@@ -23,3 +23,42 @@ def test_no_assert_statements_in_package():
 def test_algebra_exports_resolve():
     missing = [name for name in traceforms.algebra.__all__ if not hasattr(traceforms.algebra, name)]
     assert missing == []
+
+
+class _FactorLimitComparisons(ast.NodeVisitor):
+    """module.function of every comparison with FACTOR_LIMIT as an operand."""
+
+    def __init__(self, module: str):
+        self.module = module
+        self.scope = "<module>"
+        self.found: list[str] = []
+
+    def visit_FunctionDef(self, node):
+        outer, self.scope = self.scope, node.name
+        self.generic_visit(node)
+        self.scope = outer
+
+    def visit_Compare(self, node):
+        for operand in [node.left, *node.comparators]:
+            for sub in ast.walk(operand):
+                if getattr(sub, "id", None) == "FACTOR_LIMIT" or getattr(sub, "attr", None) == "FACTOR_LIMIT":
+                    self.found.append(f"{self.module}.{self.scope}")
+        self.generic_visit(node)
+
+
+def test_factor_limit_is_compared_only_at_its_guards():
+    # is_prime is the one primality guard; factorize and the two input
+    # validators check outside input up front.  Any other comparison would
+    # be a scattered second guard.
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        visitor = _FactorLimitComparisons(path.stem)
+        visitor.visit(ast.parse(path.read_text(), str(path)))
+        found += visitor.found
+    assert sorted(found) == [
+        "galois.generic_experiment",
+        "intmath.factorize",
+        "intmath.is_prime",
+        "quadform._classes_and_places",  # numerator
+        "quadform._classes_and_places",  # denominator
+    ]
