@@ -115,7 +115,7 @@ def factorize(n: int) -> dict[int, int]:
         raise ValueError("cannot factor 0")
     n = abs(n)
     if n > FACTOR_LIMIT:
-        raise ValueError(f"|n| exceeds the supported factorization range: {n}")
+        raise ValueError(f"|n| = {n} exceeds FACTOR_LIMIT = {FACTOR_LIMIT}: factorization is refused there")
     factors: dict[int, int] = {}
     for p in (2, 3, 5):
         while n % p == 0:

@@ -1,13 +1,14 @@
 """Complete irreducibility decision for rational polynomials.
 
-Pipeline: clear denominators, rule out repeated factors by the discriminant,
-and read the cycle types of f at the first few good primes (dividing neither
-leading coefficient nor discriminant) from distinct-degree splitting, as the
-Galois sampler does.  An irreducible image or disjoint degree subset-sum sets
-decide at once; otherwise the monic form of f is factored mod the good prime
-with the fewest factors (its image there is squarefree), Hensel-lifted past
-twice the Landau-Mignotte coefficient bound, and subset recombinations of
-the lifted factors are searched for a true integer divisor.
+Pipeline: take f's integer model (`modpoly._integer_model`), rule out
+repeated factors by its discriminant, and read the cycle types of f at the
+first few good primes (dividing neither leading coefficient nor
+discriminant) from distinct-degree splitting, as the Galois sampler does.
+An irreducible image or disjoint degree subset-sum sets decide at once;
+otherwise the monic form of f is factored mod the good prime with the
+fewest factors (its image there is squarefree), Hensel-lifted past twice
+the Landau-Mignotte coefficient bound, and subset recombinations of the
+lifted factors are searched for a true integer divisor.
 
 Degrees in this package stay small, so the exponential recombination step is
 a few dozen candidates at worst.
@@ -22,6 +23,7 @@ from .intmath import primes_above
 from .modpoly import (
     BadPrime,
     _cycle_type,
+    _integer_model,
     factor_mod_p,
     mod_add,
     mod_divmod,
@@ -30,7 +32,7 @@ from .modpoly import (
     mod_sub,
     mod_xgcd,
 )
-from .poly import RationalPoly, discriminant, primitive_integer_coeffs
+from .poly import RationalPoly
 
 _CANDIDATE_PRIMES = 5
 
@@ -130,13 +132,13 @@ def _subset_sums(degrees: list[int]) -> set[int]:
 
 
 def is_irreducible_over_rationals(f: RationalPoly) -> bool:
-    """Complete decision of irreducibility in Q[x]."""
+    """Complete decision of irreducibility in Q[x].  False at a repeated root,
+    so it is also the separability decision: True means separable."""
     if f.degree < 1:
         raise ValueError("irreducibility is only defined for degree >= 1")
     if f.degree == 1:
         return True
-    ints = primitive_integer_coeffs(f)
-    disc = discriminant(RationalPoly(ints)).numerator
+    ints, disc = _integer_model(f)
     if disc == 0:
         return False  # a repeated factor, so certainly reducible at degree >= 2
 

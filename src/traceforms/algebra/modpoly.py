@@ -308,13 +308,17 @@ def cycle_type_mod_p(f: RationalPoly, p: int) -> tuple[int, ...]:
     if f.degree < 1:
         raise ValueError("cycle type requires degree >= 1")
     _require_proven_prime(p)
+    return _cycle_type(*_integer_model(f), p)
+
+
+def _integer_model(f: RationalPoly) -> tuple[list[int], int]:
+    """(primitive integer coefficients, integer discriminant) of f."""
     ints = primitive_integer_coeffs(f)
-    return _cycle_type(ints, discriminant(RationalPoly(ints)).numerator, p)
+    return ints, discriminant(RationalPoly(ints)).numerator
 
 
 def _cycle_type(ints: list[int], disc: int, p: int) -> tuple[int, ...]:
-    """`cycle_type_mod_p` at the prime p, for f's primitive integer
-    coefficients and integer discriminant computed once per f."""
+    """`cycle_type_mod_p` at the prime p, for f's `_integer_model`."""
     if ints[-1] % p == 0:
         raise BadPrime(f"{p} divides the leading coefficient")
     if disc % p == 0:

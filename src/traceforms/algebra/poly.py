@@ -163,9 +163,6 @@ class RationalPoly:
                     rem[i + j] -= c * other.coeffs[j]
         return RationalPoly(quo), RationalPoly(rem)
 
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
     def __mod__(self, other):
         return divmod(self, other)[1]
 

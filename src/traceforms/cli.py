@@ -169,7 +169,7 @@ def cmd_group_verify(args) -> int:
     report = groups.verify_group(
         group,
         index_divisors=index_divisors,
-        exhaustive=True if args.exhaustive else None,
+        exhaustive=args.exhaustive,
     )
     _emit(args, report)
     return OK if report["all_pass"] else NEGATIVE

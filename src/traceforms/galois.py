@@ -25,15 +25,13 @@ from .algebra import (
     Matrix,
     RationalPoly,
     charpoly,
-    discriminant,
     is_irreducible_over_rationals,
     is_prime,
     is_separable,
     primes_above,
-    primitive_integer_coeffs,
 )
 from .algebra.intmath import FACTOR_LIMIT
-from .algebra.modpoly import _cycle_type
+from .algebra.modpoly import _cycle_type, _integer_model
 
 CERTIFIED = "certified"
 INCONCLUSIVE = "inconclusive"
@@ -85,13 +83,12 @@ def sample_cycle_types(
 
     The prime walk is deterministic (consecutive primes ascending) and draws
     no prime once the budget is spent; past FACTOR_LIMIT `is_prime` raises
-    ValueError.  The integer coefficients and discriminant of f are computed
-    once, not per prime.
+    ValueError.  f's `_integer_model` is built once, not per prime; a zero
+    discriminant raises NotSquarefree.
     """
     if f.degree < 1:
         raise ValueError("cycle types require degree >= 1")
-    ints = primitive_integer_coeffs(f)
-    disc = discriminant(RationalPoly(ints)).numerator
+    ints, disc = _integer_model(f)
     if disc == 0:
         raise NotSquarefree("polynomial has a repeated root")
     counts: dict[tuple[int, ...], int] = {}
@@ -142,9 +139,9 @@ def generic_experiment(
     seed: int = 0,
     prime_floor: int = DEFAULT_PRIME_FLOOR,
 ) -> SpecReport:
-    """One random specialization: sample symmetric integer A, test
-    charpoly(A diag(d)) for separability and irreducibility, then sample cycle
-    types and issue the S_n verdict."""
+    """One random specialization: sample symmetric integer A, decide whether
+    charpoly(A diag(d)) is irreducible (hence separable; `is_separable` runs
+    only when it is not), then sample cycle types and give the S_n verdict."""
     entries = tuple(Fraction(e) for e in diag)
     if not entries:
         raise ValueError("diagonal must be non-empty")
@@ -159,8 +156,8 @@ def generic_experiment(
     n = len(entries)
     a = Matrix.random_symmetric(n, coeff_bound, random.Random(seed))
     f = charpoly(a * Matrix.diagonal(entries))
-    separable = is_separable(f)
-    irreducible = separable and is_irreducible_over_rationals(f)
+    irreducible = is_irreducible_over_rationals(f)
+    separable = irreducible or is_separable(f)
     stats = None
     verdict = INCONCLUSIVE
     if irreducible:

@@ -269,14 +269,10 @@ def quotient_check_exhaustive(group: SemidirectGroup) -> bool:
     return True
 
 
-def _quotient_checks(
-    group: SemidirectGroup, exhaustive: "bool | None"
-) -> tuple[bool, "bool | None"]:
+def _quotient_checks(group: SemidirectGroup, exhaustive: bool) -> tuple[bool, "bool | None"]:
     """(derived, enumerated or None when the exhaustive path is skipped)."""
     derived = quotient_check_derived(group)
-    if exhaustive is None:
-        exhaustive = group.order <= EXHAUSTIVE_MAX_ORDER
-    if not exhaustive:
+    if not (exhaustive or group.order <= EXHAUSTIVE_MAX_ORDER):
         return derived, None
     enumerated = quotient_check_exhaustive(group)
     if enumerated != derived:
@@ -287,7 +283,7 @@ def _quotient_checks(
     return derived, enumerated
 
 
-def prime_to_p_quotient_check(group: SemidirectGroup, exhaustive: "bool | None" = None) -> bool:
+def prime_to_p_quotient_check(group: SemidirectGroup, exhaustive: bool = False) -> bool:
     """True iff the only quotient of order prime to p is trivial.
 
     Runs the derived check always and the exhaustive enumeration when the
@@ -316,7 +312,7 @@ def index_subgroups(group: SemidirectGroup, n: int) -> tuple[frozenset, frozense
 def verify_group(
     group: SemidirectGroup,
     index_divisors: "list[int] | None" = None,
-    exhaustive: "bool | None" = None,
+    exhaustive: bool = False,
 ) -> dict:
     """Check all three structural properties; returns a JSON-ready report."""
     lemma_a = p_generated_subgroup(group) == frozenset(group.elements())

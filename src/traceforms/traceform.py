@@ -143,8 +143,8 @@ def realize(form: SymmetricForm, policy: SearchPolicy | None = None) -> Certific
     """Produce a scaled-trace-form certificate for a non-degenerate form.
 
     Diagonalizes the target, samples symmetric integer matrices A' on a
-    growing coefficient schedule until charpoly(A' D') is separable and
-    irreducible, then recovers alpha and the basis change and conjugates the
+    growing coefficient schedule until charpoly(A' D') is irreducible (hence
+    separable), then recovers alpha and the basis change and conjugates the
     witness back to the original coordinates.  Deterministic for a fixed
     policy: candidates come from a seed-derived counter sequence and the
     first success wins.
@@ -169,7 +169,7 @@ def realize(form: SymmetricForm, policy: SearchPolicy | None = None) -> Certific
     for found in candidates:
         tries += 1
         f = charpoly(found * dprime)
-        if is_separable(f) and is_irreducible_over_rationals(f):
+        if is_irreducible_over_rationals(f):
             break
     else:
         raise SearchExhausted(
@@ -215,8 +215,9 @@ def verify_certificate(cert: Certificate) -> CertificateCheck:
 
     Total: never raises on well-formed field types, only returns a verdict.
     Clauses, in order: shapes consistent, A symmetric, f = charpoly(A D),
-    f separable, f irreducible over Q, alpha nonzero mod f, gram matches
-    Tr(alpha x^(i+j)), P invertible, P^T D P = gram.
+    f irreducible over Q (hence separable; when not, `is_separable` names the
+    clause not_separable or not_irreducible), alpha nonzero mod f, gram
+    matches Tr(alpha x^(i+j)), P invertible, P^T D P = gram.
     """
     d = cert.D.gram
     n = d.nrows
@@ -233,10 +234,8 @@ def verify_certificate(cert: Certificate) -> CertificateCheck:
         return CertificateCheck(False, "a_not_symmetric")
     if cert.f.degree != n or charpoly(cert.A * d) != cert.f:
         return CertificateCheck(False, "charpoly_mismatch")
-    if not is_separable(cert.f):
-        return CertificateCheck(False, "not_separable")
     if not is_irreducible_over_rationals(cert.f):
-        return CertificateCheck(False, "not_irreducible")
+        return CertificateCheck(False, "not_irreducible" if is_separable(cert.f) else "not_separable")
     if (cert.alpha % cert.f).is_zero:
         return CertificateCheck(False, "alpha_zero")
     if scaled_trace_gram(cert.f, cert.alpha) != cert.gram:

@@ -243,6 +243,9 @@ def test_group_verify_cli(capsys):
     code, _ = _run_main(["group-verify", "--p", "2", "--k", "1", "--m", "4"], capsys)
     assert code == 2
     _assert_input_error(["group-verify", "--p", "2", "--k", "1", "--m", "3", "--n", "0"], capsys)
+    _assert_input_error(
+        ["group-verify", "--p", "2", "--k", "1", "--m", str(FACTOR_LIMIT + 1)], capsys, "FACTOR_LIMIT"
+    )
 
     code, out = _run_main(
         ["group-verify", "--p", "2", "--k", "1", "--m", "15", "--n", "5"], capsys

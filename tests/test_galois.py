@@ -11,6 +11,7 @@ from traceforms.algebra import (
     charpoly,
     cycle_type_mod_p,
     discriminant,
+    is_irreducible_over_rationals,
     is_separable,
     primes_above,
     primitive_integer_coeffs,
@@ -128,6 +129,19 @@ def test_generic_experiment_examples():
 
     with pytest.raises(ValueError):
         generic_experiment([1, 0, 1], 9, 10, seed=1)
+
+
+def test_generic_experiment_names_each_separability_outcome():
+    # diag [1, 1], bound 1: seed 4 draws (x + 1)^2, seed 0 x^2 + x, seed 3 x^2 - 2;
+    # irreducibility decides first and separability is only named after a "no"
+    outcomes = {}
+    for seed in (4, 0, 3):
+        r = generic_experiment([1, 1], 1, 20, seed=seed)
+        assert r.separable == is_separable(r.f)
+        assert r.irreducible == is_irreducible_over_rationals(r.f)
+        assert (r.cycle_stats is not None) == r.irreducible
+        outcomes[seed] = (r.separable, r.irreducible)
+    assert outcomes == {4: (False, False), 0: (True, False), 3: (True, True)}
 
 
 def test_experiment_outputs_are_separable_when_irreducible():

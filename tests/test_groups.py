@@ -176,6 +176,14 @@ def test_verify_group_report():
     ]
 
 
+def test_exhaustive_flag_forces_enumeration_above_the_cutoff():
+    small, large = construct_group(2, 1, 3), construct_group(2, 1, 151)  # orders 6 and 302
+    assert verify_group(small, exhaustive=True) == verify_group(small)
+    assert verify_group(large)["lemma_b"] == {"derived": True, "exhaustive": None}
+    assert verify_group(large, exhaustive=True)["lemma_b"] == {"derived": True, "exhaustive": True}
+    assert prime_to_p_quotient_check(large, exhaustive=True)
+
+
 def test_alpha_choice_independence():
     # the properties hold for every qualifying alpha, not just the smallest
     for params in [(2, 1, 21), (3, 1, 13), (2, 2, 15), (5, 1, 31)]:

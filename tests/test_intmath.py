@@ -28,8 +28,12 @@ def test_factorize_examples():
 def test_factorize_rejects():
     with pytest.raises(ValueError):
         factorize(0)
-    with pytest.raises(ValueError):
-        factorize(FACTOR_LIMIT + 1)
+    # the refusal names the limit, and so does every routine that factors
+    for call in (factorize, euler_phi, divisors, squarefree_part):
+        with pytest.raises(ValueError, match="FACTOR_LIMIT"):
+            call(FACTOR_LIMIT + 1)
+    with pytest.raises(ValueError, match="FACTOR_LIMIT"):
+        factorize(-(FACTOR_LIMIT + 1))
 
 
 def test_factorize_large_semiprime():

@@ -1,5 +1,6 @@
 """Package structure: runtime checks survive `python -O`, the public names
-resolve, and FACTOR_LIMIT is enforced in one place per job."""
+resolve, FACTOR_LIMIT is enforced in one place per job, and f's integer
+model is built in one place."""
 
 import ast
 from pathlib import Path
@@ -25,8 +26,8 @@ def test_algebra_exports_resolve():
     assert missing == []
 
 
-class _FactorLimitComparisons(ast.NodeVisitor):
-    """module.function of every comparison with FACTOR_LIMIT as an operand."""
+class _Scoped(ast.NodeVisitor):
+    """Collects module.function sites; subclasses decide what is a site."""
 
     def __init__(self, module: str):
         self.module = module
@@ -37,6 +38,19 @@ class _FactorLimitComparisons(ast.NodeVisitor):
         outer, self.scope = self.scope, node.name
         self.generic_visit(node)
         self.scope = outer
+
+
+def _sites(visitor_class, *args) -> list[str]:
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        visitor = visitor_class(path.stem, *args)
+        visitor.visit(ast.parse(path.read_text(), str(path)))
+        found += visitor.found
+    return sorted(found)
+
+
+class _FactorLimitComparisons(_Scoped):
+    """module.function of every comparison with FACTOR_LIMIT as an operand."""
 
     def visit_Compare(self, node):
         for operand in [node.left, *node.comparators]:
@@ -50,15 +64,31 @@ def test_factor_limit_is_compared_only_at_its_guards():
     # is_prime is the one primality guard; factorize and the two input
     # validators check outside input up front.  Any other comparison would
     # be a scattered second guard.
-    found = []
-    for path in sorted(PACKAGE.rglob("*.py")):
-        visitor = _FactorLimitComparisons(path.stem)
-        visitor.visit(ast.parse(path.read_text(), str(path)))
-        found += visitor.found
-    assert sorted(found) == [
+    assert _sites(_FactorLimitComparisons) == [
         "galois.generic_experiment",
         "intmath.factorize",
         "intmath.is_prime",
         "quadform._classes_and_places",  # numerator
         "quadform._classes_and_places",  # denominator
     ]
+
+
+class _Calls(_Scoped):
+    """module.function of every call of the named function."""
+
+    def __init__(self, module: str, callee: str):
+        super().__init__(module)
+        self.callee = callee
+
+    def visit_Call(self, node):
+        if self.callee in (getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+            self.found.append(f"{self.module}.{self.scope}")
+        self.generic_visit(node)
+
+
+def test_integer_model_is_built_in_one_place():
+    # f's (primitive integer coefficients, discriminant) pair is built only by
+    # modpoly._integer_model; the only other discriminant is is_separable's,
+    # which callers reach only after irreducibility has said no
+    assert _sites(_Calls, "discriminant") == ["modpoly._integer_model", "poly.is_separable"]
+    assert _sites(_Calls, "primitive_integer_coeffs") == ["modpoly._integer_model"]

@@ -1,4 +1,6 @@
+import contextlib
 import random
+import sys
 from dataclasses import replace
 from fractions import Fraction
 
@@ -11,6 +13,8 @@ from traceforms.algebra import (
     is_irreducible_over_rationals,
 )
 from matrix_oracles import krylov_matrix
+from traceforms.algebra import poly
+from traceforms.galois import generic_experiment
 from traceforms.quadform import DegenerateForm, SymmetricForm, equivalent
 from traceforms.traceform import (
     Certificate,
@@ -150,6 +154,49 @@ def test_verify_rejects_tampering():
     cert3 = Certificate(D=SymmetricForm(i2), A=i2, f=(X - 1) ** 2, alpha=RationalPoly.one(), P=i2, gram=i2)
     check = verify_certificate(cert3)
     assert not check and check.failed_clause == "not_separable"
+
+
+@contextlib.contextmanager
+def _counted_discriminants():
+    """Count poly.discriminant calls through every package module that binds it."""
+    calls = []
+    original = poly.discriminant
+
+    def spy(f):
+        calls.append(f)
+        return original(f)
+
+    with pytest.MonkeyPatch.context() as patch:
+        for name, module in list(sys.modules.items()):
+            if name.startswith("traceforms") and getattr(module, "discriminant", None) is original:
+                patch.setattr(module, "discriminant", spy)
+        yield calls
+
+
+def test_one_discriminant_per_separability_decision():
+    # irreducibility decides separability, so realize reads one discriminant
+    # per candidate and one in its closing verify
+    for diag, seed, tries in (([1, 1], 9, 11), ([1, 1, 1], 21, 8), ([2, -3, 5], 9, 1)):
+        with _counted_discriminants() as calls:
+            cert = realize(SymmetricForm.diagonal(diag), SearchPolicy(seed=seed))
+        assert cert.tries == tries and len(calls) == tries + 1
+        with _counted_discriminants() as calls:
+            assert verify_certificate(cert)
+        assert len(calls) == 1
+
+    # an inseparable f costs a second discriminant, to name its clause
+    i2 = Matrix.identity(2)
+    cert = Certificate(D=SymmetricForm(i2), A=i2, f=(X - 1) ** 2, alpha=RationalPoly.one(), P=i2, gram=i2)
+    with _counted_discriminants() as calls:
+        assert verify_certificate(cert).failed_clause == "not_separable"
+    assert len(calls) == 2
+
+    # generic_experiment: the decision, then the cycle-type walk (seed 3,
+    # irreducible) or the separability name (seed 4 inseparable, seed 0 reducible)
+    for seed in (3, 4, 0):
+        with _counted_discriminants() as calls:
+            generic_experiment([1, 1], 1, 5, seed=seed)
+        assert len(calls) == 2
 
 
 def test_unreduced_alpha():
