@@ -10,7 +10,6 @@ from .intmath import (
     next_prime,
     primes_above,
     squarefree_part,
-    valuation,
 )
 from .irreducibility import is_irreducible_over_rationals, mignotte_bound
 from .matrix import (
@@ -54,5 +53,4 @@ __all__ = [
     "solve_linear",
     "squarefree_part",
     "trace_moments",
-    "valuation",
 ]

@@ -152,17 +152,6 @@ def squarefree_part(n: int) -> int:
     return -d if n < 0 else d
 
 
-def valuation(n: int, p: int) -> int:
-    """Exponent of p in n (n != 0)."""
-    if n == 0:
-        raise ValueError("valuation of 0 is undefined")
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
-
-
 def legendre_symbol(a: int, p: int) -> int:
     """Legendre symbol (a|p) for an odd prime p: +1, -1, or 0 when p | a."""
     if p == 2 or not is_prime(p):

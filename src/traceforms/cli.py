@@ -164,8 +164,6 @@ def cmd_galois(args) -> int:
 def cmd_group_verify(args) -> int:
     group = groups.construct_group(args.p, args.k, args.m)
     index_divisors = [args.n] if args.n is not None else None
-    if index_divisors and (args.n < 1 or group.m % args.n != 0):
-        raise InputError(f"--n {args.n} is not a positive divisor of m = {group.m}")
     report = groups.verify_group(
         group,
         index_divisors=index_divisors,

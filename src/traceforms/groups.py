@@ -7,6 +7,13 @@ sweeps: (a) the group is generated by its p-Sylow subgroups, (b) its only
 quotient of order prime to p is trivial, and (c) for every n | m there are
 subgroups of indices p^k n and n.
 
+Property (b) has two paths.  The derived one is the closure of the
+p-elements, the same closure as (a): conjugation preserves element order, so
+the p-elements are conjugation-stable and their closure is already normal,
+and a quotient of order prime to p kills it.  It is cross-checked against an
+exhaustive enumeration of the normal subgroups (closures of unions of
+conjugacy classes) for orders up to EXHAUSTIVE_MAX_ORDER, or when forced.
+
 Validity of parameters: besides p prime, p not dividing m, and p | phi(m),
 construction requires every prime factor q of m to satisfy q = 1 (mod p).
 That is exactly the condition under which a unit alpha of order p with
@@ -37,7 +44,7 @@ class InvalidParams(ValueError):
 
 
 class NonDivisor(ValueError):
-    """The requested index parameter does not divide m."""
+    """The requested index parameter is not a positive divisor of m."""
 
 
 class Element(NamedTuple):
@@ -142,24 +149,6 @@ class SemidirectGroup:
                 frontier = nxt
         return frozenset(current)
 
-    def normal_closure(self, gens) -> frozenset:
-        """Smallest normal subgroup containing `gens`.
-
-        Closing under conjugation by the two group generators (1, 0) and
-        (0, 1) suffices, since they generate everything."""
-        translators = [Element(1 % self.m, 0), Element(0, 1 % self.pk)]
-        current = set(self.subgroup_closure(gens))
-        while True:
-            new = [
-                c
-                for t in translators
-                for g in current
-                if (c := self.conjugate(t, g)) not in current
-            ]
-            if not new:
-                return frozenset(current)
-            current = set(self.subgroup_closure(list(current) + new))
-
     def conjugacy_classes(self) -> list[frozenset]:
         """Conjugation acts by (b, y)(a, x)(b, y)^-1 = (alpha^y a + (1 - alpha^x) b, x),
         so the class of (a, x) is the alpha-orbit of a shifted by the subgroup
@@ -236,9 +225,10 @@ def p_generated_subgroup(group: SemidirectGroup) -> frozenset:
 
 def quotient_check_derived(group: SemidirectGroup) -> bool:
     """Any quotient of order prime to p kills every p-element, so the normal
-    closure of the p-elements must be everything for such quotients to be
-    trivial."""
-    return len(group.normal_closure(p_elements(group))) == group.order
+    subgroup they generate must be everything for such quotients to be
+    trivial.  Conjugation preserves element order, so the p-elements are
+    closed under conjugation and their plain closure is already normal."""
+    return len(p_generated_subgroup(group)) == group.order
 
 
 def _normal_subgroups(group: SemidirectGroup) -> list[frozenset]:
@@ -269,18 +259,18 @@ def quotient_check_exhaustive(group: SemidirectGroup) -> bool:
     return True
 
 
-def _quotient_checks(group: SemidirectGroup, exhaustive: bool) -> tuple[bool, "bool | None"]:
-    """(derived, enumerated or None when the exhaustive path is skipped)."""
-    derived = quotient_check_derived(group)
+def _quotient_checks(group: SemidirectGroup, derived: bool, exhaustive: bool) -> "bool | None":
+    """The enumerated verdict, checked against `derived`; None when the
+    exhaustive path is skipped."""
     if not (exhaustive or group.order <= EXHAUSTIVE_MAX_ORDER):
-        return derived, None
+        return None
     enumerated = quotient_check_exhaustive(group)
     if enumerated != derived:
         raise ArithmeticError(
             f"quotient check paths disagree on {group}: "
             f"derived={derived} exhaustive={enumerated}"
         )
-    return derived, enumerated
+    return enumerated
 
 
 def prime_to_p_quotient_check(group: SemidirectGroup, exhaustive: bool = False) -> bool:
@@ -290,14 +280,16 @@ def prime_to_p_quotient_check(group: SemidirectGroup, exhaustive: bool = False) 
     group is small (order <= EXHAUSTIVE_MAX_ORDER) or when forced; the two
     paths must agree.
     """
-    return _quotient_checks(group, exhaustive)[0]
+    derived = quotient_check_derived(group)
+    _quotient_checks(group, derived, exhaustive)
+    return derived
 
 
 def index_subgroups(group: SemidirectGroup, n: int) -> tuple[frozenset, frozenset]:
     """(H0, H1): the kernel of Z/m -> Z/n inside the group, and its extension
     by the full Z/p^k factor; indices p^k n and n, verified by counting."""
-    if group.m % n != 0:
-        raise NonDivisor(f"{n} does not divide m = {group.m}")
+    if n < 1 or group.m % n != 0:
+        raise NonDivisor(f"{n} is not a positive divisor of m = {group.m}")
     h0 = frozenset(Element(a, 0) for a in range(0, group.m, n))
     h1 = frozenset(Element(a, x) for a in range(0, group.m, n) for x in range(group.pk))
     if any((group.alpha * g.a) % group.m % n != 0 for g in h0):
@@ -315,8 +307,8 @@ def verify_group(
     exhaustive: bool = False,
 ) -> dict:
     """Check all three structural properties; returns a JSON-ready report."""
-    lemma_a = p_generated_subgroup(group) == frozenset(group.elements())
-    derived, enumerated = _quotient_checks(group, exhaustive)
+    # (c) first, so that an index that does not divide m is refused before
+    # any closure runs
     part_c = []
     for n in index_divisors if index_divisors is not None else divisors(group.m):
         h0, h1 = index_subgroups(group, n)
@@ -329,6 +321,9 @@ def verify_group(
                 and group.order // len(h1) == n,
             }
         )
+    # (a) and the derived half of (b) read the same closure
+    lemma_a = derived = quotient_check_derived(group)
+    enumerated = _quotient_checks(group, derived, exhaustive)
     report = {
         "params": {"p": group.p, "k": group.k, "m": group.m, "alpha": group.alpha},
         "order": group.order,

@@ -89,6 +89,14 @@ def certificate_to_json(cert: Certificate) -> dict:
     }
 
 
+def _int_from_json(data: dict, key: str) -> int:
+    # a JSON integer only: no float, bool or numeric string is coerced
+    value = data.get(key, 0)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{key} must be a JSON integer, got {value!r}")
+    return value
+
+
 def certificate_from_json(data) -> Certificate:
     if not isinstance(data, dict):
         raise ValueError("certificate must be an object")
@@ -102,8 +110,8 @@ def certificate_from_json(data) -> Certificate:
         alpha=poly_from_json(data["alpha"]),
         P=matrix_from_json(data["P"]),
         gram=matrix_from_json(data["gram"]),
-        seed=int(data.get("seed", 0)),
-        tries=int(data.get("tries", 0)),
+        seed=_int_from_json(data, "seed"),
+        tries=_int_from_json(data, "tries"),
     )
 
 

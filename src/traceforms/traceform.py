@@ -150,10 +150,11 @@ def realize(form: SymmetricForm, policy: SearchPolicy | None = None) -> Certific
     first success wins.
     """
     policy = policy or SearchPolicy()
-    if form.det() == 0:
-        raise DegenerateForm("cannot realize a degenerate form")
     n = form.dim
     q, diag = congruence_diagonalize(form.gram)
+    # Q is invertible, so D is degenerate exactly when its diagonal holds a 0
+    if 0 in diag:
+        raise DegenerateForm("cannot realize a degenerate form")
     dprime = Matrix.diagonal(diag)
 
     if n == 1:

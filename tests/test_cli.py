@@ -110,6 +110,11 @@ def test_verify_malformed_json(tmp_path, capsys):
     assert code == 2
     code, _ = _run_main(["verify", str(tmp_path / "nonexistent.json")], capsys)
     assert code == 2
+    # seed and tries are JSON integers: a float is malformed, not truncated
+    code, out = _run_main(["realize", "--diag", "1,1", "--seed", "7"], capsys)
+    floated = tmp_path / "float_seed.json"
+    floated.write_text(json.dumps({**json.loads(out), "seed": 7.9}))
+    _assert_input_error(["verify", str(floated)], capsys, "seed")
 
 
 def test_invariants_output(capsys):
@@ -243,6 +248,7 @@ def test_group_verify_cli(capsys):
     code, _ = _run_main(["group-verify", "--p", "2", "--k", "1", "--m", "4"], capsys)
     assert code == 2
     _assert_input_error(["group-verify", "--p", "2", "--k", "1", "--m", "3", "--n", "0"], capsys)
+    _assert_input_error(["group-verify", "--p", "2", "--k", "1", "--m", "15", "--n", "4"], capsys)
     _assert_input_error(
         ["group-verify", "--p", "2", "--k", "1", "--m", str(FACTOR_LIMIT + 1)], capsys, "FACTOR_LIMIT"
     )

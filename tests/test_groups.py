@@ -1,8 +1,10 @@
+import hashlib
 import math
 import random
 
 import pytest
 
+from traceforms import groups
 from traceforms.groups import (
     Element,
     InvalidParams,
@@ -19,6 +21,7 @@ from traceforms.groups import (
     sweep_parameters,
     verify_group,
 )
+from traceforms.serialize import canonical_dumps
 
 SMALL_PARAMS = [(2, 1, 3), (3, 1, 7), (2, 1, 9), (2, 2, 5), (5, 1, 11), (2, 1, 15), (2, 3, 3)]
 
@@ -152,8 +155,9 @@ def test_index_subgroups_examples():
     h0, h1 = index_subgroups(g, 5)
     assert g.order // len(h0) == 10 and g.order // len(h1) == 5
 
-    with pytest.raises(NonDivisor):
-        index_subgroups(g, 4)
+    for n in (4, 0, -3):
+        with pytest.raises(NonDivisor, match="positive divisor"):
+            index_subgroups(g, n)
 
 
 def test_h0_alpha_invariance():
@@ -182,6 +186,48 @@ def test_exhaustive_flag_forces_enumeration_above_the_cutoff():
     assert verify_group(large)["lemma_b"] == {"derived": True, "exhaustive": None}
     assert verify_group(large, exhaustive=True)["lemma_b"] == {"derived": True, "exhaustive": True}
     assert prime_to_p_quotient_check(large, exhaustive=True)
+
+
+def test_p_elements_are_closed_under_conjugation():
+    # the derived quotient check takes the plain closure of the p-elements as
+    # their normal closure; conjugating by the generators (1, 0) and (0, 1)
+    # must keep every p-element a p-element, in the direct product too
+    direct = SemidirectGroup(2, 1, 3, alpha=1)
+    for g in [construct_group(*params) for params in SMALL_PARAMS] + [direct]:
+        elements = set(p_elements(g))
+        for t in (Element(1, 0), Element(0, 1)):
+            assert {g.conjugate(t, el) for el in elements} <= elements, g
+
+
+def test_verify_group_reads_the_p_elements_once(monkeypatch):
+    calls = []
+
+    def spy(group):
+        calls.append(group)
+        return p_elements(group)
+
+    monkeypatch.setattr(groups, "p_elements", spy)
+    for params in [(2, 1, 3), (3, 1, 7), (2, 1, 151)]:
+        calls.clear()
+        verify_group(construct_group(*params))
+        assert len(calls) == 1, params
+    # an index that does not divide m is refused before any closure runs
+    calls.clear()
+    with pytest.raises(NonDivisor):
+        verify_group(construct_group(2, 1, 151), index_divisors=[4], exhaustive=True)
+    assert calls == []
+
+
+# verify_group over sweep_parameters(150): 78 groups, each on the exhaustive path
+SWEEP_150_SHA256 = "02cffcafe7fc420e56e09210af87c974ce5b899f97c4606db3e1fe03e6ef03ac"
+
+
+def test_sweep_reports_are_pinned():
+    params = sweep_parameters(150)
+    reports = [verify_group(construct_group(*p)) for p in params]
+    assert len(reports) == 78
+    assert all(report["lemma_b"]["exhaustive"] is not None for report in reports)
+    assert hashlib.sha256(canonical_dumps(reports).encode()).hexdigest() == SWEEP_150_SHA256
 
 
 def test_alpha_choice_independence():

@@ -11,7 +11,6 @@ from traceforms.algebra import (
     next_prime,
     primes_above,
     squarefree_part,
-    valuation,
 )
 from traceforms.algebra.intmath import FACTOR_LIMIT
 from traceforms.groups import construct_group
@@ -152,10 +151,3 @@ def _gcd(a, b):
     while b:
         a, b = b, a % b
     return a
-
-
-def test_valuation():
-    assert valuation(360, 2) == 3
-    assert valuation(360, 7) == 0
-    with pytest.raises(ValueError):
-        valuation(0, 3)

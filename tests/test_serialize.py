@@ -63,6 +63,13 @@ def test_certificate_round_trip():
     assert certificate_from_json(data) == cert
     with pytest.raises(ValueError):
         certificate_from_json({"D": form_to_json(cert.D)})
+    # seed and tries are JSON integers, defaulting to 0; nothing is coerced
+    for key in ("seed", "tries"):
+        for bad in (7.9, 7.0, True, "7", None):
+            with pytest.raises(ValueError, match=key):
+                certificate_from_json({**data, key: bad})
+    unnumbered = certificate_from_json({k: v for k, v in data.items() if k not in ("seed", "tries")})
+    assert (unnumbered.seed, unnumbered.tries) == (0, 0)
 
 
 def test_invariants_json_includes_real_place():
