@@ -1,14 +1,14 @@
 """Complete irreducibility decision for rational polynomials.
 
-Pipeline: take f's integer model (`modpoly._integer_model`), rule out
-repeated factors by its discriminant, and read the cycle types of f at the
-first few good primes (dividing neither leading coefficient nor
+Pipeline: take f's primitive part and discriminant (`modpoly._integer_model`),
+rule out repeated factors by the discriminant, and read the cycle types of f
+at the first few good primes (dividing neither leading coefficient nor
 discriminant) from distinct-degree splitting, as the Galois sampler does.
 An irreducible image or disjoint degree subset-sum sets decide at once;
-otherwise the monic form of f is factored mod the good prime with the
-fewest factors (its image there is squarefree), Hensel-lifted past twice
-the Landau-Mignotte coefficient bound, and subset recombinations of the
-lifted factors are searched for a true integer divisor.
+otherwise f's monic integer model (`poly._monic_model`) is factored mod the
+good prime with the fewest factors (its image there is squarefree),
+Hensel-lifted past twice the Landau-Mignotte coefficient bound, and subset
+recombinations of the lifted factors are searched for a true integer divisor.
 
 Degrees in this package stay small, so the exponential recombination step is
 a few dozen candidates at worst.
@@ -32,7 +32,7 @@ from .modpoly import (
     mod_sub,
     mod_xgcd,
 )
-from .poly import RationalPoly
+from .poly import RationalPoly, _monic_model
 
 _CANDIDATE_PRIMES = 5
 
@@ -42,15 +42,6 @@ def mignotte_bound(coeffs: list[int]) -> int:
     n = len(coeffs) - 1
     norm = math.isqrt(sum(c * c for c in coeffs)) + 1
     return (1 << n) * norm
-
-
-def _monicize(coeffs: list[int]) -> list[int]:
-    """Monic integer polynomial b^(n-1) f(x/b); same irreducibility over Q."""
-    b = coeffs[-1]
-    if b == 1:
-        return list(coeffs)
-    n = len(coeffs) - 1
-    return [c * b ** (n - 1 - i) for i, c in enumerate(coeffs[:-1])] + [1]
 
 
 def _product(parts, q: int) -> list[int]:
@@ -159,9 +150,9 @@ def is_irreducible_over_rationals(f: RationalPoly) -> bool:
         if len(candidates) == _CANDIDATE_PRIMES:
             break
 
-    # at a good prime the monic form's image is squarefree, as lifting needs
+    # at a good prime the monic model's image is squarefree, as lifting needs
     _, p = min(candidates)
-    work = _monicize(ints)
+    work, _ = _monic_model(f)
     factors = [g for g, _ in factor_mod_p(work, p)]
     lifted, modulus = _lift_factors(work, factors, p, 2 * mignotte_bound(work) + 1)
 

@@ -6,10 +6,10 @@ package stay small (<= 8 or so), so the dense representation and the
 quadratic-time classical algorithms cost nothing.
 
 Alongside the arithmetic this module provides the trace machinery for
-quotient rings Q[x]/(f): power sums of the roots of a monic f via Newton's
-identities, and the trace moments Tr(g x^m).  The trace is linear and
-Tr(x^k) is the k-th power sum, so every moment is a Hankel product of g's
-coefficients with the power sums; no element is ever reduced mod f.
+quotient rings Q[x]/(f): power sums of the roots of f, as Newton sums in `int`
+on f's monic integer model (`_monic_model`), and the trace moments Tr(g x^m),
+Hankel products of g's coefficients with the power sums (the trace is linear
+and Tr(x^k) is the k-th power sum), so no element is ever reduced mod f.
 
 The same power sums give the discriminant: the Gram matrix of the trace form
 of 1, x -> Tr(x^2), is the Hankel matrix (Tr(x^(i+j)))_(i,j<n), and its
@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 
 from .intmath import _rational_det
 
@@ -209,23 +210,45 @@ def _coerce(value):
     return NotImplemented
 
 
+def _monic_model(f: RationalPoly) -> tuple[list[int], int]:
+    """(g, b): f's monic integer model g(x) = b^n h(x/b), h = f / lc(f), b the
+    lcm of h's denominators.  b h is f's primitive part, with leading b > 0."""
+    h = f.monic().coeffs
+    b = math.lcm(*(c.denominator for c in h))
+    return [c.numerator * (b ** (f.degree - i) // c.denominator) for i, c in enumerate(h)], b
+
+
+def _newton_sums(f: RationalPoly, m: int) -> tuple[list[int], int]:
+    """(s, b): power sums s_k, k = 0..m, of the roots of f's monic model g,
+    by Newton's identities in integers.  f's k-th power sum is s_k / b^k."""
+    g, b = _monic_model(f)
+    n = f.degree
+    a = g[::-1]  # a_i = g_(n-i), the coefficients Newton's identities read
+    s = [n]
+    for k in range(1, m + 1):
+        s.append(-k * (a[k] if k <= n else 0) - sum(map(mul, a[1:k], s[k - 1 : 0 : -1])))
+    return s, b
+
+
+def _hankel_moments(sums: list[int], b: int, g: RationalPoly, first: int, count: int) -> tuple[Fraction, ...]:
+    """Tr(g x^m), m = first..first+count-1, from f's `_newton_sums` (s, b): with g's
+    denominators cleared, one integer Hankel product and one Fraction per moment."""
+    d = max(g.degree, 0)
+    c = math.lcm(*(x.denominator for x in g.coeffs))
+    w = [x.numerator * (c // x.denominator) * b ** (d - k) for k, x in enumerate(g.coeffs)]
+    return tuple(Fraction(sum(map(mul, w, sums[m:])), c * b ** (d + m)) for m in range(first, first + count))
+
+
 def power_traces(f: RationalPoly, m: int) -> tuple[Fraction, ...]:
     """Traces of multiplication by x**k on Q[x]/(f), k = 0..m.
 
-    Entry k is the k-th power sum of the roots of the monic f, obtained from
-    the coefficients by Newton's identities; entry 0 is deg f.
+    Entry k is the k-th power sum of the roots of the monic f, read off the
+    integer Newton sums of its monic model; entry 0 is deg f.
     """
     if not f.is_monic or f.degree < 1:
         raise ValueError("power traces require a monic polynomial of degree >= 1")
-    n = f.degree
-    a = f.coeffs
-    tr = [Fraction(n)]
-    for k in range(1, m + 1):
-        s = -k * a[n - k] if k <= n else Fraction(0)
-        for i in range(1, min(k - 1, n) + 1):
-            s -= a[n - i] * tr[k - i]
-        tr.append(s)
-    return tuple(tr)
+    s, b = _newton_sums(f, m)
+    return tuple(Fraction(x, b**k) for k, x in enumerate(s))
 
 
 def trace_moments(f: RationalPoly, g: RationalPoly, count: int) -> tuple[Fraction, ...]:
@@ -236,10 +259,7 @@ def trace_moments(f: RationalPoly, g: RationalPoly, count: int) -> tuple[Fractio
     """
     if not f.is_monic or f.degree < 1:
         raise ValueError("trace requires a monic modulus of degree >= 1")
-    tr = power_traces(f, g.degree + count - 1)
-    return tuple(
-        sum((c * tr[k + m] for k, c in enumerate(g.coeffs)), Fraction(0)) for m in range(count)
-    )
+    return _hankel_moments(*_newton_sums(f, g.degree + count - 1), g, 0, count)
 
 
 def discriminant(f: RationalPoly) -> Fraction:
@@ -261,17 +281,7 @@ def is_separable(f: RationalPoly) -> bool:
 
 
 def primitive_integer_coeffs(f: RationalPoly) -> list[int]:
-    """Integer coefficient list of the primitive part of f, positive leading."""
-    if f.is_zero:
-        raise ValueError("zero polynomial has no primitive part")
-    lcm = 1
-    for c in f.coeffs:
-        lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
-    ints = [int(c * lcm) for c in f.coeffs]
-    g = 0
-    for c in ints:
-        g = math.gcd(g, c)
-    ints = [c // g for c in ints]
-    if ints[-1] < 0:
-        ints = [-c for c in ints]
-    return ints
+    """Integer coefficient list of the primitive part of f, positive leading:
+    b h = (g_i / b^(n-1-i)) for f's monic model (g, b)."""
+    g, b = _monic_model(f)
+    return [c // b ** (f.degree - 1 - i) for i, c in enumerate(g[:-1])] + [b]

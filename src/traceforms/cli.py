@@ -61,9 +61,8 @@ def _gather_forms(args, minimum: int, maximum: int) -> list[SymmetricForm]:
 
 
 def _emit(args, payload: dict) -> None:
-    if getattr(args, "quiet", False):
-        return
-    sys.stdout.write(serialize.canonical_dumps(payload))
+    if not args.quiet:
+        sys.stdout.write(serialize.canonical_dumps(payload))
 
 
 def cmd_realize(args) -> int:
@@ -176,9 +175,6 @@ def cmd_group_verify(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="seed for all randomness")
-    common.add_argument(
-        "--json", action="store_true", help="machine-readable output (the default)"
-    )
     common.add_argument("--quiet", action="store_true", help="suppress the report")
 
     form_args = argparse.ArgumentParser(add_help=False)
@@ -258,12 +254,17 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return USAGE if exc.code not in (0,) else 0
+    # certificates may outgrow Python's int<->str digit limit: lift it for the command
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         return args.run(args)
     except (InputError, ValueError) as exc:
         # DegenerateForm, InvalidParams and the factorization limit are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -173,20 +173,15 @@ def _invariants_and_places(entries) -> tuple[WittInvariants, list]:
     """Witt invariants of <entries> (Fractions, all nonzero) and its relevant places."""
     classes, places = _classes_and_places(entries)
     n = len(entries)
-    disc = 1  # square class of the product, reduced entry by entry
-    for c in classes:
+    # (a, b)_v is bilinear and reads square classes: prod_(i<j) (a_i, a_j)_v = prod_i (c_i, c_(i+1)...c_n)_v,
+    # so a reverse walk pairs each class with its later product (the first, (c_n, 1), is trivial)
+    disc, pairs = 1, []
+    for c in reversed(classes):
+        pairs.append((c, disc))
         disc = _square_class_product(disc, c)
     pos = sum(1 for e in entries if e > 0)
-    signature = (pos, n - pos)
-    minus = []
-    for place in places:
-        sign = 1
-        for i in range(n):
-            for j in range(i + 1, n):
-                sign *= hilbert_symbol(entries[i], entries[j], place)
-        if sign == -1:
-            minus.append(place)
-    return WittInvariants(n, disc, signature, frozenset(minus)), places
+    minus = [v for v in places if math.prod(hilbert_symbol(a, b, v) for a, b in pairs[1:]) == -1]
+    return WittInvariants(n, disc, (pos, n - pos), frozenset(minus)), places
 
 
 def invariants_of_diagonal(entries) -> WittInvariants:

@@ -29,10 +29,10 @@ from .algebra import (
     congruence_diagonalize,
     is_irreducible_over_rationals,
     is_separable,
-    power_traces,
     solve_linear,
     trace_moments,
 )
+from .algebra.poly import _hankel_moments, _newton_sums
 from .quadform import DegenerateForm, SymmetricForm
 
 
@@ -120,14 +120,16 @@ def solve_alpha(f: RationalPoly, moments) -> RationalPoly:
     moments = [Fraction(m) for m in moments]
     if len(moments) != 2 * n - 1:
         raise ValueError(f"expected {2 * n - 1} moments, got {len(moments)}")
-    traces = power_traces(f, 2 * n - 2)
+    # one Newton pass to 3n-3 serves the pairing and the overdetermined check
+    sums, b = _newton_sums(f, 3 * n - 3)
+    traces = [Fraction(s, b**k) for k, s in enumerate(sums[: 2 * n - 1])]
     pairing = Matrix([[traces[i + j] for j in range(n)] for i in range(n)])
     try:
         solution = solve_linear(pairing, tuple(moments[:n]))
     except ValueError:
         raise ValueError("trace pairing is singular; modulus is not separable")
     alpha = RationalPoly(solution)
-    for m, trace in enumerate(trace_moments(f, alpha, 2 * n - 1)[n:], n):
+    for m, trace in enumerate(_hankel_moments(sums, b, alpha, n, n - 1), n):
         if trace != moments[m]:
             raise InconsistentHankel(f"moment {m} is inconsistent")
     return alpha

@@ -269,6 +269,23 @@ def test_quiet_flag(capsys):
 def test_usage_error_exit_code(capsys):
     assert main(["realize"]) == 2  # no form given
     assert main(["no-such-command"]) == 2
+    assert main(["invariants", "--diag", "1,1", "--json"]) == 2  # no such flag
+
+
+def test_certificate_beyond_int_str_digit_limit(tmp_path, capsys):
+    # alpha's entries run past Python's default 4300-digit int<->str limit;
+    # main lifts it for the command and restores it on return
+    limit = sys.get_int_max_str_digits()
+    diag = ",".join(str(10**1000 + k) for k in (1, 3, 7))
+    code, out = _run_main(["realize", "--diag", diag, "--seed", "1"], capsys)
+    assert code == 0
+    assert max(len(x) for x in json.loads(out)["alpha"]) > limit
+    assert sys.get_int_max_str_digits() == limit
+    cert_file = tmp_path / "cert.json"
+    cert_file.write_text(out)
+    code, out = _run_main(["verify", str(cert_file)], capsys)
+    assert code == 0 and json.loads(out) == {"valid": True}
+    assert sys.get_int_max_str_digits() == limit
 
 
 # argv fuzzing: every subcommand with a random subset of its flags, each value

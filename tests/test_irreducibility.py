@@ -15,17 +15,16 @@ from traceforms.algebra import (
     is_irreducible_over_rationals,
     mignotte_bound,
     primes_above,
-    primitive_integer_coeffs,
 )
 from traceforms.algebra.irreducibility import (
     _divides_exactly,
     _lift_factors,
-    _monicize,
     _product,
     _subset_sums,
     _symmetric,
 )
 from traceforms.algebra.modpoly import BadPrime, factor_mod_p, mod_mul
+from traceforms.algebra.poly import _monic_model
 
 X = RationalPoly.x()
 
@@ -127,7 +126,7 @@ def test_hensel_lift_round_trip():
         degree = rng.randrange(2, 7)
         ints = [rng.randrange(-9, 10) for _ in range(degree)] + [1]
         f = RationalPoly(ints)
-        work = _monicize(list(ints))
+        work, _ = _monic_model(f)
         disc = discriminant(RationalPoly(work)).numerator
         if disc == 0:
             continue
@@ -155,11 +154,11 @@ def test_known_irreducibles():
 
 def _factor_every_prime_oracle(f: RationalPoly) -> bool:
     """The earlier decision: a full factorization mod each of the first five
-    primes not dividing the discriminant of the monic form, then the same
+    primes not dividing the discriminant of the monic model, then the same
     Hensel lifting and recombination."""
     if f.degree == 1:
         return True
-    work = _monicize(primitive_integer_coeffs(f))
+    work, _ = _monic_model(f)
     n = len(work) - 1
     disc = discriminant(RationalPoly(work)).numerator
     if disc == 0:

@@ -1,6 +1,6 @@
 """Package structure: runtime checks survive `python -O`, the public names
 resolve, FACTOR_LIMIT is enforced in one place per job, and f's integer
-model is built in one place."""
+forms are built in one place each."""
 
 import ast
 from pathlib import Path
@@ -92,3 +92,38 @@ def test_integer_model_is_built_in_one_place():
     # which callers reach only after irreducibility has said no
     assert _sites(_Calls, "discriminant") == ["modpoly._integer_model", "poly.is_separable"]
     assert _sites(_Calls, "primitive_integer_coeffs") == ["modpoly._integer_model"]
+
+
+class _Reads(_Scoped):
+    """module.function of every read of the named attribute."""
+
+    def __init__(self, module: str, attribute: str):
+        super().__init__(module)
+        self.attribute = attribute
+
+    def visit_Attribute(self, node):
+        if node.attr == self.attribute:
+            self.found.append(f"{self.module}.{self.scope}")
+        self.generic_visit(node)
+
+
+POLY_MODULES = ("poly.", "modpoly.", "irreducibility.", "galois.")  # the Matrix code clears its own
+
+
+def test_monic_model_is_the_one_integer_form_of_f():
+    # the primitive part, Hensel lifting and Newton's power sums all read
+    # f's monic integer model; no second rescaling of f exists
+    assert _sites(_Calls, "_monic_model") == [
+        "irreducibility.is_irreducible_over_rationals",
+        "poly._newton_sums",
+        "poly.primitive_integer_coeffs",
+    ]
+    assert _sites(_Calls, "_newton_sums") == [
+        "poly.power_traces",
+        "poly.trace_moments",
+        "traceform.solve_alpha",
+    ]
+    # clearing a polynomial's denominators: the model clears f's, the Hankel
+    # moments clear the traced element's
+    denominators = {site for site in _sites(_Reads, "denominator") if site.startswith(POLY_MODULES)}
+    assert denominators == {"poly._hankel_moments", "poly._monic_model"}

@@ -15,6 +15,7 @@ from traceforms.algebra import (
     primitive_integer_coeffs,
     trace_moments,
 )
+from traceforms.algebra.poly import _monic_model
 
 X = RationalPoly.x()
 
@@ -270,3 +271,97 @@ def test_gcd_properties():
         d = _gcd_oracle(f * h, g * h)
         assert d == (_gcd_oracle(f, g) * h).monic()
         assert (f * h % d).is_zero and (g * h % d).is_zero
+
+
+# The integer forms of f as they were built before `_monic_model`: Newton's
+# identities and the Hankel products in Fractions, the primitive part by its
+# own lcm and gcd loops, and the monic form rescaled from the primitive part.
+
+
+def _power_traces_oracle(f: RationalPoly, m: int) -> tuple[Fraction, ...]:
+    n = f.degree
+    a = f.coeffs
+    tr = [Fraction(n)]
+    for k in range(1, m + 1):
+        s = -k * a[n - k] if k <= n else Fraction(0)
+        for i in range(1, min(k - 1, n) + 1):
+            s -= a[n - i] * tr[k - i]
+        tr.append(s)
+    return tuple(tr)
+
+
+def _trace_moments_oracle(f: RationalPoly, g: RationalPoly, count: int) -> tuple[Fraction, ...]:
+    tr = _power_traces_oracle(f, g.degree + count - 1)
+    return tuple(
+        sum((c * tr[k + m] for k, c in enumerate(g.coeffs)), Fraction(0)) for m in range(count)
+    )
+
+
+def _primitive_oracle(f: RationalPoly) -> list[int]:
+    lcm = 1
+    for c in f.coeffs:
+        lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
+    ints = [int(c * lcm) for c in f.coeffs]
+    g = 0
+    for c in ints:
+        g = math.gcd(g, c)
+    ints = [c // g for c in ints]
+    if ints[-1] < 0:
+        ints = [-c for c in ints]
+    return ints
+
+
+def _monicize_oracle(coeffs: list[int]) -> list[int]:
+    """Monic integer polynomial b^(n-1) f(x/b) of an integer f with leading b."""
+    b = coeffs[-1]
+    if b == 1:
+        return list(coeffs)
+    n = len(coeffs) - 1
+    return [c * b ** (n - 1 - i) for i, c in enumerate(coeffs[:-1])] + [1]
+
+
+def _monic_polys(min_degree=1, max_degree=8):
+    return st.lists(RATIONALS, min_size=min_degree, max_size=max_degree).map(
+        lambda lower: RationalPoly(lower + [1])
+    )
+
+
+LEADING = st.sampled_from([1, -1, 3, -12, Fraction(1, 2), Fraction(-5, 6), Fraction(7, 4)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(RATIONALS, max_size=8), LEADING)
+def test_monic_model_matches_monicized_primitive_part(lower, lead):
+    f = RationalPoly(lower + [lead])
+    primitive = _primitive_oracle(f)
+    g, b = _monic_model(f)
+    assert (g, b) == (_monicize_oracle(primitive), primitive[-1])
+    assert primitive_integer_coeffs(f) == primitive
+    # the definition: g_i = b^(n-i) h_i with h = f / lc(f)
+    n = f.degree
+    assert RationalPoly(g) == RationalPoly([c * b ** (n - i) for i, c in enumerate(f.monic().coeffs)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_monic_polys(), st.integers(-1, 20))
+def test_power_traces_match_fraction_newton_oracle(f, m):
+    assert power_traces(f, m) == _power_traces_oracle(f, m)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_trace_moments_match_fraction_oracle(data):
+    # g zero, of degree below n, or of degree n or more; count 0 included
+    f = data.draw(_monic_polys())
+    n = f.degree
+    g = RationalPoly(
+        data.draw(
+            st.one_of(
+                st.just([]),
+                st.lists(RATIONALS, min_size=1, max_size=n),
+                st.lists(RATIONALS, min_size=n + 1, max_size=2 * n + 3),
+            )
+        )
+    )
+    count = data.draw(st.integers(0, 2 * n + 1))
+    assert trace_moments(f, g, count) == _trace_moments_oracle(f, g, count)

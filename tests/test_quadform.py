@@ -324,13 +324,32 @@ NONZERO_RATIONALS = st.builds(
 )
 
 
+# few primes and many repeats, so square classes and products of later entries collide
+SMALL_ENTRIES = st.builds(
+    lambda sign, num, den: Fraction(sign * num, den),
+    st.sampled_from([1, -1]),
+    st.sampled_from([1, 2, 3, 4, 5, 6, 9, 12, 18, 50]),
+    st.sampled_from([1, 2, 3, 4, 5, 9]),
+)
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.lists(NONZERO_RATIONALS, min_size=1, max_size=6))
+@given(st.lists(st.one_of(NONZERO_RATIONALS, SMALL_ENTRIES), min_size=1, max_size=8))
 def test_factor_once_matches_two_pass_oracle(entries):
+    # the oracle's Hasse invariant is the pairwise product prod_(i<j) (a_i, a_j)_v
     assert invariants_of_diagonal(entries) == _invariants_oracle(entries)
     assert invariants(SymmetricForm.diagonal(entries)) == _invariants_oracle(entries)
     assert is_isotropic(SymmetricForm.diagonal(entries)) == _is_isotropic_oracle(entries)
     assert relevant_places(entries) == _places_oracle(entries)
+
+
+def test_hasse_invariant_takes_n_minus_1_symbols_per_place(monkeypatch):
+    calls = []
+    real = quadform.hilbert_symbol
+    monkeypatch.setattr(quadform, "hilbert_symbol", lambda a, b, v: calls.append(v) or real(a, b, v))
+    entries = [3, -5, Fraction(7, 2), 11, -1]
+    invariants_of_diagonal(entries)
+    assert len(calls) == (len(entries) - 1) * len(relevant_places(entries))
 
 
 def test_factor_limit_is_checked_before_factoring(monkeypatch):

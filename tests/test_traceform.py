@@ -157,19 +157,19 @@ def test_verify_rejects_tampering():
 
 
 @contextlib.contextmanager
-def _counted_discriminants():
-    """Count poly.discriminant calls through every package module that binds it."""
+def _counted(function):
+    """Count calls of the poly function through every package module that binds it."""
     calls = []
-    original = poly.discriminant
+    original = getattr(poly, function)
 
-    def spy(f):
+    def spy(f, *args):
         calls.append(f)
-        return original(f)
+        return original(f, *args)
 
     with pytest.MonkeyPatch.context() as patch:
         for name, module in list(sys.modules.items()):
-            if name.startswith("traceforms") and getattr(module, "discriminant", None) is original:
-                patch.setattr(module, "discriminant", spy)
+            if name.startswith("traceforms") and getattr(module, function, None) is original:
+                patch.setattr(module, function, spy)
         yield calls
 
 
@@ -177,26 +177,41 @@ def test_one_discriminant_per_separability_decision():
     # irreducibility decides separability, so realize reads one discriminant
     # per candidate and one in its closing verify
     for diag, seed, tries in (([1, 1], 9, 11), ([1, 1, 1], 21, 8), ([2, -3, 5], 9, 1)):
-        with _counted_discriminants() as calls:
+        with _counted("discriminant") as calls:
             cert = realize(SymmetricForm.diagonal(diag), SearchPolicy(seed=seed))
         assert cert.tries == tries and len(calls) == tries + 1
-        with _counted_discriminants() as calls:
+        with _counted("discriminant") as calls:
             assert verify_certificate(cert)
         assert len(calls) == 1
 
     # an inseparable f costs a second discriminant, to name its clause
     i2 = Matrix.identity(2)
     cert = Certificate(D=SymmetricForm(i2), A=i2, f=(X - 1) ** 2, alpha=RationalPoly.one(), P=i2, gram=i2)
-    with _counted_discriminants() as calls:
+    with _counted("discriminant") as calls:
         assert verify_certificate(cert).failed_clause == "not_separable"
     assert len(calls) == 2
 
     # generic_experiment: the decision, then the cycle-type walk (seed 3,
     # irreducible) or the separability name (seed 4 inseparable, seed 0 reducible)
     for seed in (3, 4, 0):
-        with _counted_discriminants() as calls:
+        with _counted("discriminant") as calls:
             generic_experiment([1, 1], 1, 5, seed=seed)
         assert len(calls) == 2
+
+
+def test_solve_alpha_computes_power_sums_once():
+    # one Newton pass up to 3n-3 serves both the pairing system and the
+    # check of the overdetermined moments n..2n-2
+    for diag, seed in (([5], 0), ([1, 1], 9), ([2, -3, 5], 9), ([1, -2, 3, -4, 5, 6], 1)):
+        cert = realize(SymmetricForm.diagonal(diag), SearchPolicy(seed=seed))
+        n = len(diag)
+        moments = [cert.gram[0, m] if m < n else cert.gram[m - n + 1, n - 1] for m in range(2 * n - 1)]
+        with _counted("_newton_sums") as calls:
+            assert solve_alpha(cert.f, moments) == cert.alpha
+        assert calls == [cert.f]
+    with _counted("_newton_sums") as calls, pytest.raises(InconsistentHankel):
+        solve_alpha(F2, (1, 1, 5))
+    assert len(calls) == 1
 
 
 def test_unreduced_alpha():
