@@ -1,11 +1,11 @@
 """Complete irreducibility decision for rational polynomials.
 
-Pipeline: take f's primitive part and discriminant (`modpoly._integer_model`),
-rule out repeated factors by the discriminant, and read the cycle types of f
-at the first few good primes (dividing neither leading coefficient nor
-discriminant) from distinct-degree splitting, as the Galois sampler does.
-An irreducible image or disjoint degree subset-sum sets decide at once;
-otherwise f's monic integer model (`poly._monic_model`) is factored mod the
+Pipeline: take f's monic integer model and its primitive part's discriminant
+(`poly._integer_model`), rule out repeated factors by the discriminant, and
+read the cycle types of f at the first few good primes (dividing neither
+leading coefficient nor discriminant) from distinct-degree splitting of the
+model, as the Galois sampler does.  An irreducible image or disjoint degree
+subset-sum sets decide at once; otherwise the same model is factored mod the
 good prime with the fewest factors (its image there is squarefree),
 Hensel-lifted past twice the Landau-Mignotte coefficient bound, and subset
 recombinations of the lifted factors are searched for a true integer divisor.
@@ -23,7 +23,6 @@ from .intmath import primes_above
 from .modpoly import (
     BadPrime,
     _cycle_type,
-    _integer_model,
     factor_mod_p,
     mod_add,
     mod_divmod,
@@ -32,7 +31,7 @@ from .modpoly import (
     mod_sub,
     mod_xgcd,
 )
-from .poly import RationalPoly, _monic_model
+from .poly import RationalPoly, _integer_model
 
 _CANDIDATE_PRIMES = 5
 
@@ -127,20 +126,18 @@ def is_irreducible_over_rationals(f: RationalPoly) -> bool:
     so it is also the separability decision: True means separable."""
     if f.degree < 1:
         raise ValueError("irreducibility is only defined for degree >= 1")
-    if f.degree == 1:
-        return True
-    ints, disc = _integer_model(f)
+    work, b, disc = _integer_model(f)
     if disc == 0:
         return False  # a repeated factor, so certainly reducible at degree >= 2
 
     # a true factor's degree must be a subset sum of the cycle type at every
     # good prime; an empty intersection (an irreducible image among them, whose
     # sums are only 0 and n) certifies irreducibility
-    possible = set(range(1, len(ints) - 1))
+    possible = set(range(1, len(work) - 1))
     candidates: list[tuple[int, int]] = []
     for p in primes_above(1):
         try:
-            degrees = _cycle_type(ints, disc, p)
+            degrees = _cycle_type(work, b, disc, p)
         except BadPrime:
             continue
         possible &= _subset_sums(degrees)
@@ -152,7 +149,6 @@ def is_irreducible_over_rationals(f: RationalPoly) -> bool:
 
     # at a good prime the monic model's image is squarefree, as lifting needs
     _, p = min(candidates)
-    work, _ = _monic_model(f)
     factors = [g for g, _ in factor_mod_p(work, p)]
     lifted, modulus = _lift_factors(work, factors, p, 2 * mignotte_bound(work) + 1)
 

@@ -27,7 +27,7 @@ import random
 from itertools import zip_longest
 
 from .intmath import is_prime
-from .poly import RationalPoly, discriminant, primitive_integer_coeffs
+from .poly import RationalPoly, _integer_model
 
 
 class BadPrime(ValueError):
@@ -299,11 +299,11 @@ def cycle_type_mod_p(f: RationalPoly, p: int) -> tuple[int, ...]:
     """Sorted degrees of the irreducible factors of f mod p.
 
     Raises BadPrime when p divides the leading coefficient or the
-    discriminant of the cleared-denominator form of f (the factorization
-    pattern mod such p does not reflect a Frobenius cycle type).  Otherwise
-    f mod p is squarefree of degree deg f, and distinct-degree splitting
-    alone gives the pattern: a degree-k block of degree-d factors holds k/d
-    of them.  Raises ValueError unless p is a prime at most FACTOR_LIMIT.
+    discriminant of f's primitive part (the factorization pattern mod such p
+    does not reflect a Frobenius cycle type).  Otherwise f's monic model is
+    squarefree mod p with the same factor degrees as f, and distinct-degree
+    splitting alone gives the pattern: a degree-k block of degree-d factors
+    holds k/d of them.  Raises ValueError unless p is a prime at most FACTOR_LIMIT.
     """
     if f.degree < 1:
         raise ValueError("cycle type requires degree >= 1")
@@ -311,19 +311,13 @@ def cycle_type_mod_p(f: RationalPoly, p: int) -> tuple[int, ...]:
     return _cycle_type(*_integer_model(f), p)
 
 
-def _integer_model(f: RationalPoly) -> tuple[list[int], int]:
-    """(primitive integer coefficients, integer discriminant) of f."""
-    ints = primitive_integer_coeffs(f)
-    return ints, discriminant(RationalPoly(ints)).numerator
-
-
-def _cycle_type(ints: list[int], disc: int, p: int) -> tuple[int, ...]:
-    """`cycle_type_mod_p` at the prime p, for f's `_integer_model`."""
-    if ints[-1] % p == 0:
+def _cycle_type(g: list[int], b: int, disc: int, p: int) -> tuple[int, ...]:
+    """`cycle_type_mod_p` at the prime p, for f's `_integer_model` (g, b, disc)."""
+    if b % p == 0:
         raise BadPrime(f"{p} divides the leading coefficient")
     if disc % p == 0:
         raise BadPrime(f"{p} divides the discriminant")
     degrees: list[int] = []
-    for block, d in _distinct_degree(mod_monic(mod_reduce(ints, p), p), p):
+    for block, d in _distinct_degree(mod_reduce(g, p), p):
         degrees += [d] * ((len(block) - 1) // d)
     return tuple(sorted(degrees))

@@ -218,8 +218,8 @@ def _monic_model(f: RationalPoly) -> tuple[list[int], int]:
     return [c.numerator * (b ** (f.degree - i) // c.denominator) for i, c in enumerate(h)], b
 
 
-def _newton_sums(f: RationalPoly, m: int) -> tuple[list[int], int]:
-    """(s, b): power sums s_k, k = 0..m, of the roots of f's monic model g,
+def _newton_sums(f: RationalPoly, m: int) -> tuple[list[int], int, list[int]]:
+    """(g, b, s): f's monic model and the power sums s_k, k = 0..m, of g's roots,
     by Newton's identities in integers.  f's k-th power sum is s_k / b^k."""
     g, b = _monic_model(f)
     n = f.degree
@@ -227,11 +227,19 @@ def _newton_sums(f: RationalPoly, m: int) -> tuple[list[int], int]:
     s = [n]
     for k in range(1, m + 1):
         s.append(-k * (a[k] if k <= n else 0) - sum(map(mul, a[1:k], s[k - 1 : 0 : -1])))
-    return s, b
+    return g, b, s
+
+
+def _integer_model(f: RationalPoly) -> tuple[list[int], int, int]:
+    """(g, b, disc): f's monic model and the discriminant of its primitive part b h."""
+    n = f.degree
+    g, b, s = _newton_sums(f, 2 * n - 2)
+    det = _rational_det([[Fraction(s[i + j], b ** (i + j)) for j in range(n)] for i in range(n)])
+    return g, b, (b ** (2 * n - 2) * det).numerator
 
 
 def _hankel_moments(sums: list[int], b: int, g: RationalPoly, first: int, count: int) -> tuple[Fraction, ...]:
-    """Tr(g x^m), m = first..first+count-1, from f's `_newton_sums` (s, b): with g's
+    """Tr(g x^m), m = first..first+count-1, from f's `_newton_sums` s and b: with g's
     denominators cleared, one integer Hankel product and one Fraction per moment."""
     d = max(g.degree, 0)
     c = math.lcm(*(x.denominator for x in g.coeffs))
@@ -247,7 +255,7 @@ def power_traces(f: RationalPoly, m: int) -> tuple[Fraction, ...]:
     """
     if not f.is_monic or f.degree < 1:
         raise ValueError("power traces require a monic polynomial of degree >= 1")
-    s, b = _newton_sums(f, m)
+    _, b, s = _newton_sums(f, m)
     return tuple(Fraction(x, b**k) for k, x in enumerate(s))
 
 
@@ -259,20 +267,20 @@ def trace_moments(f: RationalPoly, g: RationalPoly, count: int) -> tuple[Fractio
     """
     if not f.is_monic or f.degree < 1:
         raise ValueError("trace requires a monic modulus of degree >= 1")
-    return _hankel_moments(*_newton_sums(f, g.degree + count - 1), g, 0, count)
+    _, b, sums = _newton_sums(f, g.degree + count - 1)
+    return _hankel_moments(sums, b, g, 0, count)
 
 
 def discriminant(f: RationalPoly) -> Fraction:
-    """disc(f) = lc(f)^(2n-2) det(Tr(x^(i+j)))_(i,j<n), the traces being the
-    power sums of the monic f / lc(f).
+    """disc(f) = lc(f)^(2n-2) det(Tr(x^(i+j)))_(i,j<n) = (lc(f) / b)^(2n-2)
+    disc(b h), b h being f's primitive part, whose disc `_integer_model` gives.
 
     The Hankel determinant is prod_(i<j) (r_i - r_j)^2 over the roots.
     """
-    n = f.degree
-    if n < 1:
+    if f.degree < 1:
         raise ValueError("discriminant requires degree >= 1")
-    tr = power_traces(f.monic(), 2 * n - 2)
-    return f.leading ** (2 * n - 2) * _rational_det([tr[i : i + n] for i in range(n)])
+    _, b, disc = _integer_model(f)
+    return (f.leading / b) ** (2 * f.degree - 2) * disc
 
 
 def is_separable(f: RationalPoly) -> bool:

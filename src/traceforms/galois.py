@@ -31,7 +31,8 @@ from .algebra import (
     primes_above,
 )
 from .algebra.intmath import FACTOR_LIMIT
-from .algebra.modpoly import _cycle_type, _integer_model
+from .algebra.modpoly import _cycle_type
+from .algebra.poly import _integer_model
 
 CERTIFIED = "certified"
 INCONCLUSIVE = "inconclusive"
@@ -83,12 +84,12 @@ def sample_cycle_types(
 
     The prime walk is deterministic (consecutive primes ascending) and draws
     no prime once the budget is spent; past FACTOR_LIMIT `is_prime` raises
-    ValueError.  f's `_integer_model` is built once, not per prime; a zero
-    discriminant raises NotSquarefree.
+    ValueError.  f's `_integer_model` (monic model and discriminant) is built
+    once, not per prime; a zero discriminant raises NotSquarefree.
     """
     if f.degree < 1:
         raise ValueError("cycle types require degree >= 1")
-    ints, disc = _integer_model(f)
+    g, b, disc = _integer_model(f)
     if disc == 0:
         raise NotSquarefree("polynomial has a repeated root")
     counts: dict[tuple[int, ...], int] = {}
@@ -97,7 +98,7 @@ def sample_cycle_types(
     while used < prime_budget:
         p = next(walk)
         try:
-            t = _cycle_type(ints, disc, p)
+            t = _cycle_type(g, b, disc, p)
         except BadPrime:
             skipped += 1
             continue

@@ -4,8 +4,9 @@ Every number crossing the JSON boundary is an exact rational rendered as the
 string "p/q", or just "p" when the denominator is 1.  Polynomials are
 coefficient arrays lowest degree first, matrices are row-major nested arrays,
 forms are {"dim": n, "gram": [[..]]} with the shorthand {"diag": [..]}
-accepted on input.  Output is canonical: sorted keys, fixed separators,
-trailing newline, no floats anywhere.
+accepted on input.  Input arrays must be JSON arrays (a string is not the
+list of its characters) and dim a JSON integer.  Output is canonical: sorted
+keys, fixed separators, trailing newline, no floats anywhere.
 """
 
 from __future__ import annotations
@@ -32,12 +33,19 @@ def rational_from_str(s) -> Fraction:
     return Fraction(s)
 
 
+def _array(data, what: str) -> list:
+    # a JSON array only: a string is not read as the list of its characters
+    if not isinstance(data, list):
+        raise ValueError(f"{what} must be a JSON array")
+    return data
+
+
 def poly_to_json(f: RationalPoly) -> list:
     return [rational_to_str(c) for c in f.coeffs]
 
 
 def poly_from_json(data) -> RationalPoly:
-    return RationalPoly([rational_from_str(c) for c in data])
+    return RationalPoly([rational_from_str(c) for c in _array(data, "polynomial")])
 
 
 def matrix_to_json(m: Matrix) -> list:
@@ -45,7 +53,7 @@ def matrix_to_json(m: Matrix) -> list:
 
 
 def matrix_from_json(data) -> Matrix:
-    return Matrix([[rational_from_str(x) for x in row] for row in data])
+    return Matrix([[rational_from_str(x) for x in _array(row, "matrix row")] for row in _array(data, "matrix")])
 
 
 def form_to_json(form: SymmetricForm) -> dict:
@@ -56,11 +64,12 @@ def form_from_json(data) -> SymmetricForm:
     if not isinstance(data, dict):
         raise ValueError("form must be an object")
     if "diag" in data:
-        return SymmetricForm.diagonal([rational_from_str(x) for x in data["diag"]])
-    if "gram" not in data:
+        form = SymmetricForm.diagonal([rational_from_str(x) for x in _array(data["diag"], "diag")])
+    elif "gram" in data:
+        form = SymmetricForm(matrix_from_json(data["gram"]))
+    else:
         raise ValueError("form needs 'gram' or 'diag'")
-    form = SymmetricForm(matrix_from_json(data["gram"]))
-    if "dim" in data and data["dim"] != form.dim:
+    if "dim" in data and _int_from_json(data, "dim") != form.dim:
         raise ValueError("dim does not match the Gram matrix")
     return form
 

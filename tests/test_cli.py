@@ -115,6 +115,20 @@ def test_verify_malformed_json(tmp_path, capsys):
     floated = tmp_path / "float_seed.json"
     floated.write_text(json.dumps({**json.loads(out), "seed": 7.9}))
     _assert_input_error(["verify", str(floated)], capsys, "seed")
+    # so is D's dim, and a string is not the array of its characters
+    code, out = _run_main(["realize", "--diag", "1,1", "--seed", "0"], capsys)
+    cert = json.loads(out)
+    for change, message in (
+        ({"D": {"diag": "11"}}, "diag must be a JSON array"),
+        ({"D": {**cert["D"], "dim": True}}, "dim must be a JSON integer"),
+        ({"D": {**cert["D"], "dim": 2.0}}, "dim must be a JSON integer"),
+        ({"f": "".join(cert["f"])}, "polynomial must be a JSON array"),
+        ({"alpha": cert["alpha"][0]}, "polynomial must be a JSON array"),
+        ({"A": ["".join(row) for row in cert["A"]]}, "matrix row must be a JSON array"),
+        ({"gram": "11"}, "matrix must be a JSON array"),
+    ):
+        floated.write_text(json.dumps({**cert, **change}))
+        _assert_input_error(["verify", str(floated)], capsys, message)
 
 
 def test_invariants_output(capsys):
@@ -207,6 +221,8 @@ def test_form_file_input(tmp_path, capsys):
         ["equivalent", "--form", str(form_file), "--form", str(diag_file)], capsys
     )
     assert code == 0
+    diag_file.write_text(json.dumps({"diag": "123"}))  # a string, not three entries
+    _assert_input_error(["invariants", "--form", str(diag_file)], capsys, "diag must be a JSON array")
 
 
 def test_galois_cli(capsys):

@@ -14,10 +14,10 @@ from traceforms.algebra import (
     is_irreducible_over_rationals,
     is_separable,
     primes_above,
-    primitive_integer_coeffs,
     squarefree_part,
 )
 from traceforms.algebra.intmath import FACTOR_LIMIT
+from traceforms.algebra.poly import _integer_model
 from traceforms.galois import (
     CERTIFIED,
     INCONCLUSIVE,
@@ -72,9 +72,8 @@ def _tally_public(f, budget, floor):
 def test_hoisted_walk_matches_public_cycle_types():
     # 3/2 x^3 - 5/7 x + 1/3 clears to 63 x^3 - 30 x + 14: lc 3^2 * 7, disc -2^2 3^5 7 2087
     f = RationalPoly((Fraction(1, 3), Fraction(-5, 7), 0, Fraction(3, 2)))
-    ints = primitive_integer_coeffs(f)
-    disc = discriminant(RationalPoly(ints)).numerator
-    assert ints == [14, -30, 0, 63] and disc % 2087 == 0 and ints[-1] % 2087 != 0
+    _, b, disc = _integer_model(f)
+    assert b == 63 and disc == -(2**2) * 3**5 * 7 * 2087
     for floor, bad in ((1, 3), (2080, 2087)):  # 3 divides lc, 2087 only the discriminant
         counts, used, bad_primes = _tally_public(f, 40, floor)
         assert bad in bad_primes

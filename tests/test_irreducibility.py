@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from fractions import Fraction
 from itertools import combinations, islice
 
@@ -14,6 +15,7 @@ from traceforms.algebra import (
     irreducibility,
     is_irreducible_over_rationals,
     mignotte_bound,
+    poly,
     primes_above,
 )
 from traceforms.algebra.irreducibility import (
@@ -24,7 +26,7 @@ from traceforms.algebra.irreducibility import (
     _symmetric,
 )
 from traceforms.algebra.modpoly import BadPrime, factor_mod_p, mod_mul
-from traceforms.algebra.poly import _monic_model
+from traceforms.algebra.poly import _integer_model
 
 X = RationalPoly.x()
 
@@ -126,8 +128,7 @@ def test_hensel_lift_round_trip():
         degree = rng.randrange(2, 7)
         ints = [rng.randrange(-9, 10) for _ in range(degree)] + [1]
         f = RationalPoly(ints)
-        work, _ = _monic_model(f)
-        disc = discriminant(RationalPoly(work)).numerator
+        work, _, disc = _integer_model(f)  # f is monic integer, so b = 1 and disc = disc(work)
         if disc == 0:
             continue
         p = next(q for q in primes_above(2) if disc % q)
@@ -158,9 +159,9 @@ def _factor_every_prime_oracle(f: RationalPoly) -> bool:
     Hensel lifting and recombination."""
     if f.degree == 1:
         return True
-    work, _ = _monic_model(f)
+    work, b, disc = _integer_model(f)
     n = len(work) - 1
-    disc = discriminant(RationalPoly(work)).numerator
+    disc *= b ** ((n - 1) * (n - 2))  # disc(work) from the primitive part's: work's roots are b times f's
     if disc == 0:
         return False
     candidates = []
@@ -262,3 +263,30 @@ def test_factor_mod_p_runs_at_most_once_per_decision(f):
         assert calls == []
     else:
         assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        RationalPoly((1, 1, 1, 1, 1, 1, 1)),  # Phi_7: an irreducible image decides
+        RationalPoly((1, 0, 0, 0, 1)),  # x^4 + 1: reducible mod every prime, so Hensel lifting
+        RationalPoly((576, 0, -960, 0, 352, 0, -40, 0, 1)),  # sqrt2 + sqrt3 + sqrt5, likewise
+        RationalPoly((Fraction(-2, 3), Fraction(1, 7), 0, Fraction(1, 3))),  # (x^3 - 2)/3 + x/7
+    ],
+)
+def test_one_monic_model_per_decision(f):
+    # the discriminant, the cycle types and Hensel lifting all read the one
+    # integer model, so f is rescaled once per decision
+    calls = []
+    original = poly._monic_model
+
+    def spy(g):
+        calls.append(g)
+        return original(g)
+
+    with pytest.MonkeyPatch.context() as patch:
+        for name, module in list(sys.modules.items()):
+            if name.startswith("traceforms") and getattr(module, "_monic_model", None) is original:
+                patch.setattr(module, "_monic_model", spy)
+        is_irreducible_over_rationals(f)
+    assert calls == [f]

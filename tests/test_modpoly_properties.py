@@ -1,5 +1,8 @@
 """Property-based differential tests of the Z/qZ list kernel and its users."""
 
+from fractions import Fraction
+
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -13,17 +16,21 @@ from traceforms.algebra import (
     primitive_integer_coeffs,
 )
 from traceforms.algebra.modpoly import (
+    _cycle_type,
     _distinct_degree,
     _squarefree_decomposition,
     mod_add,
     mod_divmod,
     mod_gcd,
+    mod_monic,
     mod_mul,
     mod_pow,
     mod_reduce,
     mod_sub,
     mod_xgcd,
 )
+from traceforms.algebra.poly import _integer_model, _monic_model
+from poly_oracles import discriminant
 
 PRIMES = st.sampled_from([p for p in range(2, 400) if is_prime(p)])
 PRIME_POWERS = st.tuples(st.sampled_from([2, 3, 5, 7, 101]), st.integers(2, 4)).map(
@@ -53,6 +60,58 @@ def test_cycle_type_matches_full_factorization(coeffs, p):
     factors = factor_mod_p(primitive_integer_coeffs(f), p)
     assert all(e == 1 for _, e in factors)
     assert pattern == tuple(sorted(len(g) - 1 for g, _ in factors))
+
+
+# f's integer model and its cycle types as they were built before
+# `poly._integer_model`: the primitive integer part and its own discriminant
+# (here by the Euclidean resultant), then the primitive part mod p made monic.
+
+
+def _integer_model_oracle(f: RationalPoly) -> tuple[list[int], int]:
+    ints = primitive_integer_coeffs(f)
+    return ints, discriminant(RationalPoly(ints)).numerator
+
+
+def _cycle_type_oracle(ints: list[int], disc: int, p: int) -> tuple[int, ...]:
+    if ints[-1] % p == 0:
+        raise BadPrime(f"{p} divides the leading coefficient")
+    if disc % p == 0:
+        raise BadPrime(f"{p} divides the discriminant")
+    degrees: list[int] = []
+    for block, d in _distinct_degree(mod_monic(mod_reduce(ints, p), p), p):
+        degrees += [d] * ((len(block) - 1) // d)
+    return tuple(sorted(degrees))
+
+
+RATIONALS = st.fractions(min_value=-30, max_value=30, max_denominator=12)
+LEADING = st.sampled_from([1, -1, 2, 3, 6, 10, 12, Fraction(1, 2), Fraction(5, 3), Fraction(-7, 4)])
+RATIONAL_POLYS = st.one_of(
+    st.builds(lambda lower, lc: RationalPoly(lower + [lc]), st.lists(RATIONALS, min_size=1, max_size=7), LEADING),
+    st.builds(lambda g, h: g * h, int_poly(1, 3, 6).map(RationalPoly), int_poly(1, 3, 6).map(RationalPoly)),
+)
+SMALL_PRIMES = st.sampled_from([p for p in range(2, 60) if is_prime(p)])
+
+
+@settings(max_examples=400, deadline=None)
+@given(f=RATIONAL_POLYS, p=st.one_of(SMALL_PRIMES, PRIMES))
+@example(f=RationalPoly((0, 1, 1, 2)), p=2)  # 2 x^3 + x^2 + x: 2 divides lc, not disc = -7
+@example(f=RationalPoly((-2, 0, 1)), p=2)  # x^2 - 2: 2 divides disc = 8, not lc
+@example(f=RationalPoly((Fraction(1, 3), Fraction(-5, 7), 0, Fraction(3, 2))), p=2087)  # only disc
+@example(f=RationalPoly((Fraction(1, 3), Fraction(-5, 7), 0, Fraction(3, 2))), p=3)  # lc and disc
+@example(f=RationalPoly((1, -2, 1)) * RationalPoly((Fraction(1, 5), 1)), p=7)  # disc = 0
+def test_cycle_type_reads_the_monic_model(f, p):
+    g, b, disc = _integer_model(f)
+    ints, old_disc = _integer_model_oracle(f)
+    assert (g, b) == _monic_model(f) and b == ints[-1] and disc == old_disc
+    try:
+        expected = _cycle_type_oracle(ints, old_disc, p)
+    except BadPrime as bad:
+        with pytest.raises(BadPrime, match=str(bad)):
+            _cycle_type(g, b, disc, p)
+        with pytest.raises(BadPrime, match=str(bad)):
+            cycle_type_mod_p(f, p)
+        return
+    assert _cycle_type(g, b, disc, p) == cycle_type_mod_p(f, p) == expected
 
 
 def _distinct_degree_oracle(f, p):

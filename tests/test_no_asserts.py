@@ -86,12 +86,35 @@ class _Calls(_Scoped):
         self.generic_visit(node)
 
 
+class _Defs(_Scoped):
+    """module.function of every definition of the named function."""
+
+    def __init__(self, module: str, name: str):
+        super().__init__(module)
+        self.name = name
+
+    def visit_FunctionDef(self, node):
+        if node.name == self.name:
+            self.found.append(f"{self.module}.{node.name}")
+        super().visit_FunctionDef(node)
+
+
 def test_integer_model_is_built_in_one_place():
-    # f's (primitive integer coefficients, discriminant) pair is built only by
-    # modpoly._integer_model; the only other discriminant is is_separable's,
-    # which callers reach only after irreducibility has said no
-    assert _sites(_Calls, "discriminant") == ["modpoly._integer_model", "poly.is_separable"]
-    assert _sites(_Calls, "primitive_integer_coeffs") == ["modpoly._integer_model"]
+    # f's (monic model, discriminant) triple is built only by poly._integer_model,
+    # and the cycle types, the irreducibility decision and the discriminant read
+    # it; the one discriminant call is is_separable's, which callers reach only
+    # after irreducibility has said no
+    assert _sites(_Defs, "_integer_model") == ["poly._integer_model"]
+    assert _sites(_Calls, "_integer_model") == [
+        "galois.sample_cycle_types",
+        "irreducibility.is_irreducible_over_rationals",
+        "modpoly.cycle_type_mod_p",
+        "poly.discriminant",
+    ]
+    assert _sites(_Calls, "discriminant") == ["poly.is_separable"]
+    assert _sites(_Calls, "primitive_integer_coeffs") == []
+    # cycle types read the monic model, so no prime makes it monic again
+    assert "modpoly._cycle_type" not in _sites(_Calls, "mod_monic")
 
 
 class _Reads(_Scoped):
@@ -111,14 +134,15 @@ POLY_MODULES = ("poly.", "modpoly.", "irreducibility.", "galois.")  # the Matrix
 
 
 def test_monic_model_is_the_one_integer_form_of_f():
-    # the primitive part, Hensel lifting and Newton's power sums all read
-    # f's monic integer model; no second rescaling of f exists
+    # the primitive part and Newton's power sums read f's monic integer model,
+    # and `_integer_model` (Hensel lifting, cycle types, the discriminant) reads
+    # it with its sums; no second rescaling of f exists
     assert _sites(_Calls, "_monic_model") == [
-        "irreducibility.is_irreducible_over_rationals",
         "poly._newton_sums",
         "poly.primitive_integer_coeffs",
     ]
     assert _sites(_Calls, "_newton_sums") == [
+        "poly._integer_model",
         "poly.power_traces",
         "poly.trace_moments",
         "traceform.solve_alpha",

@@ -16,12 +16,11 @@ from traceforms.algebra import (
     trace_moments,
 )
 from traceforms.algebra.poly import _monic_model
+from poly_oracles import derivative as _derivative
+from poly_oracles import discriminant as _discriminant_oracle
+from poly_oracles import resultant as _resultant_oracle
 
 X = RationalPoly.x()
-
-
-def _derivative(f: RationalPoly) -> RationalPoly:
-    return RationalPoly(tuple(i * c for i, c in enumerate(f.coeffs) if i))
 
 
 def _gcd_oracle(f: RationalPoly, g: RationalPoly) -> RationalPoly:
@@ -32,36 +31,6 @@ def _gcd_oracle(f: RationalPoly, g: RationalPoly) -> RationalPoly:
     if a.is_zero:
         return a
     return a.monic()
-
-
-def _resultant_oracle(f: RationalPoly, g: RationalPoly) -> Fraction:
-    """Resultant of f and g via the classical Euclidean recursion."""
-    if f.is_zero or g.is_zero:
-        return Fraction(0)
-    a, b = f, g
-    res = Fraction(1)
-    if a.degree < b.degree:
-        if (a.degree * b.degree) % 2:
-            res = -res
-        a, b = b, a
-    while b.degree > 0:
-        r = a % b
-        if r.is_zero:
-            return Fraction(0) if a.degree > 0 and b.degree > 0 else res
-        res *= b.leading ** (a.degree - r.degree)
-        if (a.degree * b.degree) % 2:
-            res = -res
-        a, b = b, r
-    return res * b.coeffs[0] ** a.degree
-
-
-def _discriminant_oracle(f: RationalPoly) -> Fraction:
-    """disc(f) = (-1)^(n(n-1)/2) res(f, f') / lc(f)."""
-    n = f.degree
-    if n == 1:
-        return Fraction(1)
-    sign = -1 if (n * (n - 1) // 2) % 2 else 1
-    return sign * _resultant_oracle(f, _derivative(f)) / f.leading
 
 
 def _trace_of_element(f: RationalPoly, g: RationalPoly) -> Fraction:

@@ -41,6 +41,14 @@ def test_poly_and_matrix_round_trip():
     assert poly_from_json(poly_to_json(f)) == f
     m = Matrix([[Fraction(1, 3), 2], [-5, Fraction(7, 2)]])
     assert matrix_from_json(matrix_to_json(m)) == m
+    # a JSON string is not the array of its characters
+    for bad in ("123", {"0": "1"}, 7, None):
+        with pytest.raises(ValueError, match="polynomial must be a JSON array"):
+            poly_from_json(bad)
+        with pytest.raises(ValueError, match="matrix must be a JSON array"):
+            matrix_from_json(bad)
+    with pytest.raises(ValueError, match="matrix row must be a JSON array"):
+        matrix_from_json(["10", "01"])
 
 
 def test_form_round_trip_and_shorthand():
@@ -55,6 +63,19 @@ def test_form_round_trip_and_shorthand():
         form_from_json({"dim": 2})
     with pytest.raises(ValueError):
         form_from_json({"gram": [["1", "2"], ["3", "4"]]})  # not symmetric
+    # diag is a JSON array and dim a JSON integer, checked against either shape
+    with pytest.raises(ValueError, match="diag must be a JSON array"):
+        form_from_json({"diag": "123"})
+    with pytest.raises(ValueError, match="matrix row must be a JSON array"):
+        form_from_json({"gram": [["1", "0"], "01"]})
+    for bad in (True, 2.0, "2"):
+        with pytest.raises(ValueError, match="dim must be a JSON integer"):
+            form_from_json({"dim": bad, "gram": [["1", "0"], ["0", "1"]]})
+        with pytest.raises(ValueError, match="dim must be a JSON integer"):
+            form_from_json({"dim": bad, "diag": ["1", "1"]})
+    with pytest.raises(ValueError, match="dim does not match"):
+        form_from_json({"dim": 3, "diag": ["1", "1"]})
+    assert form_from_json({"dim": 2, "diag": ["1", "1"]}) == SymmetricForm.diagonal([1, 1])
 
 
 def test_certificate_round_trip():

@@ -174,27 +174,27 @@ def _counted(function):
 
 
 def test_one_discriminant_per_separability_decision():
-    # irreducibility decides separability, so realize reads one discriminant
-    # per candidate and one in its closing verify
+    # irreducibility decides separability, so realize reads one integer model
+    # (and so one discriminant) per candidate and one in its closing verify
     for diag, seed, tries in (([1, 1], 9, 11), ([1, 1, 1], 21, 8), ([2, -3, 5], 9, 1)):
-        with _counted("discriminant") as calls:
+        with _counted("_integer_model") as calls:
             cert = realize(SymmetricForm.diagonal(diag), SearchPolicy(seed=seed))
         assert cert.tries == tries and len(calls) == tries + 1
-        with _counted("discriminant") as calls:
+        with _counted("_integer_model") as calls:
             assert verify_certificate(cert)
         assert len(calls) == 1
 
     # an inseparable f costs a second discriminant, to name its clause
     i2 = Matrix.identity(2)
     cert = Certificate(D=SymmetricForm(i2), A=i2, f=(X - 1) ** 2, alpha=RationalPoly.one(), P=i2, gram=i2)
-    with _counted("discriminant") as calls:
+    with _counted("_integer_model") as calls:
         assert verify_certificate(cert).failed_clause == "not_separable"
     assert len(calls) == 2
 
     # generic_experiment: the decision, then the cycle-type walk (seed 3,
     # irreducible) or the separability name (seed 4 inseparable, seed 0 reducible)
     for seed in (3, 4, 0):
-        with _counted("discriminant") as calls:
+        with _counted("_integer_model") as calls:
             generic_experiment([1, 1], 1, 5, seed=seed)
         assert len(calls) == 2
 
@@ -215,9 +215,19 @@ def test_solve_alpha_computes_power_sums_once():
 
 
 def test_unreduced_alpha():
-    # alpha + f h is the same element of Q[x]/(f) as alpha, whatever its degree
+    # alpha + f h is the same element of Q[x]/(f) as alpha, whatever its degree;
+    # verify divides it by f once, for the alpha_zero clause, and hands the
+    # remainder to scaled_trace_gram
     rng = random.Random(57)
     cert = realize(SymmetricForm.diagonal([2, -3, 5]), SearchPolicy(seed=9))
+    original = RationalPoly.__divmod__
+    divisions = []
+
+    def spy(a, b):
+        if a.degree >= b.degree:  # a long division, not the free remainder of a reduced a
+            divisions.append(a)
+        return original(a, b)
+
     for _ in range(10):
         h = RationalPoly(
             [Fraction(rng.randrange(-9, 10), rng.randrange(1, 4)) for _ in range(rng.randrange(1, 9))]
@@ -225,7 +235,12 @@ def test_unreduced_alpha():
         if h.is_zero:
             continue
         assert scaled_trace_gram(F2, ALPHA2 + F2 * h) == scaled_trace_gram(F2, ALPHA2)
-        assert verify_certificate(replace(cert, alpha=cert.alpha + cert.f * h))
+        unreduced = replace(cert, alpha=cert.alpha + cert.f * h)
+        divisions.clear()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(RationalPoly, "__divmod__", spy)
+            assert verify_certificate(unreduced)
+        assert divisions == [unreduced.alpha]
         check = verify_certificate(replace(cert, alpha=cert.f * h))
         assert not check and check.failed_clause == "alpha_zero"
 
