@@ -12,12 +12,7 @@ from .intmath import (
     squarefree_part,
 )
 from .irreducibility import is_irreducible_over_rationals, mignotte_bound
-from .matrix import (
-    Matrix,
-    charpoly,
-    congruence_diagonalize,
-    solve_linear,
-)
+from .matrix import Matrix, charpoly, congruence_diagonalize
 from .modpoly import BadPrime, cycle_type_mod_p, factor_mod_p, mod_gcd
 from .poly import (
     RationalPoly,
@@ -50,7 +45,6 @@ __all__ = [
     "power_traces",
     "primes_above",
     "primitive_integer_coeffs",
-    "solve_linear",
     "squarefree_part",
     "trace_moments",
 ]

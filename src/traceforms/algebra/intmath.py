@@ -1,6 +1,5 @@
 """Exact integer helpers: primality, factorization, square classes, Legendre
-symbols, and Bareiss determinants (of rational matrices through a copy whose
-rows are cleared of denominators).
+symbols, and Bareiss determinants of integer matrices.
 
 Factorization is trial division up to 10**6 followed by Brent's variant of
 Pollard's rho.  Primality tests and factorizations are capped at the range
@@ -13,7 +12,6 @@ answer.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 FACTOR_LIMIT = 3_317_044_064_679_887_385_961_980  # deterministic MR witness range
 
@@ -204,15 +202,3 @@ def _int_det_bareiss(a: list[list[int]]) -> int:
             row_i[k] = 0
         prev = pivot
     return sign * a[-1][-1]
-
-
-def _rational_det(rows) -> Fraction:
-    """Exact determinant of a square matrix of Fractions: Bareiss on an
-    integer copy, each row multiplied by the lcm of its denominators."""
-    scale = 1
-    int_rows = []
-    for row in rows:
-        lcm = math.lcm(*(x.denominator for x in row))
-        scale *= lcm
-        int_rows.append([x.numerator * (lcm // x.denominator) for x in row])
-    return Fraction(_int_det_bareiss(int_rows), scale)

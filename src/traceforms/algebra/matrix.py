@@ -16,8 +16,8 @@ Everything below stays in integers until a result is handed out:
   * characteristic polynomials are the Faddeev-LeVerrier recurrence (safe in
     characteristic zero) on the integer rows, checked against Bareiss
     determinants at n+1 points;
-  * linear systems are fraction-free Gauss-Jordan on the cleared augmented
-    system;
+  * nonsingular integer systems are fraction-free Gauss-Jordan (`_int_solve`,
+    which hands back the solution as integers over one common divisor);
   * congruence diagonalization is symmetric row+column elimination on
     Q^T B Q kept as an integer matrix, with each column of Q an integer
     vector over its own denominator.
@@ -246,20 +246,16 @@ def charpoly(m: Matrix) -> RationalPoly:
     return RationalPoly(reversed([Fraction(ck, scale**k) for k, ck in enumerate(coeffs)]))
 
 
-def solve_linear(a: Matrix, rhs: Vector) -> Vector:
-    """Unique solution of a x = rhs; raises ValueError on a singular system.
+def _int_solve(rows: list[list[int]], rhs: list[int]) -> tuple[list[int], int]:
+    """(y, d) with rows . y = d rhs and d != 0 for an n x n integer system with
+    n entries of rhs; raises ValueError on a singular system.
 
-    With a = A / d and rhs = r / s (A, r integer), a x = rhs is A (s x) = d r,
-    solved by fraction-free Gauss-Jordan: every division is exact, and at
-    the end each row i reads D * (s x)_i = w_i with D the last pivot.
+    Fraction-free Gauss-Jordan on a copy of the augmented rows: every division
+    is exact, and at the end each row i reads d x_i = y_i with d the last
+    pivot (det(rows) up to sign), so the solution is y / d.
     """
-    if not a.is_square or len(rhs) != a.nrows:
-        raise ValueError("shape mismatch")
-    n = a.nrows
-    vec = [_exact(x) for x in rhs]
-    s = math.lcm(*(x.denominator for x in vec))
-    d = a.denominator
-    work = [list(row) + [x.numerator * (s // x.denominator) * d] for row, x in zip(a.numerators, vec)]
+    n = len(rows)
+    work = [list(row) + [r] for row, r in zip(rows, rhs)]
     prev = 1
     for col in range(n):
         pivot_row = next((r for r in range(col, n) if work[r][col] != 0), None)
@@ -277,7 +273,7 @@ def solve_linear(a: Matrix, rhs: Vector) -> Vector:
                 line[c] = (pivot * line[c] - factor * pivot_line[c]) // prev
             line[col] = 0
         prev = pivot
-    return tuple(Fraction(work[i][n], prev * s) for i in range(n))
+    return [work[i][n] for i in range(n)], prev
 
 
 def congruence_diagonalize(b: Matrix) -> tuple[Matrix, tuple[Fraction, ...]]:

@@ -13,8 +13,9 @@ and Tr(x^k) is the k-th power sum), so no element is ever reduced mod f.
 
 The same power sums give the discriminant: the Gram matrix of the trace form
 of 1, x -> Tr(x^2), is the Hankel matrix (Tr(x^(i+j)))_(i,j<n), and its
-determinant is disc(f) for monic f.  Separability is disc(f) != 0, so no
-Euclidean algorithm runs over Q.
+determinant is disc(f) for monic f.  It is taken in integers, as the Bareiss
+determinant of the model's power-sum Hankel (s_(i+j)).  Separability is
+disc(f) != 0, so no Euclidean algorithm runs over Q.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import math
 from fractions import Fraction
 from operator import mul
 
-from .intmath import _rational_det
+from .intmath import _int_det_bareiss
 
 
 class RationalPoly:
@@ -231,20 +232,16 @@ def _newton_sums(f: RationalPoly, m: int) -> tuple[list[int], int, list[int]]:
 
 
 def _integer_model(f: RationalPoly) -> tuple[list[int], int, int]:
-    """(g, b, disc): f's monic model and the discriminant of its primitive part b h."""
+    """(g, b, disc): f's monic model and the discriminant of its primitive part b h.
+
+    The Hankel matrix S = (s_(i+j))_(i,j<n) of g's power sums has determinant
+    disc(g) = b^(n(n-1)) disc(h), and disc(b h) = b^(2n-2) disc(h), so
+    disc(b h) = det S / b^((n-1)(n-2)), an exact division in integers.
+    """
     n = f.degree
     g, b, s = _newton_sums(f, 2 * n - 2)
-    det = _rational_det([[Fraction(s[i + j], b ** (i + j)) for j in range(n)] for i in range(n)])
-    return g, b, (b ** (2 * n - 2) * det).numerator
-
-
-def _hankel_moments(sums: list[int], b: int, g: RationalPoly, first: int, count: int) -> tuple[Fraction, ...]:
-    """Tr(g x^m), m = first..first+count-1, from f's `_newton_sums` s and b: with g's
-    denominators cleared, one integer Hankel product and one Fraction per moment."""
-    d = max(g.degree, 0)
-    c = math.lcm(*(x.denominator for x in g.coeffs))
-    w = [x.numerator * (c // x.denominator) * b ** (d - k) for k, x in enumerate(g.coeffs)]
-    return tuple(Fraction(sum(map(mul, w, sums[m:])), c * b ** (d + m)) for m in range(first, first + count))
+    det = _int_det_bareiss([s[i : i + n] for i in range(n)])
+    return g, b, det // b ** ((n - 1) * (n - 2))
 
 
 def power_traces(f: RationalPoly, m: int) -> tuple[Fraction, ...]:
@@ -263,12 +260,17 @@ def trace_moments(f: RationalPoly, g: RationalPoly, count: int) -> tuple[Fractio
     """Traces Tr(g x^m) on Q[x]/(f) for m = 0..count-1.
 
     Moment m is sum_k g_k tr[k + m] with tr the power sums of f, so g need
-    not be reduced mod f and no polynomial division takes place.
+    not be reduced mod f and no polynomial division takes place.  With g's
+    denominators cleared (c) and f's power sums s_k / b^k, each moment is one
+    integer Hankel product over c b^(deg g + m), one Fraction per moment.
     """
     if not f.is_monic or f.degree < 1:
         raise ValueError("trace requires a monic modulus of degree >= 1")
     _, b, sums = _newton_sums(f, g.degree + count - 1)
-    return _hankel_moments(sums, b, g, 0, count)
+    d = max(g.degree, 0)
+    c = math.lcm(*(x.denominator for x in g.coeffs))
+    w = [x.numerator * (c // x.denominator) * b ** (d - k) for k, x in enumerate(g.coeffs)]
+    return tuple(Fraction(sum(map(mul, w, sums[m:])), c * b ** (d + m)) for m in range(count))
 
 
 def discriminant(f: RationalPoly) -> Fraction:

@@ -17,6 +17,7 @@ and reports the first one that fails.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -29,10 +30,10 @@ from .algebra import (
     congruence_diagonalize,
     is_irreducible_over_rationals,
     is_separable,
-    solve_linear,
     trace_moments,
 )
-from .algebra.poly import _hankel_moments, _newton_sums
+from .algebra.matrix import _int_solve
+from .algebra.poly import _newton_sums
 from .quadform import DegenerateForm, SymmetricForm
 
 
@@ -53,6 +54,8 @@ class SearchPolicy:
     max_tries_per_bound: int = 200
 
     def __post_init__(self):
+        if not self.bound_schedule:
+            raise ValueError("bound schedule must not be empty")
         if any(b <= 0 for b in self.bound_schedule) or list(self.bound_schedule) != sorted(
             set(self.bound_schedule)
         ):
@@ -113,6 +116,12 @@ def solve_alpha(f: RationalPoly, moments) -> RationalPoly:
     Solves the n x n trace-pairing system (nonsingular exactly when f is
     separable), then checks the remaining n-1 overdetermined constraints and
     raises InconsistentHankel if they fail.
+
+    With f's power sums s_k / b^k (`_newton_sums`) and z_j = a_j / b^j for
+    alpha = sum_j a_j x^j, row m reads sum_j s_(m+j) z_j = b^m h_m: an integer
+    Hankel system once the moments h_m are cleared by their lcm H.  Its first
+    n rows are solved fraction-free, the rest are checked in integers, and
+    a_j = b^j y_j / (d H) are the only Fractions built.
     """
     n = f.degree
     if not f.is_monic or n < 1:
@@ -122,17 +131,16 @@ def solve_alpha(f: RationalPoly, moments) -> RationalPoly:
         raise ValueError(f"expected {2 * n - 1} moments, got {len(moments)}")
     # one Newton pass to 3n-3 serves the pairing and the overdetermined check
     _, b, sums = _newton_sums(f, 3 * n - 3)
-    traces = [Fraction(s, b**k) for k, s in enumerate(sums[: 2 * n - 1])]
-    pairing = Matrix([[traces[i + j] for j in range(n)] for i in range(n)])
+    scale = math.lcm(*(h.denominator for h in moments))
+    rhs = [h.numerator * (scale // h.denominator) * b**m for m, h in enumerate(moments)]
     try:
-        solution = solve_linear(pairing, tuple(moments[:n]))
+        y, d = _int_solve([sums[m : m + n] for m in range(n)], rhs[:n])
     except ValueError:
-        raise ValueError("trace pairing is singular; modulus is not separable")
-    alpha = RationalPoly(solution)
-    for m, trace in enumerate(_hankel_moments(sums, b, alpha, n, n - 1), n):
-        if trace != moments[m]:
+        raise ValueError("trace pairing is singular; modulus is not separable") from None
+    for m in range(n, 2 * n - 1):
+        if sum(map(mul, sums[m:], y)) != d * rhs[m]:
             raise InconsistentHankel(f"moment {m} is inconsistent")
-    return alpha
+    return RationalPoly(Fraction(b**j * yj, d * scale) for j, yj in enumerate(y))
 
 
 def _mix(seed: int, counter: int) -> int:
@@ -171,7 +179,8 @@ def realize(form: SymmetricForm, policy: SearchPolicy | None = None) -> Certific
     tries = 0
     for found in candidates:
         tries += 1
-        f = charpoly(found * dprime)
+        m = found * dprime
+        f = charpoly(m)
         if is_irreducible_over_rationals(f):
             break
     else:
@@ -183,7 +192,6 @@ def realize(form: SymmetricForm, policy: SearchPolicy | None = None) -> Certific
     # one walk M^k e1, k < 2n-1: its first n vectors form P' (independent for irreducible f,
     # and verify_certificate checks det P); e1^T D' M^k e1 = d_1 (M^k e1)_1 for diagonal D'.
     # It runs in integers on B = L M (L = M's denominator), so M^k e1 = B^k e1 / L^k.
-    m = found * dprime
     b, scale = m.numerators, m.denominator
     walk = [(1,) + (0,) * (n - 1)]
     for _ in range(2 * n - 2):

@@ -10,14 +10,27 @@ rows, except `krylov_matrix`, which returns a `Matrix` like the function it
 replaces.
 """
 
+import math
 from fractions import Fraction
 
 from traceforms.algebra import Matrix
-from traceforms.algebra.intmath import _rational_det as det  # Bareiss on rows cleared one by one
+from traceforms.algebra.intmath import _int_det_bareiss
 
 
 class SingularKrylov(ArithmeticError):
     """The Krylov vectors v, Mv, ... are linearly dependent."""
+
+
+def det(rows) -> Fraction:
+    """Exact determinant of a square matrix of Fractions: Bareiss on an
+    integer copy, each row multiplied by the lcm of its denominators."""
+    scale = 1
+    int_rows = []
+    for row in rows:
+        lcm = math.lcm(*(x.denominator for x in row))
+        scale *= lcm
+        int_rows.append([x.numerator * (lcm // x.denominator) for x in row])
+    return Fraction(_int_det_bareiss(int_rows), scale)
 
 
 def as_rows(rows):

@@ -1,6 +1,6 @@
 """Package structure: runtime checks survive `python -O`, the public names
-resolve, FACTOR_LIMIT is enforced in one place per job, and f's integer
-forms are built in one place each."""
+resolve, FACTOR_LIMIT is enforced in one place per job, f's integer forms
+are built in one place each, and the power-sum Hankel stays in integers."""
 
 import ast
 from pathlib import Path
@@ -147,7 +147,22 @@ def test_monic_model_is_the_one_integer_form_of_f():
         "poly.trace_moments",
         "traceform.solve_alpha",
     ]
-    # clearing a polynomial's denominators: the model clears f's, the Hankel
+    # clearing a polynomial's denominators: the model clears f's, the trace
     # moments clear the traced element's
     denominators = {site for site in _sites(_Reads, "denominator") if site.startswith(POLY_MODULES)}
-    assert denominators == {"poly._hankel_moments", "poly._monic_model"}
+    assert denominators == {"poly._monic_model", "poly.trace_moments"}
+
+
+def test_power_sum_hankel_stays_in_integers():
+    # the discriminant's determinant and solve_alpha's pairing system are the
+    # integer Hankel matrix of f's power sums: Bareiss runs on Matrix rows and
+    # on that Hankel, the fraction-free solve serves solve_alpha alone, and
+    # neither consumer builds a Matrix or a Fraction inside the Hankel
+    assert _sites(_Calls, "_int_det_bareiss") == ["matrix.charpoly", "matrix.det", "poly._integer_model"]
+    assert _sites(_Calls, "_int_solve") == ["traceform.solve_alpha"]
+    matrices, fractions = _sites(_Calls, "Matrix"), _sites(_Calls, "Fraction")
+    for site in ("poly._integer_model", "traceform.solve_alpha"):
+        assert site not in matrices
+    assert "poly._integer_model" not in fractions
+    # solve_alpha's two: the moments read in, and alpha's coefficients read out
+    assert fractions.count("traceform.solve_alpha") == 2

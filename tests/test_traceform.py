@@ -4,13 +4,19 @@ import sys
 from dataclasses import replace
 from fractions import Fraction
 
+import matrix_oracles as oracle
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from traceforms.algebra import (
     Matrix,
     RationalPoly,
     charpoly,
+    discriminant,
     is_irreducible_over_rationals,
+    power_traces,
+    trace_moments,
 )
 from matrix_oracles import krylov_matrix
 from traceforms.algebra import poly
@@ -74,11 +80,23 @@ def test_solve_alpha_examples():
         solve_alpha(F2, (1, 1, 5))
     with pytest.raises(ValueError):
         solve_alpha(F2, (1, 1))
+    # (x - 1)^2 (x + 2) has a repeated root: its trace pairing is singular,
+    # and the kernel's own error is not chained onto the one raised
+    with pytest.raises(ValueError, match="trace pairing is singular") as raised:
+        solve_alpha((X - 1) ** 2 * (X + 2), (1, 0, 0, 0, 0))
+    assert raised.value.__cause__ is None and raised.value.__suppress_context__
 
 
 def test_solve_alpha_round_trip():
     rng = random.Random(51)
-    for f in (F2, X**3 - 2, X**4 - X - 1):
+    # the last two have non-integral coefficients: monic models with b = 12 and b = 18
+    for f in (
+        F2,
+        X**3 - 2,
+        X**4 - X - 1,
+        X**3 - Fraction(1, 4) * X + Fraction(1, 6),
+        X**5 + Fraction(1, 2) * X**3 - Fraction(1, 3) * X + Fraction(2, 9),
+    ):
         n = f.degree
         for _ in range(20):
             alpha = RationalPoly(
@@ -91,6 +109,70 @@ def test_solve_alpha_round_trip():
                 g[n - 1, j] for j in range(1, n)
             ]
             assert solve_alpha(f, moments) == alpha % f
+
+
+def _solve_alpha_oracle(f: RationalPoly, moments) -> RationalPoly:
+    """solve_alpha on Fractions: the pairing system (Tr(x^(i+j))) solved by
+    Gauss-Jordan over Q, and the overdetermined moments recomputed from alpha."""
+    n = f.degree
+    moments = [Fraction(m) for m in moments]
+    traces = power_traces(f, 3 * n - 3)
+    pairing = [[traces[i + j] for j in range(n)] for i in range(n)]
+    try:
+        alpha = RationalPoly(oracle.solve_linear(pairing, moments[:n]))
+    except ValueError:
+        raise ValueError("trace pairing is singular; modulus is not separable") from None
+    for m in range(n, 2 * n - 1):
+        if sum((c * traces[k + m] for k, c in enumerate(alpha.coeffs)), Fraction(0)) != moments[m]:
+            raise InconsistentHankel(f"moment {m} is inconsistent")
+    return alpha
+
+
+# integer and non-integral coefficients mix, so the monic model's b ranges over 1 and above
+COEFFS = st.one_of(st.integers(-9, 9).map(Fraction), st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9)))
+
+
+@st.composite
+def _moment_problems(draw):
+    """(kind, f, moments): f monic of degree 1..8, repeated roots forced for
+    'inseparable'; moments the trace moments of some alpha, one of the
+    overdetermined ones then shifted for 'perturbed', or drawn freely."""
+    kind = draw(st.sampled_from(("consistent", "perturbed", "inseparable", "arbitrary")))
+    if kind == "inseparable":
+        h = RationalPoly(draw(st.lists(COEFFS, min_size=1, max_size=3)) + [1])
+        f = h * h * RationalPoly(draw(st.lists(COEFFS, max_size=8 - 2 * h.degree)) + [1])
+    else:
+        f = RationalPoly(draw(st.lists(COEFFS, min_size=1, max_size=8)) + [1])
+    n = f.degree
+    if kind == "arbitrary":
+        return kind, f, draw(st.lists(COEFFS, min_size=2 * n - 1, max_size=2 * n - 1))
+    alpha = RationalPoly(draw(st.lists(COEFFS, min_size=1, max_size=n)))
+    moments = list(trace_moments(f, alpha, 2 * n - 1))
+    if kind == "perturbed" and n > 1:
+        moments[draw(st.integers(n, 2 * n - 2))] += draw(COEFFS.filter(bool))
+    return kind, f, moments
+
+
+@settings(max_examples=300, deadline=None)
+@given(_moment_problems())
+def test_solve_alpha_matches_fraction_oracle(problem):
+    kind, f, moments = problem
+    try:
+        expected = _solve_alpha_oracle(f, moments)
+    except ValueError as exc:  # InconsistentHankel is one
+        with pytest.raises(ValueError) as raised:
+            solve_alpha(f, moments)
+        assert type(raised.value) is type(exc) and str(raised.value) == str(exc)
+        outcome = type(exc)
+    else:
+        assert solve_alpha(f, moments) == expected
+        outcome = RationalPoly
+    if discriminant(f) == 0:
+        assert outcome is ValueError  # the singular pairing, never a verdict on the moments
+    elif kind == "perturbed" and f.degree > 1:
+        assert outcome is InconsistentHankel
+    elif kind in ("consistent", "perturbed"):
+        assert outcome is RationalPoly
 
 
 def test_golden_certificate():
@@ -288,6 +370,15 @@ def test_seed_determinism():
     assert a == b
     c = realize(form, SearchPolicy(seed=43))
     assert verify_certificate(c)
+
+
+def test_search_policy_validation():
+    for schedule in ((), (0, 1), (2, 1), (1, 1)):
+        with pytest.raises(ValueError):
+            SearchPolicy(bound_schedule=schedule)
+    with pytest.raises(ValueError):
+        SearchPolicy(max_tries_per_bound=0)
+    assert SearchPolicy(bound_schedule=(1,), max_tries_per_bound=1).bound_schedule == (1,)
 
 
 def test_search_exhausted_on_pathological_policy():
