@@ -25,7 +25,6 @@ from .algebra import (
     is_separable,
     legendre_symbol,
     power_traces,
-    squarefree_part,
     trace_moments,
 )
 from .galois import (

@@ -9,7 +9,6 @@ from .intmath import (
     legendre_symbol,
     next_prime,
     primes_above,
-    squarefree_part,
 )
 from .irreducibility import is_irreducible_over_rationals, mignotte_bound
 from .matrix import Matrix, charpoly, congruence_diagonalize
@@ -45,6 +44,5 @@ __all__ = [
     "power_traces",
     "primes_above",
     "primitive_integer_coeffs",
-    "squarefree_part",
     "trace_moments",
 ]

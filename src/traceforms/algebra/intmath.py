@@ -1,8 +1,9 @@
-"""Exact integer helpers: primality, factorization, square classes, Legendre
-symbols, and Bareiss determinants of integer matrices.
+"""Exact integer helpers: primality, factorization, Legendre symbols, and
+Bareiss determinants of integer matrices.
 
-Factorization is trial division up to 10**6 followed by Brent's variant of
-Pollard's rho.  Primality tests and factorizations are capped at the range
+Factorization is trial division by the 172 primes below 2**10, then
+Miller-Rabin on the cofactor and Brent's variant of Pollard's rho on whatever
+is composite.  Primality tests and factorizations are capped at the range
 where the fixed Miller-Rabin witness set is a proven primality certificate
 (about 3.3 * 10**24, covering the numerators that certificate Gram matrices
 produce at dimension 6); anything larger is rejected rather than risk a wrong
@@ -15,7 +16,21 @@ import math
 
 FACTOR_LIMIT = 3_317_044_064_679_887_385_961_980  # deterministic MR witness range
 
-_TRIAL_BOUND = 10**6
+
+def _primes_below(n: int) -> tuple[int, ...]:
+    """The primes below n, by the sieve of Eratosthenes."""
+    sieve = bytearray([1]) * n
+    sieve[:2] = b"\0\0"
+    for p in range(2, math.isqrt(n - 1) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, n, p)))
+    return tuple(p for p in range(n) if sieve[p])
+
+
+# Trial division stops here: beyond it rho finds a factor p in about sqrt(p)
+# steps, where trial division needs about p / 2.
+_TRIAL_BOUND = 2**10
+_SMALL_PRIMES = _primes_below(_TRIAL_BOUND)
 
 # Deterministic Miller-Rabin witness set, valid for all n < 3.3 * 10**24.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -72,9 +87,11 @@ def primes_above(n: int):
 
 
 def _brent_rho(n: int) -> int:
-    """A nontrivial factor of an odd composite n (Brent's cycle method)."""
-    if n % 2 == 0:
-        return 2
+    """A nontrivial factor of n (Brent's cycle method).
+
+    n must be composite with no prime factor below _TRIAL_BOUND, as
+    `factorize` leaves it; every factor returned is checked by a gcd, so
+    only the running time depends on the walk."""
     c = 1
     while True:
         y, r, q = 2, 1, 1
@@ -115,39 +132,28 @@ def factorize(n: int) -> dict[int, int]:
     if n > FACTOR_LIMIT:
         raise ValueError(f"|n| = {n} exceeds FACTOR_LIMIT = {FACTOR_LIMIT}: factorization is refused there")
     factors: dict[int, int] = {}
-    for p in (2, 3, 5):
-        while n % p == 0:
-            factors[p] = factors.get(p, 0) + 1
-            n //= p
-    d = 7
-    while d * d <= n and d <= _TRIAL_BOUND:
-        while n % d == 0:
-            factors[d] = factors.get(d, 0) + 1
-            n //= d
-        d += 2
+    for p in _SMALL_PRIMES:
+        if p * p > n:
+            break
+        if n % p == 0:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            factors[p] = e
+    # what is left has no prime factor p < _TRIAL_BOUND with p * p <= it, and
+    # neither has any factor rho splits off it, so each below _TRIAL_BOUND**2
+    # is prime
     stack = [n] if n > 1 else []
     while stack:
         n = stack.pop()
-        if n == 1:
-            continue
-        if is_prime(n):
+        if n < _TRIAL_BOUND**2 or is_prime(n):
             factors[n] = factors.get(n, 0) + 1
             continue
         g = _brent_rho(n)
         stack.append(g)
         stack.append(n // g)
     return dict(sorted(factors.items()))
-
-
-def squarefree_part(n: int) -> int:
-    """The unique squarefree d with n = d * s**2; the sign of n is kept."""
-    if n == 0:
-        raise ValueError("0 has no squarefree part")
-    d = 1
-    for p, e in factorize(n).items():
-        if e % 2:
-            d *= p
-    return -d if n < 0 else d
 
 
 def legendre_symbol(a: int, p: int) -> int:

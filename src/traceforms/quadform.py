@@ -97,13 +97,14 @@ def hilbert_symbol(a, b, place) -> int:
         return -1 if (eps + omega) % 2 else 1
     alpha, u = _split_units(a, place)
     beta, w = _split_units(b, place)
-    sign = 1
-    if alpha % 2 and beta % 2 and (place - 1) // 2 % 2:
+    half = (place - 1) // 2
+    sign = -1 if alpha % 2 and beta % 2 and half % 2 else 1
+    # place is proven prime above and u, w are units there, so by Euler's
+    # criterion u^half is 1 mod place exactly when (u|place) = 1
+    if beta % 2 and pow(u, half, place) != 1:
         sign = -sign
-    if beta % 2:
-        sign *= legendre_symbol(u, place)
-    if alpha % 2:
-        sign *= legendre_symbol(w, place)
+    if alpha % 2 and pow(w, half, place) != 1:
+        sign = -sign
     return sign
 
 
@@ -120,19 +121,6 @@ def _square_class_from_factors(sign: int, num: dict[int, int], den: dict[int, in
     b = math.prod(p for p, e in den.items() if e % 2)
     g = math.gcd(a, b)
     return sign * (a // g) * (b // g)
-
-
-def square_class(r: Fraction) -> int:
-    """Signed squarefree integer representing r modulo squares.
-
-    Numerator and denominator are reduced separately (each must fit the
-    factorization bound); their squarefree parts are coprime-combined by a
-    gcd, which keeps intermediate values small."""
-    if r == 0:
-        raise ValueError("0 has no square class")
-    return _square_class_from_factors(
-        -1 if r < 0 else 1, factorize(r.numerator), factorize(r.denominator)
-    )
 
 
 def _square_class_product(a: int, b: int) -> int:

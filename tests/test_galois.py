@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from quadform_oracles import squarefree_part
 
 from traceforms.algebra import (
     BadPrime,
@@ -14,7 +15,6 @@ from traceforms.algebra import (
     is_irreducible_over_rationals,
     is_separable,
     primes_above,
-    squarefree_part,
 )
 from traceforms.algebra.intmath import FACTOR_LIMIT
 from traceforms.algebra.poly import _integer_model

@@ -1,7 +1,15 @@
 import random
+from collections import Counter
+from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from quadform_oracles import hilbert_symbol as hilbert_symbol_oracle
+from quadform_oracles import squarefree_part
 
+from traceforms.algebra import intmath
 from traceforms.algebra import (
     divisors,
     euler_phi,
@@ -10,7 +18,6 @@ from traceforms.algebra import (
     legendre_symbol,
     next_prime,
     primes_above,
-    squarefree_part,
 )
 from traceforms.algebra.intmath import FACTOR_LIMIT
 from traceforms.groups import construct_group
@@ -28,7 +35,7 @@ def test_factorize_rejects():
     with pytest.raises(ValueError):
         factorize(0)
     # the refusal names the limit, and so does every routine that factors
-    for call in (factorize, euler_phi, divisors, squarefree_part):
+    for call in (factorize, euler_phi, divisors):
         with pytest.raises(ValueError, match="FACTOR_LIMIT"):
             call(FACTOR_LIMIT + 1)
     with pytest.raises(ValueError, match="FACTOR_LIMIT"):
@@ -39,7 +46,60 @@ def test_factorize_large_semiprime():
     # beyond the trial-division bound: exercises the rho path
     p, q = 1000003, 1000033
     assert factorize(p * q) == {p: 1, q: 1}
+    assert factorize(p * p) == {p: 2}
     assert factorize(2**61 - 1) == {2**61 - 1: 1}
+    r = next_prime(2**40)
+    assert factorize(-2 * r * r) == {2: 1, r: 2}
+
+
+# factorize trial-divides by the primes below 2**10; 1021 is the last of them
+TABLE_LAST = 1021
+AROUND_TABLE_BOUND = (1009, 1013, 1019, 1021, 1031, 1033, 1039, 1049, 1051)
+SMALL_PRIMES = st.integers(1, 200).map(next_prime)
+PRIMES = st.one_of(
+    SMALL_PRIMES,
+    st.sampled_from(AROUND_TABLE_BOUND),
+    st.integers(10**6, 2 * 10**6 - 100).map(next_prime),  # classify's hard entries
+    st.integers(2**30 - 2**20, 2**30 + 2**20).map(next_prime),
+)
+PRIMES_NEAR_2_40 = st.integers(2**40 - 2**20, 2**40 + 2**20).map(next_prime)
+
+
+@st.composite
+def known_factorizations(draw):
+    """n <= FACTOR_LIMIT and the prime multiset it was built from.
+
+    Primes are taken with exponent 1, 2 or 3 while the product fits, at most
+    one near 2**40 (rho on two of them would take seconds), and the product
+    may be filled up to FACTOR_LIMIT with one small prime."""
+    picks = draw(st.lists(st.tuples(PRIMES, st.integers(1, 3)), max_size=6))
+    if draw(st.booleans()):
+        picks.insert(0, (draw(PRIMES_NEAR_2_40), 1))
+    n, primes = 1, Counter()
+    for p, e in picks:
+        if n * p**e <= FACTOR_LIMIT:
+            n *= p**e
+            primes[p] += e
+    if draw(st.booleans()):
+        p = draw(SMALL_PRIMES)
+        while n * p <= FACTOR_LIMIT:
+            n *= p
+            primes[p] += 1
+    return n, primes
+
+
+@settings(max_examples=300, deadline=None)
+@given(known_factorizations(), st.sampled_from([1, -1]))
+def test_factorize_matches_known_primes(case, sign):
+    n, primes = case
+    with mock.patch.object(intmath, "_brent_rho", wraps=intmath._brent_rho) as rho:
+        assert factorize(sign * n) == dict(sorted(primes.items()))
+        seen = [call.args[0] for call in rho.call_args_list]
+    # rho splits only composites trial division left, one split per extra prime
+    for m in seen:
+        assert not is_prime(m)
+        assert all(p > TABLE_LAST for p in primes if m % p == 0)
+    assert len(seen) == max(0, sum(e for p, e in primes.items() if p > TABLE_LAST) - 1)
 
 
 def test_factorize_reconstructs_random():
@@ -151,3 +211,25 @@ def _gcd(a, b):
     while b:
         a, b = b, a % b
     return a
+
+
+@st.composite
+def hilbert_cases(draw):
+    """(a, b, p) at an odd prime p, with units of both signs and valuations of
+    both parities; p is 3, 5, or of the size classify's entries carry."""
+    p = draw(st.one_of(st.sampled_from([3, 5]), st.integers(4 * 10**7, 6 * 10**7).map(next_prime)))
+
+    def element():
+        num = draw(st.integers(0, 10**12)) * p + draw(st.integers(1, p - 1))
+        den = draw(st.integers(0, 10**3)) * p + draw(st.integers(1, p - 1))
+        sign = draw(st.sampled_from([1, -1]))
+        return Fraction(sign * num, den) * Fraction(p) ** draw(st.integers(-3, 3))
+
+    return element(), element(), p
+
+
+@settings(max_examples=300, deadline=None)
+@given(hilbert_cases())
+def test_hilbert_symbol_matches_legendre_oracle(case):
+    a, b, p = case
+    assert hilbert_symbol(a, b, p) == hilbert_symbol_oracle(a, b, p)

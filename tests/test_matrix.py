@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from matrix_oracles import SingularKrylov, krylov_matrix
+from quadform_oracles import squarefree_part
 
 from traceforms.algebra import (
     Matrix,
@@ -16,7 +17,6 @@ from traceforms.algebra import (
     charpoly,
     congruence_diagonalize,
     is_irreducible_over_rationals,
-    squarefree_part,
 )
 from traceforms.algebra.matrix import _int_solve
 

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from quadform_oracles import square_class, squarefree_part
 
-from traceforms.algebra import Matrix, factorize, squarefree_part
+from traceforms.algebra import Matrix, factorize
 from traceforms import quadform
 from traceforms.algebra.intmath import FACTOR_LIMIT
 from traceforms.quadform import (
@@ -22,7 +23,6 @@ from traceforms.quadform import (
     invariants_of_diagonal,
     is_isotropic,
     relevant_places,
-    square_class,
 )
 
 PLACES = [2, 3, 5, 7, 11, 97, REAL_PLACE]
