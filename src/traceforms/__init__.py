@@ -33,7 +33,6 @@ from .galois import (
     CycleTypeSample,
     NotSquarefree,
     SpecReport,
-    block_split_check,
     generic_experiment,
     sample_cycle_types,
     sn_certificate,
@@ -46,7 +45,6 @@ from .groups import (
     construct_group,
     index_subgroups,
     p_generated_subgroup,
-    prime_to_p_quotient_check,
     verify_group,
 )
 from .quadform import (

@@ -18,7 +18,6 @@ from .poly import (
     discriminant,
     is_separable,
     power_traces,
-    primitive_integer_coeffs,
     trace_moments,
 )
 
@@ -43,6 +42,5 @@ __all__ = [
     "next_prime",
     "power_traces",
     "primes_above",
-    "primitive_integer_coeffs",
     "trace_moments",
 ]

@@ -10,8 +10,8 @@ good prime with the fewest factors (its image there is squarefree),
 Hensel-lifted past twice the Landau-Mignotte coefficient bound, and subset
 recombinations of the lifted factors are searched for a true integer divisor.
 
-Degrees in this package stay small, so the exponential recombination step is
-a few dozen candidates at worst.
+Recombination is exponential: it tries up to 2^(r-1) subsets of the r lifted
+factors.
 """
 
 from __future__ import annotations

@@ -8,9 +8,8 @@ out Fractions built on demand.
 
 Everything below stays in integers until a result is handed out:
 
-  * products (matrix x matrix, matrix x vector, scalar), sums, transposes,
-    symmetry tests and traces work on the integer rows and normalize each
-    result once;
+  * products (matrix x matrix), transposes and symmetry tests work on the
+    integer rows, and a product is normalized once;
   * determinants are Bareiss fraction-free elimination on the integer rows,
     divided by den^n;
   * characteristic polynomials are the Faddeev-LeVerrier recurrence (safe in
@@ -148,60 +147,17 @@ class Matrix:
         body = "; ".join(" ".join(str(x) for x in row) for row in self.rows)
         return f"Matrix([{body}])"
 
-    def __add__(self, other):
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ValueError("shape mismatch")
-        den = math.lcm(self.denominator, other.denominator)
-        s1, s2 = den // self.denominator, den // other.denominator
-        num = tuple(
-            tuple(a * s1 + b * s2 for a, b in zip(r1, r2))
-            for r1, r2 in zip(self.numerators, other.numerators)
-        )
-        return _lowest_terms(num, den)
-
-    def __sub__(self, other):
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        return self + (-1) * other
-
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            p = other.numerator
-            num = tuple(tuple(x * p for x in row) for row in self.numerators)
-            return _lowest_terms(num, self.denominator * other.denominator)
-        if isinstance(other, Matrix):
-            if self.ncols != other.nrows:
-                raise ValueError("shape mismatch")
-            cols = tuple(zip(*other.numerators))
-            num = tuple(
-                tuple(sum(map(mul, row, col)) for col in cols) for row in self.numerators
-            )
-            return _lowest_terms(num, self.denominator * other.denominator)
-        if isinstance(other, tuple):
-            if self.ncols != len(other):
-                raise ValueError("shape mismatch")
-            vec = [_exact(x) for x in other]
-            vden = math.lcm(*(x.denominator for x in vec))
-            ints = [x.numerator * (vden // x.denominator) for x in vec]
-            den = self.denominator * vden
-            return tuple(Fraction(sum(map(mul, row, ints)), den) for row in self.numerators)
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * other
-        return NotImplemented
+        if not isinstance(other, Matrix):
+            return NotImplemented
+        if self.ncols != other.nrows:
+            raise ValueError("shape mismatch")
+        cols = tuple(zip(*other.numerators))
+        num = tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in self.numerators)
+        return _lowest_terms(num, self.denominator * other.denominator)
 
     def transpose(self) -> "Matrix":
         return _raw(tuple(zip(*self.numerators)), self.denominator)
-
-    def trace(self) -> Fraction:
-        if not self.is_square:
-            raise ValueError("trace of a non-square matrix")
-        num = self.numerators
-        return Fraction(sum(num[i][i] for i in range(self.nrows)), self.denominator)
 
     def det(self) -> Fraction:
         """Exact determinant: Bareiss on the integer rows, over den^n."""

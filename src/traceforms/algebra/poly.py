@@ -1,9 +1,10 @@
 """Dense univariate polynomials over the rationals.
 
 Coefficients are `fractions.Fraction` values stored lowest degree first;
-the zero polynomial is the empty tuple and has degree -1.  Degrees in this
-package stay small (<= 8 or so), so the dense representation and the
-quadratic-time classical algorithms cost nothing.
+the zero polynomial is the empty tuple and has degree -1.  `realize` reaches
+degree 48 (diagonal targets); the arithmetic here is dense and schoolbook,
+and the work that grows with the degree (power sums, discriminants) runs in
+integers on f's monic model.
 
 Alongside the arithmetic this module provides the trace machinery for
 quotient rings Q[x]/(f): power sums of the roots of f, as Newton sums in `int`
@@ -245,15 +246,11 @@ def _integer_model(f: RationalPoly) -> tuple[list[int], int, int]:
 
 
 def power_traces(f: RationalPoly, m: int) -> tuple[Fraction, ...]:
-    """Traces of multiplication by x**k on Q[x]/(f), k = 0..m.
-
-    Entry k is the k-th power sum of the roots of the monic f, read off the
-    integer Newton sums of its monic model; entry 0 is deg f.
-    """
-    if not f.is_monic or f.degree < 1:
-        raise ValueError("power traces require a monic polynomial of degree >= 1")
-    _, b, s = _newton_sums(f, m)
-    return tuple(Fraction(x, b**k) for k, x in enumerate(s))
+    """Traces Tr(x^k) on Q[x]/(f), k = 0..m: the power sums of the roots of the
+    monic f (entry 0 is deg f), as the trace moments of 1."""
+    if m < 0:
+        raise ValueError("power traces need m >= 0")
+    return trace_moments(f, RationalPoly.one(), m + 1)
 
 
 def trace_moments(f: RationalPoly, g: RationalPoly, count: int) -> tuple[Fraction, ...]:
@@ -266,6 +263,8 @@ def trace_moments(f: RationalPoly, g: RationalPoly, count: int) -> tuple[Fractio
     """
     if not f.is_monic or f.degree < 1:
         raise ValueError("trace requires a monic modulus of degree >= 1")
+    if count < 0:
+        raise ValueError("trace moments need count >= 0")
     _, b, sums = _newton_sums(f, g.degree + count - 1)
     d = max(g.degree, 0)
     c = math.lcm(*(x.denominator for x in g.coeffs))
@@ -288,10 +287,3 @@ def discriminant(f: RationalPoly) -> Fraction:
 def is_separable(f: RationalPoly) -> bool:
     """True iff f has no repeated roots, i.e. disc(f) != 0."""
     return discriminant(f) != 0
-
-
-def primitive_integer_coeffs(f: RationalPoly) -> list[int]:
-    """Integer coefficient list of the primitive part of f, positive leading:
-    b h = (g_i / b^(n-1-i)) for f's monic model (g, b)."""
-    g, b = _monic_model(f)
-    return [c // b ** (f.degree - 1 - i) for i, c in enumerate(g[:-1])] + [b]

@@ -8,10 +8,6 @@ observed patterns suffice for a sound certificate: a transposition pattern
 (1,...,1,2) plus a q-cycle for a prime q with n/2 < q < n generate S_n in any
 transitive group (transitivity is supplied by irreducibility).  Failure to
 observe the patterns yields "inconclusive", never a refutation.
-
-The module also checks the exact block-triangular factorization identity that
-appears when the first row and column of the symmetric specialization vanish
-off the diagonal: charpoly(T D) = (x - d1 t11) * charpoly(T' D').
 """
 
 from __future__ import annotations
@@ -176,25 +172,3 @@ def generic_experiment(
         cycle_stats=stats,
     )
 
-
-def block_split_check(diag, t: Matrix) -> bool:
-    """Exact factorization identity for first-row/column-constrained T.
-
-    When t_{1j} = t_{j1} = 0 for j >= 2, the product T D is block triangular
-    and charpoly(T D) must equal (x - d1 t11) * charpoly(T' D') for the lower
-    blocks.  Returns the outcome of that exact polynomial comparison."""
-    entries = tuple(Fraction(e) for e in diag)
-    n = len(entries)
-    if not t.is_square or t.nrows != n:
-        raise ValueError("shape mismatch")
-    if not t.is_symmetric:
-        raise ValueError("T must be symmetric")
-    if any(t[0, j] != 0 for j in range(1, n)):
-        raise ValueError("first row/column off-diagonal entries must vanish")
-    full = charpoly(t * Matrix.diagonal(entries))
-    linear = RationalPoly((-entries[0] * t[0, 0], 1))
-    if n == 1:
-        return full == linear
-    lower_t = Matrix([[t[i, j] for j in range(1, n)] for i in range(1, n)])
-    lower_d = Matrix.diagonal(entries[1:])
-    return full == linear * charpoly(lower_t * lower_d)

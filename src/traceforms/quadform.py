@@ -53,9 +53,6 @@ class SymmetricForm:
     def dim(self) -> int:
         return self.gram.nrows
 
-    def det(self) -> Fraction:
-        return self.gram.det()
-
 
 @dataclass(frozen=True)
 class WittInvariants:

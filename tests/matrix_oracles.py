@@ -51,6 +51,17 @@ def transpose(a):
     return tuple(zip(*a))
 
 
+def add(a, b):
+    return tuple(tuple(x + y for x, y in zip(r, s)) for r, s in zip(a, b))
+
+
+def shifted(c, a):
+    """c I - A."""
+    return tuple(
+        tuple((c if i == j else 0) - x for j, x in enumerate(row)) for i, row in enumerate(a)
+    )
+
+
 def solve_linear(a, rhs):
     """Unique solution of a x = rhs; raises ValueError on a singular system."""
     n = len(a)

@@ -1,10 +1,12 @@
 """Reference polynomial routines by the Euclidean algorithm over Q.
 
 The resultant and the discriminant here run Euclid's remainder sequence with
-`Fraction` long division; none of them reads power sums or the integer model
-of `traceforms.algebra.poly`, so the tests compare against them.
+`Fraction` long division, and the primitive part clears denominators by its
+own lcm and gcd loops; none of them reads power sums or the integer model of
+`traceforms.algebra.poly`, so the tests compare against them.
 """
 
+import math
 from fractions import Fraction
 
 from traceforms.algebra import RationalPoly
@@ -42,3 +44,19 @@ def discriminant(f: RationalPoly) -> Fraction:
         return Fraction(1)
     sign = -1 if (n * (n - 1) // 2) % 2 else 1
     return sign * resultant(f, derivative(f)) / f.leading
+
+
+def primitive_part(f: RationalPoly) -> list[int]:
+    """Integer coefficients of f's primitive part, positive leading, by its own
+    lcm and gcd loops."""
+    lcm = 1
+    for c in f.coeffs:
+        lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
+    ints = [int(c * lcm) for c in f.coeffs]
+    g = 0
+    for c in ints:
+        g = math.gcd(g, c)
+    ints = [c // g for c in ints]
+    if ints[-1] < 0:
+        ints = [-c for c in ints]
+    return ints

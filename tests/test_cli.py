@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from traceforms import quadform
 from traceforms.algebra.intmath import FACTOR_LIMIT
 from traceforms.cli import main
+from traceforms.groups import MAX_GROUP_ORDER
 
 
 def _run_main(argv, capsys):
@@ -268,6 +269,16 @@ def test_group_verify_cli(capsys):
     _assert_input_error(
         ["group-verify", "--p", "2", "--k", "1", "--m", str(FACTOR_LIMIT + 1)], capsys, "FACTOR_LIMIT"
     )
+    # orders above the cap: one line naming the constant, before any O(order)
+    # work; order 200,006 comes first, so a missing cap fails in seconds
+    # instead of building 2^40 elements
+    for p, k, m in (("2", "1", "100003"), ("2", "40", "3")):
+        _assert_input_error(
+            ["group-verify", "--p", p, "--k", k, "--m", m], capsys, f"MAX_GROUP_ORDER = {MAX_GROUP_ORDER}"
+        )
+    run = _run_fresh_process(["group-verify", "--p", "2", "--k", "1", "--m", "100003"])
+    assert run.returncode == 2 and run.stdout == ""
+    assert "Traceback" not in run.stderr and "MAX_GROUP_ORDER" in run.stderr
 
     code, out = _run_main(
         ["group-verify", "--p", "2", "--k", "1", "--m", "15", "--n", "5"], capsys

@@ -23,7 +23,6 @@ from traceforms.galois import (
     INCONCLUSIVE,
     CycleTypeSample,
     NotSquarefree,
-    block_split_check,
     generic_experiment,
     sample_cycle_types,
     sn_certificate,
@@ -166,36 +165,6 @@ def test_chebotarev_frequencies():
         transposition = s.frequency(tuple([1] * (n - 2) + [2]))
         class_proportion = Fraction(math.comb(n, 2), math.factorial(n))
         assert abs(transposition - class_proportion) < Fraction(1, 10)
-
-
-def test_block_split_identity():
-    rng = random.Random(61)
-    for n in range(2, 7):
-        for _ in range(100):
-            diag = [rng.choice([v for v in range(-9, 10) if v]) for _ in range(n)]
-            rows = [[0] * n for _ in range(n)]
-            rows[0][0] = rng.randrange(-9, 10)
-            for i in range(1, n):
-                for j in range(i, n):
-                    rows[i][j] = rows[j][i] = rng.randrange(-9, 10)
-            assert block_split_check(diag, Matrix(rows))
-
-
-def test_block_split_negative_control():
-    # with a nonzero t_12 the would-be linear factor does not divide
-    diag = [2, 3, 5]
-    t = Matrix([[1, 1, 0], [1, 4, 2], [0, 2, -3]])
-    f = charpoly(t * Matrix.diagonal([Fraction(v) for v in diag]))
-    assert f(Fraction(diag[0] * t[0, 0])) != 0
-    with pytest.raises(ValueError):
-        block_split_check(diag, t)
-
-
-def test_block_split_rejects_bad_shapes():
-    with pytest.raises(ValueError):
-        block_split_check([1, 2], Matrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
-    with pytest.raises(ValueError):
-        block_split_check([1, 2], Matrix([[1, 0], [1, 1]]))
 
 
 def test_discriminant_of_specializations_is_generically_nonsquare():

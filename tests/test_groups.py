@@ -6,6 +6,7 @@ import pytest
 
 from traceforms import groups
 from traceforms.groups import (
+    MAX_GROUP_ORDER,
     Element,
     InvalidParams,
     NonDivisor,
@@ -14,7 +15,6 @@ from traceforms.groups import (
     index_subgroups,
     p_elements,
     p_generated_subgroup,
-    prime_to_p_quotient_check,
     qualifying_alphas,
     quotient_check_derived,
     quotient_check_exhaustive,
@@ -41,6 +41,14 @@ def test_construct_examples():
         construct_group(4, 1, 5)  # p not prime
     with pytest.raises(InvalidParams):
         construct_group(2, 1, 1)
+
+    # every check walks all m p^k elements, so the order is capped up front;
+    # the first refusal is just above the cap, so a missing cap fails here
+    # instead of building 2^40 elements
+    assert construct_group(2, 1, 99991).order == 199982 <= MAX_GROUP_ORDER
+    for p, k, m in ((2, 1, 100003), (2, 40, 3), (2, 10**6, 3)):
+        with pytest.raises(InvalidParams, match="MAX_GROUP_ORDER"):
+            construct_group(p, k, m)
 
 
 def test_construct_requires_unit_alpha_minus_one():
@@ -129,7 +137,7 @@ def test_p_generated_subgroup_examples():
 def test_quotient_checks():
     for params in SMALL_PARAMS:
         g = construct_group(*params)
-        assert prime_to_p_quotient_check(g)
+        assert verify_group(g)["lemma_b"] == {"derived": True, "exhaustive": True}
         assert quotient_check_derived(g) == quotient_check_exhaustive(g)
 
 
@@ -185,7 +193,20 @@ def test_exhaustive_flag_forces_enumeration_above_the_cutoff():
     assert verify_group(small, exhaustive=True) == verify_group(small)
     assert verify_group(large)["lemma_b"] == {"derived": True, "exhaustive": None}
     assert verify_group(large, exhaustive=True)["lemma_b"] == {"derived": True, "exhaustive": True}
-    assert prime_to_p_quotient_check(large, exhaustive=True)
+
+
+def test_verify_group_raises_when_the_quotient_paths_disagree(monkeypatch):
+    # the exhaustive half of (b) cross-checks the derived half; a flipped
+    # enumeration must raise, not pass or report either verdict
+    real = groups.quotient_check_exhaustive
+    monkeypatch.setattr(groups, "quotient_check_exhaustive", lambda g: not real(g))
+    with pytest.raises(ArithmeticError, match="quotient check paths disagree"):
+        verify_group(construct_group(2, 1, 3))
+    large = construct_group(2, 1, 151)
+    with pytest.raises(ArithmeticError, match="quotient check paths disagree"):
+        verify_group(large, exhaustive=True)
+    # above the cutoff and not forced, the enumeration does not run
+    assert verify_group(large)["lemma_b"] == {"derived": True, "exhaustive": None}
 
 
 def test_p_elements_are_closed_under_conjugation():

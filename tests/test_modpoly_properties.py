@@ -13,7 +13,6 @@ from traceforms.algebra import (
     factor_mod_p,
     is_irreducible_over_rationals,
     is_prime,
-    primitive_integer_coeffs,
 )
 from traceforms.algebra.modpoly import (
     _cycle_type,
@@ -30,7 +29,7 @@ from traceforms.algebra.modpoly import (
     mod_xgcd,
 )
 from traceforms.algebra.poly import _integer_model, _monic_model
-from poly_oracles import discriminant
+from poly_oracles import discriminant, primitive_part
 
 PRIMES = st.sampled_from([p for p in range(2, 400) if is_prime(p)])
 PRIME_POWERS = st.tuples(st.sampled_from([2, 3, 5, 7, 101]), st.integers(2, 4)).map(
@@ -57,7 +56,7 @@ def test_cycle_type_matches_full_factorization(coeffs, p):
         pattern = cycle_type_mod_p(f, p)
     except BadPrime:
         assume(False)
-    factors = factor_mod_p(primitive_integer_coeffs(f), p)
+    factors = factor_mod_p(primitive_part(f), p)
     assert all(e == 1 for _, e in factors)
     assert pattern == tuple(sorted(len(g) - 1 for g, _ in factors))
 
@@ -68,7 +67,7 @@ def test_cycle_type_matches_full_factorization(coeffs, p):
 
 
 def _integer_model_oracle(f: RationalPoly) -> tuple[list[int], int]:
-    ints = primitive_integer_coeffs(f)
+    ints = primitive_part(f)
     return ints, discriminant(RationalPoly(ints)).numerator
 
 

@@ -1,13 +1,15 @@
 """Package structure: runtime checks survive `python -O`, the public names
-resolve, FACTOR_LIMIT is enforced in one place per job, f's integer forms
-are built in one place each, and the power-sum Hankel stays in integers."""
+resolve and each has a caller, FACTOR_LIMIT is enforced in one place per job,
+f's integer forms are built in one place each, and the power-sum Hankel stays
+in integers."""
 
 import ast
 from pathlib import Path
 
 import traceforms.algebra
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "traceforms"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "traceforms"
 
 
 def test_no_assert_statements_in_package():
@@ -24,6 +26,62 @@ def test_no_assert_statements_in_package():
 def test_algebra_exports_resolve():
     missing = [name for name in traceforms.algebra.__all__ if not hasattr(traceforms.algebra, name)]
     assert missing == []
+
+
+class _References(ast.NodeVisitor):
+    """Names, attributes and string constants (and their dotted parts, as in
+    bench/tracer.py's "Class.method" targets), except inside the top-level
+    definition that defines the same name."""
+
+    def __init__(self):
+        self.found: set[str] = set()
+        self.owner = None
+
+    def visit_Module(self, node):
+        for stmt in node.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                self.owner = stmt.name
+            self.visit(stmt)
+            self.owner = None
+
+    def _add(self, name):
+        if name != self.owner:
+            self.found.add(name)
+
+    def visit_Name(self, node):
+        self._add(node.id)
+
+    def visit_Attribute(self, node):
+        self._add(node.attr)
+        self.generic_visit(node)
+
+    def visit_Constant(self, node):
+        if isinstance(node.value, str):
+            for part in node.value.split("."):
+                self._add(part)
+
+
+def test_every_public_name_has_a_caller():
+    # a re-exported name, or a public module-level function or class of the
+    # package, is reached from the package itself, the benchmark or the
+    # acceptance criteria; the two export lists do not count as callers
+    inits = {PACKAGE / "__init__.py", PACKAGE / "algebra" / "__init__.py"}
+    public = set()
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for node in tree.body:
+            if path in inits and isinstance(node, ast.ImportFrom):
+                public |= {alias.name for alias in node.names}
+            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                public.add(node.name)
+    callers = [p for p in sorted(PACKAGE.rglob("*.py")) if p not in inits]
+    callers += sorted((ROOT / "bench").glob("*.py")) + [ROOT / "tests" / "test_acceptance.py"]
+    referenced = set()
+    for path in callers:
+        visitor = _References()
+        visitor.visit(ast.parse(path.read_text(), str(path)))
+        referenced |= visitor.found
+    assert sorted(public - referenced) == []
 
 
 class _Scoped(ast.NodeVisitor):
@@ -134,16 +192,12 @@ POLY_MODULES = ("poly.", "modpoly.", "irreducibility.", "galois.")  # the Matrix
 
 
 def test_monic_model_is_the_one_integer_form_of_f():
-    # the primitive part and Newton's power sums read f's monic integer model,
-    # and `_integer_model` (Hensel lifting, cycle types, the discriminant) reads
-    # it with its sums; no second rescaling of f exists
-    assert _sites(_Calls, "_monic_model") == [
-        "poly._newton_sums",
-        "poly.primitive_integer_coeffs",
-    ]
+    # Newton's power sums read f's monic integer model, and `_integer_model`
+    # (Hensel lifting, cycle types, the discriminant) reads it with its sums;
+    # no second rescaling of f exists
+    assert _sites(_Calls, "_monic_model") == ["poly._newton_sums"]
     assert _sites(_Calls, "_newton_sums") == [
         "poly._integer_model",
-        "poly.power_traces",
         "poly.trace_moments",
         "traceform.solve_alpha",
     ]

@@ -12,12 +12,12 @@ from traceforms.algebra import (
     discriminant,
     is_separable,
     power_traces,
-    primitive_integer_coeffs,
     trace_moments,
 )
 from traceforms.algebra.poly import _monic_model
 from poly_oracles import derivative as _derivative
 from poly_oracles import discriminant as _discriminant_oracle
+from poly_oracles import primitive_part as _primitive_oracle
 from poly_oracles import resultant as _resultant_oracle
 
 X = RationalPoly.x()
@@ -94,6 +94,9 @@ def test_power_traces_examples():
     assert power_traces(RationalPoly((-5, 1)), 2) == (1, 5, 25)
     assert power_traces(X * X - 2, 2) == (2, 0, 4)
     assert power_traces(X * X - X, 2) == (2, 1, 1)
+    assert power_traces(X * X - 2, 0) == (2,)
+    with pytest.raises(ValueError, match="m >= 0"):
+        power_traces(X * X - 2, -3)
 
 
 def _companion(f):
@@ -120,7 +123,7 @@ def test_newton_consistency_against_companion_matrix():
         traces = power_traces(f, 2 * n)
         power = Matrix.identity(n)
         for k in range(2 * n + 1):
-            assert traces[k] == power.trace()
+            assert traces[k] == sum(power[i, i] for i in range(n))
             power = power * comp
 
 
@@ -139,6 +142,8 @@ def test_trace_of_element_examples():
     assert trace_moments(f, f * (X + 3), 3) == (0, 0, 0)  # unreduced zero element
     assert trace_moments(f, RationalPoly.zero(), 2) == (0, 0)
     assert trace_moments(f, X, 0) == ()
+    with pytest.raises(ValueError, match="count >= 0"):
+        trace_moments(f, X, -1)
     with pytest.raises(ValueError):
         trace_moments(X * 2 - 1, X, 1)
 
@@ -224,13 +229,6 @@ def test_discriminant_matches_euclid_oracles(data):
         assert disc == 0
 
 
-def test_primitive_integer_coeffs():
-    f = RationalPoly((Fraction(1, 2), Fraction(1, 4)))
-    assert primitive_integer_coeffs(f) == [2, 1]
-    assert primitive_integer_coeffs(RationalPoly((-4, -8))) == [1, 2]  # leading made positive
-    assert primitive_integer_coeffs(RationalPoly((6, 4, 2))) == [3, 2, 1]
-
-
 def test_gcd_properties():
     rng = random.Random(7)
     for _ in range(50):
@@ -243,8 +241,8 @@ def test_gcd_properties():
 
 
 # The integer forms of f as they were built before `_monic_model`: Newton's
-# identities and the Hankel products in Fractions, the primitive part by its
-# own lcm and gcd loops, and the monic form rescaled from the primitive part.
+# identities and the Hankel products in Fractions, the primitive part from
+# `poly_oracles`, and the monic form rescaled from the primitive part.
 
 
 def _power_traces_oracle(f: RationalPoly, m: int) -> tuple[Fraction, ...]:
@@ -264,20 +262,6 @@ def _trace_moments_oracle(f: RationalPoly, g: RationalPoly, count: int) -> tuple
     return tuple(
         sum((c * tr[k + m] for k, c in enumerate(g.coeffs)), Fraction(0)) for m in range(count)
     )
-
-
-def _primitive_oracle(f: RationalPoly) -> list[int]:
-    lcm = 1
-    for c in f.coeffs:
-        lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
-    ints = [int(c * lcm) for c in f.coeffs]
-    g = 0
-    for c in ints:
-        g = math.gcd(g, c)
-    ints = [c // g for c in ints]
-    if ints[-1] < 0:
-        ints = [-c for c in ints]
-    return ints
 
 
 def _monicize_oracle(coeffs: list[int]) -> list[int]:
@@ -305,7 +289,6 @@ def test_monic_model_matches_monicized_primitive_part(lower, lead):
     primitive = _primitive_oracle(f)
     g, b = _monic_model(f)
     assert (g, b) == (_monicize_oracle(primitive), primitive[-1])
-    assert primitive_integer_coeffs(f) == primitive
     # the definition: g_i = b^(n-i) h_i with h = f / lc(f)
     n = f.degree
     assert RationalPoly(g) == RationalPoly([c * b ** (n - i) for i, c in enumerate(f.monic().coeffs)])
@@ -314,7 +297,11 @@ def test_monic_model_matches_monicized_primitive_part(lower, lead):
 @settings(max_examples=300, deadline=None)
 @given(_monic_polys(), st.integers(-1, 20))
 def test_power_traces_match_fraction_newton_oracle(f, m):
-    assert power_traces(f, m) == _power_traces_oracle(f, m)
+    if m < 0:
+        with pytest.raises(ValueError):
+            power_traces(f, m)
+    else:
+        assert power_traces(f, m) == _power_traces_oracle(f, m)
 
 
 @settings(max_examples=300, deadline=None)

@@ -455,6 +455,6 @@ def test_certificate_bookkeeping():
         cert = realize(form, SearchPolicy(seed=seed))
         assert verify_certificate(cert)
         # det(gram) = det(D) det(P)^2 exactly
-        assert cert.gram.det() == form.det() * cert.P.det() ** 2
+        assert cert.gram.det() == form.gram.det() * cert.P.det() ** 2
         # round trip through the invariant classifier
         assert equivalent(form, SymmetricForm(cert.gram))
