@@ -1,5 +1,5 @@
 """Exact integer helpers: primality, factorization, Legendre symbols, and
-Bareiss determinants of integer matrices.
+Bareiss elimination of integer matrices.
 
 Factorization is trial division by the 172 primes below 2**10, then
 Miller-Rabin on the cofactor and Brent's variant of Pollard's rho on whatever
@@ -185,8 +185,10 @@ def divisors(m: int) -> list[int]:
 
 
 def _int_det_bareiss(a: list[list[int]]) -> int:
-    """Determinant of a square integer matrix by Bareiss fraction-free
-    elimination, in place; all interior divisions are exact."""
+    """Determinant of the leading n x n block of n integer rows by Bareiss
+    fraction-free elimination, in place; all interior divisions are exact.
+    Every column is eliminated, so for augmented rows a nonzero result leaves
+    an equivalent upper-triangular system in `a`."""
     n = len(a)
     sign = 1
     prev = 1
@@ -199,12 +201,12 @@ def _int_det_bareiss(a: list[list[int]]) -> int:
                     break
             else:
                 return 0
-        pivot = a[k][k]
-        for i in range(k + 1, n):
-            aik = a[i][k]
-            row_i, row_k = a[i], a[k]
-            for j in range(k + 1, n):
+        row_k = a[k]
+        pivot = row_k[k]
+        for row_i in a[k + 1 :]:
+            aik = row_i[k]
+            for j in range(k + 1, len(row_i)):
                 row_i[j] = (row_i[j] * pivot - aik * row_k[j]) // prev
             row_i[k] = 0
         prev = pivot
-    return sign * a[-1][-1]
+    return sign * a[-1][n - 1]

@@ -13,10 +13,11 @@ Everything below stays in integers until a result is handed out:
   * determinants are Bareiss fraction-free elimination on the integer rows,
     divided by den^n;
   * characteristic polynomials are the Faddeev-LeVerrier recurrence (safe in
-    characteristic zero) on the integer rows, checked against Bareiss
-    determinants at n+1 points;
-  * nonsingular integer systems are fraction-free Gauss-Jordan (`_int_solve`,
-    which hands back the solution as integers over one common divisor);
+    characteristic zero) on the integer rows, with its divisions checked
+    exact and its result checked by Cayley-Hamilton;
+  * nonsingular integer systems are the same Bareiss elimination on the
+    augmented rows, then back-substitution (`_int_solve`, which hands back
+    the solution as integers over one common divisor);
   * congruence diagonalization is symmetric row+column elimination on
     Q^T B Q kept as an integer matrix, with each column of Q an integer
     vector over its own denominator.
@@ -171,10 +172,11 @@ def charpoly(m: Matrix) -> RationalPoly:
     """Monic characteristic polynomial det(xI - M), computed in integers.
 
     With M = B / L (B the integer rows, L the denominator), Faddeev-LeVerrier
-    runs on B, where every trace divides by k exactly, and
-    c_k(M) = c_k(B) / L^k.  The integer result is checked against Bareiss
-    determinants det(cI - B) at the n+1 points c = 0..n, which pin a degree-n
-    polynomial down; a mismatch raises ArithmeticError.
+    runs on B and c_k(M) = c_k(B) / L^k.  Its one step outside the ring, the
+    division of a trace by k, is checked to be exact, so the integer recurrence
+    is the rational one and its result is det(xI - B); the last accumulator
+    is p(B), which is checked to vanish (Cayley-Hamilton).  Either failure
+    raises ArithmeticError.
     """
     if not m.is_square:
         raise ValueError("characteristic polynomial of a non-square matrix")
@@ -182,23 +184,19 @@ def charpoly(m: Matrix) -> RationalPoly:
     scale = m.denominator
     b = m.numerators
     coeffs = [1]  # det(xI - B), x^n downward
-    acc = [list(row) for row in b]  # B * (B^(k-1) + c_1 B^(k-2) + ... + c_(k-1) I)
+    acc = [list(row) for row in b]  # B^k + c_1 B^(k-1) + ... + c_(k-1) B
     for k in range(1, n + 1):
-        coeffs.append(-sum(acc[i][i] for i in range(n)) // k)
+        trace = sum(acc[i][i] for i in range(n))
+        if trace % k:
+            raise ArithmeticError(f"charpoly: trace {trace} at step {k} is not divisible by {k}")
+        coeffs.append(-trace // k)
+        for i in range(n):
+            acc[i][i] += coeffs[-1]
         if k < n:
-            for i in range(n):
-                acc[i][i] += coeffs[-1]
             cols = tuple(zip(*acc))
             acc = [[sum(map(mul, row, col)) for col in cols] for row in b]
-    for c in range(n + 1):
-        value = 0
-        for coeff in coeffs:
-            value = value * c + coeff
-        shifted = [[-x for x in row] for row in b]
-        for i in range(n):
-            shifted[i][i] += c
-        if _int_det_bareiss(shifted) != value:
-            raise ArithmeticError(f"charpoly cross-check failed at x = {c}/{scale}")
+    if any(any(row) for row in acc):
+        raise ArithmeticError("charpoly: p(B) != 0, Cayley-Hamilton check failed")
     return RationalPoly(reversed([Fraction(ck, scale**k) for k, ck in enumerate(coeffs)]))
 
 
@@ -206,30 +204,21 @@ def _int_solve(rows: list[list[int]], rhs: list[int]) -> tuple[list[int], int]:
     """(y, d) with rows . y = d rhs and d != 0 for an n x n integer system with
     n entries of rhs; raises ValueError on a singular system.
 
-    Fraction-free Gauss-Jordan on a copy of the augmented rows: every division
-    is exact, and at the end each row i reads d x_i = y_i with d the last
-    pivot (det(rows) up to sign), so the solution is y / d.
+    `_int_det_bareiss` eliminates the augmented rows to an upper-triangular
+    system U x = r and returns d = +-det(rows).  By Cramer's rule y = d x is
+    integral, so back-substitution y_i = (d r_i - sum_(j>i) u_ij y_j) // u_ii
+    divides exactly.
     """
     n = len(rows)
     work = [list(row) + [r] for row, r in zip(rows, rhs)]
-    prev = 1
-    for col in range(n):
-        pivot_row = next((r for r in range(col, n) if work[r][col] != 0), None)
-        if pivot_row is None:
-            raise ValueError("singular system")
-        work[col], work[pivot_row] = work[pivot_row], work[col]
-        pivot_line = work[col]
-        pivot = pivot_line[col]
-        for r in range(n):
-            if r == col:
-                continue
-            line = work[r]
-            factor = line[col]
-            for c in range(col + 1, n + 1):
-                line[c] = (pivot * line[c] - factor * pivot_line[c]) // prev
-            line[col] = 0
-        prev = pivot
-    return [work[i][n] for i in range(n)], prev
+    d = _int_det_bareiss(work)
+    if d == 0:
+        raise ValueError("singular system")
+    y = [0] * n
+    for i in range(n - 1, -1, -1):
+        u = work[i]
+        y[i] = (d * u[n] - sum(map(mul, u[i + 1 : n], y[i + 1 :]))) // u[i]
+    return y, d
 
 
 def congruence_diagonalize(b: Matrix) -> tuple[Matrix, tuple[Fraction, ...]]:

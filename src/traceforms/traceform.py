@@ -70,8 +70,8 @@ class Certificate:
 
     Invariants (all enforced by verify_certificate): f = charpoly(A D) is
     monic, separable, irreducible; alpha is nonzero in Q[x]/(f); gram is the
-    Gram matrix of Tr(alpha x^2) in the power basis and a Hankel matrix; P is
-    invertible with P^T D P = gram.
+    Gram matrix of Tr(alpha x^2) in the power basis and a Hankel matrix;
+    P^T D P = gram, which makes P invertible since gram is nonsingular.
     """
 
     D: SymmetricForm
@@ -190,7 +190,7 @@ def realize(form: SymmetricForm, policy: SearchPolicy | None = None) -> Certific
         )
 
     # one walk M^k e1, k < 2n-1: its first n vectors form P' (independent for irreducible f,
-    # and verify_certificate checks det P); e1^T D' M^k e1 = d_1 (M^k e1)_1 for diagonal D'.
+    # as P^T D P = gram implies); e1^T D' M^k e1 = d_1 (M^k e1)_1 for diagonal D'.
     # It runs in integers on B = L M (L = M's denominator), so M^k e1 = B^k e1 / L^k.
     b, scale = m.numerators, m.denominator
     walk = [(1,) + (0,) * (n - 1)]
@@ -228,7 +228,9 @@ def verify_certificate(cert: Certificate) -> CertificateCheck:
     Clauses, in order: shapes consistent, A symmetric, f = charpoly(A D),
     f irreducible over Q (hence separable; when not, `is_separable` names the
     clause not_separable or not_irreducible), alpha nonzero mod f, gram
-    matches Tr(alpha x^(i+j)), P invertible, P^T D P = gram.
+    matches Tr(alpha x^(i+j)), P^T D P = gram.  P needs no clause of its own:
+    for separable f and alpha != 0 mod f the form Tr(alpha x y) is
+    nondegenerate, so gram is nonsingular and P^T D P = gram forces det P != 0.
     """
     d = cert.D.gram
     n = d.nrows
@@ -252,8 +254,6 @@ def verify_certificate(cert: Certificate) -> CertificateCheck:
         return CertificateCheck(False, "alpha_zero")
     if scaled_trace_gram(cert.f, reduced) != cert.gram:
         return CertificateCheck(False, "gram_mismatch")
-    if cert.P.det() == 0:
-        return CertificateCheck(False, "p_not_invertible")
     if cert.P.transpose() * d * cert.P != cert.gram:
         return CertificateCheck(False, "congruence_mismatch")
     return CertificateCheck(True)

@@ -2,19 +2,17 @@
 
 These are the per-entry `Fraction` bodies that `traceforms.algebra.matrix`
 used before `Matrix` moved to integer rows over one common denominator, and
-`det` is the determinant it used then (each row cleared of denominators on
-its own, then Bareiss).  None of them goes through `Matrix` arithmetic, so
-the tests compare against them.
+`det` is plain Gaussian elimination over `Fraction`s.  None of them goes
+through `Matrix` arithmetic or the package's integer kernels, so the tests
+compare against them.
 Inputs are row sequences (or `Matrix.rows`); outputs are tuples of Fraction
 rows, except `krylov_matrix`, which returns a `Matrix` like the function it
 replaces.
 """
 
-import math
 from fractions import Fraction
 
 from traceforms.algebra import Matrix
-from traceforms.algebra.intmath import _int_det_bareiss
 
 
 class SingularKrylov(ArithmeticError):
@@ -22,15 +20,26 @@ class SingularKrylov(ArithmeticError):
 
 
 def det(rows) -> Fraction:
-    """Exact determinant of a square matrix of Fractions: Bareiss on an
-    integer copy, each row multiplied by the lcm of its denominators."""
-    scale = 1
-    int_rows = []
-    for row in rows:
-        lcm = math.lcm(*(x.denominator for x in row))
-        scale *= lcm
-        int_rows.append([x.numerator * (lcm // x.denominator) for x in row])
-    return Fraction(_int_det_bareiss(int_rows), scale)
+    """Exact determinant of a square matrix: Gaussian elimination over
+    Fractions, with a row swap (and a sign flip) at each zero pivot."""
+    work = [[Fraction(x) for x in row] for row in rows]
+    n = len(work)
+    total = Fraction(1)
+    for col in range(n):
+        pivot_row = next((r for r in range(col, n) if work[r][col] != 0), None)
+        if pivot_row is None:
+            return Fraction(0)
+        if pivot_row != col:
+            work[col], work[pivot_row] = work[pivot_row], work[col]
+            total = -total
+        pivot = work[col][col]
+        total *= pivot
+        for r in range(col + 1, n):
+            factor = work[r][col] / pivot
+            if factor:
+                for c in range(col, n):
+                    work[r][c] -= factor * work[col][c]
+    return total
 
 
 def as_rows(rows):

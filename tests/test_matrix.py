@@ -124,21 +124,43 @@ def test_charpoly_matches_interpolation_property(rows):
     assert charpoly(m) == _charpoly_interpolation(m)
 
 
-def test_charpoly_cross_check_raises_under_optimize():
-    # a wrong determinant must be caught even with asserts stripped
-    script = """
+def test_charpoly_on_derogatory_matrices():
+    # repeated eigenvalues: p(B) = 0 holds for every multiple of the minimal
+    # polynomial, so only the recurrence pins down the characteristic one
+    jordan = [[1 if j == i + 1 else 0 for j in range(4)] for i in range(4)]
+    for m in (
+        Matrix([[0] * 3 for _ in range(3)]),
+        Matrix.diagonal([-7] * 4),
+        Matrix(jordan),
+        Matrix.diagonal([2, 2, -1, 2, -1]),
+        Matrix.diagonal([Fraction(3, 2)] * 3),
+        Matrix([[Fraction(1, 3), 1, 0], [0, Fraction(1, 3), 0], [0, 0, Fraction(1, 3)]]),
+    ):
+        assert charpoly(m) == _charpoly_interpolation(m)
+    assert charpoly(Matrix(jordan)) == X**4
+
+
+# each patch of the integer products must trip one of charpoly's guards, even
+# with asserts stripped: on [[1, 2], [3, 4]] the first makes the step-2 trace
+# 5, not divisible by 2; the second keeps the traces divisible but leaves
+# p(B) != 0
+CHARPOLY_GUARD_SCRIPT = """
 import sys
 import traceforms.algebra.matrix as matrix
-real = matrix._int_det_bareiss
-matrix._int_det_bareiss = lambda a: real(a) + 1
+matrix.mul = lambda x, y: {product}
 try:
     matrix.charpoly(matrix.Matrix([[1, 2], [3, 4]]))
-except ArithmeticError:
-    sys.exit(0 if sys.flags.optimize else 3)
+except ArithmeticError as exc:
+    sys.exit(0 if sys.flags.optimize and "{guard}" in str(exc) else 3)
 sys.exit(4)
 """
-    run = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True)
-    assert run.returncode == 0, run.stderr
+
+
+def test_charpoly_cross_check_raises_under_optimize():
+    for product, guard in (("x * y + (x == 3)", "not divisible"), ("x * y + 1", "Cayley-Hamilton")):
+        script = CHARPOLY_GUARD_SCRIPT.format(product=product, guard=guard)
+        run = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True)
+        assert run.returncode == 0, (product, run.returncode, run.stderr)
 
 
 def test_charpoly_evaluates_to_det():
@@ -286,6 +308,21 @@ def test_solve_linear():
             continue
         x = tuple(Fraction(rng.randrange(-9, 10), rng.randrange(1, 4)) for _ in range(n))
         assert _solve(a, oracle.mul_vector(a.rows, x)) == x
+
+
+def test_int_solve_with_row_swaps():
+    for rows in (
+        [[0, 2, 1], [3, 1, 4], [1, 5, 9]],  # zero leading pivot
+        [[0, 0, 1], [0, 1, 0], [1, 0, 0]],  # an odd permutation
+        [[0, 1, 0, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 0, 1, 0]],  # an odd 4-cycle
+        [[1, 2, 3], [2, 4, 7], [1, 3, 2]],  # pivot 2 turns 0 only after step 1
+        [[2, 1, 1, 3], [4, 2, 3, 1], [1, 5, 2, 2], [6, 3, 1, 4]],  # the same at n = 4
+    ):
+        for rhs in ([1, 0, 0, 0][: len(rows)], [5, -3, 7, 2][: len(rows)]):
+            y, d = _int_solve([list(row) for row in rows], rhs)
+            assert tuple(Fraction(v, d) for v in y) == oracle.solve_linear(oracle.as_rows(rows), rhs)
+    with pytest.raises(ValueError, match="singular"):
+        _int_solve([[1, 2, 3], [2, 4, 6], [0, 0, 1]], [1, 2, 3])
 
 
 # ints and Fractions with mixed denominators, as callers pass them

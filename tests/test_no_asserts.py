@@ -1,9 +1,11 @@
-"""Package structure: runtime checks survive `python -O`, the public names
-resolve and each has a caller, FACTOR_LIMIT is enforced in one place per job,
-f's integer forms are built in one place each, and the power-sum Hankel stays
-in integers."""
+"""Package structure: runtime checks survive `python -O`, the package imports
+only the standard library, the public names resolve and each has a caller,
+FACTOR_LIMIT is enforced in one place per job, f's integer forms are built in
+one place each, the power-sum Hankel stays in integers, and no fact is
+checked twice by a determinant."""
 
 import ast
+import sys
 from pathlib import Path
 
 import traceforms.algebra
@@ -21,6 +23,26 @@ def test_no_assert_statements_in_package():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_package_imports_only_the_standard_library():
+    # the north star's "stdlib only at runtime": every import names the
+    # package itself (relative or absolute) or a standard-library module
+    outside = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [] if node.level else [node.module]
+            else:
+                continue
+            outside += [
+                f"{path.relative_to(PACKAGE)}:{node.lineno} {name}"
+                for name in names
+                if name.partition(".")[0] not in sys.stdlib_module_names | {"traceforms"}
+            ]
+    assert outside == []
 
 
 def test_algebra_exports_resolve():
@@ -209,10 +231,11 @@ def test_monic_model_is_the_one_integer_form_of_f():
 
 def test_power_sum_hankel_stays_in_integers():
     # the discriminant's determinant and solve_alpha's pairing system are the
-    # integer Hankel matrix of f's power sums: Bareiss runs on Matrix rows and
-    # on that Hankel, the fraction-free solve serves solve_alpha alone, and
-    # neither consumer builds a Matrix or a Fraction inside the Hankel
-    assert _sites(_Calls, "_int_det_bareiss") == ["matrix.charpoly", "matrix.det", "poly._integer_model"]
+    # integer Hankel matrix of f's power sums: Bareiss runs on Matrix rows, on
+    # that Hankel and, augmented, under the fraction-free solve, which serves
+    # solve_alpha alone; neither consumer builds a Matrix or a Fraction inside
+    # the Hankel
+    assert _sites(_Calls, "_int_det_bareiss") == ["matrix._int_solve", "matrix.det", "poly._integer_model"]
     assert _sites(_Calls, "_int_solve") == ["traceform.solve_alpha"]
     matrices, fractions = _sites(_Calls, "Matrix"), _sites(_Calls, "Fraction")
     for site in ("poly._integer_model", "traceform.solve_alpha"):
@@ -220,3 +243,12 @@ def test_power_sum_hankel_stays_in_integers():
     assert "poly._integer_model" not in fractions
     # solve_alpha's two: the moments read in, and alpha's coefficients read out
     assert fractions.count("traceform.solve_alpha") == 2
+
+
+def test_charpoly_and_verify_take_no_determinant():
+    # charpoly's result is checked by its own exact divisions and by
+    # Cayley-Hamilton, and verify_certificate's congruence clause implies
+    # det P != 0, so neither calls a determinant
+    determinants = _sites(_Calls, "det") + _sites(_Calls, "_int_det_bareiss")
+    assert "matrix.charpoly" not in determinants
+    assert "traceform.verify_certificate" not in determinants

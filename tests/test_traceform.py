@@ -213,7 +213,7 @@ def test_verify_rejects_tampering():
 
     tampered = replace(cert, P=Matrix([[1, 1], [1, 1]]))
     check = verify_certificate(tampered)
-    assert not check and check.failed_clause in ("p_not_invertible", "congruence_mismatch")
+    assert not check and check.failed_clause == "congruence_mismatch"
 
     tampered = replace(cert, alpha=F2 * 2)
     check = verify_certificate(tampered)
@@ -236,6 +236,23 @@ def test_verify_rejects_tampering():
     cert3 = Certificate(D=SymmetricForm(i2), A=i2, f=(X - 1) ** 2, alpha=RationalPoly.one(), P=i2, gram=i2)
     check = verify_certificate(cert3)
     assert not check and check.failed_clause == "not_separable"
+
+
+def test_verify_rejects_a_singular_p():
+    # replacing one column of a valid P by the sum of the others makes P
+    # singular, so P^T D P is singular and cannot equal the nonsingular gram
+    for diag, seed in (([1, -1], 0), ([-5, 7, 11], 3), ([2, 3, -1, 6], 5)):
+        cert = realize(SymmetricForm.diagonal(diag), SearchPolicy(seed=seed))
+        assert verify_certificate(cert)
+        n = len(diag)
+        for k in range(n):
+            rows = [list(row) for row in cert.P.rows]
+            for row in rows:
+                row[k] = sum(row[j] for j in range(n) if j != k)
+            singular = Matrix(rows)
+            assert oracle.det(singular.rows) == 0
+            check = verify_certificate(replace(cert, P=singular))
+            assert not check and check.failed_clause == "congruence_mismatch"
 
 
 @contextlib.contextmanager
