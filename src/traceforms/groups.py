@@ -11,8 +11,12 @@ Property (b) has two paths.  The derived one is the closure of the
 p-elements, the same closure as (a): conjugation preserves element order, so
 the p-elements are conjugation-stable and their closure is already normal,
 and a quotient of order prime to p kills it.  It is cross-checked against an
-exhaustive enumeration of the normal subgroups (closures of unions of
-conjugacy classes) for orders up to EXHAUSTIVE_MAX_ORDER, or when forced.
+exhaustive enumeration of the normal subgroups for orders up to
+EXHAUSTIVE_MAX_ORDER, or when forced.  Every normal subgroup is the join of
+the normal closures of the conjugacy classes it contains, so the enumeration
+takes one class closure per class of cyclic subgroups (generators of one
+cyclic subgroup have the same closure) and then every join of those closures,
+each built as the union of the cosets N y (y in K) that make up N K.
 
 Validity of parameters: besides p prime, p not dividing m, and p | phi(m),
 construction requires every prime factor q of m to satisfy q = 1 (mod p).
@@ -84,8 +88,11 @@ class SemidirectGroup:
                 yield Element(a, x)
 
     def multiply(self, g: Element, h: Element) -> Element:
-        return Element(
-            (g.a + self._alpha_pow[g.x] * h.a) % self.m, (g.x + h.x) % self.pk
+        # tuple.__new__ and indexing skip the NamedTuple's Python-level
+        # constructor and field lookups; every closure runs through here
+        return tuple.__new__(
+            Element,
+            ((g[0] + self._alpha_pow[g[1]] * h[0]) % self.m, (g[1] + h[1]) % self.pk),
         )
 
     def inverse(self, g: Element) -> Element:
@@ -239,26 +246,49 @@ def quotient_check_derived(group: SemidirectGroup) -> bool:
 
 
 def _normal_subgroups(group: SemidirectGroup) -> list[frozenset]:
-    classes = group.conjugacy_classes()
-    trivial = frozenset({group.identity})
-    found = {trivial}
-    frontier = [trivial]
-    while frontier:
-        base = frontier.pop()
-        for cls in classes:
-            if cls <= base:
+    # every normal subgroup is the join of the normal closures <C_g> of the
+    # classes it contains, so the lattice is every join of those closures
+    # (Holt, Eick & O'Brien, Handbook of Computational Group Theory, 3.3).
+    # <C_g> = <C_h> when g and h generate the same cyclic subgroup, since each
+    # is a power of the other; so one closure is taken per class of cyclic
+    # subgroups, and the generators of <g> are marked to skip the rest.  Only
+    # the generators: a lower power of g can have a smaller closure.
+    closures: set[frozenset] = set()
+    marked: set[Element] = set()
+    for cls in group.conjugacy_classes():
+        if not marked.isdisjoint(cls):
+            continue
+        closures.add(group.subgroup_closure(cls))
+        g = next(iter(cls))
+        n = group.element_order(g)
+        h = g
+        for j in range(1, n + 1):
+            if math.gcd(j, n) == 1:
+                marked.add(h)
+            h = group.multiply(h, g)
+    # for normal N and K the join is N K, the union of the cosets N y (y in K);
+    # it is the one subgroup of order |N| |K| / |N & K| containing both, so a
+    # join already found is recognised by set operations, without products
+    found = {frozenset({group.identity})}
+    for closure in closures:
+        for base in list(found):
+            size = len(base) * len(closure) // len(base & closure)
+            if any(len(s) == size and base <= s and closure <= s for s in found):
                 continue
-            # class-closed generating set, so the closure is normal
-            candidate = group.subgroup_closure(set(base) | set(cls))
-            if candidate not in found:
-                found.add(candidate)
-                frontier.append(candidate)
+            join = set(base)
+            for y in closure:
+                if y not in join:
+                    join.update(group.multiply(b, y) for b in base)
+            found.add(frozenset(join))
     return sorted(found, key=len)
 
 
 def quotient_check_exhaustive(group: SemidirectGroup) -> bool:
-    """Enumerate every normal subgroup (closures of unions of conjugacy
-    classes) and test the indices directly."""
+    """Enumerate every normal subgroup and test the indices directly.
+
+    The enumeration is independent of the derived path: it takes the normal
+    closure of one conjugacy class per class of cyclic subgroups, then every
+    join of those closures, each built as a union of cosets N y."""
     for normal in _normal_subgroups(group):
         index = group.order // len(normal)
         if index > 1 and index % group.p != 0:

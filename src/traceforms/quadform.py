@@ -82,10 +82,16 @@ def hilbert_symbol(a, b, place) -> int:
     a, b = Fraction(a), Fraction(b)
     if a == 0 or b == 0:
         raise ValueError("Hilbert symbol requires nonzero arguments")
+    if place != REAL_PLACE and (not isinstance(place, int) or not is_prime(place)):
+        raise ValueError(f"place must be a prime or '{REAL_PLACE}', got {place}")
+    return _hilbert_symbol(a, b, place)
+
+
+def _hilbert_symbol(a, b, place) -> int:
+    """(a, b)_v for nonzero rationals a, b (int or Fraction) at a place already
+    proven: the real place, or a prime that `factorize` returned."""
     if place == REAL_PLACE:
         return -1 if a < 0 and b < 0 else 1
-    if not isinstance(place, int) or not is_prime(place):
-        raise ValueError(f"place must be a prime or '{REAL_PLACE}', got {place}")
     if place == 2:
         alpha, u = _split_units(a, 2)
         beta, w = _split_units(b, 2)
@@ -96,7 +102,7 @@ def hilbert_symbol(a, b, place) -> int:
     beta, w = _split_units(b, place)
     half = (place - 1) // 2
     sign = -1 if alpha % 2 and beta % 2 and half % 2 else 1
-    # place is proven prime above and u, w are units there, so by Euler's
+    # place is a proven prime and u, w are units there, so by Euler's
     # criterion u^half is 1 mod place exactly when (u|place) = 1
     if beta % 2 and pow(u, half, place) != 1:
         sign = -sign
@@ -165,7 +171,7 @@ def _invariants_and_places(entries) -> tuple[WittInvariants, list]:
         pairs.append((c, disc))
         disc = _square_class_product(disc, c)
     pos = sum(1 for e in entries if e > 0)
-    minus = [v for v in places if math.prod(hilbert_symbol(a, b, v) for a, b in pairs[1:]) == -1]
+    minus = [v for v in places if math.prod(_hilbert_symbol(a, b, v) for a, b in pairs[1:]) == -1]
     return WittInvariants(n, disc, (pos, n - pos), frozenset(minus)), places
 
 
@@ -219,11 +225,11 @@ def is_isotropic(form: SymmetricForm) -> bool:
         hasse = -1 if place in inv.hasse_minus_at else 1
         if n == 3:
             # anisotropic over Q_v iff (-1, -disc)_v != hasse
-            if hilbert_symbol(-1, -disc, place) != hasse:
+            if _hilbert_symbol(-1, -disc, place) != hasse:
                 return False
         else:
             # n = 4: anisotropic over Q_v iff disc is a local square and
             # hasse = -(-1, -1)_v
-            if _is_local_square(disc, place) and hasse == -hilbert_symbol(-1, -1, place):
+            if _is_local_square(disc, place) and hasse == -_hilbert_symbol(-1, -1, place):
                 return False
     return True

@@ -210,6 +210,28 @@ def test_equivalent_reads_each_form_once(monkeypatch, capsys):
     assert calls == {"congruence_diagonalize": 2, "factorize": 12}
 
 
+def test_equivalent_proves_no_place_again(monkeypatch, capsys):
+    # the places come from factorize, which has proven them, so the invariants
+    # read the private _hilbert_symbol; the public hilbert_symbol proves its
+    # place with is_prime on every call, once per finite-place symbol
+    primality, symbols = [], []
+    real_is_prime, real_symbol = quadform.is_prime, quadform._hilbert_symbol
+    monkeypatch.setattr(quadform, "is_prime", lambda n: primality.append(n) or real_is_prime(n))
+    monkeypatch.setattr(
+        quadform, "_hilbert_symbol", lambda a, b, v: symbols.append((a, b, v)) or real_symbol(a, b, v)
+    )
+    code, out = _run_main(["equivalent", "--diag", "6,10,15", "--diag", "1,1,1"], capsys)
+    assert (code, out) == (1, EQUIVALENT_6_10_15_VS_1_1_1)
+    assert primality == []
+    # the same symbols through the public entry point prove 8 places again
+    taken = list(symbols)
+    finite = [v for _, _, v in taken if v != quadform.REAL_PLACE]
+    assert len(finite) == 8
+    for a, b, v in taken:
+        assert quadform.hilbert_symbol(a, b, v) == real_symbol(a, b, v)
+    assert primality == finite
+
+
 def test_form_file_input(tmp_path, capsys):
     form_file = tmp_path / "form.json"
     form_file.write_text(json.dumps({"gram": [["0", "1"], ["1", "0"]]}))
@@ -286,6 +308,16 @@ def test_group_verify_cli(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["lemma_c"] == [{"n": 5, "index_H0": 10, "index_H1": 5, "ok": True}]
+
+
+def test_group_verify_exhaustive_at_order_10006(capsys):
+    # the forced enumeration is near linear in the order: one class closure
+    # per class of cyclic subgroups, joins built from cosets
+    code, out = _run_main(["group-verify", "--p", "2", "--k", "1", "--m", "5003", "--exhaustive"], capsys)
+    assert code == 0
+    data = json.loads(out)
+    assert data["order"] == 10006
+    assert data["lemma_b"] == {"derived": True, "exhaustive": True}
 
 
 def test_quiet_flag(capsys):

@@ -3,6 +3,7 @@ import math
 import random
 
 import pytest
+from group_oracles import normal_subgroups as normal_subgroups_oracle
 
 from traceforms import groups
 from traceforms.groups import (
@@ -249,6 +250,42 @@ def test_sweep_reports_are_pinned():
     assert len(reports) == 78
     assert all(report["lemma_b"]["exhaustive"] is not None for report in reports)
     assert hashlib.sha256(canonical_dumps(reports).encode()).hexdigest() == SWEEP_150_SHA256
+
+
+def test_normal_subgroups_match_the_bfs_oracle():
+    # the same set of normal subgroups as the breadth-first search over
+    # unions of classes, on the swept groups, a group with nontrivial
+    # prime-to-p quotients, and two groups past the exhaustive cutoff
+    direct = SemidirectGroup(2, 1, 3, alpha=1)
+    cases = [construct_group(*params) for params in sweep_parameters(150)]
+    cases += [direct, construct_group(2, 1, 1009), construct_group(3, 1, 91)]
+    for g in cases:
+        assert set(groups._normal_subgroups(g)) == set(normal_subgroups_oracle(g)), g
+
+
+def test_normal_subgroups_take_one_closure_per_cyclic_subgroup_class(monkeypatch):
+    # (2, 1, 1009): the identity, 504 classes {(a, 0), (-a, 0)} that all
+    # generate the normal Z/1009, and one class of involutions
+    g = construct_group(2, 1, 1009)
+    assert len(g.conjugacy_classes()) == 506
+    calls = []
+    real = g.subgroup_closure
+    monkeypatch.setattr(g, "subgroup_closure", lambda gens: calls.append(gens) or real(gens))
+    assert [len(n) for n in groups._normal_subgroups(g)] == [1, 1009, 2018]
+    assert len(calls) == 3
+
+
+def test_group_operations_return_elements():
+    # multiply builds its Element without the NamedTuple constructor; the
+    # type must survive every operation the closures use
+    g = construct_group(2, 2, 5)
+    a, b = Element(3, 1), Element(2, 3)
+    assert type(g.multiply(a, b)) is Element
+    assert type(g.conjugate(a, b)) is Element
+    assert type(g.power(a, 7)) is Element
+    assert g.multiply(a, b).a == g.multiply(a, b)[0]
+    for normal in groups._normal_subgroups(g):
+        assert all(type(el) is Element for el in normal)
 
 
 def test_alpha_choice_independence():

@@ -344,9 +344,11 @@ def test_factor_once_matches_two_pass_oracle(entries):
 
 
 def test_hasse_invariant_takes_n_minus_1_symbols_per_place(monkeypatch):
+    # the invariants read the symbol at places factorize proved, through the
+    # private _hilbert_symbol
     calls = []
-    real = quadform.hilbert_symbol
-    monkeypatch.setattr(quadform, "hilbert_symbol", lambda a, b, v: calls.append(v) or real(a, b, v))
+    real = quadform._hilbert_symbol
+    monkeypatch.setattr(quadform, "_hilbert_symbol", lambda a, b, v: calls.append(v) or real(a, b, v))
     entries = [3, -5, Fraction(7, 2), 11, -1]
     invariants_of_diagonal(entries)
     assert len(calls) == (len(entries) - 1) * len(relevant_places(entries))
