@@ -3,7 +3,6 @@ polynomial lists, matrices, and rational irreducibility."""
 
 from .intmath import (
     divisors,
-    euler_phi,
     factorize,
     is_prime,
     legendre_symbol,
@@ -30,7 +29,6 @@ __all__ = [
     "cycle_type_mod_p",
     "discriminant",
     "divisors",
-    "euler_phi",
     "factor_mod_p",
     "factorize",
     "is_irreducible_over_rationals",

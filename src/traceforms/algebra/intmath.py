@@ -166,16 +166,6 @@ def legendre_symbol(a: int, p: int) -> int:
     return 1 if r == 1 else -1
 
 
-def euler_phi(m: int) -> int:
-    """Euler's totient."""
-    if m < 1:
-        raise ValueError("phi is defined for positive integers")
-    phi = 1
-    for p, e in factorize(m).items():
-        phi *= (p - 1) * p ** (e - 1)
-    return phi if m > 1 else 1
-
-
 def divisors(m: int) -> list[int]:
     """All positive divisors of m, ascending."""
     out = [1]

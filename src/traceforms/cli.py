@@ -42,7 +42,8 @@ def _load_form_file(path: str) -> SymmetricForm:
             data = json.load(handle)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}")
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
+        # the decoder recurses once per nesting level
         raise InputError(f"malformed JSON in {path}: {exc}")
     try:
         return serialize.form_from_json(data)
@@ -90,7 +91,7 @@ def cmd_verify(args) -> int:
         cert = serialize.certificate_from_json(data)
     except OSError as exc:
         raise InputError(f"cannot read {args.certificate}: {exc}")
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise InputError(f"malformed JSON: {exc}")
     except (ValueError, TypeError, ZeroDivisionError) as exc:
         raise InputError(f"malformed certificate: {exc}")

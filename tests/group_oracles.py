@@ -1,13 +1,17 @@
-"""Reference normal-subgroup enumeration.
+"""Reference normal-subgroup enumeration and index subgroups.
 
 `normal_subgroups` is the body `traceforms.groups._normal_subgroups` had
 before it took one class closure per class of cyclic subgroups and built joins
 from cosets: a breadth-first search that closes every found normal subgroup
 with every conjugacy class from scratch.  It is quadratic in the order, so the
 tests run it on small groups only and compare the two sets.
+
+`index_subgroups` lists the subgroups of part (c) element by element, as
+`traceforms.groups.index_subgroups` did before it took them as closures of
+their generators: H0 = {(a, 0) : n | a} and H1 = {(a, x) : n | a}.
 """
 
-from traceforms.groups import SemidirectGroup
+from traceforms.groups import Element, SemidirectGroup
 
 
 def normal_subgroups(group: SemidirectGroup) -> list[frozenset]:
@@ -26,3 +30,9 @@ def normal_subgroups(group: SemidirectGroup) -> list[frozenset]:
                 found.add(candidate)
                 frontier.append(candidate)
     return sorted(found, key=len)
+
+
+def index_subgroups(group: SemidirectGroup, n: int) -> tuple[frozenset, frozenset]:
+    h0 = frozenset(Element(a, 0) for a in range(0, group.m, n))
+    h1 = frozenset(Element(a, x) for a in range(0, group.m, n) for x in range(group.pk))
+    return h0, h1

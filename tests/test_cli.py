@@ -248,6 +248,15 @@ def test_form_file_input(tmp_path, capsys):
     _assert_input_error(["invariants", "--form", str(diag_file)], capsys, "diag must be a JSON array")
 
 
+def test_deeply_nested_json_is_an_input_error(tmp_path, capsys):
+    # the JSON decoder recurses once per level, so 100,000 nested arrays
+    # exhaust the recursion limit: that is malformed input, not a traceback
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    _assert_input_error(["verify", str(deep)], capsys, "malformed JSON")
+    _assert_input_error(["invariants", "--form", str(deep)], capsys, "malformed JSON")
+
+
 def test_galois_cli(capsys):
     code, out = _run_main(
         ["galois", "--n", "3", "--diag", "1,1,1", "--primes", "150", "--seed", "1"],

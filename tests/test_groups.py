@@ -3,9 +3,11 @@ import math
 import random
 
 import pytest
+from group_oracles import index_subgroups as index_subgroups_oracle
 from group_oracles import normal_subgroups as normal_subgroups_oracle
 
 from traceforms import groups
+from traceforms.algebra import divisors
 from traceforms.groups import (
     MAX_GROUP_ORDER,
     Element,
@@ -36,11 +38,13 @@ def test_construct_examples():
 
     with pytest.raises(InvalidParams):
         construct_group(2, 1, 4)  # p | m
-    with pytest.raises(InvalidParams):
-        construct_group(3, 1, 5)  # p does not divide phi(5) = 4
+    with pytest.raises(InvalidParams, match=r"p = 3 does not divide phi\(5\)"):
+        construct_group(3, 1, 5)  # phi(5) = 4
+    with pytest.raises(InvalidParams, match=r"p = 3 does not divide phi\(10\)"):
+        construct_group(3, 1, 10)  # phi(10) = 4: neither 2 nor 5 is 1 mod 3
     with pytest.raises(InvalidParams):
         construct_group(4, 1, 5)  # p not prime
-    with pytest.raises(InvalidParams):
+    with pytest.raises(InvalidParams, match=r"p = 2 does not divide phi\(1\)"):
         construct_group(2, 1, 1)
 
     # every check walks all m p^k elements, so the order is capped up front;
@@ -55,8 +59,11 @@ def test_construct_examples():
 def test_construct_requires_unit_alpha_minus_one():
     # 14 = 2 * 7 and 2 is not 1 mod 3: both order-3 units fix residues mod 2,
     # the generation property fails, so the parameters are rejected
-    with pytest.raises(InvalidParams):
+    with pytest.raises(InvalidParams, match=r"prime factors \[2\] of m are not 1 mod p"):
         construct_group(3, 1, 14)
+    # 5 divides phi(33) = 20 through 11 = 1 (mod 5), but 3 is not 1 mod 5
+    with pytest.raises(InvalidParams, match=r"prime factors \[3\] of m are not 1 mod p"):
+        construct_group(5, 1, 33)
     # for m = 15 and p = 2, alpha = 4 and 11 are excluded (gcd(alpha-1, 15) > 1)
     # and only alpha = 14 = -1 qualifies
     assert qualifying_alphas(2, 1, 15) == [14]
@@ -100,8 +107,9 @@ def test_power_identities():
 
 
 def test_power_closed_form_vs_iteration():
-    # power() raises on divergence internally; walk everything in groups
-    # of order <= 200 up to the group order
+    # power() is the closed form alone; compare it with iterated
+    # multiplication for every element of the groups of order <= 200, up to
+    # the group order
     for params in SMALL_PARAMS:
         g = construct_group(*params)
         if g.order > 200:
@@ -167,6 +175,41 @@ def test_index_subgroups_examples():
     for n in (4, 0, -3):
         with pytest.raises(NonDivisor, match="positive divisor"):
             index_subgroups(g, n)
+
+
+def test_index_subgroups_match_the_explicit_sets():
+    # the closures of (n, 0) and of (n, 0), (0, 1) are the sets listed
+    # element by element, on every divisor of every swept group and of the
+    # direct product
+    cases = [construct_group(*params) for params in sweep_parameters(500)]
+    cases.append(SemidirectGroup(2, 1, 3, alpha=1))
+    pairs = 0
+    for g in cases:
+        for n in divisors(g.m):
+            assert index_subgroups(g, n) == index_subgroups_oracle(g, n), (g, n)
+            pairs += 1
+    assert pairs == 868 + 2
+
+
+def test_index_subgroups_close_their_generators_once(monkeypatch):
+    # one closure of one generator for H0, one of two for H1; nothing is
+    # re-closed to confirm it
+    g = construct_group(2, 1, 15)
+    calls = []
+    real = g.subgroup_closure
+    monkeypatch.setattr(g, "subgroup_closure", lambda gens: calls.append(list(gens)) or real(gens))
+    index_subgroups(g, 5)
+    assert calls == [[Element(5, 0)], [Element(5, 0), Element(0, 1)]]
+
+
+def test_power_makes_no_multiplication(monkeypatch):
+    g = construct_group(2, 2, 5)
+    calls = []
+    real = g.multiply
+    monkeypatch.setattr(g, "multiply", lambda a, b: calls.append((a, b)) or real(a, b))
+    assert g.power(Element(3, 1), 7) == Element(3, 3)
+    assert g.power(Element(2, 2), g.order) == g.identity
+    assert calls == []
 
 
 def test_h0_alpha_invariance():
@@ -242,14 +285,21 @@ def test_verify_group_reads_the_p_elements_once(monkeypatch):
 
 # verify_group over sweep_parameters(150): 78 groups, each on the exhaustive path
 SWEEP_150_SHA256 = "02cffcafe7fc420e56e09210af87c974ce5b899f97c4606db3e1fe03e6ef03ac"
+# over sweep_parameters(500), the bench sweep: 278 groups, of which the 114 of
+# orders 301-500 report "exhaustive": null
+SWEEP_500_SHA256 = "86a1b4562b2ab761f0afc7592e7c275157dd15bf2eca2a50da76cf1028823b26"
 
 
 def test_sweep_reports_are_pinned():
-    params = sweep_parameters(150)
-    reports = [verify_group(construct_group(*p)) for p in params]
-    assert len(reports) == 78
-    assert all(report["lemma_b"]["exhaustive"] is not None for report in reports)
-    assert hashlib.sha256(canonical_dumps(reports).encode()).hexdigest() == SWEEP_150_SHA256
+    for max_order, count, skipped, digest in (
+        (150, 78, 0, SWEEP_150_SHA256),
+        (500, 278, 114, SWEEP_500_SHA256),
+    ):
+        reports = [verify_group(construct_group(*p)) for p in sweep_parameters(max_order)]
+        assert len(reports) == count
+        unenumerated = [r["order"] for r in reports if r["lemma_b"]["exhaustive"] is None]
+        assert len(unenumerated) == skipped and all(order > 300 for order in unenumerated)
+        assert hashlib.sha256(canonical_dumps(reports).encode()).hexdigest() == digest
 
 
 def test_normal_subgroups_match_the_bfs_oracle():

@@ -12,7 +12,6 @@ from quadform_oracles import squarefree_part
 from traceforms.algebra import intmath
 from traceforms.algebra import (
     divisors,
-    euler_phi,
     factorize,
     is_prime,
     legendre_symbol,
@@ -35,7 +34,7 @@ def test_factorize_rejects():
     with pytest.raises(ValueError):
         factorize(0)
     # the refusal names the limit, and so does every routine that factors
-    for call in (factorize, euler_phi, divisors):
+    for call in (factorize, divisors):
         with pytest.raises(ValueError, match="FACTOR_LIMIT"):
             call(FACTOR_LIMIT + 1)
     with pytest.raises(ValueError, match="FACTOR_LIMIT"):
@@ -199,12 +198,15 @@ def test_primality_is_refused_above_factor_limit():
 
 
 def test_phi_and_divisors():
-    assert euler_phi(1) == 1
-    assert euler_phi(14) == 6
-    assert euler_phi(360) == 96
     assert divisors(15) == [1, 3, 5, 15]
-    for m in range(1, 60):
-        assert euler_phi(m) == sum(1 for a in range(1, m + 1) if _gcd(a, m) == 1)
+    # construct_group reads p | phi(m) off the factorization of m: for p not
+    # dividing m, p | prod q^(e-1) (q - 1) exactly when some prime q | m is
+    # 1 mod p; compare with the totient counted unit by unit
+    for m in range(1, 200):
+        phi = sum(1 for a in range(1, m + 1) if _gcd(a, m) == 1)
+        for p in (2, 3, 5, 7):
+            if m % p:
+                assert (phi % p == 0) == any(q % p == 1 for q in factorize(m)), (m, p)
 
 
 def _gcd(a, b):
