@@ -23,7 +23,6 @@ from .algebra import (
     is_irreducible_over_rationals,
     is_prime,
     is_separable,
-    legendre_symbol,
     power_traces,
     trace_moments,
 )

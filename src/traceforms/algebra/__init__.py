@@ -5,7 +5,6 @@ from .intmath import (
     divisors,
     factorize,
     is_prime,
-    legendre_symbol,
     next_prime,
     primes_above,
 )
@@ -34,7 +33,6 @@ __all__ = [
     "is_irreducible_over_rationals",
     "is_prime",
     "is_separable",
-    "legendre_symbol",
     "mignotte_bound",
     "mod_gcd",
     "next_prime",

@@ -1,5 +1,5 @@
-"""Exact integer helpers: primality, factorization, Legendre symbols, and
-Bareiss elimination of integer matrices.
+"""Exact integer helpers: primality, factorization, divisors, and Bareiss
+elimination of integer matrices.
 
 Factorization is trial division by the 172 primes below 2**10, then
 Miller-Rabin on the cofactor and Brent's variant of Pollard's rho on whatever
@@ -154,16 +154,6 @@ def factorize(n: int) -> dict[int, int]:
         stack.append(g)
         stack.append(n // g)
     return dict(sorted(factors.items()))
-
-
-def legendre_symbol(a: int, p: int) -> int:
-    """Legendre symbol (a|p) for an odd prime p: +1, -1, or 0 when p | a."""
-    if p == 2 or not is_prime(p):
-        raise ValueError(f"p must be an odd prime, got {p}")
-    r = pow(a % p, (p - 1) // 2, p)
-    if r == 0:
-        return 0
-    return 1 if r == 1 else -1
 
 
 def divisors(m: int) -> list[int]:

@@ -80,10 +80,6 @@ class Matrix:
         raise AttributeError("Matrix is immutable")
 
     @classmethod
-    def identity(cls, n: int) -> "Matrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @classmethod
     def diagonal(cls, entries) -> "Matrix":
         entries = list(entries)
         n = len(entries)

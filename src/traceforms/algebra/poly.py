@@ -1,12 +1,14 @@
 """Dense univariate polynomials over the rationals.
 
 Coefficients are `fractions.Fraction` values stored lowest degree first;
-the zero polynomial is the empty tuple and has degree -1.  `realize` reaches
-degree 48 (diagonal targets); the arithmetic here is dense and schoolbook,
-and the work that grows with the degree (power sums, discriminants) runs in
-integers on f's monic model.
+the zero polynomial is the empty tuple and has degree -1.  `RationalPoly` is a
+value, not a ring: it is built, made monic, and divided (alpha mod f, by
+schoolbook long division); arithmetic on polynomials runs as integer lists
+here and in `modpoly`.  `realize` reaches degree 48 (diagonal targets), and the
+work that grows with the degree (power sums, discriminants) runs in integers
+on f's monic model.
 
-Alongside the arithmetic this module provides the trace machinery for
+Alongside the value this module provides the trace machinery for
 quotient rings Q[x]/(f): power sums of the roots of f, as Newton sums in `int`
 on f's monic integer model (`_monic_model`), and the trace moments Tr(g x^m),
 Hankel products of g's coefficients with the power sums (the trace is linear
@@ -29,7 +31,8 @@ from .intmath import _int_det_bareiss
 
 
 class RationalPoly:
-    """Immutable polynomial with exact rational coefficients."""
+    """Immutable polynomial with exact rational coefficients: a value with one
+    division (`divmod` / `%` by a polynomial), which reduces alpha mod f."""
 
     __slots__ = ("coeffs",)
 
@@ -43,20 +46,8 @@ class RationalPoly:
         raise AttributeError("RationalPoly is immutable")
 
     @classmethod
-    def zero(cls) -> "RationalPoly":
-        return cls(())
-
-    @classmethod
     def one(cls) -> "RationalPoly":
         return cls((1,))
-
-    @classmethod
-    def x(cls) -> "RationalPoly":
-        return cls((0, 1))
-
-    @classmethod
-    def constant(cls, c) -> "RationalPoly":
-        return cls((c,))
 
     @property
     def degree(self) -> int:
@@ -76,79 +67,19 @@ class RationalPoly:
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
 
-    def coeff(self, k: int) -> Fraction:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else Fraction(0)
-
     def __bool__(self):
         return bool(self.coeffs)
 
     def __eq__(self, other):
         if isinstance(other, RationalPoly):
             return self.coeffs == other.coeffs
-        if isinstance(other, (int, Fraction)):
-            return self.coeffs == RationalPoly((other,)).coeffs
         return NotImplemented
 
     def __hash__(self):
         return hash(self.coeffs)
 
-    def __neg__(self):
-        return RationalPoly(tuple(-c for c in self.coeffs))
-
-    def __add__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return RationalPoly(out)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return _coerce(other) - self
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return RationalPoly(tuple(c * other for c in self.coeffs))
-        if not isinstance(other, RationalPoly):
-            return NotImplemented
-        if self.is_zero or other.is_zero:
-            return RationalPoly(())
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return RationalPoly(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, e: int):
-        if e < 0:
-            raise ValueError("negative power")
-        result = RationalPoly.one()
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
     def __divmod__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
+        if not isinstance(other, RationalPoly):
             return NotImplemented
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
@@ -169,13 +100,6 @@ class RationalPoly:
     def __mod__(self, other):
         return divmod(self, other)[1]
 
-    def __call__(self, x):
-        """Evaluate by Horner's rule."""
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
     def monic(self) -> "RationalPoly":
         if self.is_zero:
             raise ValueError("zero polynomial cannot be made monic")
@@ -189,7 +113,7 @@ class RationalPoly:
             return "RationalPoly(0)"
         terms = []
         for i in range(self.degree, -1, -1):
-            c = self.coeff(i)
+            c = self.coeffs[i]
             if c == 0:
                 continue
             if i == 0:
@@ -202,14 +126,6 @@ class RationalPoly:
             else:
                 terms.append(f"{'-' if c < 0 else '+'} {body}")
         return f"RationalPoly({' '.join(terms)})"
-
-
-def _coerce(value):
-    if isinstance(value, RationalPoly):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return RationalPoly((value,))
-    return NotImplemented
 
 
 def _monic_model(f: RationalPoly) -> tuple[list[int], int]:

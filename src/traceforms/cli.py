@@ -36,15 +36,19 @@ def _parse_diag(text: str) -> list:
         raise InputError(f"bad diagonal {text!r}: {exc}")
 
 
-def _load_form_file(path: str) -> SymmetricForm:
+def _read_json(path: str):
     try:
         with open(path) as handle:
-            data = json.load(handle)
+            return json.load(handle)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}")
     except (json.JSONDecodeError, RecursionError) as exc:
         # the decoder recurses once per nesting level
         raise InputError(f"malformed JSON in {path}: {exc}")
+
+
+def _load_form_file(path: str) -> SymmetricForm:
+    data = _read_json(path)
     try:
         return serialize.form_from_json(data)
     except (ValueError, TypeError, ZeroDivisionError) as exc:
@@ -85,14 +89,9 @@ def cmd_realize(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    data = _read_json(args.certificate)
     try:
-        with open(args.certificate) as handle:
-            data = json.load(handle)
         cert = serialize.certificate_from_json(data)
-    except OSError as exc:
-        raise InputError(f"cannot read {args.certificate}: {exc}")
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise InputError(f"malformed JSON: {exc}")
     except (ValueError, TypeError, ZeroDivisionError) as exc:
         raise InputError(f"malformed certificate: {exc}")
     check = traceform.verify_certificate(cert)

@@ -47,6 +47,8 @@ EXHAUSTIVE_MAX_ORDER = 300
 # construct_group refuses larger orders: every check walks all m p^k elements
 # (group-verify at order 200,006: about 4 s of CPU and 95 MiB peak, Python 3.11)
 MAX_GROUP_ORDER = 200_000
+# the primes p that sweep_parameters walks
+SWEEP_PRIMES = (2, 3, 5)
 
 
 class InvalidParams(ValueError):
@@ -335,10 +337,11 @@ def verify_group(
     }
 
 
-def sweep_parameters(max_order: int, primes=(2, 3, 5)) -> list[tuple[int, int, int]]:
-    """All (p, k, m) accepted by construct_group with m * p^k <= max_order."""
+def sweep_parameters(max_order: int) -> list[tuple[int, int, int]]:
+    """All (p, k, m) with p in SWEEP_PRIMES accepted by construct_group with
+    m * p^k <= max_order."""
     out = []
-    for p in primes:
+    for p in SWEEP_PRIMES:
         k = 1
         while p**k * 2 <= max_order:
             for m in range(2, max_order // p**k + 1):

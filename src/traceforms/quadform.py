@@ -17,13 +17,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import (
-    Matrix,
-    congruence_diagonalize,
-    factorize,
-    is_prime,
-    legendre_symbol,
-)
+from .algebra import Matrix, congruence_diagonalize, factorize, is_prime
 from .algebra.intmath import FACTOR_LIMIT
 
 REAL_PLACE = "inf"
@@ -194,13 +188,17 @@ def equivalent(f1: SymmetricForm, f2: SymmetricForm) -> bool:
 
 
 def _is_local_square(r: Fraction, place) -> bool:
+    """Is the nonzero rational r a square in Q_v, at a place already proven
+    (the real place, or a prime that `factorize` returned)?"""
     if place == REAL_PLACE:
         return r > 0
     if place == 2:
         v, u = _split_units(r, 2)
         return v % 2 == 0 and u % 8 in (1, -7)
     v, u = _split_units(r, place)
-    return v % 2 == 0 and legendre_symbol(u, place) == 1
+    # u is a unit at the proven prime place, so by Euler's criterion it is a
+    # square mod place exactly when u^((place-1)/2) is 1 there
+    return v % 2 == 0 and pow(u, (place - 1) // 2, place) == 1
 
 
 def is_isotropic(form: SymmetricForm) -> bool:

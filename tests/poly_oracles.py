@@ -4,12 +4,44 @@ The resultant and the discriminant here run Euclid's remainder sequence with
 `Fraction` long division, and the primitive part clears denominators by its
 own lcm and gcd loops; none of them reads power sums or the integer model of
 `traceforms.algebra.poly`, so the tests compare against them.
+
+`RationalPoly` is a value with one division, so the tests build products,
+sums and values of polynomials here, on coefficient lists.
 """
 
 import math
 from fractions import Fraction
 
 from traceforms.algebra import RationalPoly
+
+
+def mul(*factors) -> RationalPoly:
+    """The product of polynomials or coefficient sequences, by convolution."""
+    out = [Fraction(1)]
+    for factor in factors:
+        cs = factor.coeffs if isinstance(factor, RationalPoly) else tuple(factor)
+        prod = [Fraction(0)] * (len(out) + len(cs) - 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(cs):
+                prod[i + j] += a * b
+        out = prod
+    return RationalPoly(out)
+
+
+def add(f: RationalPoly, g: RationalPoly, c=1) -> RationalPoly:
+    """f + c g."""
+    n = max(len(f.coeffs), len(g.coeffs))
+    a = f.coeffs + (0,) * (n - len(f.coeffs))
+    b = g.coeffs + (0,) * (n - len(g.coeffs))
+    return RationalPoly(x + c * y for x, y in zip(a, b))
+
+
+def evaluate(f: RationalPoly, x) -> Fraction:
+    """f(x) by Horner's rule."""
+    acc = Fraction(0)
+    for c in reversed(f.coeffs):
+        acc = acc * x + c
+    return acc
 
 
 def derivative(f: RationalPoly) -> RationalPoly:

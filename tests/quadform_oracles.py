@@ -5,13 +5,15 @@ exported; nothing in the package needed them, so they live here for the tests
 that read square classes.  `hilbert_symbol` is the package's symbol as it was
 when it read the odd-prime case through `legendre_symbol`, which proves the
 place prime again on every call; the package now reads it by Euler's
-criterion, and the tests compare the two.
+criterion, and the tests compare the two.  `legendre_symbol` is the body the
+package exported until its local squares read Euler's criterion too, and
+`is_local_square` decides squares in Q_p by enumerating the squares mod p.
 """
 
 import math
 from fractions import Fraction
 
-from traceforms.algebra import factorize, is_prime, legendre_symbol
+from traceforms.algebra import factorize, is_prime
 from traceforms.quadform import REAL_PLACE
 
 
@@ -47,6 +49,23 @@ def _split_units(r: Fraction, p: int) -> tuple[int, int]:
         den //= p
         v -= 1
     return v, num * den
+
+
+def legendre_symbol(a: int, p: int) -> int:
+    """Legendre symbol (a|p) for an odd prime p: +1, -1, or 0 when p | a."""
+    if p == 2 or not is_prime(p):
+        raise ValueError(f"p must be an odd prime, got {p}")
+    r = pow(a % p, (p - 1) // 2, p)
+    if r == 0:
+        return 0
+    return 1 if r == 1 else -1
+
+
+def is_local_square(r: Fraction, p: int) -> bool:
+    """Is the nonzero rational r a square in Q_p, p an odd prime?  Exactly when
+    its valuation is even and its unit part is among the squares mod p."""
+    v, u = _split_units(Fraction(r), p)
+    return v % 2 == 0 and u % p in {x * x % p for x in range(1, p)}
 
 
 def hilbert_symbol(a, b, place) -> int:

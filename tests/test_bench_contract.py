@@ -76,7 +76,7 @@ def test_workload_library_names_exist():
 
 
 def test_workload_call_shapes():
-    x = RationalPoly.x()
+    x = RationalPoly((0, 1))
     sample = traceforms.CycleTypeSample(x, {(1,): 2}, 2, 1)
     assert (sample.f, sample.counts, sample.primes_used, sample.primes_skipped) == (x, {(1,): 2}, 2, 1)
     assert issubclass(traceforms.BadPrime, Exception)

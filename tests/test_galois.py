@@ -28,7 +28,9 @@ from traceforms.galois import (
     sn_certificate,
 )
 
-X = RationalPoly.x()
+X = RationalPoly((0, 1))
+X2_MINUS_2 = RationalPoly((-2, 0, 1))
+X3_MINUS_X_MINUS_1 = RationalPoly((-1, -1, 0, 1))
 
 
 def _sample(counts):
@@ -39,15 +41,15 @@ def test_sample_examples():
     s = sample_cycle_types(RationalPoly((-1, 1)), 5, prime_floor=2)
     assert s.counts == {(1,): 5}
 
-    s = sample_cycle_types(X * X - 2, 5, prime_floor=2)
+    s = sample_cycle_types(X2_MINUS_2, 5, prime_floor=2)
     assert s.counts == {(2,): 4, (1, 1): 1}  # 2 is a QR mod 7 only among 3,5,7,11,13
     assert s.primes_used == 5 and s.primes_skipped == 0
 
-    s = sample_cycle_types(X * X - 2, 5, prime_floor=1)
+    s = sample_cycle_types(X2_MINUS_2, 5, prime_floor=1)
     assert s.primes_skipped == 1  # p = 2 divides disc = 8
 
     with pytest.raises(NotSquarefree):
-        sample_cycle_types((X - 1) * (X - 1), 5)
+        sample_cycle_types(RationalPoly((1, -2, 1)), 5)  # (x - 1)^2
 
 
 def _tally_public(f, budget, floor):
@@ -82,8 +84,8 @@ def test_hoisted_walk_matches_public_cycle_types():
 
 def test_prime_walk_stays_in_proven_range():
     with pytest.raises(ValueError, match="FACTOR_LIMIT"):
-        sample_cycle_types(X**3 - X - 1, 5, prime_floor=FACTOR_LIMIT - 1)
-    assert sample_cycle_types(X**3 - X - 1, 0, prime_floor=FACTOR_LIMIT - 1).primes_used == 0
+        sample_cycle_types(X3_MINUS_X_MINUS_1, 5, prime_floor=FACTOR_LIMIT - 1)
+    assert sample_cycle_types(X3_MINUS_X_MINUS_1, 0, prime_floor=FACTOR_LIMIT - 1).primes_used == 0
     with pytest.raises(ValueError, match="FACTOR_LIMIT"):
         generic_experiment([1, 2, 3], 9, 5, prime_floor=FACTOR_LIMIT)
 
@@ -157,7 +159,7 @@ def test_experiment_outputs_are_separable_when_irreducible():
 def test_chebotarev_frequencies():
     # certified S_n polynomial: the n-cycle shows up with frequency ~ 1/n and
     # the transposition class with frequency ~ (n choose 2)/n!  * (n-2)!
-    for f, n in ((X * X - 2, 2), (X**3 - X - 1, 3), (X**4 - X - 1, 4)):
+    for f, n in ((X2_MINUS_2, 2), (X3_MINUS_X_MINUS_1, 3), (RationalPoly((-1, -1, 0, 0, 1)), 4)):
         s = sample_cycle_types(f, 300, prime_floor=100)
         assert sn_certificate(s, n) == CERTIFIED
         ncycle = s.frequency((n,))

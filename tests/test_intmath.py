@@ -14,7 +14,6 @@ from traceforms.algebra import (
     divisors,
     factorize,
     is_prime,
-    legendre_symbol,
     next_prime,
     primes_above,
 )
@@ -142,27 +141,6 @@ def test_squarefree_part_against_trial_division():
         assert squarefree_part(n) == _trial_division_squarefree(n)
 
 
-def test_legendre_examples():
-    assert legendre_symbol(1, 13) == 1
-    assert legendre_symbol(2, 7) == 1  # 3^2 = 9 = 2 mod 7
-    assert legendre_symbol(2, 3) == -1  # squares mod 3 are {0, 1}
-    assert legendre_symbol(21, 7) == 0
-
-
-def test_legendre_rejects_bad_modulus():
-    with pytest.raises(ValueError):
-        legendre_symbol(3, 2)
-    with pytest.raises(ValueError):
-        legendre_symbol(3, 15)
-
-
-def test_legendre_matches_square_enumeration():
-    for p in (3, 5, 7, 11, 13, 17):
-        squares = {x * x % p for x in range(1, p)}
-        for a in range(1, p):
-            assert legendre_symbol(a, p) == (1 if a in squares else -1)
-
-
 def test_primality_basics():
     primes_below_100 = [n for n in range(100) if is_prime(n)]
     sieve = [True] * 100
@@ -188,7 +166,6 @@ def test_primality_is_refused_above_factor_limit():
         lambda: is_prime(n),
         lambda: next_prime(FACTOR_LIMIT),
         lambda: next(primes_above(FACTOR_LIMIT)),
-        lambda: legendre_symbol(2, n),
         lambda: hilbert_symbol(3, 5, n),
         lambda: construct_group(n, 1, 2 * n + 1),
     ]

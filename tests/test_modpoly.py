@@ -140,5 +140,5 @@ def test_cycle_type_respects_denominators():
     f = RationalPoly((-2, 0, 1))
     from fractions import Fraction
 
-    scaled = f * Fraction(3, 5)
+    scaled = RationalPoly((Fraction(-6, 5), 0, Fraction(3, 5)))
     assert cycle_type_mod_p(scaled, 7) == cycle_type_mod_p(f, 7)

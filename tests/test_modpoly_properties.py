@@ -29,7 +29,7 @@ from traceforms.algebra.modpoly import (
     mod_xgcd,
 )
 from traceforms.algebra.poly import _integer_model, _monic_model
-from poly_oracles import discriminant, primitive_part
+from poly_oracles import discriminant, mul, primitive_part
 
 PRIMES = st.sampled_from([p for p in range(2, 400) if is_prime(p)])
 PRIME_POWERS = st.tuples(st.sampled_from([2, 3, 5, 7, 101]), st.integers(2, 4)).map(
@@ -86,7 +86,7 @@ RATIONALS = st.fractions(min_value=-30, max_value=30, max_denominator=12)
 LEADING = st.sampled_from([1, -1, 2, 3, 6, 10, 12, Fraction(1, 2), Fraction(5, 3), Fraction(-7, 4)])
 RATIONAL_POLYS = st.one_of(
     st.builds(lambda lower, lc: RationalPoly(lower + [lc]), st.lists(RATIONALS, min_size=1, max_size=7), LEADING),
-    st.builds(lambda g, h: g * h, int_poly(1, 3, 6).map(RationalPoly), int_poly(1, 3, 6).map(RationalPoly)),
+    st.builds(mul, int_poly(1, 3, 6), int_poly(1, 3, 6)),
 )
 SMALL_PRIMES = st.sampled_from([p for p in range(2, 60) if is_prime(p)])
 
@@ -97,7 +97,7 @@ SMALL_PRIMES = st.sampled_from([p for p in range(2, 60) if is_prime(p)])
 @example(f=RationalPoly((-2, 0, 1)), p=2)  # x^2 - 2: 2 divides disc = 8, not lc
 @example(f=RationalPoly((Fraction(1, 3), Fraction(-5, 7), 0, Fraction(3, 2))), p=2087)  # only disc
 @example(f=RationalPoly((Fraction(1, 3), Fraction(-5, 7), 0, Fraction(3, 2))), p=3)  # lc and disc
-@example(f=RationalPoly((1, -2, 1)) * RationalPoly((Fraction(1, 5), 1)), p=7)  # disc = 0
+@example(f=mul((1, -2, 1), (Fraction(1, 5), 1)), p=7)  # disc = 0
 def test_cycle_type_reads_the_monic_model(f, p):
     g, b, disc = _integer_model(f)
     ints, old_disc = _integer_model_oracle(f)
@@ -201,4 +201,4 @@ def test_xgcd_over_prime_power_monic_divisor(a, b, q):
 @settings(max_examples=150, deadline=None)
 @given(g=int_poly(1, 4, 30), h=int_poly(1, 4, 30))
 def test_products_are_reducible(g, h):
-    assert not is_irreducible_over_rationals(RationalPoly(g) * RationalPoly(h))
+    assert not is_irreducible_over_rationals(mul(g, h))

@@ -1,14 +1,16 @@
 """Package structure: runtime checks survive `python -O`, the package imports
-only the standard library, the public names resolve and each has a caller,
-FACTOR_LIMIT is enforced in one place per job, f's integer forms are built in
-one place each, the power-sum Hankel stays in integers, and no fact is
-checked twice by a determinant."""
+only the standard library, the public names and classmethods resolve and each
+has a caller, RationalPoly is a value with one division, FACTOR_LIMIT is
+enforced in one place per job, f's integer forms are built in one place each,
+the power-sum Hankel stays in integers, and no fact is checked twice by a
+determinant."""
 
 import ast
 import sys
 from pathlib import Path
 
 import traceforms.algebra
+from traceforms.algebra import RationalPoly
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "traceforms"
@@ -53,7 +55,8 @@ def test_algebra_exports_resolve():
 class _References(ast.NodeVisitor):
     """Names, attributes and string constants (and their dotted parts, as in
     bench/tracer.py's "Class.method" targets), except inside the top-level
-    definition that defines the same name."""
+    definition that defines the same name; and the qualified "Class.attr" of
+    each attribute read off a name, except inside that class."""
 
     def __init__(self):
         self.found: set[str] = set()
@@ -75,18 +78,23 @@ class _References(ast.NodeVisitor):
 
     def visit_Attribute(self, node):
         self._add(node.attr)
+        if isinstance(node.value, ast.Name) and node.value.id != self.owner:
+            self.found.add(f"{node.value.id}.{node.attr}")
         self.generic_visit(node)
 
     def visit_Constant(self, node):
         if isinstance(node.value, str):
             for part in node.value.split("."):
                 self._add(part)
+            self.found.add(node.value)
 
 
 def test_every_public_name_has_a_caller():
-    # a re-exported name, or a public module-level function or class of the
-    # package, is reached from the package itself, the benchmark or the
-    # acceptance criteria; the two export lists do not count as callers
+    # a re-exported name, a public module-level function or class, or a
+    # public classmethod of the package, is reached from the package itself,
+    # the benchmark or the acceptance criteria; the two export lists do not
+    # count as callers.  A classmethod is called qualified, so it is its
+    # "Class.method" that must appear, outside the class itself.
     inits = {PACKAGE / "__init__.py", PACKAGE / "algebra" / "__init__.py"}
     public = set()
     for path in sorted(PACKAGE.rglob("*.py")):
@@ -96,6 +104,14 @@ def test_every_public_name_has_a_caller():
                 public |= {alias.name for alias in node.names}
             elif isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
                 public.add(node.name)
+            if isinstance(node, ast.ClassDef):
+                public |= {
+                    f"{node.name}.{item.name}"
+                    for item in node.body
+                    if isinstance(item, ast.FunctionDef)
+                    and not item.name.startswith("_")
+                    and any(getattr(d, "id", None) == "classmethod" for d in item.decorator_list)
+                }
     callers = [p for p in sorted(PACKAGE.rglob("*.py")) if p not in inits]
     callers += sorted((ROOT / "bench").glob("*.py")) + [ROOT / "tests" / "test_acceptance.py"]
     referenced = set()
@@ -104,6 +120,15 @@ def test_every_public_name_has_a_caller():
         visitor.visit(ast.parse(path.read_text(), str(path)))
         referenced |= visitor.found
     assert sorted(public - referenced) == []
+
+
+def test_rational_poly_is_a_value_with_one_division():
+    # RationalPoly is built, compared, hashed, printed and divided (alpha mod
+    # f); products, sums and values of polynomials run on integer lists in
+    # poly and modpoly, so no other operator is defined
+    value = {"__init__", "__setattr__", "__bool__", "__eq__", "__hash__", "__repr__"}
+    operators = {name for name, member in vars(RationalPoly).items() if name.startswith("__") and callable(member)}
+    assert sorted(operators - value) == ["__divmod__", "__mod__"]
 
 
 class _Scoped(ast.NodeVisitor):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from quadform_oracles import square_class, squarefree_part
+from quadform_oracles import is_local_square, legendre_symbol, square_class, squarefree_part
 
 from traceforms.algebra import Matrix, factorize
 from traceforms import quadform
@@ -112,6 +112,29 @@ def test_hilbert_against_bruteforce_oracle():
     assert _local_solvable_bruteforce(-1, -1, 3, 1)
     assert hilbert_symbol(-1, -1, 3) == 1
     assert hilbert_symbol(1, 3, 3) == 1
+
+
+def test_local_square_examples():
+    assert _is_local_square(Fraction(1), 13)
+    assert _is_local_square(Fraction(2), 7)  # 3^2 = 9 = 2 mod 7
+    assert not _is_local_square(Fraction(2), 3)  # squares mod 3 are {0, 1}
+    assert not _is_local_square(Fraction(21), 7)  # odd valuation
+    assert _is_local_square(Fraction(2, 49), 7)
+    assert _is_local_square(Fraction(-1), 5) and not _is_local_square(Fraction(-1), 3)
+
+
+def test_local_square_matches_square_enumeration():
+    # units of both signs over unit denominators, at valuations -2..2; the
+    # oracle's Legendre symbol reads the same squares
+    for p in (3, 5, 7, 11, 13, 17, 101):
+        squares = {x * x % p for x in range(1, p)}
+        for a in range(1, p):
+            assert legendre_symbol(a, p) == (1 if a in squares else -1)
+            for den in (1, p - 1, p + 2):
+                for v in range(-2, 3):
+                    for sign in (1, -1):
+                        r = Fraction(sign * a, den) * Fraction(p) ** v
+                        assert _is_local_square(r, p) == is_local_square(r, p), (r, p)
 
 
 SQUAREFREE = st.integers(-30, 30).filter(lambda n: n != 0 and squarefree_part(n) == n)

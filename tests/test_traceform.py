@@ -19,6 +19,7 @@ from traceforms.algebra import (
     trace_moments,
 )
 from matrix_oracles import krylov_matrix
+from poly_oracles import add, mul
 from traceforms.algebra import poly
 from traceforms.galois import generic_experiment
 from traceforms.quadform import DegenerateForm, SymmetricForm, equivalent
@@ -33,8 +34,8 @@ from traceforms.traceform import (
     verify_certificate,
 )
 
-X = RationalPoly.x()
-F2 = X * X - 2
+F2 = RationalPoly((-2, 0, 1))  # x^2 - 2
+I2 = Matrix([[1, 0], [0, 1]])
 ALPHA2 = RationalPoly((Fraction(1, 2), Fraction(1, 4)))
 
 
@@ -51,12 +52,12 @@ def test_scaled_trace_gram_examples():
     assert scaled_trace_gram(F2, RationalPoly.one()) == Matrix([[2, 0], [0, 4]])
     assert scaled_trace_gram(F2, ALPHA2) == Matrix([[1, 1], [1, 2]])
     with pytest.raises(ValueError):
-        scaled_trace_gram(F2, F2 * 3)  # alpha = 0 mod f
+        scaled_trace_gram(F2, mul(F2, (3,)))  # alpha = 0 mod f
 
 
 def test_scaled_trace_gram_is_hankel_and_nonsingular():
     rng = random.Random(50)
-    polys = [F2, X**3 - X - 1, X**4 + 1, X**5 - X - 1]
+    polys = [F2, RationalPoly((-1, -1, 0, 1)), RationalPoly((1, 0, 0, 0, 1)), RationalPoly((-1, -1, 0, 0, 0, 1))]
     for f in polys:
         for _ in range(10):
             alpha = RationalPoly(
@@ -83,7 +84,7 @@ def test_solve_alpha_examples():
     # (x - 1)^2 (x + 2) has a repeated root: its trace pairing is singular,
     # and the kernel's own error is not chained onto the one raised
     with pytest.raises(ValueError, match="trace pairing is singular") as raised:
-        solve_alpha((X - 1) ** 2 * (X + 2), (1, 0, 0, 0, 0))
+        solve_alpha(mul((-1, 1), (-1, 1), (2, 1)), (1, 0, 0, 0, 0))
     assert raised.value.__cause__ is None and raised.value.__suppress_context__
 
 
@@ -92,10 +93,10 @@ def test_solve_alpha_round_trip():
     # the last two have non-integral coefficients: monic models with b = 12 and b = 18
     for f in (
         F2,
-        X**3 - 2,
-        X**4 - X - 1,
-        X**3 - Fraction(1, 4) * X + Fraction(1, 6),
-        X**5 + Fraction(1, 2) * X**3 - Fraction(1, 3) * X + Fraction(2, 9),
+        RationalPoly((-2, 0, 0, 1)),
+        RationalPoly((-1, -1, 0, 0, 1)),
+        RationalPoly((Fraction(1, 6), Fraction(-1, 4), 0, 1)),
+        RationalPoly((Fraction(2, 9), Fraction(-1, 3), 0, Fraction(1, 2), 0, 1)),
     ):
         n = f.degree
         for _ in range(20):
@@ -140,7 +141,7 @@ def _moment_problems(draw):
     kind = draw(st.sampled_from(("consistent", "perturbed", "inseparable", "arbitrary")))
     if kind == "inseparable":
         h = RationalPoly(draw(st.lists(COEFFS, min_size=1, max_size=3)) + [1])
-        f = h * h * RationalPoly(draw(st.lists(COEFFS, max_size=8 - 2 * h.degree)) + [1])
+        f = mul(h, h, draw(st.lists(COEFFS, max_size=8 - 2 * h.degree)) + [1])
     else:
         f = RationalPoly(draw(st.lists(COEFFS, min_size=1, max_size=8)) + [1])
     n = f.degree
@@ -177,7 +178,7 @@ def test_solve_alpha_matches_fraction_oracle(problem):
 
 def test_golden_certificate():
     # worked instance: D = I2, A = [[1,1],[1,-1]]
-    d_form = SymmetricForm(Matrix.identity(2))
+    d_form = SymmetricForm(I2)
     a = Matrix([[1, 1], [1, -1]])
     f = charpoly(a * d_form.gram)
     assert f == F2
@@ -193,7 +194,7 @@ def test_golden_certificate():
 
 
 def test_verify_rejects_tampering():
-    d_form = SymmetricForm(Matrix.identity(2))
+    d_form = SymmetricForm(I2)
     a = Matrix([[1, 1], [1, -1]])
     p = Matrix([[1, 1], [0, 1]])
     gram = Matrix([[1, 1], [1, 2]])
@@ -203,7 +204,7 @@ def test_verify_rejects_tampering():
     check = verify_certificate(tampered)
     assert not check and check.failed_clause == "gram_mismatch"
 
-    tampered = replace(cert, f=X * X - 1)
+    tampered = replace(cert, f=RationalPoly((-1, 0, 1)))
     check = verify_certificate(tampered)
     assert not check and check.failed_clause == "charpoly_mismatch"
 
@@ -215,7 +216,7 @@ def test_verify_rejects_tampering():
     check = verify_certificate(tampered)
     assert not check and check.failed_clause == "congruence_mismatch"
 
-    tampered = replace(cert, alpha=F2 * 2)
+    tampered = replace(cert, alpha=mul(F2, (2,)))
     check = verify_certificate(tampered)
     assert not check and check.failed_clause == "alpha_zero"
 
@@ -227,13 +228,12 @@ def test_verify_rejects_tampering():
     d2 = SymmetricForm.diagonal([1, 1])
     a2 = Matrix.diagonal([1, 2])
     f2 = charpoly(a2 * d2.gram)
-    cert2 = Certificate(D=d2, A=a2, f=f2, alpha=RationalPoly.one(), P=Matrix.identity(2), gram=Matrix.identity(2))
+    cert2 = Certificate(D=d2, A=a2, f=f2, alpha=RationalPoly.one(), P=I2, gram=I2)
     check = verify_certificate(cert2)
     assert not check and check.failed_clause == "not_irreducible"
 
     # A = D = P = gram = I2: f = charpoly(A D) = (x - 1)^2 has a repeated root
-    i2 = Matrix.identity(2)
-    cert3 = Certificate(D=SymmetricForm(i2), A=i2, f=(X - 1) ** 2, alpha=RationalPoly.one(), P=i2, gram=i2)
+    cert3 = Certificate(D=SymmetricForm(I2), A=I2, f=RationalPoly((1, -2, 1)), alpha=RationalPoly.one(), P=I2, gram=I2)
     check = verify_certificate(cert3)
     assert not check and check.failed_clause == "not_separable"
 
@@ -284,8 +284,7 @@ def test_one_discriminant_per_separability_decision():
         assert len(calls) == 1
 
     # an inseparable f costs a second discriminant, to name its clause
-    i2 = Matrix.identity(2)
-    cert = Certificate(D=SymmetricForm(i2), A=i2, f=(X - 1) ** 2, alpha=RationalPoly.one(), P=i2, gram=i2)
+    cert = Certificate(D=SymmetricForm(I2), A=I2, f=RationalPoly((1, -2, 1)), alpha=RationalPoly.one(), P=I2, gram=I2)
     with _counted("_integer_model") as calls:
         assert verify_certificate(cert).failed_clause == "not_separable"
     assert len(calls) == 2
@@ -333,14 +332,14 @@ def test_unreduced_alpha():
         )
         if h.is_zero:
             continue
-        assert scaled_trace_gram(F2, ALPHA2 + F2 * h) == scaled_trace_gram(F2, ALPHA2)
-        unreduced = replace(cert, alpha=cert.alpha + cert.f * h)
+        assert scaled_trace_gram(F2, add(ALPHA2, mul(F2, h))) == scaled_trace_gram(F2, ALPHA2)
+        unreduced = replace(cert, alpha=add(cert.alpha, mul(cert.f, h)))
         divisions.clear()
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(RationalPoly, "__divmod__", spy)
             assert verify_certificate(unreduced)
         assert divisions == [unreduced.alpha]
-        check = verify_certificate(replace(cert, alpha=cert.f * h))
+        check = verify_certificate(replace(cert, alpha=mul(cert.f, h)))
         assert not check and check.failed_clause == "alpha_zero"
 
 
