@@ -149,7 +149,7 @@ def is_irreducible_over_rationals(f: RationalPoly) -> bool:
 
     # at a good prime the monic model's image is squarefree, as lifting needs
     _, p = min(candidates)
-    factors = [g for g, _ in factor_mod_p(work, p)]
+    factors = factor_mod_p(work, p)
     lifted, modulus = _lift_factors(work, factors, p, 2 * mignotte_bound(work) + 1)
 
     r = len(lifted)

@@ -8,11 +8,14 @@ is the empty list.  Every function takes the modulus q explicitly.
 prime q and, with monic divisors, for the prime powers of Hensel lifting.
 
 Factorization follows von zur Gathen & Gerhard, *Modern Computer Algebra*,
-ch. 14: squarefree decomposition, then distinct-degree splitting, then
-Cantor-Zassenhaus equal-degree splitting.  The randomness inside equal-degree
-splitting is drawn from a PRNG seeded by the input polynomial, so results are
-reproducible and the returned factor list is sorted canonically.  Cycle types
-need only factor degrees, which distinct-degree splitting gives directly.
+ch. 14, at good primes only: like the cycle types, `factor_mod_p` refuses a
+prime dividing the leading coefficient or one where f is not squarefree
+(BadPrime), so the monic image it factors is squarefree, and distinct-degree
+splitting, then Cantor-Zassenhaus equal-degree splitting, factor it.  The
+randomness inside equal-degree splitting is drawn from a PRNG seeded by the
+input polynomial, so results are reproducible and the returned factor list
+is sorted canonically.  Cycle types need only factor degrees, which
+distinct-degree splitting gives directly.
 
 Distinct-degree splitting (Alg. 14.3 there) takes gcd(x^(p^d) - x, rest) for
 d = 1, 2, ...  It computes one Frobenius power per prime: x^p mod f by binary
@@ -120,36 +123,6 @@ def mod_pow(base, e: int, modulus, q: int) -> list[int]:
         base = mod_divmod(mod_mul(base, base, q), modulus, q)[1]
         e >>= 1
     return result
-
-
-def _squarefree_decomposition(f: list[int], p: int) -> list[tuple[list[int], int]]:
-    """Monic f over GF(p) as a list of (squarefree factor, multiplicity)."""
-    out: list[tuple[list[int], int]] = []
-    e = 1
-    while len(f) > 1:
-        df = mod_reduce([i * c for i, c in enumerate(f)][1:], p)
-        if not df:
-            # over GF(p) the Frobenius fixes coefficients, so g(x^p) -> g(x) directly
-            f = f[::p]
-            e *= p
-            continue
-        c = mod_gcd(f, df, p)
-        w = mod_divmod(f, c, p)[0]
-        i = 1
-        while len(w) > 1:
-            y = mod_gcd(w, c, p)
-            z = mod_divmod(w, y, p)[0]
-            if len(z) > 1:
-                out.append((z, i * e))
-            w = y
-            c = mod_divmod(c, y, p)[0]
-            i += 1
-        if len(c) > 1:
-            f = c[::p]
-            e *= p
-        else:
-            break
-    return out
 
 
 def _times_x(h: list[int], x_n: list[int], p: int) -> list[int]:
@@ -273,26 +246,33 @@ def _require_proven_prime(p: int) -> None:
         raise ValueError(f"modulus {p} is not prime")
 
 
-def factor_mod_p(f, p: int) -> list[tuple[tuple[int, ...], int]]:
-    """Factor the integer polynomial f mod the prime p into monic irreducibles.
+def factor_mod_p(f, p: int) -> list[tuple[int, ...]]:
+    """Factor the integer polynomial f mod a good prime p into monic irreducibles.
 
-    f is a coefficient sequence, lowest degree first.  Returns sorted
-    (monic coefficient tuple, exponent) pairs; the leading coefficient of f
-    mod p is the implicit unit: f = lc * prod(factor**exponent) mod p.
-    Raises ValueError unless p is a prime at most FACTOR_LIMIT.
+    f is a coefficient sequence, lowest degree first.  As for
+    `cycle_type_mod_p`, p must be good for f: raises BadPrime when p divides
+    the leading coefficient or f is not squarefree mod p (p divides the
+    discriminant).  Returns the monic irreducible factors as coefficient
+    tuples, sorted canonically; the leading coefficient of f mod p is the
+    implicit unit: f = lc * prod(factors) mod p.  Raises ValueError unless p
+    is a prime at most FACTOR_LIMIT, and for the zero polynomial.
     """
     _require_proven_prime(p)
-    a = mod_reduce(f, p)
-    if not a:
+    lead = next((c for c in reversed(f) if c), 0)
+    if not lead:
         raise ValueError("cannot factor the zero polynomial")
+    if lead % p == 0:
+        raise BadPrime(f"{p} divides the leading coefficient")
+    a = mod_monic(mod_reduce(f, p), p)
+    if mod_gcd(a, mod_reduce([i * c for i, c in enumerate(a)][1:], p), p) != [1]:
+        raise BadPrime(f"{p} divides the discriminant")
     rng = random.Random(_poly_seed(a, p))
-    result = []
-    for squarefree, mult in _squarefree_decomposition(mod_monic(a, p), p):
-        for product, d in _distinct_degree(squarefree, p):
-            for irreducible in _equal_degree_split(product, d, p, rng):
-                result.append((tuple(irreducible), mult))
-    result.sort(key=lambda pair: (len(pair[0]), pair[0]))
-    return result
+    factors = [
+        tuple(irreducible)
+        for block, d in _distinct_degree(a, p)
+        for irreducible in _equal_degree_split(block, d, p, rng)
+    ]
+    return sorted(factors, key=lambda g: (len(g), g))
 
 
 def cycle_type_mod_p(f: RationalPoly, p: int) -> tuple[int, ...]:

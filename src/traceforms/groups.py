@@ -100,13 +100,6 @@ class SemidirectGroup:
             ((g[0] + self._alpha_pow[g[1]] * h[0]) % self.m, (g[1] + h[1]) % self.pk),
         )
 
-    def inverse(self, g: Element) -> Element:
-        xinv = (-g.x) % self.pk
-        return Element((-self._alpha_pow[xinv] * g.a) % self.m, xinv)
-
-    def conjugate(self, h: Element, g: Element) -> Element:
-        return self.multiply(self.multiply(h, g), self.inverse(h))
-
     def _geometric_sum(self, beta: int, n: int) -> int:
         # 1 + beta + ... + beta^(n-1) = (beta^n - 1) / (beta - 1) mod m; beta^n
         # is taken mod m (beta - 1), so the division stays exact

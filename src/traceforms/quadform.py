@@ -169,17 +169,9 @@ def _invariants_and_places(entries) -> tuple[WittInvariants, list]:
     return WittInvariants(n, disc, (pos, n - pos), frozenset(minus)), places
 
 
-def invariants_of_diagonal(entries) -> WittInvariants:
-    """Witt invariants of the diagonal form <entries> (all nonzero)."""
-    entries = [Fraction(e) for e in entries]
-    if any(e == 0 for e in entries):
-        raise DegenerateForm("zero diagonal entry")
-    return _invariants_and_places(entries)[0]
-
-
 def invariants(form: SymmetricForm) -> WittInvariants:
     """Witt invariants of a non-degenerate form (diagonalize, then read off)."""
-    return invariants_of_diagonal(_diagonal_entries(form))
+    return _invariants_and_places(_diagonal_entries(form))[0]
 
 
 def equivalent(f1: SymmetricForm, f2: SymmetricForm) -> bool:
@@ -205,20 +197,21 @@ def is_isotropic(form: SymmetricForm) -> bool:
     """Does the form have a nontrivial rational zero?
 
     Decided by the classical local criteria per dimension: never for n=1;
-    disc in the class of -1 for n=2; local Hasse conditions at the relevant
-    places for n=3 and 4; indefinite iff isotropic for n>=5.
+    indefinite iff isotropic for n>=5, read off the diagonal entries' signs
+    before anything is factored (so no entry is checked against
+    FACTOR_LIMIT); disc in the class of -1 for n=2; local Hasse conditions at
+    the relevant places for n=3 and 4.
     """
     entries = _diagonal_entries(form)
     n = len(entries)
     if n == 1:
         return False
+    if n >= 5:
+        return min(entries) < 0 < max(entries)
     inv, places = _invariants_and_places(entries)
     disc = Fraction(inv.disc)
     if n == 2:
         return inv.disc == -1
-    pos, neg = inv.signature
-    if n >= 5:
-        return pos > 0 and neg > 0
     for place in places:
         hasse = -1 if place in inv.hasse_minus_at else 1
         if n == 3:

@@ -9,6 +9,9 @@ tests run it on small groups only and compare the two sets.
 `index_subgroups` lists the subgroups of part (c) element by element, as
 `traceforms.groups.index_subgroups` did before it took them as closures of
 their generators: H0 = {(a, 0) : n | a} and H1 = {(a, x) : n | a}.
+
+`inverse` finds g^-1 by search over the group, so the axioms test checks that
+one exists, and `conjugate` is h g h^-1 from it; the package needs neither.
 """
 
 from traceforms.groups import Element, SemidirectGroup
@@ -36,3 +39,11 @@ def index_subgroups(group: SemidirectGroup, n: int) -> tuple[frozenset, frozense
     h0 = frozenset(Element(a, 0) for a in range(0, group.m, n))
     h1 = frozenset(Element(a, x) for a in range(0, group.m, n) for x in range(group.pk))
     return h0, h1
+
+
+def inverse(group: SemidirectGroup, g: Element) -> Element:
+    return next(h for h in group.elements() if group.multiply(g, h) == group.identity)
+
+
+def conjugate(group: SemidirectGroup, h: Element, g: Element) -> Element:
+    return group.multiply(group.multiply(h, g), inverse(group, h))

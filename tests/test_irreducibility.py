@@ -131,7 +131,7 @@ def test_hensel_lift_round_trip():
         if disc == 0:
             continue
         p = next(q for q in primes_above(2) if disc % q)
-        factors = [list(g) for g, _ in factor_mod_p(work, p)]
+        factors = [list(g) for g in factor_mod_p(work, p)]
         target = 2 * mignotte_bound(work) + 1
         lifted, modulus = _lift_factors(work, factors, p, target)
         assert modulus >= target
@@ -165,7 +165,7 @@ def _factor_every_prime_oracle(f: RationalPoly) -> bool:
         return False
     candidates = []
     for p in islice((p for p in primes_above(1) if disc % p), 5):
-        factors = [g for g, _ in factor_mod_p(work, p)]
+        factors = factor_mod_p(work, p)
         if len(factors) == 1:
             return True
         candidates.append((p, factors))

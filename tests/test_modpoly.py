@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from poly_oracles import discriminant
 
 from traceforms.algebra import (
     BadPrime,
@@ -15,14 +16,20 @@ from traceforms.algebra.modpoly import mod_add, mod_divmod, mod_mul, mod_pow, mo
 
 
 def test_factor_examples():
-    assert factor_mod_p([0, 0, 1], 5) == [((0, 1), 2)]
-
     facs = factor_mod_p([-2, 0, 1], 7)
-    assert [(list(g), e) for g, e in facs] == [([3, 1], 1), ([4, 1], 1)]
+    assert [list(g) for g in facs] == [[3, 1], [4, 1]]
     # roots are 3 and 4: (x-3) = x+4, (x-4) = x+3 mod 7
 
     facs = factor_mod_p([-2, 0, 1], 3)
-    assert [(len(g) - 1, e) for g, e in facs] == [(2, 1)]  # 2 is a non-residue mod 3
+    assert [len(g) - 1 for g in facs] == [2]  # 2 is a non-residue mod 3
+
+    # only good primes, as for the cycle types
+    with pytest.raises(BadPrime, match="5 divides the discriminant"):
+        factor_mod_p([0, 0, 1], 5)  # x^2
+    with pytest.raises(BadPrime, match="2 divides the discriminant"):
+        factor_mod_p([-2, 0, 1], 2)  # x^2 - 2 = x^2 mod 2
+    with pytest.raises(BadPrime, match="3 divides the leading coefficient"):
+        factor_mod_p([1, 1, 3], 3)
 
     with pytest.raises(ValueError):
         factor_mod_p([], 5)
@@ -30,20 +37,35 @@ def test_factor_examples():
         factor_mod_p([1, 1], 6)
 
 
+def _has_repeated_factor(f, p):
+    # p divides the discriminant over Q (by the Euclidean resultant), and p
+    # does not divide the leading coefficient
+    return discriminant(RationalPoly(f)).numerator % p == 0
+
+
 def test_factor_reconstructs_input():
     rng = random.Random(20)
+    repeated = 0
     for _ in range(500):
         p = next_prime(rng.randrange(2, 1 << 20))
         degree = rng.randrange(1, 9)
         coeffs = [rng.randrange(p) for _ in range(degree)] + [rng.randrange(1, p)]
         f = mod_reduce(coeffs, p)
+        if rng.randrange(5) == 0:
+            square = [rng.randrange(p) for _ in range(rng.randrange(1, 3))] + [1]
+            f = mod_mul(f, mod_mul(square, square, p), p)
+        if _has_repeated_factor(f, p):
+            repeated += 1
+            with pytest.raises(BadPrime, match="divides the discriminant"):
+                factor_mod_p(f, p)
+            continue
         product = [f[-1]]
-        for g, e in factor_mod_p(f, p):
+        for g in factor_mod_p(f, p):
             assert g[-1] == 1
             assert _probably_irreducible(g, p)
-            for _ in range(e):
-                product = mod_mul(product, g, p)
+            product = mod_mul(product, g, p)
         assert product == f
+    assert repeated >= 50
 
 
 def _probably_irreducible(g, p):
@@ -51,25 +73,31 @@ def _probably_irreducible(g, p):
     # machinery on the factor itself for small degrees
     if len(g) <= 2:
         return True
-    return factor_mod_p(g, p) == [(g, 1)]
+    return factor_mod_p(g, p) == [g]
 
 
 def test_factor_small_fields_exhaustive():
-    # all monic cubics over GF(2) and GF(3) against direct root/feasible-split checks
+    # all monic cubics over GF(2) and GF(3): those with a repeated root are
+    # refused, the rest checked against direct root/feasible-split checks
     for p in (2, 3):
         for c0 in range(p):
             for c1 in range(p):
                 for c2 in range(p):
                     f = [c0, c1, c2, 1]
+                    df = [c1, 2 * c2, 3]
+                    roots = [a for a in range(p) if _eval(f, a, p) == 0]
+                    # a cubic's repeated factor is linear, so a repeated root decides
+                    if any(_eval(df, a, p) == 0 for a in roots):
+                        with pytest.raises(BadPrime, match="divides the discriminant"):
+                            factor_mod_p(f, p)
+                        continue
                     facs = factor_mod_p(f, p)
                     product = [1]
-                    for g, e in facs:
-                        for _ in range(e):
-                            product = mod_mul(product, g, p)
+                    for g in facs:
+                        product = mod_mul(product, g, p)
                     assert product == f
-                    roots = [a for a in range(p) if _eval(f, a, p) == 0]
-                    linear = sum(e for g, e in facs if len(g) == 2)
-                    assert (len(roots) == 0) == (linear == 0)
+                    linear = sum(1 for g in facs if len(g) == 2)
+                    assert len(roots) == linear
 
 
 def _eval(f, a, p):

@@ -1,9 +1,9 @@
 """Package structure: runtime checks survive `python -O`, the package imports
-only the standard library, the public names and classmethods resolve and each
-has a caller, RationalPoly is a value with one division, FACTOR_LIMIT is
-enforced in one place per job, f's integer forms are built in one place each,
-the power-sum Hankel stays in integers, and no fact is checked twice by a
-determinant."""
+only the standard library, the public names, classmethods and methods resolve
+and each has a caller, RationalPoly is a value with one division,
+FACTOR_LIMIT is enforced in one place per job, f's integer forms are built in
+one place each, the power-sum Hankel stays in integers, and no fact is
+checked twice by a determinant."""
 
 import ast
 import sys
@@ -120,6 +120,46 @@ def test_every_public_name_has_a_caller():
         visitor.visit(ast.parse(path.read_text(), str(path)))
         referenced |= visitor.found
     assert sorted(public - referenced) == []
+
+
+class _AttributeReads(ast.NodeVisitor):
+    """Every attribute read as `.name`, except inside a function of that name."""
+
+    def __init__(self):
+        self.found: set[str] = set()
+        self.scopes: list[str] = []
+
+    def visit_FunctionDef(self, node):
+        self.scopes.append(node.name)
+        self.generic_visit(node)
+        self.scopes.pop()
+
+    def visit_Attribute(self, node):
+        if node.attr not in self.scopes:
+            self.found.add(node.attr)
+        self.generic_visit(node)
+
+
+def test_every_public_method_has_a_caller():
+    # a public instance method or property of a package class is read as
+    # `.name` in the package, the benchmark or the acceptance criteria,
+    # outside its own body (classmethods are the test above's)
+    public = set()
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.parse(path.read_text(), str(path)).body:
+            if isinstance(node, ast.ClassDef):
+                public |= {
+                    f"{node.name}.{item.name}"
+                    for item in node.body
+                    if isinstance(item, ast.FunctionDef)
+                    and not item.name.startswith("_")
+                    and not any(getattr(d, "id", None) == "classmethod" for d in item.decorator_list)
+                }
+    callers = sorted(PACKAGE.rglob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
+    visitor = _AttributeReads()
+    for path in callers + [ROOT / "tests" / "test_acceptance.py"]:
+        visitor.visit(ast.parse(path.read_text(), str(path)))
+    assert sorted(name for name in public if name.partition(".")[2] not in visitor.found) == []
 
 
 def test_rational_poly_is_a_value_with_one_division():

@@ -20,7 +20,6 @@ from traceforms.quadform import (
     equivalent,
     hilbert_symbol,
     invariants,
-    invariants_of_diagonal,
     is_isotropic,
     relevant_places,
 )
@@ -360,7 +359,6 @@ SMALL_ENTRIES = st.builds(
 @given(st.lists(st.one_of(NONZERO_RATIONALS, SMALL_ENTRIES), min_size=1, max_size=8))
 def test_factor_once_matches_two_pass_oracle(entries):
     # the oracle's Hasse invariant is the pairwise product prod_(i<j) (a_i, a_j)_v
-    assert invariants_of_diagonal(entries) == _invariants_oracle(entries)
     assert invariants(SymmetricForm.diagonal(entries)) == _invariants_oracle(entries)
     assert is_isotropic(SymmetricForm.diagonal(entries)) == _is_isotropic_oracle(entries)
     assert relevant_places(entries) == _places_oracle(entries)
@@ -373,7 +371,7 @@ def test_hasse_invariant_takes_n_minus_1_symbols_per_place(monkeypatch):
     real = quadform._hilbert_symbol
     monkeypatch.setattr(quadform, "_hilbert_symbol", lambda a, b, v: calls.append(v) or real(a, b, v))
     entries = [3, -5, Fraction(7, 2), 11, -1]
-    invariants_of_diagonal(entries)
+    invariants(SymmetricForm.diagonal(entries))
     assert len(calls) == (len(entries) - 1) * len(relevant_places(entries))
 
 
@@ -383,8 +381,23 @@ def test_factor_limit_is_checked_before_factoring(monkeypatch):
     monkeypatch.setattr(quadform, "factorize", lambda n: calls.append(n) or real(n))
     for entries in ([3, FACTOR_LIMIT + 1], [5, Fraction(1, FACTOR_LIMIT + 2)], [-(FACTOR_LIMIT + 1)]):
         with pytest.raises(ValueError, match="FACTOR_LIMIT"):
-            invariants_of_diagonal(entries)
+            invariants(SymmetricForm.diagonal(entries))
         with pytest.raises(ValueError, match="FACTOR_LIMIT"):
             is_isotropic(SymmetricForm.diagonal([7, 1] + entries))
     assert calls == []  # no entry was factored before the limit was met
-    assert invariants_of_diagonal([FACTOR_LIMIT, 1]).dim == 2
+    assert invariants(SymmetricForm.diagonal([FACTOR_LIMIT, 1])).dim == 2
+
+
+def test_isotropy_from_five_on_factors_nothing(monkeypatch):
+    # at n >= 5 isotropic means indefinite: the signs of the diagonal entries
+    # decide before any entry is factored, so one beyond FACTOR_LIMIT is
+    # answered too
+    calls = []
+    real = quadform.factorize
+    monkeypatch.setattr(quadform, "factorize", lambda n: calls.append(n) or real(n))
+    assert is_isotropic(SymmetricForm.diagonal([1, 2, 3, 4, -5]))
+    assert not is_isotropic(SymmetricForm.diagonal([1, 2, 3, 4, 5]))
+    assert not is_isotropic(SymmetricForm.diagonal([-1, -2, -3, -4, -5, Fraction(-1, 7)]))
+    assert is_isotropic(SymmetricForm.diagonal([7, 1, 3, 1, -(FACTOR_LIMIT + 1)]))
+    assert not is_isotropic(SymmetricForm.diagonal([7, 1, 3, 1, 5, Fraction(1, FACTOR_LIMIT + 2)]))
+    assert calls == []
