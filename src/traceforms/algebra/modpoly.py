@@ -18,10 +18,20 @@ is sorted canonically.  Cycle types need only factor degrees, which
 distinct-degree splitting gives directly.
 
 Distinct-degree splitting (Alg. 14.3 there) takes gcd(x^(p^d) - x, rest) for
-d = 1, 2, ...  It computes one Frobenius power per prime: x^p mod f by binary
-powering against the fixed reduction table x^n, ..., x^(2n-2) mod f, then
-each later x^(p^d) = h(x^p) as one vector-matrix product with the Frobenius
-rows x^(i p) mod f, i < n (the transpose of Berlekamp's Q matrix, §14.2).
+d = 1, 2, ...  Its Frobenius arithmetic runs on Kronecker-packed integers
+(§8.4 there): h of degree < n = deg f becomes the one integer
+sum(h_i 2^(w i)), with slot width w = bitlength(2 n p^2).  Every packed value
+stays nonnegative, since coefficients and rows are reduced to [0, p), so no
+slot borrows from its neighbour.  A product mod (f, p) is one integer
+product; each high slot, reduced mod p, times the packed row x^(n+k) mod f is
+added to the n low slots, which are then reduced mod p and repacked.  A
+product slot is below n p^2 and the rows add below n p^2, so every slot stays
+below 2 n p^2 < 2^w.  x^p mod f comes by binary powering from x, a "square,
+then times x" step reducing h^2 shifted up one slot against the rows x^n, ...,
+x^(2n-1) mod f.  Each later x^(p^d) = h(x^p) = sum(h_i x^(i p)) is one
+combination of the packed Frobenius rows x^(i p) mod f, i < n (the transpose
+of Berlekamp's Q matrix, §14.2), with slots below n p^2.  h is unpacked to a
+list only for the gcd.
 """
 
 from __future__ import annotations
@@ -125,59 +135,45 @@ def mod_pow(base, e: int, modulus, q: int) -> list[int]:
     return result
 
 
-def _times_x(h: list[int], x_n: list[int], p: int) -> list[int]:
-    """x * h mod (f, p) for dense length-n h, given x_n = x^n mod f: shift up,
-    fold the top coefficient back in."""
-    top = h[-1]
-    return [(c + top * r) % p for c, r in zip([0] + h[:-1], x_n)]
+def _pack(coeffs, w: int) -> int:
+    """Sum of c_i 2^(w i) over coefficients c_i in [0, 2^w)."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc << w | c
+    return acc
 
 
-def _reduction_table(f: list[int], p: int) -> list[list[int]]:
-    """Rows x^n, ..., x^(2n-2) mod the monic f of degree n >= 2, dense length n."""
-    n = len(f) - 1
-    table = [[-c % p for c in f[:n]]]
-    for _ in range(n - 2):
-        table.append(_times_x(table[-1], table[0], p))
-    return table
+def _unpack(h: int, w: int, n: int, p: int) -> list[int]:
+    """The n low w-bit slots of the nonnegative packed h, each reduced mod p."""
+    mask = (1 << w) - 1
+    return [(h >> (w * i) & mask) % p for i in range(n)]
 
 
-def _mul_reduce(a: list[int], b: list[int], table: list[list[int]], p: int) -> list[int]:
-    """a * b mod (f, p) for dense length-n a, b and f's reduction table."""
-    n = len(a)
-    prod = [0] * (2 * n - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                prod[i + j] += x * y
-    out = prod[:n]
-    for c, row in zip(prod[n:], table):
-        c %= p
-        if c:
-            for i, r in enumerate(row):
-                out[i] += c * r
-    return [c % p for c in out]
-
-
-def _x_power(p: int, table: list[list[int]]) -> list[int]:
-    """x^p mod (f, p), dense, by left-to-right binary powering from x."""
-    n = len(table[0])
-    h = [0, 1] + [0] * (n - 2)
-    for bit in bin(p)[3:]:
-        h = _mul_reduce(h, h, table, p)
-        if bit == "1":
-            h = _times_x(h, table[0], p)
-    return h
+def _reduce(prod: int, rows: list[int], w: int, n: int, p: int) -> int:
+    """A packed product of at most 2n slots reduced mod (f, p): each high slot
+    mod p times its packed row x^(n+k) mod f, added to the n low slots."""
+    mask = (1 << w) - 1
+    high = prod >> (n * w)
+    acc = prod & ((1 << (n * w)) - 1)
+    for row in rows:
+        acc += (high & mask) % p * row
+        high >>= w
+    out = 0
+    for shift in range(w * (n - 1), -1, -w):
+        out = out << w | (acc >> shift & mask) % p
+    return out
 
 
 def _distinct_degree(f: list[int], p: int) -> list[tuple[list[int], int]]:
     """Squarefree monic f as (product of irreducibles of degree d, d) pairs.
 
-    h runs through x^(p^d) mod f: x^p by powering against f's reduction
-    table, then h(x^p) = h^p as one product with the Frobenius rows
-    x^(i p) mod f.  h stays reduced mod f, not mod the shrinking rest: rest
-    divides f, so gcd(h - x, rest) is the same.
+    h runs through x^(p^d) mod f, packed: x^p by powering against f's packed
+    rows x^n, ..., x^(2n-1) mod f, then h(x^p) = h^p as one combination of
+    the packed Frobenius rows x^(i p) mod f.  h stays reduced mod f, not mod
+    the shrinking rest: rest divides f, so gcd(h - x, rest) is the same.
     """
     n = len(f) - 1
+    w = (2 * n * p * p).bit_length()
     out = []
     x = [0, 1]
     d = 0
@@ -185,19 +181,18 @@ def _distinct_degree(f: list[int], p: int) -> list[tuple[list[int], int]]:
     while len(rest) - 1 >= 2 * (d + 1):  # first pass only when n >= 2
         d += 1
         if d == 1:
-            table = _reduction_table(f, p)
-            h = frobenius = _x_power(p, table)
+            rows = [_pack([-c % p for c in f[:n]], w)]
+            while len(rows) < n:
+                rows.append(_reduce(rows[-1] << w, rows, w, n, p))
+            packed = 1 << w
+            for bit in bin(p)[3:]:
+                packed = _reduce(packed * packed << w if bit == "1" else packed * packed, rows, w, n, p)
+            frobenius = [1, packed]
         else:
-            if d == 2:
-                rows = [[1] + [0] * (n - 1), frobenius]
-                for _ in range(n - 2):
-                    rows.append(_mul_reduce(rows[-1], frobenius, table, p))
-            acc = [0] * n
-            for c, row in zip(h, rows):
-                if c:
-                    for j, r in enumerate(row):
-                        acc[j] += c * r
-            h = [c % p for c in acc]
+            while len(frobenius) < n:
+                frobenius.append(_reduce(frobenius[-1] * frobenius[1], rows, w, n, p))
+            packed = sum(c * row for c, row in zip(h, frobenius))
+        h = _unpack(packed, w, n, p)
         g = mod_gcd(mod_sub(h, x, p), rest, p)
         if len(g) > 1:
             out.append((g, d))

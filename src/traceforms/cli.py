@@ -123,6 +123,8 @@ def cmd_equivalent(args) -> int:
 
 
 def cmd_galois(args) -> int:
+    if args.n is not None and args.n < 1:
+        raise InputError("--n must be positive")
     if args.diag:
         diag = _parse_diag(args.diag)
         if args.n is not None and args.n != len(diag):

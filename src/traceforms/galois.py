@@ -52,7 +52,7 @@ class CycleTypeSample:
     def frequency(self, cycle_type: tuple[int, ...]) -> Fraction:
         if self.primes_used == 0:
             return Fraction(0)
-        return Fraction(self.counts.get(tuple(cycle_type), 0), self.primes_used)
+        return Fraction(self.counts.get(tuple(sorted(cycle_type)), 0), self.primes_used)
 
 
 @dataclass(frozen=True)

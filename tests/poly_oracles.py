@@ -5,6 +5,10 @@ The resultant and the discriminant here run Euclid's remainder sequence with
 own lcm and gcd loops; none of them reads power sums or the integer model of
 `traceforms.algebra.poly`, so the tests compare against them.
 
+`distinct_degree` splits a squarefree polynomial mod p by `mod_pow` on
+coefficient lists, the route the packed Frobenius kernel of
+`traceforms.algebra.modpoly` replaces.
+
 `RationalPoly` is a value with one division, so the tests build products,
 sums and values of polynomials here, on coefficient lists.
 """
@@ -13,6 +17,7 @@ import math
 from fractions import Fraction
 
 from traceforms.algebra import RationalPoly
+from traceforms.algebra.modpoly import mod_divmod, mod_gcd, mod_pow, mod_sub
 
 
 def mul(*factors) -> RationalPoly:
@@ -92,3 +97,22 @@ def primitive_part(f: RationalPoly) -> list[int]:
     if ints[-1] < 0:
         ints = [-c for c in ints]
     return ints
+
+
+def distinct_degree(f, p):
+    """Squarefree monic f as (product of irreducibles of degree d, d) pairs."""
+    out = []
+    x = h = [0, 1]  # only read when deg f >= 2, where x mod f = x
+    d = 0
+    rest = f
+    while len(rest) - 1 >= 2 * (d + 1):
+        d += 1
+        h = mod_pow(h, p, rest, p)
+        g = mod_gcd(mod_sub(h, x, p), rest, p)
+        if len(g) > 1:
+            out.append((g, d))
+            rest = mod_divmod(rest, g, p)[0]
+            h = mod_divmod(h, rest, p)[1]
+    if len(rest) > 1:
+        out.append((rest, len(rest) - 1))
+    return out

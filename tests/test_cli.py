@@ -279,7 +279,8 @@ def test_galois_cli(capsys):
     _assert_input_error(["galois", "--diag", "1,2,3", "--primes", "-5"], capsys)
     _assert_input_error(["galois", "--diag", "1,2,3", "--bound", "0"], capsys)
     _assert_input_error(["galois", "--diag", "1,2,3", "--bound", "-3"], capsys)
-    _assert_input_error(["galois", "--n", "0"], capsys)
+    _assert_input_error(["galois", "--n", "0"], capsys, "--n must be positive")
+    _assert_input_error(["galois", "--n", "-2"], capsys, "--n must be positive")
     _assert_input_error(
         ["galois", "--diag", "1,2,3", "--primes", "5", "--prime-floor", "3317044064679887385961981"], capsys
     )

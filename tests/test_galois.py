@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from poly_oracles import distinct_degree
 from quadform_oracles import squarefree_part
 
 from traceforms.algebra import (
@@ -17,6 +18,7 @@ from traceforms.algebra import (
     primes_above,
 )
 from traceforms.algebra.intmath import FACTOR_LIMIT
+from traceforms.algebra.modpoly import mod_reduce
 from traceforms.algebra.poly import _integer_model
 from traceforms.galois import (
     CERTIFIED,
@@ -80,6 +82,34 @@ def test_hoisted_walk_matches_public_cycle_types():
         assert bad in bad_primes
         s = sample_cycle_types(f, 40, floor)
         assert (s.counts, s.primes_used, s.primes_skipped) == (counts, used, len(bad_primes))
+
+
+def test_packed_walk_matches_mod_pow_oracle():
+    # f = charpoly(A diag) as the galois bench draws it (A symmetric, entries
+    # bounded by 20), one quintic and one sextic; the sextic walk skips 2 primes
+    for diag in ([3, -1, 4, -1, 5], [2, -7, 1, 8, -2, 8]):
+        f = charpoly(Matrix.random_symmetric(len(diag), 20, random.Random(1)) * Matrix.diagonal(diag))
+        g, b, disc = _integer_model(f)
+        counts = {}
+        used = skipped = 0
+        for p in primes_above(100):
+            if used == 300:
+                break
+            if b % p == 0 or disc % p == 0:
+                skipped += 1
+                continue
+            blocks = distinct_degree(mod_reduce(g, p), p)
+            t = tuple(sorted(d for block, d in blocks for _ in range((len(block) - 1) // d)))
+            counts[t] = counts.get(t, 0) + 1
+            used += 1
+        s = sample_cycle_types(f, 300, 100)
+        assert (s.counts, s.primes_skipped) == (counts, skipped)
+    assert skipped == 2
+
+
+def test_frequency_reads_unsorted_patterns():
+    s = sample_cycle_types(X3_MINUS_X_MINUS_1, 100)
+    assert s.frequency((1, 2)) == s.frequency((2, 1)) == Fraction(1, 2)
 
 
 def test_prime_walk_stays_in_proven_range():

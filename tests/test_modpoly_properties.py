@@ -14,6 +14,7 @@ from traceforms.algebra import (
     is_irreducible_over_rationals,
     is_prime,
 )
+from traceforms.algebra.intmath import FACTOR_LIMIT
 from traceforms.algebra.modpoly import (
     _cycle_type,
     _distinct_degree,
@@ -22,13 +23,11 @@ from traceforms.algebra.modpoly import (
     mod_gcd,
     mod_monic,
     mod_mul,
-    mod_pow,
     mod_reduce,
-    mod_sub,
     mod_xgcd,
 )
 from traceforms.algebra.poly import _integer_model, _monic_model
-from poly_oracles import discriminant, mul, primitive_part
+from poly_oracles import discriminant, distinct_degree, mul, primitive_part
 
 PRIMES = st.sampled_from([p for p in range(2, 400) if is_prime(p)])
 PRIME_POWERS = st.tuples(st.sampled_from([2, 3, 5, 7, 101]), st.integers(2, 4)).map(
@@ -113,40 +112,28 @@ def test_cycle_type_reads_the_monic_model(f, p):
     assert _cycle_type(g, b, disc, p) == cycle_type_mod_p(f, p) == expected
 
 
-def _distinct_degree_oracle(f, p):
-    """Squarefree monic f as (product of irreducibles of degree d, d) pairs."""
-    out = []
-    x = h = [0, 1]  # only read when deg f >= 2, where x mod f = x
-    d = 0
-    rest = f
-    while len(rest) - 1 >= 2 * (d + 1):
-        d += 1
-        h = mod_pow(h, p, rest, p)
-        g = mod_gcd(mod_sub(h, x, p), rest, p)
-        if len(g) > 1:
-            out.append((g, d))
-            rest = mod_divmod(rest, g, p)[0]
-            h = mod_divmod(h, rest, p)[1]
-    if len(rest) > 1:
-        out.append((rest, len(rest) - 1))
-    return out
-
-
-# small p (n > p is common), and primes near 10**3 and 10**6
-DDF_PRIMES = st.sampled_from([2, 3, 5, 7, 991, 997, 1009, 1013, 999953, 999983, 1000003, 1000033])
+# small p (n > p is common), primes near 10**3 and 10**6, 2**31 - 1, 2**61 - 1
+# and the largest proven prime: packed slot widths from a few bits to ~170
+LARGEST_PRIME = next(k for k in range(FACTOR_LIMIT, 0, -1) if is_prime(k))
+DDF_PRIMES = st.sampled_from(
+    [2, 3, 5, 7, 991, 997, 1009, 1013, 999953, 999983, 1000003, 1000033, 2**31 - 1, 2**61 - 1, LARGEST_PRIME]
+)
 
 
 @settings(max_examples=400, deadline=None)
-@given(p=DDF_PRIMES, lower=st.lists(st.integers(0, 10**7), min_size=1, max_size=9), zero_constant=st.booleans())
+@given(p=DDF_PRIMES, lower=st.lists(st.integers(0, 10**7), min_size=1, max_size=12), zero_constant=st.booleans())
 @example(p=2, lower=[0, 1, 1, 0, 0, 1, 0], zero_constant=True)  # x(x+1)(x^2+x+1)(x^3+x+1)
 @example(p=3, lower=[0, 2, 0, 2, 2, 1, 1], zero_constant=True)  # x(x+1)(x^2+1)(x^3+2x+1)
 @example(p=2, lower=[1, 1, 0, 0, 0, 0, 0, 0, 0], zero_constant=False)  # x^9+x+1
+@example(p=2, lower=[1], zero_constant=False)  # x + 1
+@example(p=2, lower=[1, 1], zero_constant=False)  # x^2 + x + 1, irreducible
+@example(p=2, lower=[1, 1], zero_constant=True)  # x(x + 1)
 def test_distinct_degree_matches_oracle(p, lower, zero_constant):
     f = [c % p for c in lower] + [1]
     if zero_constant:
         f[0] = 0
     assume(mod_gcd(f, mod_reduce([i * c for i, c in enumerate(f)][1:], p), p) == [1])
-    assert _distinct_degree(f, p) == _distinct_degree_oracle(f, p)
+    assert _distinct_degree(f, p) == distinct_degree(f, p)
 
 
 def _check_divmod(a, b, q):
