@@ -2,11 +2,10 @@
 
 Coefficients are `fractions.Fraction` values stored lowest degree first;
 the zero polynomial is the empty tuple and has degree -1.  `RationalPoly` is a
-value, not a ring: it is built, made monic, and divided (alpha mod f, by
-schoolbook long division); arithmetic on polynomials runs as integer lists
-here and in `modpoly`.  `realize` reaches degree 48 (diagonal targets), and the
-work that grows with the degree (power sums, discriminants) runs in integers
-on f's monic model.
+value that computes nothing: it is built, compared, hashed and printed, and
+arithmetic on polynomials runs as integer lists here and in `modpoly`.
+`realize` reaches degree 48 (diagonal targets), and the work that grows with
+the degree (power sums, discriminants) runs in integers on f's monic model.
 
 Alongside the value this module provides the trace machinery for
 quotient rings Q[x]/(f): power sums of the roots of f, as Newton sums in `int`
@@ -31,8 +30,8 @@ from .intmath import _int_det_bareiss
 
 
 class RationalPoly:
-    """Immutable polynomial with exact rational coefficients: a value with one
-    division (`divmod` / `%` by a polynomial), which reduces alpha mod f."""
+    """Immutable polynomial with exact rational coefficients: a value that
+    computes nothing, with no operators beyond comparison and hashing."""
 
     __slots__ = ("coeffs",)
 
@@ -78,36 +77,6 @@ class RationalPoly:
     def __hash__(self):
         return hash(self.coeffs)
 
-    def __divmod__(self, other):
-        if not isinstance(other, RationalPoly):
-            return NotImplemented
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dd = other.degree
-        lead = other.coeffs[-1]
-        if len(rem) <= dd:
-            return RationalPoly(()), self
-        quo = [Fraction(0)] * (len(rem) - dd)
-        for i in range(len(quo) - 1, -1, -1):
-            c = rem[i + dd] / lead
-            quo[i] = c
-            if c:
-                for j in range(dd + 1):
-                    rem[i + j] -= c * other.coeffs[j]
-        return RationalPoly(quo), RationalPoly(rem)
-
-    def __mod__(self, other):
-        return divmod(self, other)[1]
-
-    def monic(self) -> "RationalPoly":
-        if self.is_zero:
-            raise ValueError("zero polynomial cannot be made monic")
-        lead = self.coeffs[-1]
-        if lead == 1:
-            return self
-        return RationalPoly(tuple(c / lead for c in self.coeffs))
-
     def __repr__(self):
         if self.is_zero:
             return "RationalPoly(0)"
@@ -131,7 +100,8 @@ class RationalPoly:
 def _monic_model(f: RationalPoly) -> tuple[list[int], int]:
     """(g, b): f's monic integer model g(x) = b^n h(x/b), h = f / lc(f), b the
     lcm of h's denominators.  b h is f's primitive part, with leading b > 0."""
-    h = f.monic().coeffs
+    lead = f.leading
+    h = f.coeffs if lead == 1 else [c / lead for c in f.coeffs]  # charpolys are monic
     b = math.lcm(*(c.denominator for c in h))
     return [c.numerator * (b ** (f.degree - i) // c.denominator) for i, c in enumerate(h)], b
 

@@ -174,10 +174,10 @@ def qualifying_alphas(p: int, k: int, m: int) -> list[int]:
 def construct_group(p: int, k: int, m: int) -> SemidirectGroup:
     """Validated construction with the smallest qualifying alpha.
 
-    Rejects p | m and p not dividing phi(m) outright; additionally rejects m
-    with a prime factor q != 1 (mod p), because then no unit of order p with
-    alpha - 1 invertible exists and the Sylow generation property fails.
-    Orders above MAX_GROUP_ORDER are refused too.
+    Rejects p | m, then orders above MAX_GROUP_ORDER (before m is factored),
+    then p not dividing phi(m); additionally rejects m with a prime factor
+    q != 1 (mod p), because then no unit of order p with alpha - 1 invertible
+    exists and the Sylow generation property fails.
     """
     if not is_prime(p):
         raise InvalidParams(f"p = {p} is not prime")
@@ -185,6 +185,9 @@ def construct_group(p: int, k: int, m: int) -> SemidirectGroup:
         raise InvalidParams("k and m must be positive")
     if m % p == 0:
         raise InvalidParams(f"p = {p} divides m = {m}")
+    # p >= 2, so a k past the constant's bit length is too large without computing p^k
+    if k > MAX_GROUP_ORDER.bit_length() or m * p**k > MAX_GROUP_ORDER:
+        raise InvalidParams(f"order {m} * {p}^{k} exceeds MAX_GROUP_ORDER = {MAX_GROUP_ORDER}")
     # p does not divide m, so p | phi(m) exactly when some prime q | m is 1 mod p
     primes = list(factorize(m))
     bad = [q for q in primes if q % p != 1]
@@ -195,9 +198,6 @@ def construct_group(p: int, k: int, m: int) -> SemidirectGroup:
             f"prime factors {bad} of m are not 1 mod p; no twisting unit of "
             f"order {p} with alpha - 1 invertible exists"
         )
-    # p >= 2, so a k past the constant's bit length is too large without computing p^k
-    if k > MAX_GROUP_ORDER.bit_length() or m * p**k > MAX_GROUP_ORDER:
-        raise InvalidParams(f"order {m} * {p}^{k} exceeds MAX_GROUP_ORDER = {MAX_GROUP_ORDER}")
     alpha = min(qualifying_alphas(p, k, m))
     return SemidirectGroup(p, k, m, alpha)
 

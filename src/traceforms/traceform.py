@@ -69,8 +69,9 @@ class Certificate:
     """Explicit witness that D is isomorphic to a scaled trace form.
 
     Invariants (all enforced by verify_certificate): f = charpoly(A D) is
-    monic, separable, irreducible; alpha is nonzero in Q[x]/(f); gram is the
-    Gram matrix of Tr(alpha x^2) in the power basis and a Hankel matrix;
+    monic, separable, irreducible; alpha is nonzero in Q[x]/(f), read off the
+    trace form of the separable f (alpha need not be reduced mod f); gram is
+    the Gram matrix of Tr(alpha x^2) in the power basis and a Hankel matrix;
     P^T D P = gram, which makes P invertible since gram is nonsingular.
     """
 
@@ -96,17 +97,15 @@ class CertificateCheck:
 def scaled_trace_gram(f: RationalPoly, alpha: RationalPoly) -> Matrix:
     """Gram matrix of x -> Tr(alpha x^2) on Q[x]/(f) in the power basis.
 
-    Entry (i, j) is Tr(alpha x^(i+j) mod f); the matrix is symmetric Hankel
-    by construction.  f is expected monic (and irreducible when the result
-    is meant to be a field trace form; that is not re-checked here).
+    Entry (i, j) is Tr(alpha x^(i+j)); the matrix is symmetric Hankel by
+    construction.  alpha need not be reduced mod f, and alpha = 0 mod f gives
+    the zero matrix.  f is expected monic (and irreducible when the result is
+    meant to be a field trace form; that is not re-checked here).
     """
     if not f.is_monic or f.degree < 1:
         raise ValueError("modulus must be monic of degree >= 1")
-    reduced = alpha % f
-    if reduced.is_zero:
-        raise ValueError("alpha vanishes mod f")
     n = f.degree
-    moments = trace_moments(f, reduced, 2 * n - 1)
+    moments = trace_moments(f, alpha, 2 * n - 1)
     return Matrix([[moments[i + j] for j in range(n)] for i in range(n)])
 
 
@@ -227,10 +226,11 @@ def verify_certificate(cert: Certificate) -> CertificateCheck:
     Total: never raises on well-formed field types, only returns a verdict.
     Clauses, in order: shapes consistent, A symmetric, f = charpoly(A D),
     f irreducible over Q (hence separable; when not, `is_separable` names the
-    clause not_separable or not_irreducible), alpha nonzero mod f, gram
-    matches Tr(alpha x^(i+j)), P^T D P = gram.  P needs no clause of its own:
-    for separable f and alpha != 0 mod f the form Tr(alpha x y) is
-    nondegenerate, so gram is nonsingular and P^T D P = gram forces det P != 0.
+    clause not_separable or not_irreducible), alpha nonzero mod f (its Gram
+    matrix Tr(alpha x^(i+j)) is not zero), gram matches that Gram matrix,
+    P^T D P = gram.  P needs no clause of its own: for separable f and
+    alpha != 0 mod f the form Tr(alpha x y) is nondegenerate, so gram is
+    nonsingular and P^T D P = gram forces det P != 0.
     """
     d = cert.D.gram
     n = d.nrows
@@ -249,10 +249,12 @@ def verify_certificate(cert: Certificate) -> CertificateCheck:
         return CertificateCheck(False, "charpoly_mismatch")
     if not is_irreducible_over_rationals(cert.f):
         return CertificateCheck(False, "not_irreducible" if is_separable(cert.f) else "not_separable")
-    reduced = cert.alpha % cert.f  # reduced once: scaled_trace_gram's own % f is then free
-    if reduced.is_zero:
+    # f is separable here, so the trace pairing is nondegenerate: alpha = 0 mod f
+    # exactly when every Tr(alpha x^m) vanishes, i.e. when its gram is zero
+    gram = scaled_trace_gram(cert.f, cert.alpha)
+    if not any(map(any, gram.numerators)):
         return CertificateCheck(False, "alpha_zero")
-    if scaled_trace_gram(cert.f, reduced) != cert.gram:
+    if gram != cert.gram:
         return CertificateCheck(False, "gram_mismatch")
     if cert.P.transpose() * d * cert.P != cert.gram:
         return CertificateCheck(False, "congruence_mismatch")

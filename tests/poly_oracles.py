@@ -9,8 +9,9 @@ own lcm and gcd loops; none of them reads power sums or the integer model of
 coefficient lists, the route the packed Frobenius kernel of
 `traceforms.algebra.modpoly` replaces.
 
-`RationalPoly` is a value with one division, so the tests build products,
-sums and values of polynomials here, on coefficient lists.
+`RationalPoly` computes nothing, so the tests build products, sums, values,
+quotients, remainders and monic rescalings of polynomials here, on coefficient
+lists; the Euclidean routines use this division, not any of the package's.
 """
 
 import math
@@ -41,6 +42,30 @@ def add(f: RationalPoly, g: RationalPoly, c=1) -> RationalPoly:
     return RationalPoly(x + c * y for x, y in zip(a, b))
 
 
+def divide(f: RationalPoly, g: RationalPoly) -> tuple[RationalPoly, RationalPoly]:
+    """(q, r) with f = q g + r and deg r < deg g, by schoolbook long division."""
+    if g.is_zero:
+        raise ZeroDivisionError("polynomial division by zero")
+    rem = list(f.coeffs)
+    dg = g.degree
+    quo = [Fraction(0)] * max(len(rem) - dg, 0)
+    for i in range(len(quo) - 1, -1, -1):
+        c = quo[i] = rem[i + dg] / g.leading
+        for j, b in enumerate(g.coeffs):
+            rem[i + j] -= c * b
+    return RationalPoly(quo), RationalPoly(rem)
+
+
+def remainder(f: RationalPoly, g: RationalPoly) -> RationalPoly:
+    """f mod g."""
+    return divide(f, g)[1]
+
+
+def monic(f: RationalPoly) -> RationalPoly:
+    """f / lc(f)."""
+    return RationalPoly(c / f.leading for c in f.coeffs)
+
+
 def evaluate(f: RationalPoly, x) -> Fraction:
     """f(x) by Horner's rule."""
     acc = Fraction(0)
@@ -64,7 +89,7 @@ def resultant(f: RationalPoly, g: RationalPoly) -> Fraction:
             res = -res
         a, b = b, a
     while b.degree > 0:
-        r = a % b
+        r = remainder(a, b)
         if r.is_zero:
             return Fraction(0) if a.degree > 0 and b.degree > 0 else res
         res *= b.leading ** (a.degree - r.degree)

@@ -9,6 +9,8 @@ from group_oracles import normal_subgroups as normal_subgroups_oracle
 
 from traceforms import groups
 from traceforms.algebra import divisors
+from traceforms.algebra.intmath import FACTOR_LIMIT, next_prime
+from traceforms.cli import main
 from traceforms.groups import (
     MAX_GROUP_ORDER,
     Element,
@@ -55,6 +57,24 @@ def test_construct_examples():
     for p, k, m in ((2, 1, 100003), (2, 40, 3), (2, 10**6, 3)):
         with pytest.raises(InvalidParams, match="MAX_GROUP_ORDER"):
             construct_group(p, k, m)
+
+
+def test_order_cap_comes_before_factoring_m(monkeypatch, capsys):
+    # an order past the cap is refused before m is factored: an 81-bit m costs
+    # Brent's rho half a second, and an m above FACTOR_LIMIT is refused for the
+    # order, not for its factorization
+    below = next_prime(2**40) * next_prime(2**40 + 10**7)
+    above = next_prime(2**41) * next_prime(2**41 + 10**6)
+    assert below.bit_length() == 81 and above > FACTOR_LIMIT
+    calls = []
+    monkeypatch.setattr(groups, "factorize", lambda n: calls.append(n) or {})
+    for m in (below, above):
+        with pytest.raises(InvalidParams, match=f"MAX_GROUP_ORDER = {MAX_GROUP_ORDER}"):
+            construct_group(2, 1, m)
+        assert main(["group-verify", "--p", "2", "--k", "1", "--m", str(m)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"MAX_GROUP_ORDER = {MAX_GROUP_ORDER}" in err
+    assert calls == []
 
 
 def test_construct_requires_unit_alpha_minus_one():

@@ -1,12 +1,13 @@
 """Package structure: runtime checks survive `python -O`, the package imports
 only the standard library, the public names, classmethods and methods resolve
-and each has a caller, RationalPoly is a value with one division,
+and each has a caller, RationalPoly is a value with no operators,
 FACTOR_LIMIT is enforced in one place per job, f's integer forms are built in
 one place each, the power-sum Hankel stays in integers, and no fact is
 checked twice by a determinant."""
 
 import ast
 import sys
+import types
 from pathlib import Path
 
 import traceforms.algebra
@@ -162,13 +163,21 @@ def test_every_public_method_has_a_caller():
     assert sorted(name for name in public if name.partition(".")[2] not in visitor.found) == []
 
 
-def test_rational_poly_is_a_value_with_one_division():
-    # RationalPoly is built, compared, hashed, printed and divided (alpha mod
-    # f); products, sums and values of polynomials run on integer lists in
-    # poly and modpoly, so no other operator is defined
+def test_rational_poly_is_a_value_with_no_operators():
+    # RationalPoly is built, compared, hashed and printed; products, sums,
+    # values and remainders of polynomials run on integer lists in poly and
+    # modpoly (verify reads alpha != 0 mod f off the trace form), so it defines
+    # the value dunders, `one` and read-only properties, and nothing else
     value = {"__init__", "__setattr__", "__bool__", "__eq__", "__hash__", "__repr__"}
-    operators = {name for name, member in vars(RationalPoly).items() if name.startswith("__") and callable(member)}
-    assert sorted(operators - value) == ["__divmod__", "__mod__"]
+    members = dict(vars(RationalPoly))
+    dunders = {name for name in members if name.startswith("__") and callable(members[name])}
+    assert sorted(dunders) == sorted(value)
+    rest = {name: member for name, member in members.items() if not name.startswith("__")}
+    assert isinstance(rest.pop("one"), classmethod)
+    assert isinstance(rest.pop("coeffs"), types.MemberDescriptorType)  # the one slot
+    assert sorted(rest) == ["degree", "is_monic", "is_zero", "leading"]
+    assert all(isinstance(member, property) and member.fset is None for member in rest.values())
+    assert not hasattr(RationalPoly, "monic")
 
 
 class _Scoped(ast.NodeVisitor):

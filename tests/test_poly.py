@@ -15,7 +15,7 @@ from traceforms.algebra import (
     trace_moments,
 )
 from traceforms.algebra.poly import _monic_model
-from poly_oracles import add, evaluate, mul
+from poly_oracles import add, divide, evaluate, monic, mul, remainder
 from poly_oracles import derivative as _derivative
 from poly_oracles import discriminant as _discriminant_oracle
 from poly_oracles import primitive_part as _primitive_oracle
@@ -28,17 +28,17 @@ def _gcd_oracle(f: RationalPoly, g: RationalPoly) -> RationalPoly:
     """Monic gcd in Q[x] by Euclid (a nonzero constant gcd is returned as 1)."""
     a, b = f, g
     while not b.is_zero:
-        a, b = b, a % b
+        a, b = b, remainder(a, b)
     if a.is_zero:
         return a
-    return a.monic()
+    return monic(a)
 
 
 def _trace_of_element(f: RationalPoly, g: RationalPoly) -> Fraction:
     """Trace of (g mod f) acting by multiplication on Q[x]/(f)."""
     if not f.is_monic or f.degree < 1:
         raise ValueError("trace requires a monic modulus of degree >= 1")
-    gbar = g % f
+    gbar = remainder(g, f)
     if gbar.is_zero:
         return Fraction(0)
     tr = power_traces(f, gbar.degree)
@@ -55,30 +55,32 @@ def _random_poly(rng, max_degree=6, span=9):
 
 
 def test_arithmetic_round_trips():
+    # the oracle division the Euclidean oracles run on: f = q g + r, deg r < deg g
     rng = random.Random(2)
     for _ in range(200):
         f, g = _random_poly(rng), _random_poly(rng)
         if g.is_zero:
             continue
-        q, r = divmod(f, g)
+        q, r = divide(f, g)
         assert add(mul(q, g), r) == f
         assert r.is_zero or r.degree < g.degree
-        assert f % g == r
+        assert remainder(f, g) == r
+        assert monic(g).is_monic and mul(monic(g), (g.leading,)) == g
     with pytest.raises(ZeroDivisionError):
-        divmod(X2_MINUS_2, RationalPoly())
+        divide(X2_MINUS_2, RationalPoly())
 
 
 def test_canonical_rationals_on_random_chains():
-    # every coefficient that comes out of a chain of divisions and monic
-    # rescalings is reduced with a positive denominator
+    # every coefficient of a RationalPoly built from a chain of (oracle)
+    # divisions and monic rescalings is reduced with a positive denominator
     rng = random.Random(3)
     for _ in range(100):
         f, g, h = (_random_poly(rng) for _ in range(3))
         chain = [f]
         for divisor in (g, h):
             if not divisor.is_zero:
-                chain += divmod(chain[-1], divisor)
-        chain += [p.monic() for p in chain if not p.is_zero]
+                chain += divide(chain[-1], divisor)
+        chain += [monic(p) for p in chain if not p.is_zero]
         for c in (c for p in chain for c in p.coeffs):
             assert c.denominator >= 1
             assert math.gcd(abs(c.numerator), c.denominator) == 1
@@ -240,8 +242,8 @@ def test_gcd_properties():
             continue
         fh, gh = mul(f, h), mul(g, h)
         d = _gcd_oracle(fh, gh)
-        assert d == mul(_gcd_oracle(f, g), h).monic()
-        assert (fh % d).is_zero and (gh % d).is_zero
+        assert d == monic(mul(_gcd_oracle(f, g), h))
+        assert remainder(fh, d).is_zero and remainder(gh, d).is_zero
 
 
 # The integer forms of f as they were built before `_monic_model`: Newton's
@@ -295,7 +297,7 @@ def test_monic_model_matches_monicized_primitive_part(lower, lead):
     assert (g, b) == (_monicize_oracle(primitive), primitive[-1])
     # the definition: g_i = b^(n-i) h_i with h = f / lc(f)
     n = f.degree
-    assert RationalPoly(g) == RationalPoly([c * b ** (n - i) for i, c in enumerate(f.monic().coeffs)])
+    assert RationalPoly(g) == RationalPoly([c * b ** (n - i) for i, c in enumerate(monic(f).coeffs)])
 
 
 @settings(max_examples=300, deadline=None)

@@ -19,7 +19,7 @@ from traceforms.algebra import (
     trace_moments,
 )
 from matrix_oracles import krylov_matrix
-from poly_oracles import add, mul
+from poly_oracles import add, mul, remainder
 from traceforms.algebra import poly
 from traceforms.galois import generic_experiment
 from traceforms.quadform import DegenerateForm, SymmetricForm, equivalent
@@ -51,8 +51,11 @@ def test_scaled_trace_gram_examples():
     assert scaled_trace_gram(RationalPoly((-3, 1)), RationalPoly((7,))) == Matrix([[7]])
     assert scaled_trace_gram(F2, RationalPoly.one()) == Matrix([[2, 0], [0, 4]])
     assert scaled_trace_gram(F2, ALPHA2) == Matrix([[1, 1], [1, 2]])
-    with pytest.raises(ValueError):
-        scaled_trace_gram(F2, mul(F2, (3,)))  # alpha = 0 mod f
+    # alpha = 0 mod f, reduced or not, has the zero trace form
+    zero = Matrix([[0, 0], [0, 0]])
+    assert scaled_trace_gram(F2, RationalPoly()) == zero
+    assert scaled_trace_gram(F2, mul(F2, (3,))) == zero
+    assert scaled_trace_gram(F2, mul(F2, (1, Fraction(-2, 3), 5))) == zero
 
 
 def test_scaled_trace_gram_is_hankel_and_nonsingular():
@@ -63,7 +66,7 @@ def test_scaled_trace_gram_is_hankel_and_nonsingular():
             alpha = RationalPoly(
                 [Fraction(rng.randrange(-5, 6), rng.randrange(1, 4)) for _ in range(f.degree)]
             )
-            if (alpha % f).is_zero:
+            if remainder(alpha, f).is_zero:
                 continue
             g = scaled_trace_gram(f, alpha)
             n = f.degree
@@ -103,13 +106,13 @@ def test_solve_alpha_round_trip():
             alpha = RationalPoly(
                 [Fraction(rng.randrange(-6, 7), rng.randrange(1, 5)) for _ in range(n)]
             )
-            if (alpha % f).is_zero:
+            if remainder(alpha, f).is_zero:
                 continue
             g = scaled_trace_gram(f, alpha)
             moments = [g[0, 0]] + [g[0, j] for j in range(1, n)] + [
                 g[n - 1, j] for j in range(1, n)
             ]
-            assert solve_alpha(f, moments) == alpha % f
+            assert solve_alpha(f, moments) == remainder(alpha, f)
 
 
 def _solve_alpha_oracle(f: RationalPoly, moments) -> RationalPoly:
@@ -313,19 +316,13 @@ def test_solve_alpha_computes_power_sums_once():
 
 
 def test_unreduced_alpha():
-    # alpha + f h is the same element of Q[x]/(f) as alpha, whatever its degree;
-    # verify divides it by f once, for the alpha_zero clause, and hands the
-    # remainder to scaled_trace_gram
+    # alpha + f h is the same element of Q[x]/(f) as alpha, whatever its degree:
+    # its trace moments are alpha's, so scaled_trace_gram and verify read it
+    # unreduced, and f h itself has the zero trace form, which verify names
+    # alpha_zero
     rng = random.Random(57)
     cert = realize(SymmetricForm.diagonal([2, -3, 5]), SearchPolicy(seed=9))
-    original = RationalPoly.__divmod__
-    divisions = []
-
-    def spy(a, b):
-        if a.degree >= b.degree:  # a long division, not the free remainder of a reduced a
-            divisions.append(a)
-        return original(a, b)
-
+    zero = Matrix([[0] * 3] * 3)
     for _ in range(10):
         h = RationalPoly(
             [Fraction(rng.randrange(-9, 10), rng.randrange(1, 4)) for _ in range(rng.randrange(1, 9))]
@@ -334,13 +331,82 @@ def test_unreduced_alpha():
             continue
         assert scaled_trace_gram(F2, add(ALPHA2, mul(F2, h))) == scaled_trace_gram(F2, ALPHA2)
         unreduced = replace(cert, alpha=add(cert.alpha, mul(cert.f, h)))
-        divisions.clear()
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(RationalPoly, "__divmod__", spy)
-            assert verify_certificate(unreduced)
-        assert divisions == [unreduced.alpha]
+        assert unreduced.alpha.degree >= cert.f.degree
+        assert scaled_trace_gram(cert.f, unreduced.alpha) == cert.gram
+        assert verify_certificate(unreduced)
+        assert scaled_trace_gram(cert.f, mul(cert.f, h)) == zero
         check = verify_certificate(replace(cert, alpha=mul(cert.f, h)))
         assert not check and check.failed_clause == "alpha_zero"
+
+
+def _gram_oracle(f: RationalPoly, alpha: RationalPoly) -> Matrix:
+    """(Tr(alpha x^(i+j))) as the traces of alpha(C) C^(i+j), C the companion
+    matrix of the monic f (multiplication by x on Q[x]/(f)): Horner on
+    Fraction rows, with no power sums and no reduction mod f."""
+    n = f.degree
+    companion = tuple(
+        tuple(-f.coeffs[i] if j == n - 1 else Fraction(i == j + 1) for j in range(n)) for i in range(n)
+    )
+    acc = tuple((Fraction(0),) * n for _ in range(n))
+    for c in reversed(alpha.coeffs):
+        acc = oracle.mul(acc, companion)
+        acc = tuple(tuple(x + c * (i == j) for j, x in enumerate(row)) for i, row in enumerate(acc))
+    traces = []
+    for _ in range(2 * n - 1):
+        traces.append(sum(acc[i][i] for i in range(n)))
+        acc = oracle.mul(acc, companion)
+    return Matrix([[traces[i + j] for j in range(n)] for i in range(n)])
+
+
+@st.composite
+def _verify_problems(draw):
+    """(cert, h, kind): D diagonal and A symmetric with small integer entries
+    (zeros too), n <= 4, f = charpoly(A D).  alpha has degree up to 3n, plus
+    or equal to f h at times; gram is alpha's oracle Gram matrix or random,
+    P random.  kind 'krylov' takes P from the Krylov walk of A D at e1 and
+    alpha solving the moments of P^T D P (for irreducible f), so alpha's
+    Gram matrix is P^T D P: a valid certificate, before alpha is shifted."""
+    n = draw(st.integers(1, 4))
+    small = st.integers(-3, 3)
+    upper = {(i, j): draw(small) for i in range(n) for j in range(i, n)}
+    a = Matrix([[upper[min(i, j), max(i, j)] for j in range(n)] for i in range(n)])
+    form = SymmetricForm.diagonal(draw(st.lists(small, min_size=n, max_size=n)))
+    f = charpoly(a * form.gram)
+    h = RationalPoly(draw(st.lists(COEFFS, min_size=1, max_size=n + 1)))
+    square = st.lists(st.lists(COEFFS, min_size=n, max_size=n), min_size=n, max_size=n)
+    kind = draw(st.sampled_from(("oracle", "random", "krylov")))
+    alpha = RationalPoly(draw(st.lists(COEFFS, max_size=3 * n + 1)))
+    p = Matrix(draw(square))
+    if kind == "krylov" and is_irreducible_over_rationals(f):
+        p = krylov_matrix(a * form.gram, [Fraction(i == 0) for i in range(n)])
+        target = p.transpose() * form.gram * p
+        alpha = solve_alpha(f, [target[0, m] if m < n else target[m - n + 1, n - 1] for m in range(2 * n - 1)])
+    shift = draw(st.sampled_from(("none", "plus", "equal")))
+    if shift == "plus":
+        alpha = add(alpha, mul(f, h))
+    elif shift == "equal":
+        alpha = mul(f, h)
+    gram = _gram_oracle(f, alpha) if kind != "random" else Matrix(draw(square))
+    return Certificate(D=form, A=a, f=f, alpha=alpha, P=p, gram=gram), h, kind
+
+
+@settings(max_examples=200, deadline=None)
+@given(_verify_problems())
+def test_verify_is_total_and_reads_alpha_zero_off_the_trace_form(problem):
+    cert, h, kind = problem
+    check = verify_certificate(cert)  # total: a verdict, never an exception
+    # alpha and alpha + f h are one element of Q[x]/(f): one verdict
+    shifted = verify_certificate(replace(cert, alpha=add(cert.alpha, mul(cert.f, h))))
+    assert (shifted.ok, shifted.failed_clause) == (check.ok, check.failed_clause)
+    if not is_irreducible_over_rationals(cert.f):
+        assert check.failed_clause in ("not_irreducible", "not_separable")
+        return
+    assert (check.failed_clause == "alpha_zero") == remainder(cert.alpha, cert.f).is_zero
+    if kind != "random":
+        # the oracle Gram matrix is the one verify computes
+        assert check.failed_clause != "gram_mismatch"
+    if kind == "krylov" and check.failed_clause != "alpha_zero":
+        assert check
 
 
 def test_realize_one_dimensional():
