@@ -1,15 +1,16 @@
 """Realization of non-degenerate rational quadratic forms as scaled trace forms.
 
-Given a target form D, the pipeline finds a symmetric rational matrix A such
+Given a target form D, the pipeline finds a symmetric integer matrix A such
 that f = charpoly(A D) is separable and irreducible, which makes D the Gram
 matrix of x -> Tr(alpha x^2) on the field F = Q[x]/(f) for a suitable nonzero
 alpha in F.  The witness it emits is fully explicit and exactly checkable:
 
   * f itself, with the separability and irreducibility claims re-decidable;
   * alpha, recovered by solving the trace-pairing linear system against the
-    Hankel moment sequence h_m = e1^T D' M^m e1 of M = A' D';
-  * a change of basis P (Krylov columns of a cyclic vector, pulled back
-    through the diagonalizing congruence) with P^T D P = Gram(f, alpha).
+    Hankel moment sequence h_m = e1^T D M^m e1 of M = A D;
+  * a change of basis P, the Krylov columns M^k e1, with P^T D P = Gram(f, alpha):
+    no diagonal basis is needed, as D A D is symmetric, so M is self-adjoint
+    for D, and for irreducible f every nonzero vector is cyclic for M.
 
 Everything is exact; `verify_certificate` re-derives each clause from scratch
 and reports the first one that fails.
@@ -27,7 +28,6 @@ from .algebra import (
     Matrix,
     RationalPoly,
     charpoly,
-    congruence_diagonalize,
     is_irreducible_over_rationals,
     is_separable,
     trace_moments,
@@ -151,20 +151,19 @@ def _mix(seed: int, counter: int) -> int:
 def realize(form: SymmetricForm, policy: SearchPolicy | None = None) -> Certificate:
     """Produce a scaled-trace-form certificate for a non-degenerate form.
 
-    Diagonalizes the target, samples symmetric integer matrices A' on a
-    growing coefficient schedule until charpoly(A' D') is irreducible (hence
-    separable), then recovers alpha and the basis change and conjugates the
-    witness back to the original coordinates.  Deterministic for a fixed
-    policy: candidates come from a seed-derived counter sequence and the
-    first success wins.
+    Raises DegenerateForm when det D = 0.  Samples symmetric integer matrices
+    A on a growing coefficient schedule until charpoly(A D) is irreducible
+    (hence separable), then reads alpha and P off the Krylov walk of A D at
+    e1, in D's own coordinates; the certificate's A is the drawn matrix.
+    Deterministic for a fixed policy: candidates come from a seed-derived
+    counter sequence and the first success wins.
     """
     policy = policy or SearchPolicy()
     n = form.dim
-    q, diag = congruence_diagonalize(form.gram)
-    # Q is invertible, so D is degenerate exactly when its diagonal holds a 0
-    if 0 in diag:
+    d = form.gram
+    # a zero constant term of f would not do: det A may vanish where det D does not
+    if d.det() == 0:
         raise DegenerateForm("cannot realize a degenerate form")
-    dprime = Matrix.diagonal(diag)
 
     if n == 1:
         # f = x - d1, alpha = d1: the trace on F = Q is the identity
@@ -178,7 +177,7 @@ def realize(form: SymmetricForm, policy: SearchPolicy | None = None) -> Certific
     tries = 0
     for found in candidates:
         tries += 1
-        m = found * dprime
+        m = found * d
         f = charpoly(m)
         if is_irreducible_over_rationals(f):
             break
@@ -188,28 +187,29 @@ def realize(form: SymmetricForm, policy: SearchPolicy | None = None) -> Certific
             f"(bounds {policy.bound_schedule}, seed {policy.seed})"
         )
 
-    # one walk M^k e1, k < 2n-1: its first n vectors form P' (independent for irreducible f,
-    # as P^T D P = gram implies); e1^T D' M^k e1 = d_1 (M^k e1)_1 for diagonal D'.
+    # one walk M^k e1, k < 2n-1: its first n vectors form P (e1 is cyclic for irreducible f),
+    # and M^T D = D M makes (P^T D P)_ij = e1^T D M^(i+j) e1 = (row 0 of D) . M^(i+j) e1.
     # It runs in integers on B = L M (L = M's denominator), so M^k e1 = B^k e1 / L^k.
     b, scale = m.numerators, m.denominator
     walk = [(1,) + (0,) * (n - 1)]
     for _ in range(2 * n - 2):
         v = walk[-1]
         walk.append(tuple(sum(map(mul, row, v)) for row in b))
-    p_prime = Matrix.from_columns(
+    p = Matrix.from_columns(
         [Fraction(x, scale**k) for x in w] for k, w in enumerate(walk[:n])
     )
-    moments = [diag[0] * Fraction(w[0], scale**k) for k, w in enumerate(walk)]
+    row0, den = d.numerators[0], d.denominator
+    moments = [Fraction(sum(map(mul, row0, w)), den * scale**k) for k, w in enumerate(walk)]
 
     alpha = solve_alpha(f, moments)
     gram = Matrix([[moments[i + j] for j in range(n)] for i in range(n)])
 
     cert = Certificate(
         D=form,
-        A=q * found * q.transpose(),
+        A=found,
         f=f,
         alpha=alpha,
-        P=q * p_prime,
+        P=p,
         gram=gram,
         seed=policy.seed,
         tries=tries,

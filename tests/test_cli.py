@@ -76,10 +76,23 @@ def test_byte_identical_output():
     assert g.returncode == c.returncode and g.stdout == c.stdout
 
 
-def test_realize_degenerate_is_usage_error(capsys):
+def test_realize_degenerate_is_usage_error(tmp_path, capsys):
     code, _ = _run_main(["realize", "--diag", "1,0"], capsys)
     assert code == 2
     _assert_input_error(["realize", "--diag", "1,1", "--bounds", ""], capsys)
+    # rank-deficient grams with no zero on the diagonal, integer and rational
+    form_file = tmp_path / "form.json"
+    degenerate = (
+        [["1", "2"], ["2", "4"]],
+        [["2", "1", "2"], ["1", "3", "1"], ["2", "1", "2"]],
+        [["1/2", "1/3"], ["1/3", "2/9"]],
+    )
+    for gram in degenerate:
+        form_file.write_text(json.dumps({"gram": gram}))
+        _assert_input_error(["realize", "--form", str(form_file)], capsys, "degenerate")
+        run = _run_fresh_process(["realize", "--form", str(form_file)])
+        assert run.returncode == 2 and run.stdout == ""
+        assert run.stderr.startswith("error: ") and run.stderr.count("\n") == 1 and "Traceback" not in run.stderr
 
 
 def test_verify_detects_tampered_alpha(tmp_path, capsys):

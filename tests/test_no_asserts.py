@@ -2,8 +2,8 @@
 only the standard library, the public names, classmethods and methods resolve
 and each has a caller, RationalPoly is a value with no operators,
 FACTOR_LIMIT is enforced in one place per job, f's integer forms are built in
-one place each, the power-sum Hankel stays in integers, and no fact is
-checked twice by a determinant."""
+one place each, the power-sum Hankel stays in integers, no fact is
+checked twice by a determinant, and only the classifier diagonalizes."""
 
 import ast
 import sys
@@ -326,3 +326,10 @@ def test_charpoly_and_verify_take_no_determinant():
     determinants = _sites(_Calls, "det") + _sites(_Calls, "_int_det_bareiss")
     assert "matrix.charpoly" not in determinants
     assert "traceform.verify_certificate" not in determinants
+
+
+def test_only_the_classifier_diagonalizes():
+    # realize works in the target's own coordinates (A D is self-adjoint for
+    # D, so no diagonal basis is needed); the congruence serves the Witt
+    # invariants alone
+    assert _sites(_Calls, "congruence_diagonalize") == ["quadform._diagonal_entries"]

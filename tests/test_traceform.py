@@ -20,14 +20,17 @@ from traceforms.algebra import (
 )
 from matrix_oracles import krylov_matrix
 from poly_oracles import add, mul, remainder
+from traceform_oracles import realize_via_congruence
 from traceforms.algebra import poly
 from traceforms.galois import generic_experiment
 from traceforms.quadform import DegenerateForm, SymmetricForm, equivalent
+from traceforms.serialize import canonical_dumps, certificate_to_json
 from traceforms.traceform import (
     Certificate,
     InconsistentHankel,
     SearchExhausted,
     SearchPolicy,
+    _mix,
     realize,
     scaled_trace_gram,
     solve_alpha,
@@ -45,6 +48,25 @@ def _random_symmetric(rng, n, span=9):
         for j in range(i, n):
             rows[i][j] = rows[j][i] = Fraction(rng.randrange(-span, span + 1))
     return Matrix(rows)
+
+
+def _target(rng, n, kind):
+    """A nondegenerate symmetric D: diagonal with nonzero integer entries,
+    dense with integer entries, or dense with rational entries."""
+    if kind == "diagonal":
+        return Matrix.diagonal([rng.randrange(-9, 10) or 1 for _ in range(n)])
+    while True:
+        rows = [[Fraction(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                den = rng.randrange(1, 5) if kind == "rational" else 1
+                rows[i][j] = rows[j][i] = Fraction(rng.randrange(-9, 10), den)
+        d = Matrix(rows)
+        if oracle.det(d.rows) != 0:
+            return d
+
+
+TARGET_KINDS = ("diagonal", "dense", "rational")
 
 
 def test_scaled_trace_gram_examples():
@@ -424,11 +446,22 @@ def test_realize_examples():
         assert equivalent(SymmetricForm(cert.gram), SymmetricForm.diagonal(diag))
 
 
+DEGENERATE_DENSE = (
+    [[1, 2], [2, 4]],  # rank 1, no zero on the diagonal
+    [[2, 1, 2], [1, 3, 1], [2, 1, 2]],  # a repeated row
+    [[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 3), Fraction(2, 9)]],  # rational, rank 1
+)
+
+
 def test_realize_rejects_degenerate():
     with pytest.raises(DegenerateForm):
         realize(SymmetricForm.diagonal([1, 0]))
     with pytest.raises(DegenerateForm):
         realize(SymmetricForm(Matrix([[1, 1], [1, 1]])))
+    for rows in DEGENERATE_DENSE:
+        assert oracle.det(rows) == 0 and all(rows[i][i] for i in range(len(rows)))
+        with pytest.raises(DegenerateForm):
+            realize(SymmetricForm(Matrix(rows)))
 
 
 def test_realize_dense_targets():
@@ -443,6 +476,68 @@ def test_realize_dense_targets():
         cert = realize(SymmetricForm(gram), SearchPolicy(seed=done))
         assert verify_certificate(cert)
         assert equivalent(SymmetricForm(cert.gram), SymmetricForm(gram))
+
+
+def _bytes(cert):
+    return canonical_dumps(certificate_to_json(cert))
+
+
+def test_realize_matches_congruence_oracle_on_diagonal_targets():
+    # Q = I for a diagonal target, so working in D's own coordinates changes
+    # no byte of the certificate
+    rng = random.Random(58)
+    for n in range(1, 11):
+        for _ in range(2):
+            diag = [Fraction(rng.choice((-1, 1)) * rng.randrange(1, 20), rng.randrange(1, 6)) for _ in range(n)]
+            form, policy = SymmetricForm.diagonal(diag), SearchPolicy(seed=rng.randrange(100))
+            assert _bytes(realize(form, policy)) == _bytes(realize_via_congruence(form, policy))
+
+
+def test_realize_agrees_with_congruence_oracle_on_dense_targets():
+    # on dense targets A and P change, but both certificates verify, so each
+    # gram is a scaled trace form congruent to the same D
+    rng = random.Random(59)
+    for kind in ("dense", "rational"):
+        for seed in range(8):
+            form = SymmetricForm(_target(rng, rng.randrange(2, 6), kind))
+            cert = realize(form, SearchPolicy(seed=seed))
+            ref = realize_via_congruence(form, SearchPolicy(seed=seed))
+            assert verify_certificate(cert) and verify_certificate(ref)
+            assert cert.D == ref.D == form
+
+
+def test_realize_takes_one_determinant_and_no_congruence(monkeypatch):
+    # degeneracy is det D = 0, decided once; nothing diagonalizes the target
+    diagonalized, determinants = [], []
+    original_det = Matrix.det
+    monkeypatch.setattr(Matrix, "det", lambda m: determinants.append(m) or original_det(m))
+    for name, module in list(sys.modules.items()):
+        original = getattr(module, "congruence_diagonalize", None)
+        if name.startswith("traceforms") and original is not None:
+            monkeypatch.setattr(
+                module, "congruence_diagonalize", lambda b, original=original: diagonalized.append(b) or original(b)
+            )
+    rng = random.Random(60)
+    for kind in TARGET_KINDS:
+        for n in (1, 3, 5):
+            form = SymmetricForm(_target(rng, n, kind))
+            determinants.clear()
+            assert verify_certificate(realize(form, SearchPolicy(seed=n)))
+            assert determinants == [form.gram]
+    assert diagonalized == []
+
+
+def test_certificate_a_is_the_seeded_draw():
+    # A is the integer matrix the search drew, not a conjugate of it
+    rng = random.Random(61)
+    for kind in TARGET_KINDS:
+        for seed in range(5):
+            n = rng.randrange(2, 7)
+            policy = SearchPolicy(seed=seed, bound_schedule=(1, 2), max_tries_per_bound=3)
+            cert = realize(SymmetricForm(_target(rng, n, kind)), policy)
+            bound = policy.bound_schedule[(cert.tries - 1) // policy.max_tries_per_bound]
+            draw = Matrix.random_symmetric(n, bound, random.Random(_mix(seed, cert.tries - 1)))
+            assert cert.A == draw and cert.A.denominator == 1
 
 
 def test_seed_determinism():
@@ -477,24 +572,25 @@ def test_search_exhausted_on_pathological_policy():
 
 def test_hankel_property_before_filtering():
     # (P^T D P)_{ij} depends only on i+j for any symmetric A, D: a consequence
-    # of (AD)^T D = D (AD)
-    rng = random.Random(53)
-    checked = 0
-    while checked < 100:
-        n = rng.randrange(2, 7)
-        d = Matrix.diagonal([rng.randrange(-9, 10) or 1 for _ in range(n)])
-        a = _random_symmetric(rng, n)
-        m = a * d
-        try:
-            p = krylov_matrix(m, tuple(Fraction(1 if i == 0 else 0) for i in range(n)))
-        except Exception:
-            continue
-        checked += 1
-        gram = p.transpose() * d * p
-        for i in range(n):
-            for j in range(n):
-                if i > 0 and j < n - 1:
-                    assert gram[i, j] == gram[i - 1, j + 1]
+    # of (AD)^T D = D (AD), which needs no diagonal D
+    for kind in TARGET_KINDS:
+        rng = random.Random(53)
+        checked = 0
+        while checked < 100:
+            n = rng.randrange(2, 7)
+            d = _target(rng, n, kind)
+            a = _random_symmetric(rng, n)
+            m = a * d
+            try:
+                p = krylov_matrix(m, tuple(Fraction(1 if i == 0 else 0) for i in range(n)))
+            except oracle.SingularKrylov:
+                continue
+            checked += 1
+            gram = p.transpose() * d * p
+            for i in range(n):
+                for j in range(n):
+                    if i > 0 and j < n - 1:
+                        assert gram[i, j] == gram[i - 1, j + 1]
 
 
 def test_self_adjointness_identity():
@@ -509,23 +605,26 @@ def test_self_adjointness_identity():
 
 
 def test_cyclicity_under_irreducibility():
-    rng = random.Random(55)
-    found = 0
-    while found < 50:
-        n = rng.randrange(2, 5)
-        d = Matrix.diagonal([rng.randrange(-9, 10) or 1 for _ in range(n)])
-        a = _random_symmetric(rng, n, span=5)
-        m = a * d
-        if not is_irreducible_over_rationals(charpoly(m)):
-            continue
-        found += 1
-        vectors = [
-            tuple(Fraction(1 if i == j else 0) for i in range(n)) for j in range(n)
-        ] + [tuple(Fraction(rng.randrange(-5, 6)) for _ in range(n)) for _ in range(5)]
-        for v in vectors:
-            if all(x == 0 for x in v):
+    # for irreducible charpoly(A D) every nonzero vector is cyclic for A D,
+    # whether D is diagonal, dense or rational: realize's walk at e1 needs it
+    for kind in TARGET_KINDS:
+        rng = random.Random(55)
+        found = 0
+        while found < 50:
+            n = rng.randrange(2, 5)
+            d = _target(rng, n, kind)
+            a = _random_symmetric(rng, n, span=5)
+            m = a * d
+            if not is_irreducible_over_rationals(charpoly(m)):
                 continue
-            assert krylov_matrix(m, v).det() != 0
+            found += 1
+            vectors = [
+                tuple(Fraction(1 if i == j else 0) for i in range(n)) for j in range(n)
+            ] + [tuple(Fraction(rng.randrange(-5, 6)) for _ in range(n)) for _ in range(5)]
+            for v in vectors:
+                if all(x == 0 for x in v):
+                    continue
+                assert krylov_matrix(m, v).det() != 0
 
 
 def test_certificate_bookkeeping():
