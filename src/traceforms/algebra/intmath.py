@@ -5,9 +5,9 @@ Factorization is trial division by the 172 primes below 2**10, then
 Miller-Rabin on the cofactor and Brent's variant of Pollard's rho on whatever
 is composite.  Primality tests and factorizations are capped at the range
 where the fixed Miller-Rabin witness set is a proven primality certificate
-(about 3.3 * 10**24, covering the numerators that certificate Gram matrices
-produce at dimension 6); anything larger is rejected rather than risk a wrong
-answer.
+(about 3.3 * 10**24, covering the numerators and denominators of the diagonal
+entries `quadform` classifies and the parameters `groups` factors); anything
+larger is rejected rather than risk a wrong answer.
 """
 
 from __future__ import annotations

@@ -30,13 +30,9 @@ from fractions import Fraction
 from operator import mul
 
 from .intmath import _int_det_bareiss
-from .poly import RationalPoly
+from .poly import RationalPoly, exact_rational
 
 Vector = tuple[Fraction, ...]
-
-
-def _exact(x):
-    return x if isinstance(x, (int, Fraction)) else Fraction(x)
 
 
 def _lowest_terms(num, den: int) -> "Matrix":
@@ -64,7 +60,7 @@ class Matrix:
     __slots__ = ("numerators", "denominator")
 
     def __init__(self, rows):
-        rs = [[_exact(x) for x in row] for row in rows]
+        rs = [[x if type(x) in (int, Fraction) else exact_rational(x) for x in row] for row in rows]
         if not rs or not rs[0]:
             raise ValueError("empty matrix")
         width = len(rs[0])

@@ -29,6 +29,20 @@ from operator import mul
 from .intmath import _int_det_bareiss
 
 
+def exact_rational(x) -> Fraction:
+    """x as a Fraction: an int that is not a bool, a Fraction, or a string
+    `Fraction` parses ("-3", "2/7", "0.5").  A float, which may already have
+    been rounded, a bool or anything else raises ValueError."""
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, (int, str)) and not isinstance(x, bool):
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ValueError(f"expected an exact rational (int, Fraction or string), got {x!r}")
+
+
 class RationalPoly:
     """Immutable polynomial with exact rational coefficients: a value that
     computes nothing, with no operators beyond comparison and hashing."""
@@ -36,7 +50,7 @@ class RationalPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
+        cs = [exact_rational(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))

@@ -32,7 +32,7 @@ class InputError(Exception):
 def _parse_diag(text: str) -> list:
     try:
         return [serialize.rational_from_str(part.strip()) for part in text.split(",")]
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise InputError(f"bad diagonal {text!r}: {exc}")
 
 
@@ -51,7 +51,7 @@ def _load_form_file(path: str) -> SymmetricForm:
     data = _read_json(path)
     try:
         return serialize.form_from_json(data)
-    except (ValueError, TypeError, ZeroDivisionError) as exc:
+    except (ValueError, TypeError) as exc:
         raise InputError(f"bad form in {path}: {exc}")
 
 
@@ -65,26 +65,18 @@ def _gather_forms(args, minimum: int, maximum: int) -> list[SymmetricForm]:
     return forms
 
 
-def _emit(args, payload: dict) -> None:
-    if not args.quiet:
-        sys.stdout.write(serialize.canonical_dumps(payload))
+def _emit(payload: dict) -> None:
+    sys.stdout.write(serialize.canonical_dumps(payload))
 
 
 def cmd_realize(args) -> int:
     (form,) = _gather_forms(args, 1, 1)
-    schedule = SearchPolicy.bound_schedule
-    if args.bounds is not None:
-        try:
-            schedule = tuple(int(b) for b in args.bounds.split(","))
-        except ValueError as exc:
-            raise InputError(f"bad bound schedule: {exc}")
-    policy = SearchPolicy(seed=args.seed, bound_schedule=schedule, max_tries_per_bound=args.tries)
     try:
-        cert = traceform.realize(form, policy)
+        cert = traceform.realize(form, SearchPolicy(seed=args.seed))
     except SearchExhausted as exc:
-        _emit(args, {"error": "search_exhausted", "detail": str(exc), "seed": args.seed})
+        _emit({"error": "search_exhausted", "detail": str(exc), "seed": args.seed})
         return NEGATIVE
-    _emit(args, serialize.certificate_to_json(cert))
+    _emit(serialize.certificate_to_json(cert))
     return OK
 
 
@@ -92,19 +84,19 @@ def cmd_verify(args) -> int:
     data = _read_json(args.certificate)
     try:
         cert = serialize.certificate_from_json(data)
-    except (ValueError, TypeError, ZeroDivisionError) as exc:
+    except (ValueError, TypeError) as exc:
         raise InputError(f"malformed certificate: {exc}")
     check = traceform.verify_certificate(cert)
     if check:
-        _emit(args, {"valid": True})
+        _emit({"valid": True})
         return OK
-    _emit(args, {"valid": False, "failed_clause": check.failed_clause})
+    _emit({"valid": False, "failed_clause": check.failed_clause})
     return NEGATIVE
 
 
 def cmd_invariants(args) -> int:
     (form,) = _gather_forms(args, 1, 1)
-    _emit(args, serialize.invariants_to_json(quadform.invariants(form)))
+    _emit(serialize.invariants_to_json(quadform.invariants(form)))
     return OK
 
 
@@ -113,7 +105,6 @@ def cmd_equivalent(args) -> int:
     first, second = (quadform.invariants(form) for form in _gather_forms(args, 2, 2))
     same = first == second
     _emit(
-        args,
         {
             "equivalent": same,
             "invariants": [serialize.invariants_to_json(first), serialize.invariants_to_json(second)],
@@ -133,9 +124,7 @@ def cmd_galois(args) -> int:
         diag = [1] * args.n
     else:
         raise InputError("need --diag or --n")
-    report = galois.generic_experiment(
-        diag, args.bound, args.primes, seed=args.seed, prime_floor=args.prime_floor
-    )
+    report = galois.generic_experiment(diag, args.bound, args.primes, seed=args.seed)
     stats = None
     if report.cycle_stats is not None:
         stats = {
@@ -146,7 +135,6 @@ def cmd_galois(args) -> int:
             "primes_skipped": report.cycle_stats.primes_skipped,
         }
     _emit(
-        args,
         {
             "n": report.n,
             "diag": [serialize.rational_to_str(e) for e in report.diag],
@@ -170,14 +158,13 @@ def cmd_group_verify(args) -> int:
         index_divisors=index_divisors,
         exhaustive=args.exhaustive,
     )
-    _emit(args, report)
+    _emit(report)
     return OK if report["all_pass"] else NEGATIVE
 
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="seed for all randomness")
-    common.add_argument("--quiet", action="store_true", help="suppress the report")
 
     form_args = argparse.ArgumentParser(add_help=False)
     form_args.add_argument(
@@ -198,13 +185,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("realize", parents=[common, form_args], help="produce a certificate")
-    p.add_argument("--bounds", help="comma-separated coefficient bound schedule")
-    p.add_argument(
-        "--tries",
-        type=int,
-        default=SearchPolicy.max_tries_per_bound,
-        help="tries per bound",
-    )
     p.set_defaults(run=cmd_realize)
 
     p = sub.add_parser("verify", parents=[common], help="check a certificate file")
@@ -227,10 +207,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, help="dimension (diagonal defaults to all ones)")
     p.add_argument("--diag", help="comma-separated nonzero diagonal entries")
     p.add_argument("--bound", type=int, default=20, help="coefficient bound for A")
-    p.add_argument("--primes", type=int, default=300, help="prime sample budget")
     p.add_argument(
-        "--prime-floor", type=int, default=galois.DEFAULT_PRIME_FLOOR,
-        help="sample primes above this floor (below FACTOR_LIMIT, where primality is proven)",
+        "--primes", type=int, default=300, help=f"primes to sample, above {galois.DEFAULT_PRIME_FLOOR}"
     )
     p.set_defaults(run=cmd_galois)
 

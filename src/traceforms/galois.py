@@ -26,9 +26,8 @@ from .algebra import (
     is_separable,
     primes_above,
 )
-from .algebra.intmath import FACTOR_LIMIT
 from .algebra.modpoly import _cycle_type
-from .algebra.poly import _integer_model
+from .algebra.poly import _integer_model, exact_rational
 
 CERTIFIED = "certified"
 INCONCLUSIVE = "inconclusive"
@@ -134,12 +133,12 @@ def generic_experiment(
     coeff_bound: int,
     prime_budget: int,
     seed: int = 0,
-    prime_floor: int = DEFAULT_PRIME_FLOOR,
 ) -> SpecReport:
-    """One random specialization: sample symmetric integer A, decide whether
-    charpoly(A diag(d)) is irreducible (hence separable; `is_separable` runs
-    only when it is not), then sample cycle types and give the S_n verdict."""
-    entries = tuple(Fraction(e) for e in diag)
+    """One random specialization: sample symmetric integer A, |entries| <= coeff_bound,
+    decide whether charpoly(A diag(d)) is irreducible (hence separable; `is_separable`
+    runs only when it is not), then sample cycle types at `prime_budget` good
+    primes above DEFAULT_PRIME_FLOOR and give the S_n verdict."""
+    entries = tuple(exact_rational(e) for e in diag)
     if not entries:
         raise ValueError("diagonal must be non-empty")
     if any(e == 0 for e in entries):
@@ -148,8 +147,6 @@ def generic_experiment(
         raise ValueError("coefficient bound must be positive")
     if prime_budget < 0:
         raise ValueError("prime budget must be non-negative")
-    if prime_floor >= FACTOR_LIMIT:
-        raise ValueError(f"prime floor must be below FACTOR_LIMIT = {FACTOR_LIMIT}")
     n = len(entries)
     a = Matrix.random_symmetric(n, coeff_bound, random.Random(seed))
     f = charpoly(a * Matrix.diagonal(entries))
@@ -158,7 +155,7 @@ def generic_experiment(
     stats = None
     verdict = INCONCLUSIVE
     if irreducible:
-        stats = sample_cycle_types(f, prime_budget, prime_floor)
+        stats = sample_cycle_types(f, prime_budget)
         verdict = sn_certificate(stats, n)
     return SpecReport(
         n=n,

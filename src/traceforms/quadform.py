@@ -19,6 +19,7 @@ from fractions import Fraction
 
 from .algebra import Matrix, congruence_diagonalize, factorize, is_prime
 from .algebra.intmath import FACTOR_LIMIT
+from .algebra.poly import exact_rational
 
 REAL_PLACE = "inf"
 
@@ -41,7 +42,7 @@ class SymmetricForm:
 
     @classmethod
     def diagonal(cls, entries) -> "SymmetricForm":
-        return cls(Matrix.diagonal([Fraction(e) for e in entries]))
+        return cls(Matrix.diagonal(entries))
 
     @property
     def dim(self) -> int:
@@ -73,7 +74,7 @@ def _split_units(r: Fraction, p: int) -> tuple[int, int]:
 
 def hilbert_symbol(a, b, place) -> int:
     """(a, b)_v: +1 iff z^2 = a x^2 + b y^2 has a nontrivial local solution."""
-    a, b = Fraction(a), Fraction(b)
+    a, b = exact_rational(a), exact_rational(b)
     if a == 0 or b == 0:
         raise ValueError("Hilbert symbol requires nonzero arguments")
     if place != REAL_PLACE and (not isinstance(place, int) or not is_prime(place)):
@@ -129,7 +130,7 @@ def _square_class_product(a: int, b: int) -> int:
 def relevant_places(entries) -> list:
     """The real place, 2, and every odd prime dividing some entry's numerator
     or denominator; all Hilbert symbols among the entries are +1 elsewhere."""
-    return _classes_and_places([Fraction(e) for e in entries])[1]
+    return _classes_and_places([exact_rational(e) for e in entries])[1]
 
 
 def _classes_and_places(entries) -> tuple[list[int], list]:

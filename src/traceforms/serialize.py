@@ -12,25 +12,18 @@ keys, fixed separators, trailing newline, no floats anywhere.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 
 from .algebra import Matrix, RationalPoly
+from .algebra.poly import exact_rational
 from .quadform import SymmetricForm, WittInvariants
 from .traceform import Certificate
 
 
 def rational_to_str(x) -> str:
-    return str(Fraction(x))
+    return str(exact_rational(x))
 
 
-def rational_from_str(s) -> Fraction:
-    if isinstance(s, bool) or isinstance(s, float):
-        raise ValueError(f"expected an exact rational string, got {s!r}")
-    if isinstance(s, int):
-        return Fraction(s)
-    if not isinstance(s, str):
-        raise ValueError(f"expected an exact rational string, got {s!r}")
-    return Fraction(s)
+rational_from_str = exact_rational
 
 
 def _array(data, what: str) -> list:
@@ -45,7 +38,7 @@ def poly_to_json(f: RationalPoly) -> list:
 
 
 def poly_from_json(data) -> RationalPoly:
-    return RationalPoly([rational_from_str(c) for c in _array(data, "polynomial")])
+    return RationalPoly(_array(data, "polynomial"))
 
 
 def matrix_to_json(m: Matrix) -> list:
@@ -53,7 +46,7 @@ def matrix_to_json(m: Matrix) -> list:
 
 
 def matrix_from_json(data) -> Matrix:
-    return Matrix([[rational_from_str(x) for x in _array(row, "matrix row")] for row in _array(data, "matrix")])
+    return Matrix([_array(row, "matrix row") for row in _array(data, "matrix")])
 
 
 def form_to_json(form: SymmetricForm) -> dict:
@@ -64,7 +57,7 @@ def form_from_json(data) -> SymmetricForm:
     if not isinstance(data, dict):
         raise ValueError("form must be an object")
     if "diag" in data:
-        form = SymmetricForm.diagonal([rational_from_str(x) for x in _array(data["diag"], "diag")])
+        form = SymmetricForm.diagonal(_array(data["diag"], "diag"))
     elif "gram" in data:
         form = SymmetricForm(matrix_from_json(data["gram"]))
     else:

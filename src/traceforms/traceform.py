@@ -33,7 +33,7 @@ from .algebra import (
     trace_moments,
 )
 from .algebra.matrix import _int_solve
-from .algebra.poly import _newton_sums
+from .algebra.poly import _newton_sums, exact_rational
 from .quadform import DegenerateForm, SymmetricForm
 
 
@@ -45,23 +45,17 @@ class SearchExhausted(RuntimeError):
     """No specialization with irreducible characteristic polynomial was found."""
 
 
+# Candidate coefficient bounds, each tried TRIES_PER_BOUND times in turn.  Hilbert
+# irreducibility makes almost every draw succeed, so bound 1 nearly always suffices.
+BOUND_SCHEDULE = (1, 2, 3, 5, 9)
+TRIES_PER_BOUND = 200
+
+
 @dataclass(frozen=True)
 class SearchPolicy:
-    """Seeded schedule for sampling candidate symmetric integer matrices."""
+    """Seed of the candidate search; the schedule it walks is BOUND_SCHEDULE."""
 
     seed: int = 0
-    bound_schedule: tuple[int, ...] = (1, 2, 3, 5, 9)
-    max_tries_per_bound: int = 200
-
-    def __post_init__(self):
-        if not self.bound_schedule:
-            raise ValueError("bound schedule must not be empty")
-        if any(b <= 0 for b in self.bound_schedule) or list(self.bound_schedule) != sorted(
-            set(self.bound_schedule)
-        ):
-            raise ValueError("bound schedule must be strictly increasing and positive")
-        if self.max_tries_per_bound < 1:
-            raise ValueError("need at least one try per bound")
 
 
 @dataclass(frozen=True)
@@ -125,7 +119,7 @@ def solve_alpha(f: RationalPoly, moments) -> RationalPoly:
     n = f.degree
     if not f.is_monic or n < 1:
         raise ValueError("modulus must be monic of degree >= 1")
-    moments = [Fraction(m) for m in moments]
+    moments = [exact_rational(m) for m in moments]
     if len(moments) != 2 * n - 1:
         raise ValueError(f"expected {2 * n - 1} moments, got {len(moments)}")
     # one Newton pass to 3n-3 serves the pairing and the overdetermined check
@@ -152,11 +146,12 @@ def realize(form: SymmetricForm, policy: SearchPolicy | None = None) -> Certific
     """Produce a scaled-trace-form certificate for a non-degenerate form.
 
     Raises DegenerateForm when det D = 0.  Samples symmetric integer matrices
-    A on a growing coefficient schedule until charpoly(A D) is irreducible
-    (hence separable), then reads alpha and P off the Krylov walk of A D at
-    e1, in D's own coordinates; the certificate's A is the drawn matrix.
-    Deterministic for a fixed policy: candidates come from a seed-derived
-    counter sequence and the first success wins.
+    A, TRIES_PER_BOUND draws at each coefficient bound of BOUND_SCHEDULE, until
+    charpoly(A D) is irreducible (hence separable), then reads alpha and P off
+    the Krylov walk of A D at e1, in D's own coordinates; the certificate's A
+    is the drawn matrix.  Deterministic for a fixed seed: candidates come from
+    a seed-derived counter sequence and the first success wins; when none
+    does, SearchExhausted is raised.
     """
     policy = policy or SearchPolicy()
     n = form.dim
@@ -169,7 +164,7 @@ def realize(form: SymmetricForm, policy: SearchPolicy | None = None) -> Certific
         # f = x - d1, alpha = d1: the trace on F = Q is the identity
         candidates = [Matrix([[1]])]
     else:
-        schedule = (b for b in policy.bound_schedule for _ in range(policy.max_tries_per_bound))
+        schedule = (b for b in BOUND_SCHEDULE for _ in range(TRIES_PER_BOUND))
         candidates = (
             Matrix.random_symmetric(n, bound, random.Random(_mix(policy.seed, k)))
             for k, bound in enumerate(schedule)
@@ -184,7 +179,7 @@ def realize(form: SymmetricForm, policy: SearchPolicy | None = None) -> Certific
     else:
         raise SearchExhausted(
             f"no irreducible specialization in {tries} tries "
-            f"(bounds {policy.bound_schedule}, seed {policy.seed})"
+            f"(bounds {BOUND_SCHEDULE}, seed {policy.seed})"
         )
 
     # one walk M^k e1, k < 2n-1: its first n vectors form P (e1 is cyclic for irreducible f),

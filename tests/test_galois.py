@@ -116,8 +116,6 @@ def test_prime_walk_stays_in_proven_range():
     with pytest.raises(ValueError, match="FACTOR_LIMIT"):
         sample_cycle_types(X3_MINUS_X_MINUS_1, 5, prime_floor=FACTOR_LIMIT - 1)
     assert sample_cycle_types(X3_MINUS_X_MINUS_1, 0, prime_floor=FACTOR_LIMIT - 1).primes_used == 0
-    with pytest.raises(ValueError, match="FACTOR_LIMIT"):
-        generic_experiment([1, 2, 3], 9, 5, prime_floor=FACTOR_LIMIT)
 
 
 def test_sn_certificate_rules():

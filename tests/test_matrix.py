@@ -395,9 +395,12 @@ def test_equal_matrices_compare_and_hash_alike():
     for same in (
         [[Fraction(2, 4), Fraction(6, 2)], [Fraction(0, 7), -1]],
         [["1/2", "3"], ["0", Fraction(-3, 3)]],
-        [[Fraction(1, 2), 3.0], [0, -1]],
     ):
         assert Matrix(same) == half and hash(Matrix(same)) == hash(half)
+    # a float may already be rounded and a bool is no number: neither is an entry
+    for inexact in ([[Fraction(1, 2), 3.0], [0, -1]], [[True]]):
+        with pytest.raises(ValueError, match="^expected an exact rational"):
+            Matrix(inexact)
     ints = Matrix([[1, 2], [3, 4]])
     assert ints == Matrix([[Fraction(1), Fraction(2)], [Fraction(3), Fraction(4)]])
     assert ints.denominator == 1 and ints.numerators == ((1, 2), (3, 4))

@@ -215,11 +215,10 @@ class _FactorLimitComparisons(_Scoped):
 
 
 def test_factor_limit_is_compared_only_at_its_guards():
-    # is_prime is the one primality guard; factorize and the two input
-    # validators check outside input up front.  Any other comparison would
-    # be a scattered second guard.
+    # is_prime is the one primality guard; factorize and the classifier's
+    # input validator check outside input up front.  Any other comparison
+    # would be a scattered second guard.
     assert _sites(_FactorLimitComparisons) == [
-        "galois.generic_experiment",
         "intmath.factorize",
         "intmath.is_prime",
         "quadform._classes_and_places",  # numerator
@@ -315,8 +314,9 @@ def test_power_sum_hankel_stays_in_integers():
     for site in ("poly._integer_model", "traceform.solve_alpha"):
         assert site not in matrices
     assert "poly._integer_model" not in fractions
-    # solve_alpha's two: the moments read in, and alpha's coefficients read out
-    assert fractions.count("traceform.solve_alpha") == 2
+    # solve_alpha's two: the moments read in (by exact_rational), and alpha's coefficients read out
+    assert fractions.count("traceform.solve_alpha") == 1
+    assert _sites(_Calls, "exact_rational").count("traceform.solve_alpha") == 1
 
 
 def test_charpoly_and_verify_take_no_determinant():

@@ -27,13 +27,14 @@ def test_rational_strings():
     assert rational_to_str(Fraction(-1, 2)) == "-1/2"
     assert rational_from_str("7/3") == Fraction(7, 3)
     assert rational_from_str("-4") == Fraction(-4)
-    assert rational_from_str(5) == Fraction(5)
-    with pytest.raises(ValueError):
-        rational_from_str(1.5)
-    with pytest.raises(ValueError):
-        rational_from_str(True)
-    with pytest.raises(ValueError):
-        rational_from_str("abc")
+    assert rational_from_str(5) == Fraction(5) and rational_from_str("0.25") == Fraction(1, 4)
+    # one reader for every exact rational: a float (maybe rounded already), a
+    # bool, an unparsable or zero-denominator string and a non-number are refused
+    for bad in (1.5, True, "abc", "1/0", None, [1]):
+        with pytest.raises(ValueError, match="^expected an exact rational"):
+            rational_from_str(bad)
+    with pytest.raises(ValueError, match="^expected an exact rational"):
+        rational_to_str(0.1)
 
 
 def test_poly_and_matrix_round_trip():

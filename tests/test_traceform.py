@@ -23,7 +23,9 @@ from poly_oracles import add, mul, remainder
 from traceform_oracles import realize_via_congruence
 from traceforms.algebra import poly
 from traceforms.galois import generic_experiment
-from traceforms.quadform import DegenerateForm, SymmetricForm, equivalent
+from traceforms.quadform import DegenerateForm, SymmetricForm, equivalent, hilbert_symbol, relevant_places
+from traceforms import traceform
+from traceforms.cli import main
 from traceforms.serialize import canonical_dumps, certificate_to_json
 from traceforms.traceform import (
     Certificate,
@@ -527,17 +529,20 @@ def test_realize_takes_one_determinant_and_no_congruence(monkeypatch):
     assert diagonalized == []
 
 
-def test_certificate_a_is_the_seeded_draw():
-    # A is the integer matrix the search drew, not a conjugate of it
+def test_certificate_a_is_the_seeded_draw(monkeypatch):
+    # A is the integer matrix the search drew, not a conjugate of it; three
+    # tries per bound make some searches cross into bound 2
+    monkeypatch.setattr(traceform, "TRIES_PER_BOUND", 3)
     rng = random.Random(61)
+    bounds = []
     for kind in TARGET_KINDS:
         for seed in range(5):
             n = rng.randrange(2, 7)
-            policy = SearchPolicy(seed=seed, bound_schedule=(1, 2), max_tries_per_bound=3)
-            cert = realize(SymmetricForm(_target(rng, n, kind)), policy)
-            bound = policy.bound_schedule[(cert.tries - 1) // policy.max_tries_per_bound]
-            draw = Matrix.random_symmetric(n, bound, random.Random(_mix(seed, cert.tries - 1)))
+            cert = realize(SymmetricForm(_target(rng, n, kind)), SearchPolicy(seed=seed))
+            bounds.append(traceform.BOUND_SCHEDULE[(cert.tries - 1) // traceform.TRIES_PER_BOUND])
+            draw = Matrix.random_symmetric(n, bounds[-1], random.Random(_mix(seed, cert.tries - 1)))
             assert cert.A == draw and cert.A.denominator == 1
+    assert max(bounds) >= 2
 
 
 def test_seed_determinism():
@@ -549,25 +554,43 @@ def test_seed_determinism():
     assert verify_certificate(c)
 
 
-def test_search_policy_validation():
-    for schedule in ((), (0, 1), (2, 1), (1, 1)):
-        with pytest.raises(ValueError):
-            SearchPolicy(bound_schedule=schedule)
-    with pytest.raises(ValueError):
-        SearchPolicy(max_tries_per_bound=0)
-    assert SearchPolicy(bound_schedule=(1,), max_tries_per_bound=1).bound_schedule == (1,)
+def test_inexact_inputs_are_refused():
+    # 0.1 is 3602879701896397/36028797018963968 as a float: no entry point
+    # silently certifies or classifies that instead of 1/10
+    refusals = (
+        lambda: realize(SymmetricForm.diagonal([0.1, 1])),
+        lambda: SymmetricForm.diagonal([True, 1]),
+        lambda: RationalPoly((1, 0.5)),
+        lambda: generic_experiment([0.5, 1], 9, 5),
+        lambda: hilbert_symbol(0.5, 3, 3),
+        lambda: relevant_places([3, 0.5]),
+        lambda: solve_alpha(F2, [2, 0, 4.0]),
+    )
+    for refused in refusals:
+        with pytest.raises(ValueError, match="^expected an exact rational"):
+            refused()
+    assert realize(SymmetricForm.diagonal(["1/10", 1])) == realize(SymmetricForm.diagonal([Fraction(1, 10), 1]))
 
 
-def test_search_exhausted_on_pathological_policy():
-    # a single try with bound 1 on a target that defeats it; seed chosen so
-    # the sampled matrix yields a reducible characteristic polynomial
-    form = SymmetricForm.diagonal([1, 1])
-    policy = SearchPolicy(seed=0, bound_schedule=(1,), max_tries_per_bound=1)
-    try:
-        cert = realize(form, policy)
-        assert verify_certificate(cert)  # got lucky: still a valid certificate
-    except SearchExhausted:
-        pass
+SEARCH_EXHAUSTED_SEED_2 = """{
+  "detail": "no irreducible specialization in 2 tries (bounds (1,), seed 2)",
+  "error": "search_exhausted",
+  "seed": 2
+}
+"""
+
+
+def test_search_exhausted_on_pathological_policy(monkeypatch, capsys):
+    # two draws at bound 1: both of seed 2's give diag(1, 1) a reducible charpoly
+    monkeypatch.setattr(traceform, "BOUND_SCHEDULE", (1,))
+    monkeypatch.setattr(traceform, "TRIES_PER_BOUND", 2)
+    with pytest.raises(SearchExhausted, match=r"in 2 tries \(bounds \(1,\), seed 2\)$"):
+        realize(SymmetricForm.diagonal([1, 1]), SearchPolicy(seed=2))
+    # seed 4 succeeds at its first draw under the same schedule
+    assert realize(SymmetricForm.diagonal([1, 1]), SearchPolicy(seed=4)).tries == 1
+    # the CLI reports the exhausted search as a negative verdict, exit 1
+    assert main(["realize", "--diag", "1,1", "--seed", "2"]) == 1
+    assert capsys.readouterr().out == SEARCH_EXHAUSTED_SEED_2
 
 
 def test_hankel_property_before_filtering():

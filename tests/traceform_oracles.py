@@ -15,6 +15,7 @@ from operator import mul
 
 from traceforms.algebra import Matrix, charpoly, congruence_diagonalize, is_irreducible_over_rationals
 from traceforms.quadform import DegenerateForm, SymmetricForm
+from traceforms import traceform
 from traceforms.traceform import (
     Certificate,
     SearchExhausted,
@@ -38,7 +39,7 @@ def realize_via_congruence(form: SymmetricForm, policy: SearchPolicy | None = No
         # f = x - d1, alpha = d1: the trace on F = Q is the identity
         candidates = [Matrix([[1]])]
     else:
-        schedule = (b for b in policy.bound_schedule for _ in range(policy.max_tries_per_bound))
+        schedule = (b for b in traceform.BOUND_SCHEDULE for _ in range(traceform.TRIES_PER_BOUND))
         candidates = (
             Matrix.random_symmetric(n, bound, random.Random(_mix(policy.seed, k)))
             for k, bound in enumerate(schedule)
@@ -53,7 +54,7 @@ def realize_via_congruence(form: SymmetricForm, policy: SearchPolicy | None = No
     else:
         raise SearchExhausted(
             f"no irreducible specialization in {tries} tries "
-            f"(bounds {policy.bound_schedule}, seed {policy.seed})"
+            f"(bounds {traceform.BOUND_SCHEDULE}, seed {policy.seed})"
         )
 
     # one walk M^k e1, k < 2n-1: its first n vectors form P'; for diagonal D',
