@@ -13,6 +13,7 @@ larger is rejected rather than risk a wrong answer.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 
 FACTOR_LIMIT = 3_317_044_064_679_887_385_961_980  # deterministic MR witness range
 
@@ -27,10 +28,14 @@ def _primes_below(n: int) -> tuple[int, ...]:
     return tuple(p for p in range(n) if sieve[p])
 
 
+# One sieve at import (about 0.2 ms) serves trial division and `next_prime`, so the
+# Galois sampler's walks (300 primes above 100, to about 2,200) prove no prime again.
+_PRIMES = _primes_below(2**12)
+
 # Trial division stops here: beyond it rho finds a factor p in about sqrt(p)
 # steps, where trial division needs about p / 2.
 _TRIAL_BOUND = 2**10
-_SMALL_PRIMES = _primes_below(_TRIAL_BOUND)
+_SMALL_PRIMES = _PRIMES[: bisect_left(_PRIMES, _TRIAL_BOUND)]
 
 # Deterministic Miller-Rabin witness set, valid for all n < 3.3 * 10**24.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -67,10 +72,12 @@ def is_prime(n: int) -> bool:
 
 
 def next_prime(n: int) -> int:
-    """Smallest prime strictly greater than n."""
+    """Smallest prime strictly greater than n: read off the sieve below 2**12,
+    and found by Miller-Rabin above it."""
+    i = bisect_right(_PRIMES, n)
+    if i < len(_PRIMES):
+        return _PRIMES[i]
     k = n + 1
-    if k <= 2:
-        return 2
     if k % 2 == 0:
         k += 1
     while not is_prime(k):

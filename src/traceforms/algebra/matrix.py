@@ -1,10 +1,12 @@
-"""Exact matrices over the rationals.
+"""Exact square matrices over the rationals.
 
-A Matrix is stored as integer rows (`numerators`) over one positive common
-denominator (`denominator`), in lowest terms: the gcd of the denominator and
-every numerator is 1, so equal matrices have equal (numerators, denominator)
-pairs, and `==` and `hash` compare those directly.  `rows` and indexing hand
-out Fractions built on demand.
+A Matrix is n x n with n >= 1, a rule of its constructor, so no operation
+checks more of a shape than a size.  It is stored as integer rows
+(`numerators`) over one positive common denominator (`denominator`), in
+lowest terms: the gcd of the denominator and every numerator is 1, so equal
+matrices have equal (numerators, denominator) pairs, and `==` and `hash`
+compare those directly.  `rows` and indexing hand out Fractions built on
+demand.
 
 Everything below stays in integers until a result is handed out:
 
@@ -30,7 +32,7 @@ from fractions import Fraction
 from operator import mul
 
 from .intmath import _int_det_bareiss
-from .poly import RationalPoly, exact_rational
+from .poly import RationalPoly, exact_rational, sequence
 
 Vector = tuple[Fraction, ...]
 
@@ -54,18 +56,16 @@ def _raw(num, den: int) -> "Matrix":
 
 
 class Matrix:
-    """Immutable rational matrix, row-major: integer rows `numerators` over one
-    positive common `denominator`, in lowest terms."""
+    """Immutable n x n rational matrix (n >= 1), row-major: integer rows
+    `numerators` over one positive common `denominator`, in lowest terms."""
 
     __slots__ = ("numerators", "denominator")
 
     def __init__(self, rows):
-        rs = [[x if type(x) in (int, Fraction) else exact_rational(x) for x in row] for row in rows]
-        if not rs or not rs[0]:
-            raise ValueError("empty matrix")
-        width = len(rs[0])
-        if any(len(r) != width for r in rs):
-            raise ValueError("ragged rows")
+        rs = [[x if type(x) in (int, Fraction) else exact_rational(x) for x in sequence(row, "matrix row")]
+              for row in sequence(rows, "matrix")]
+        if not rs or any(len(r) != len(rs) for r in rs):
+            raise ValueError("a matrix must be n x n with n >= 1")
         # the lcm of reduced denominators leaves no common factor to divide out
         den = math.lcm(*(x.denominator for row in rs for x in row))
         num = tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in rs)
@@ -77,7 +77,7 @@ class Matrix:
 
     @classmethod
     def diagonal(cls, entries) -> "Matrix":
-        entries = list(entries)
+        entries = list(sequence(entries, "diagonal"))
         n = len(entries)
         return cls([[entries[i] if i == j else 0 for j in range(n)] for i in range(n)])
 
@@ -93,11 +93,6 @@ class Matrix:
                 rows[i][j] = rows[j][i] = rng.randint(-bound, bound)
         return cls(rows)
 
-    @classmethod
-    def from_columns(cls, cols) -> "Matrix":
-        cols = [tuple(c) for c in cols]
-        return cls([[cols[j][i] for j in range(len(cols))] for i in range(len(cols[0]))])
-
     @property
     def rows(self) -> tuple[Vector, ...]:
         den = self.denominator
@@ -108,19 +103,9 @@ class Matrix:
         return len(self.numerators)
 
     @property
-    def ncols(self) -> int:
-        return len(self.numerators[0])
-
-    @property
-    def is_square(self) -> bool:
-        return self.nrows == self.ncols
-
-    @property
     def is_symmetric(self) -> bool:
-        num = self.numerators
-        return self.is_square and all(
-            num[i][j] == num[j][i] for i in range(self.nrows) for j in range(i + 1, self.ncols)
-        )
+        num, n = self.numerators, self.nrows
+        return all(num[i][j] == num[j][i] for i in range(n) for j in range(i + 1, n))
 
     def __getitem__(self, ij):
         i, j = ij
@@ -143,8 +128,8 @@ class Matrix:
     def __mul__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        if self.ncols != other.nrows:
-            raise ValueError("shape mismatch")
+        if self.nrows != other.nrows:
+            raise ValueError("size mismatch")
         cols = tuple(zip(*other.numerators))
         num = tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in self.numerators)
         return _lowest_terms(num, self.denominator * other.denominator)
@@ -154,8 +139,6 @@ class Matrix:
 
     def det(self) -> Fraction:
         """Exact determinant: Bareiss on the integer rows, over den^n."""
-        if not self.is_square:
-            raise ValueError("determinant of a non-square matrix")
         det = _int_det_bareiss([list(row) for row in self.numerators])
         return Fraction(det, self.denominator**self.nrows)
 
@@ -170,8 +153,6 @@ def charpoly(m: Matrix) -> RationalPoly:
     is p(B), which is checked to vanish (Cayley-Hamilton).  Either failure
     raises ArithmeticError.
     """
-    if not m.is_square:
-        raise ValueError("characteristic polynomial of a non-square matrix")
     n = m.nrows
     scale = m.denominator
     b = m.numerators

@@ -43,6 +43,13 @@ def exact_rational(x) -> Fraction:
     raise ValueError(f"expected an exact rational (int, Fraction or string), got {x!r}")
 
 
+def sequence(items, what: str):
+    """items, unless it is a str: a string is not the sequence of its characters."""
+    if isinstance(items, str):
+        raise ValueError(f"{what} must be a sequence, not the string {items!r}")
+    return items
+
+
 class RationalPoly:
     """Immutable polynomial with exact rational coefficients: a value that
     computes nothing, with no operators beyond comparison and hashing."""
@@ -50,7 +57,7 @@ class RationalPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        cs = [exact_rational(c) for c in coeffs]
+        cs = [exact_rational(c) for c in sequence(coeffs, "coefficients")]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))

@@ -23,8 +23,6 @@ from .algebra.poly import exact_rational
 
 REAL_PLACE = "inf"
 
-Place = "int | str"
-
 
 class DegenerateForm(ValueError):
     """The Gram matrix is singular."""

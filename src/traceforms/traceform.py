@@ -29,7 +29,6 @@ from .algebra import (
     RationalPoly,
     charpoly,
     is_irreducible_over_rationals,
-    is_separable,
     trace_moments,
 )
 from .algebra.matrix import _int_solve
@@ -62,11 +61,12 @@ class SearchPolicy:
 class Certificate:
     """Explicit witness that D is isomorphic to a scaled trace form.
 
-    Invariants (all enforced by verify_certificate): f = charpoly(A D) is
-    monic, separable, irreducible; alpha is nonzero in Q[x]/(f), read off the
-    trace form of the separable f (alpha need not be reduced mod f); gram is
-    the Gram matrix of Tr(alpha x^2) in the power basis and a Hankel matrix;
-    P^T D P = gram, which makes P invertible since gram is nonsingular.
+    Invariants (all enforced by verify_certificate): A, P and gram are the
+    size of D; f = charpoly(A D) is monic, separable, irreducible; alpha is
+    nonzero in Q[x]/(f), read off the trace form of the separable f (alpha
+    need not be reduced mod f); gram is the Gram matrix of Tr(alpha x^2) in
+    the power basis and a Hankel matrix; P^T D P = gram, which makes P
+    invertible since gram is nonsingular.
     """
 
     D: SymmetricForm
@@ -190,9 +190,7 @@ def realize(form: SymmetricForm, policy: SearchPolicy | None = None) -> Certific
     for _ in range(2 * n - 2):
         v = walk[-1]
         walk.append(tuple(sum(map(mul, row, v)) for row in b))
-    p = Matrix.from_columns(
-        [Fraction(x, scale**k) for x in w] for k, w in enumerate(walk[:n])
-    )
+    p = Matrix([Fraction(x, scale**k) for x in w] for k, w in enumerate(walk[:n])).transpose()
     row0, den = d.numerators[0], d.denominator
     moments = [Fraction(sum(map(mul, row0, w)), den * scale**k) for k, w in enumerate(walk)]
 
@@ -219,31 +217,24 @@ def verify_certificate(cert: Certificate) -> CertificateCheck:
     """Re-derive every certificate clause; report the first failure.
 
     Total: never raises on well-formed field types, only returns a verdict.
-    Clauses, in order: shapes consistent, A symmetric, f = charpoly(A D),
-    f irreducible over Q (hence separable; when not, `is_separable` names the
-    clause not_separable or not_irreducible), alpha nonzero mod f (its Gram
-    matrix Tr(alpha x^(i+j)) is not zero), gram matches that Gram matrix,
-    P^T D P = gram.  P needs no clause of its own: for separable f and
+    Clauses, in order: A, P and gram the size of D (every Matrix is square),
+    A symmetric, f = charpoly(A D), f irreducible over Q (hence separable: an
+    inseparable f has a repeated factor, so it fails not_irreducible), alpha
+    nonzero mod f (its Gram matrix Tr(alpha x^(i+j)) is not zero), gram
+    matches that Gram matrix, P^T D P = gram.  P needs no clause of its own: for separable f and
     alpha != 0 mod f the form Tr(alpha x y) is nondegenerate, so gram is
     nonsingular and P^T D P = gram forces det P != 0.
     """
     d = cert.D.gram
     n = d.nrows
-    if not (
-        cert.A.is_square
-        and cert.A.nrows == n
-        and cert.P.is_square
-        and cert.P.nrows == n
-        and cert.gram.is_square
-        and cert.gram.nrows == n
-    ):
+    if not cert.A.nrows == cert.P.nrows == cert.gram.nrows == n:
         return CertificateCheck(False, "shape_mismatch")
     if not cert.A.is_symmetric:
         return CertificateCheck(False, "a_not_symmetric")
     if cert.f.degree != n or charpoly(cert.A * d) != cert.f:
         return CertificateCheck(False, "charpoly_mismatch")
     if not is_irreducible_over_rationals(cert.f):
-        return CertificateCheck(False, "not_irreducible" if is_separable(cert.f) else "not_separable")
+        return CertificateCheck(False, "not_irreducible")
     # f is separable here, so the trace pairing is nondegenerate: alpha = 0 mod f
     # exactly when every Tr(alpha x^m) vanishes, i.e. when its gram is zero
     gram = scaled_trace_gram(cert.f, cert.alpha)

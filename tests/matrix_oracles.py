@@ -139,4 +139,4 @@ def krylov_matrix(m: Matrix, v) -> Matrix:
         cols.append(mul_vector(rows, cols[-1]))
     if det(transpose(cols)) == 0:
         raise SingularKrylov("vector is not cyclic for this matrix")
-    return Matrix.from_columns(cols)
+    return Matrix(cols).transpose()

@@ -108,12 +108,26 @@ def test_verify_detects_tampered_alpha(tmp_path, capsys):
     assert code == 1
     assert json.loads(out) == {"valid": False, "failed_clause": "gram_mismatch"}
     # D = A = P = gram = I2 and f = (x - 1)^2 = charpoly(A D): a repeated root
+    # is a repeated factor, so an inseparable f fails as reducible
     identity = [["1", "0"], ["0", "1"]]
     data.update(A=identity, P=identity, gram=identity, f=["1", "-2", "1"])
     bad_file.write_text(json.dumps(data))
     code, out = _run_main(["verify", str(bad_file)], capsys)
     assert code == 1
-    assert json.loads(out) == {"valid": False, "failed_clause": "not_separable"}
+    assert json.loads(out) == {"valid": False, "failed_clause": "not_irreducible"}
+
+
+def test_verify_refuses_a_non_square_matrix(tmp_path, capsys):
+    # every Matrix is square: a 2 x 3 A is malformed input, refused when read
+    _, out = _run_main(["realize", "--diag", "1,1", "--seed", "7"], capsys)
+    data = json.loads(out)
+    data["A"] = [row + ["0"] for row in data["A"]]
+    bad_file = tmp_path / "wide.json"
+    bad_file.write_text(json.dumps(data))
+    run = _run_fresh_process(["verify", str(bad_file)])
+    assert run.returncode == 2 and run.stdout == ""
+    assert run.stderr.startswith("error: malformed certificate: ") and run.stderr.count("\n") == 1
+    assert "Traceback" not in run.stderr
 
 
 def test_verify_malformed_json(tmp_path, capsys):

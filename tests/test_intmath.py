@@ -156,6 +156,25 @@ def test_primality_basics():
     assert next_prime(1) == 2
 
 
+def _next_prime_by_miller_rabin(n: int) -> int:
+    """The smallest prime above n by the odd walk, each candidate proven by is_prime."""
+    k = n + 1
+    if k <= 2:
+        return 2
+    if k % 2 == 0:
+        k += 1
+    while not is_prime(k):
+        k += 2
+    return k
+
+
+def test_next_prime_reads_the_sieve_then_walks_past_it():
+    # the range crosses the sieve's end (2**12), where the walk takes over
+    assert intmath._PRIMES[-1] < 5000
+    span = range(-5, 5000)
+    assert [next_prime(n) for n in span] == [_next_prime_by_miller_rabin(n) for n in span]
+
+
 def test_primality_is_refused_above_factor_limit():
     # FACTOR_LIMIT + 1 = 1287836182261 * 2575672364521 is a strong pseudoprime
     # to every witness: each routine that needs a proven prime refuses it

@@ -55,8 +55,14 @@ def test_det_examples():
     assert Matrix.diagonal([1] * 4).det() == 1
     assert Matrix([[1, 1], [1, 2]]).det() == 1
     assert Matrix([[1, 1], [1, 1]]).det() == 0
-    with pytest.raises(ValueError):
-        Matrix([[1, 2, 3], [4, 5, 6]]).det()
+
+
+def test_a_matrix_is_square():
+    # n x n with n >= 1 is the constructor's rule, so det, charpoly and verify
+    # never meet another shape
+    for rows in ([], [[]], [[1, 2]], [[1], [2]], [[1, 2, 3], [4, 5, 6]], [[1, 2], [3]]):
+        with pytest.raises(ValueError, match="n x n"):
+            Matrix(rows)
 
 
 def test_det_multiplicative():
@@ -93,8 +99,6 @@ def test_charpoly_examples():
     assert charpoly(I2) == RationalPoly((1, -2, 1))  # (x - 1)^2
     assert charpoly(Matrix([[0, 1], [1, 0]])) == RationalPoly((-1, 0, 1))
     assert charpoly(Matrix.diagonal([3, -7])) == RationalPoly((-21, 4, 1))  # (x - 3)(x + 7)
-    with pytest.raises(ValueError):
-        charpoly(Matrix([[1, 2, 3], [4, 5, 6]]))
 
 
 def test_charpoly_matches_interpolation():

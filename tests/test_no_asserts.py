@@ -255,8 +255,9 @@ class _Defs(_Scoped):
 def test_integer_model_is_built_in_one_place():
     # f's (monic model, discriminant) triple is built only by poly._integer_model,
     # and the cycle types, the irreducibility decision and the discriminant read
-    # it; the one discriminant call is is_separable's, which callers reach only
-    # after irreducibility has said no
+    # it; the one discriminant call is is_separable's, which only
+    # generic_experiment reaches, after irreducibility has said no, to report
+    # separability (verify needs no name for an inseparable f: it is reducible)
     assert _sites(_Defs, "_integer_model") == ["poly._integer_model"]
     assert _sites(_Calls, "_integer_model") == [
         "galois.sample_cycle_types",
@@ -265,6 +266,7 @@ def test_integer_model_is_built_in_one_place():
         "poly.discriminant",
     ]
     assert _sites(_Calls, "discriminant") == ["poly.is_separable"]
+    assert _sites(_Calls, "is_separable") == ["galois.generic_experiment"]
     assert _sites(_Calls, "primitive_integer_coeffs") == []
     # cycle types read the monic model, so no prime makes it monic again
     assert "modpoly._cycle_type" not in _sites(_Calls, "mod_monic")

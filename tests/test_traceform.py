@@ -259,10 +259,11 @@ def test_verify_rejects_tampering():
     check = verify_certificate(cert2)
     assert not check and check.failed_clause == "not_irreducible"
 
-    # A = D = P = gram = I2: f = charpoly(A D) = (x - 1)^2 has a repeated root
+    # A = D = P = gram = I2: f = charpoly(A D) = (x - 1)^2 has a repeated root,
+    # a repeated factor, so the inseparable f fails as reducible
     cert3 = Certificate(D=SymmetricForm(I2), A=I2, f=RationalPoly((1, -2, 1)), alpha=RationalPoly.one(), P=I2, gram=I2)
     check = verify_certificate(cert3)
-    assert not check and check.failed_clause == "not_separable"
+    assert not check and check.failed_clause == "not_irreducible"
 
 
 def test_verify_rejects_a_singular_p():
@@ -310,11 +311,11 @@ def test_one_discriminant_per_separability_decision():
             assert verify_certificate(cert)
         assert len(calls) == 1
 
-    # an inseparable f costs a second discriminant, to name its clause
+    # an inseparable f is reducible: its one decision names the clause
     cert = Certificate(D=SymmetricForm(I2), A=I2, f=RationalPoly((1, -2, 1)), alpha=RationalPoly.one(), P=I2, gram=I2)
     with _counted("_integer_model") as calls:
-        assert verify_certificate(cert).failed_clause == "not_separable"
-    assert len(calls) == 2
+        assert verify_certificate(cert).failed_clause == "not_irreducible"
+    assert len(calls) == 1
 
     # generic_experiment: the decision, then the cycle-type walk (seed 3,
     # irreducible) or the separability name (seed 4 inseparable, seed 0 reducible)
@@ -415,15 +416,23 @@ def _verify_problems(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(_verify_problems())
-def test_verify_is_total_and_reads_alpha_zero_off_the_trace_form(problem):
+@given(_verify_problems(), st.sampled_from(("A", "P", "gram")), st.integers(0, 5), st.integers(0, 5))
+def test_verify_is_total_and_reads_alpha_zero_off_the_trace_form(problem, name, rows, cols):
     cert, h, kind = problem
     check = verify_certificate(cert)  # total: a verdict, never an exception
     # alpha and alpha + f h are one element of Q[x]/(f): one verdict
     shifted = verify_certificate(replace(cert, alpha=add(cert.alpha, mul(cert.f, h))))
     assert (shifted.ok, shifted.failed_clause) == (check.ok, check.failed_clause)
+    # an A, P or gram of another shape is refused when built, or fails shape_mismatch
+    if (rows, cols) != (cert.D.dim,) * 2:
+        try:
+            reshaped = Matrix([[i - j for j in range(cols)] for i in range(rows)])
+        except ValueError:
+            assert rows != cols or rows == 0
+        else:
+            assert verify_certificate(replace(cert, **{name: reshaped})).failed_clause == "shape_mismatch"
     if not is_irreducible_over_rationals(cert.f):
-        assert check.failed_clause in ("not_irreducible", "not_separable")
+        assert check.failed_clause == "not_irreducible"
         return
     assert (check.failed_clause == "alpha_zero") == remainder(cert.alpha, cert.f).is_zero
     if kind != "random":
@@ -570,6 +579,20 @@ def test_inexact_inputs_are_refused():
         with pytest.raises(ValueError, match="^expected an exact rational"):
             refused()
     assert realize(SymmetricForm.diagonal(["1/10", 1])) == realize(SymmetricForm.diagonal([Fraction(1, 10), 1]))
+
+
+def test_a_string_is_not_a_sequence():
+    # "12" is not the row [1, 2], nor "123" the coefficients 1, 2, 3
+    refusals = (
+        lambda: Matrix("12"),
+        lambda: Matrix(["12", "34"]),
+        lambda: Matrix.diagonal("11"),
+        lambda: SymmetricForm.diagonal("11"),
+        lambda: RationalPoly("123"),
+    )
+    for refused in refusals:
+        with pytest.raises(ValueError, match="not the string"):
+            refused()
 
 
 SEARCH_EXHAUSTED_SEED_2 = """{

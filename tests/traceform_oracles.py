@@ -65,9 +65,7 @@ def realize_via_congruence(form: SymmetricForm, policy: SearchPolicy | None = No
     for _ in range(2 * n - 2):
         v = walk[-1]
         walk.append(tuple(sum(map(mul, row, v)) for row in b))
-    p_prime = Matrix.from_columns(
-        [Fraction(x, scale**k) for x in w] for k, w in enumerate(walk[:n])
-    )
+    p_prime = Matrix([Fraction(x, scale**k) for x in w] for k, w in enumerate(walk[:n])).transpose()
     moments = [diag[0] * Fraction(w[0], scale**k) for k, w in enumerate(walk)]
 
     alpha = solve_alpha(f, moments)
