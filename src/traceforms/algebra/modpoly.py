@@ -20,18 +20,24 @@ distinct-degree splitting gives directly.
 Distinct-degree splitting (Alg. 14.3 there) takes gcd(x^(p^d) - x, rest) for
 d = 1, 2, ...  Its Frobenius arithmetic runs on Kronecker-packed integers
 (§8.4 there): h of degree < n = deg f becomes the one integer
-sum(h_i 2^(w i)), with slot width w = bitlength(2 n p^2).  Every packed value
-stays nonnegative, since coefficients and rows are reduced to [0, p), so no
-slot borrows from its neighbour.  A product mod (f, p) is one integer
-product; each high slot, reduced mod p, times the packed row x^(n+k) mod f is
-added to the n low slots, which are then reduced mod p and repacked.  A
-product slot is below n p^2 and the rows add below n p^2, so every slot stays
-below 2 n p^2 < 2^w.  x^p mod f comes by binary powering from x, a "square,
-then times x" step reducing h^2 shifted up one slot against the rows x^n, ...,
-x^(2n-1) mod f.  Each later x^(p^d) = h(x^p) = sum(h_i x^(i p)) is one
-combination of the packed Frobenius rows x^(i p) mod f, i < n (the transpose
-of Berlekamp's Q matrix, §14.2), with slots below n p^2.  h is unpacked to a
-list only for the gcd.
+sum(h_i 2^(w i)).  Every packed value stays nonnegative, since coefficients
+and rows are reduced to [0, p), so no slot borrows from its neighbour.  A
+product mod (f, p) is one integer product; each high slot, reduced mod p,
+times the packed row x^(n+k) mod f is added to the n low slots, and all n
+are then reduced mod p at once.  A product slot is below n p^2 and the rows
+add below n p^2, so every slot to reduce is below 2^b, b = bitlength(2 n p^2).
+The reduction is Barrett's (CRYPTO '86) on every slot in parallel: with
+mu = floor(2^b / p), the estimate e = floor(s mu / 2^b) of a slot s's
+quotient q by p is q - 1 or q, so s - e p lies in [0, 2p), and one
+conditional subtraction of p, read off each slot's top bit after adding
+2^(w-1) - p, finishes it.  The slot width w = b + bitlength(mu) + 1 leaves
+room for s mu, so no carry crosses a slot boundary.  x^p mod f comes by
+binary powering from x, a "square, then times x" step reducing h^2 shifted
+up one slot against the rows x^n, ..., x^(2n-1) mod f.  Each later
+x^(p^d) = h(x^p) = sum(h_i x^(i p)) is one combination of the packed
+Frobenius rows x^(i p) mod f, i < n (the transpose of Berlekamp's Q matrix,
+§14.2), with slots below n p^2.  h is unpacked to a list only for the gcd,
+a remainder-only Euclid that reduces copies of its inputs in place.
 """
 
 from __future__ import annotations
@@ -103,9 +109,25 @@ def mod_monic(a, q: int) -> list[int]:
 
 
 def mod_gcd(a, b, q: int) -> list[int]:
-    """Monic gcd mod q (empty when both inputs are zero)."""
+    """Monic gcd mod q of a and b, both reduced mod q (empty when both are zero).
+
+    A remainder-only Euclid on copies of a and b: each step reduces the longer
+    list in place by the shorter, popping its leading term at each quotient
+    coefficient, and keeps no quotient.
+    """
+    a, b = list(a), list(b)
     while b:
-        a, b = b, mod_divmod(a, b, q)[1]
+        inv = pow(b[-1], -1, q)
+        db = len(b) - 1
+        while len(a) > db:
+            c = a.pop() * inv % q
+            if c:
+                low = len(a) - db
+                for j in range(db):
+                    a[low + j] = (a[low + j] - c * b[j]) % q
+        while a and not a[-1]:
+            a.pop()
+        a, b = b, a
     return mod_monic(a, q) if a else []
 
 
@@ -143,25 +165,43 @@ def _pack(coeffs, w: int) -> int:
     return acc
 
 
-def _unpack(h: int, w: int, n: int, p: int) -> list[int]:
-    """The n low w-bit slots of the nonnegative packed h, each reduced mod p."""
+def _slotwise_mod(n: int, p: int):
+    """(w, reduce): the slot width w for n coefficients mod p, and `reduce`,
+    which takes every slot of an n-slot packed value, each below
+    2^b with b = bitlength(2 n p^2), to its residue mod p at once (Barrett,
+    see the module docstring)."""
+    b = (2 * n * p * p).bit_length()
+    mu = (1 << b) // p
+    w = b + mu.bit_length() + 1
+    ones = ((1 << (n * w)) - 1) // ((1 << w) - 1)
+    high = ones * ((1 << w) - (1 << b))  # bits b..w-1 of every slot
+    bias = ones * ((1 << (w - 1)) - p)
+    top = w - 1
+
+    def reduce(acc: int) -> int:
+        r = acc - ((acc * mu & high) >> b) * p  # every slot in [0, 2p)
+        return r - ((r + bias) >> top & ones) * p  # top bit set: the slot is >= p
+
+    return w, reduce
+
+
+def _unpack(h: int, w: int, n: int) -> list[int]:
+    """The n low w-bit slots of the nonnegative packed h."""
     mask = (1 << w) - 1
-    return [(h >> (w * i) & mask) % p for i in range(n)]
+    return [h >> (w * i) & mask for i in range(n)]
 
 
-def _reduce(prod: int, rows: list[int], w: int, n: int, p: int) -> int:
+def _reduce(prod: int, rows: list[int], w: int, n: int, p: int, reduce) -> int:
     """A packed product of at most 2n slots reduced mod (f, p): each high slot
-    mod p times its packed row x^(n+k) mod f, added to the n low slots."""
+    mod p times its packed row x^(n+k) mod f, added to the n low slots, which
+    `reduce` then takes mod p."""
     mask = (1 << w) - 1
     high = prod >> (n * w)
     acc = prod & ((1 << (n * w)) - 1)
     for row in rows:
         acc += (high & mask) % p * row
         high >>= w
-    out = 0
-    for shift in range(w * (n - 1), -1, -w):
-        out = out << w | (acc >> shift & mask) % p
-    return out
+    return reduce(acc)
 
 
 def _distinct_degree(f: list[int], p: int) -> list[tuple[list[int], int]]:
@@ -173,7 +213,7 @@ def _distinct_degree(f: list[int], p: int) -> list[tuple[list[int], int]]:
     the shrinking rest: rest divides f, so gcd(h - x, rest) is the same.
     """
     n = len(f) - 1
-    w = (2 * n * p * p).bit_length()
+    w, reduce = _slotwise_mod(n, p)
     out = []
     x = [0, 1]
     d = 0
@@ -183,16 +223,16 @@ def _distinct_degree(f: list[int], p: int) -> list[tuple[list[int], int]]:
         if d == 1:
             rows = [_pack([-c % p for c in f[:n]], w)]
             while len(rows) < n:
-                rows.append(_reduce(rows[-1] << w, rows, w, n, p))
+                rows.append(_reduce(rows[-1] << w, rows, w, n, p, reduce))
             packed = 1 << w
             for bit in bin(p)[3:]:
-                packed = _reduce(packed * packed << w if bit == "1" else packed * packed, rows, w, n, p)
+                packed = _reduce(packed * packed << w if bit == "1" else packed * packed, rows, w, n, p, reduce)
             frobenius = [1, packed]
         else:
             while len(frobenius) < n:
-                frobenius.append(_reduce(frobenius[-1] * frobenius[1], rows, w, n, p))
-            packed = sum(c * row for c, row in zip(h, frobenius))
-        h = _unpack(packed, w, n, p)
+                frobenius.append(_reduce(frobenius[-1] * frobenius[1], rows, w, n, p, reduce))
+            packed = reduce(sum(c * row for c, row in zip(h, frobenius)))
+        h = _unpack(packed, w, n)
         g = mod_gcd(mod_sub(h, x, p), rest, p)
         if len(g) > 1:
             out.append((g, d))

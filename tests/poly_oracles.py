@@ -7,7 +7,8 @@ own lcm and gcd loops; none of them reads power sums or the integer model of
 
 `distinct_degree` splits a squarefree polynomial mod p by `mod_pow` on
 coefficient lists, the route the packed Frobenius kernel of
-`traceforms.algebra.modpoly` replaces.
+`traceforms.algebra.modpoly` replaces, and takes its gcds from `gcd` here, a
+Euclid on `mod_divmod` remainders, not from the package's in-place `mod_gcd`.
 
 `RationalPoly` computes nothing, so the tests build products, sums, values,
 quotients, remainders and monic rescalings of polynomials here, on coefficient
@@ -18,7 +19,7 @@ import math
 from fractions import Fraction
 
 from traceforms.algebra import RationalPoly
-from traceforms.algebra.modpoly import mod_divmod, mod_gcd, mod_pow, mod_sub
+from traceforms.algebra.modpoly import mod_divmod, mod_monic, mod_pow, mod_sub
 
 
 def mul(*factors) -> RationalPoly:
@@ -124,8 +125,17 @@ def primitive_part(f: RationalPoly) -> list[int]:
     return ints
 
 
+def gcd(a, b, p):
+    """Monic gcd mod p by Euclid's remainders from `mod_divmod` (empty when
+    both are zero)."""
+    while b:
+        a, b = b, mod_divmod(a, b, p)[1]
+    return mod_monic(a, p) if a else []
+
+
 def distinct_degree(f, p):
-    """Squarefree monic f as (product of irreducibles of degree d, d) pairs."""
+    """Squarefree monic f as (product of irreducibles of degree d, d) pairs,
+    by `mod_pow` and this module's `gcd`."""
     out = []
     x = h = [0, 1]  # only read when deg f >= 2, where x mod f = x
     d = 0
@@ -133,7 +143,7 @@ def distinct_degree(f, p):
     while len(rest) - 1 >= 2 * (d + 1):
         d += 1
         h = mod_pow(h, p, rest, p)
-        g = mod_gcd(mod_sub(h, x, p), rest, p)
+        g = gcd(mod_sub(h, x, p), rest, p)
         if len(g) > 1:
             out.append((g, d))
             rest = mod_divmod(rest, g, p)[0]

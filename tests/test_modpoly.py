@@ -31,6 +31,9 @@ def test_factor_examples():
     with pytest.raises(BadPrime, match="3 divides the leading coefficient"):
         factor_mod_p([1, 1, 3], 3)
 
+    # a unit has no irreducible factors; at n = 0 the packed slots are empty
+    assert factor_mod_p([5], 7) == []
+
     with pytest.raises(ValueError):
         factor_mod_p([], 5)
     with pytest.raises(ValueError):

@@ -18,6 +18,9 @@ from traceforms.algebra.intmath import FACTOR_LIMIT
 from traceforms.algebra.modpoly import (
     _cycle_type,
     _distinct_degree,
+    _pack,
+    _slotwise_mod,
+    _unpack,
     mod_add,
     mod_divmod,
     mod_gcd,
@@ -27,7 +30,7 @@ from traceforms.algebra.modpoly import (
     mod_xgcd,
 )
 from traceforms.algebra.poly import _integer_model, _monic_model
-from poly_oracles import discriminant, distinct_degree, mul, primitive_part
+from poly_oracles import discriminant, distinct_degree, gcd, mul, primitive_part
 
 PRIMES = st.sampled_from([p for p in range(2, 400) if is_prime(p)])
 PRIME_POWERS = st.tuples(st.sampled_from([2, 3, 5, 7, 101]), st.integers(2, 4)).map(
@@ -128,12 +131,52 @@ DDF_PRIMES = st.sampled_from(
 @example(p=2, lower=[1], zero_constant=False)  # x + 1
 @example(p=2, lower=[1, 1], zero_constant=False)  # x^2 + x + 1, irreducible
 @example(p=2, lower=[1, 1], zero_constant=True)  # x(x + 1)
+@example(p=LARGEST_PRIME, lower=[LARGEST_PRIME - 1], zero_constant=False)  # x - 1
+@example(p=LARGEST_PRIME, lower=[LARGEST_PRIME - 3**i for i in range(12)], zero_constant=False)  # widest slots
 def test_distinct_degree_matches_oracle(p, lower, zero_constant):
     f = [c % p for c in lower] + [1]
     if zero_constant:
         f[0] = 0
     assume(mod_gcd(f, mod_reduce([i * c for i, c in enumerate(f)][1:], p), p) == [1])
     assert _distinct_degree(f, p) == distinct_degree(f, p)
+
+
+def test_slotwise_mod_at_the_slot_bounds():
+    # every slot at 0, p - 1, p, 2p - 1 and 2^b - 1, the largest the
+    # reduction takes, alike and mixed, against per-slot % p
+    for p in (2, 3, 1009, 2**61 - 1, LARGEST_PRIME):
+        for n in (1, 2, 7, 48):
+            w, reduce = _slotwise_mod(n, p)
+            edges = [0, p - 1, p, 2 * p - 1, (1 << (2 * n * p * p).bit_length()) - 1]
+            patterns = [[e] * n for e in edges] + [[edges[(i + k) % 5] for i in range(n)] for k in range(5)]
+            for slots in patterns:
+                reduced = reduce(_pack(slots, w))
+                assert reduced >> (n * w) == 0
+                assert _unpack(reduced, w, n) == [s % p for s in slots], (p, n, slots)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    p=DDF_PRIMES,
+    polys=st.lists(st.lists(st.integers(0, 2**90), max_size=10), min_size=3, max_size=3),
+    shape=st.sampled_from(["any", "zero", "equal", "multiple", "common factor"]),
+)
+@example(p=2, polys=[[], [], []], shape="any")  # both zero
+def test_gcd_matches_oracle(p, polys, shape):
+    # the in-place Euclid against the oracle's Euclid on mod_divmod
+    a, b, c = (mod_reduce(poly, p) for poly in polys)
+    if shape == "zero":
+        a = []
+    elif shape == "equal":
+        a = b
+    elif shape == "multiple":
+        a = mod_mul(a, b, p)
+    elif shape == "common factor":
+        a, b = mod_mul(a, c, p), mod_mul(b, c, p)
+    for x, y in ((a, b), (b, a)):
+        inputs = (list(x), list(y))
+        assert mod_gcd(x, y, p) == gcd(x, y, p)
+        assert (x, y) == inputs  # it reduces copies
 
 
 def _check_divmod(a, b, q):

@@ -3,7 +3,8 @@ only the standard library, the public names, classmethods and methods resolve
 and each has a caller, RationalPoly is a value with no operators,
 FACTOR_LIMIT is enforced in one place per job, f's integer forms are built in
 one place each, the power-sum Hankel stays in integers, no fact is
-checked twice by a determinant, and only the classifier diagonalizes."""
+checked twice by a determinant, only the classifier diagonalizes, and the
+Z/qZ kernel inverts leading coefficients only in its Euclidean routines."""
 
 import ast
 import sys
@@ -335,3 +336,19 @@ def test_only_the_classifier_diagonalizes():
     # D, so no diagonal basis is needed); the congruence serves the Witt
     # invariants alone
     assert _sites(_Calls, "congruence_diagonalize") == ["quadform._diagonal_entries"]
+
+
+class _ModularInverses(_Scoped):
+    """module.function of every `pow(x, -1, q)`."""
+
+    def visit_Call(self, node):
+        if getattr(node.func, "id", None) == "pow" and len(node.args) == 3 and ast.unparse(node.args[1]) == "-1":
+            self.found.append(f"{self.module}.{self.scope}")
+        self.generic_visit(node)
+
+
+def test_one_euclid_in_the_kernel():
+    # the packed walk and the splitting routines reach division only through
+    # mod_divmod and mod_gcd, so no second, inlined Euclid grows inside them
+    inverses = [site for site in _sites(_ModularInverses) if site.startswith("modpoly.")]
+    assert inverses == ["modpoly.mod_divmod", "modpoly.mod_gcd", "modpoly.mod_monic", "modpoly.mod_xgcd"]
