@@ -25,15 +25,11 @@ NEGATIVE = 1
 USAGE = 2
 
 
-class InputError(Exception):
-    """Maps to exit code 2, as does any ValueError a command raises."""
-
-
 def _parse_diag(text: str) -> list:
     try:
         return [serialize.rational_from_str(part.strip()) for part in text.split(",")]
     except ValueError as exc:
-        raise InputError(f"bad diagonal {text!r}: {exc}")
+        raise ValueError(f"bad diagonal {text!r}: {exc}")
 
 
 def _read_json(path: str):
@@ -41,10 +37,10 @@ def _read_json(path: str):
         with open(path) as handle:
             return json.load(handle)
     except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}")
+        raise ValueError(f"cannot read {path}: {exc}")
     except (json.JSONDecodeError, RecursionError) as exc:
         # the decoder recurses once per nesting level
-        raise InputError(f"malformed JSON in {path}: {exc}")
+        raise ValueError(f"malformed JSON in {path}: {exc}")
 
 
 def _load_form_file(path: str) -> SymmetricForm:
@@ -52,14 +48,14 @@ def _load_form_file(path: str) -> SymmetricForm:
     try:
         return serialize.form_from_json(data)
     except (ValueError, TypeError) as exc:
-        raise InputError(f"bad form in {path}: {exc}")
+        raise ValueError(f"bad form in {path}: {exc}")
 
 
 def _gather_forms(args, minimum: int, maximum: int) -> list[SymmetricForm]:
     forms = [_load_form_file(path) for path in args.form or []]
     forms += [SymmetricForm.diagonal(_parse_diag(text)) for text in args.diag or []]
     if not minimum <= len(forms) <= maximum:
-        raise InputError(
+        raise ValueError(
             f"expected between {minimum} and {maximum} forms via --form/--diag, got {len(forms)}"
         )
     return forms
@@ -85,7 +81,7 @@ def cmd_verify(args) -> int:
     try:
         cert = serialize.certificate_from_json(data)
     except (ValueError, TypeError) as exc:
-        raise InputError(f"malformed certificate: {exc}")
+        raise ValueError(f"malformed certificate: {exc}")
     check = traceform.verify_certificate(cert)
     if check:
         _emit({"valid": True})
@@ -115,15 +111,15 @@ def cmd_equivalent(args) -> int:
 
 def cmd_galois(args) -> int:
     if args.n is not None and args.n < 1:
-        raise InputError("--n must be positive")
+        raise ValueError("--n must be positive")
     if args.diag:
         diag = _parse_diag(args.diag)
         if args.n is not None and args.n != len(diag):
-            raise InputError(f"--n {args.n} does not match --diag of length {len(diag)}")
+            raise ValueError(f"--n {args.n} does not match --diag of length {len(diag)}")
     elif args.n is not None:
         diag = [1] * args.n
     else:
-        raise InputError("need --diag or --n")
+        raise ValueError("need --diag or --n")
     report = galois.generic_experiment(diag, args.bound, args.primes, seed=args.seed)
     stats = None
     if report.cycle_stats is not None:
@@ -163,8 +159,8 @@ def cmd_group_verify(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="seed for all randomness")
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=0, help="seed for all randomness")
 
     form_args = argparse.ArgumentParser(add_help=False)
     form_args.add_argument(
@@ -184,25 +180,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("realize", parents=[common, form_args], help="produce a certificate")
+    p = sub.add_parser("realize", parents=[seeded, form_args], help="produce a certificate")
     p.set_defaults(run=cmd_realize)
 
-    p = sub.add_parser("verify", parents=[common], help="check a certificate file")
+    p = sub.add_parser("verify", help="check a certificate file")
     p.add_argument("certificate", help="certificate JSON file")
     p.set_defaults(run=cmd_verify)
 
-    p = sub.add_parser(
-        "invariants", parents=[common, form_args], help="Witt invariants of a form"
-    )
+    p = sub.add_parser("invariants", parents=[form_args], help="Witt invariants of a form")
     p.set_defaults(run=cmd_invariants)
 
-    p = sub.add_parser(
-        "equivalent", parents=[common, form_args], help="decide rational equivalence"
-    )
+    p = sub.add_parser("equivalent", parents=[form_args], help="decide rational equivalence")
     p.set_defaults(run=cmd_equivalent)
 
     p = sub.add_parser(
-        "galois", parents=[common], help="random specialization cycle-type experiment"
+        "galois", parents=[seeded], help="random specialization cycle-type experiment"
     )
     p.add_argument("--n", type=int, help="dimension (diagonal defaults to all ones)")
     p.add_argument("--diag", help="comma-separated nonzero diagonal entries")
@@ -212,9 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(run=cmd_galois)
 
-    p = sub.add_parser(
-        "group-verify", parents=[common], help="check the semidirect group properties"
-    )
+    p = sub.add_parser("group-verify", help="check the semidirect group properties")
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
@@ -239,8 +229,9 @@ def main(argv=None) -> int:
     sys.set_int_max_str_digits(0)
     try:
         return args.run(args)
-    except (InputError, ValueError) as exc:
-        # DegenerateForm, InvalidParams and the factorization limit are ValueErrors
+    except ValueError as exc:
+        # input errors, DegenerateForm, InvalidParams and the factorization
+        # limit are all ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
     finally:

@@ -84,6 +84,8 @@ def sample_cycle_types(
     """
     if f.degree < 1:
         raise ValueError("cycle types require degree >= 1")
+    if prime_budget < 0:
+        raise ValueError("prime budget must be non-negative")
     g, b, disc = _integer_model(f)
     if disc == 0:
         raise NotSquarefree("polynomial has a repeated root")

@@ -31,8 +31,8 @@ Both conditions read the one factorization of m: as p does not divide m, p
 divides phi(m) = prod q^(e-1) (q - 1) exactly when some q = 1 (mod p).
 
 Powers take the closed form (a (1 + beta + ... + beta^(n-1)), n x) with
-beta = alpha^x, the geometric sum that element_order also reads; the tests
-compare it with iterated multiplication.
+beta = alpha^x; p_elements reads it at n = p^k, and the tests compare it with
+iterated multiplication.
 """
 
 from __future__ import annotations
@@ -117,13 +117,6 @@ class SemidirectGroup:
             n * g.x % self.pk,
         )
 
-    def element_order(self, g: Element) -> int:
-        # order of the Z/p^k coordinate, then the additive order of what the
-        # corresponding power leaves in the Z/m coordinate
-        ox = self.pk // math.gcd(g.x, self.pk) if g.x else 1
-        c = g.a * self._geometric_sum(self._alpha_pow[g.x], ox) % self.m
-        return ox * (self.m // math.gcd(c, self.m))
-
     def subgroup_closure(self, gens) -> frozenset:
         """Subgroup generated by `gens` (BFS over an effective generator list)."""
         effective: list[Element] = []
@@ -165,7 +158,7 @@ class SemidirectGroup:
         return classes
 
 
-def qualifying_alphas(p: int, k: int, m: int) -> list[int]:
+def qualifying_alphas(p: int, m: int) -> list[int]:
     """Units of order exactly p with alpha - 1 also a unit mod m."""
     # alpha^p = 1 makes alpha a unit, and alpha != 1 gives it order exactly p
     return [a for a in range(2, m) if pow(a, p, m) == 1 and math.gcd(a - 1, m) == 1]
@@ -198,19 +191,22 @@ def construct_group(p: int, k: int, m: int) -> SemidirectGroup:
             f"prime factors {bad} of m are not 1 mod p; no twisting unit of "
             f"order {p} with alpha - 1 invertible exists"
         )
-    alpha = min(qualifying_alphas(p, k, m))
+    alpha = min(qualifying_alphas(p, m))
     return SemidirectGroup(p, k, m, alpha)
 
 
 def p_elements(group: SemidirectGroup) -> list[Element]:
-    """All elements of p-power order (the union of the Sylow p-subgroups)."""
+    """All elements of p-power order (the union of the Sylow p-subgroups).
+
+    |G| = m p^k with p prime to m, so g has p-power order exactly when
+    g^(p^k) = e.  By the power formula (a, x)^(p^k) = (a s_x, 0), where
+    (1, x)^(p^k) = (s_x, 0), so the p-elements over x are the (a, x) with
+    m / gcd(s_x, m) dividing a.
+    """
     out = []
-    for g in group.elements():
-        order = group.element_order(g)
-        while order % group.p == 0:
-            order //= group.p
-        if order == 1:
-            out.append(g)
+    for x in range(group.pk):
+        s = group.power(Element(1, x), group.pk).a
+        out += (Element(a, x) for a in range(0, group.m, group.m // math.gcd(s, group.m)))
     return out
 
 
@@ -241,13 +237,13 @@ def _normal_subgroups(group: SemidirectGroup) -> list[frozenset]:
         if not marked.isdisjoint(cls):
             continue
         closures.add(group.subgroup_closure(cls))
+        # g, g^2, ..., g^n = e: the walk's length is the order n of g
         g = next(iter(cls))
-        n = group.element_order(g)
-        h = g
-        for j in range(1, n + 1):
-            if math.gcd(j, n) == 1:
-                marked.add(h)
-            h = group.multiply(h, g)
+        powers = [g]
+        while powers[-1] != group.identity:
+            powers.append(group.multiply(powers[-1], g))
+        n = len(powers)
+        marked.update(h for j, h in enumerate(powers, 1) if math.gcd(j, n) == 1)
     # for normal N and K the join is N K, the union of the cosets N y (y in K);
     # it is the one subgroup of order |N| |K| / |N & K| containing both, so a
     # join already found is recognised by set operations, without products

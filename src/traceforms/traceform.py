@@ -93,11 +93,10 @@ def scaled_trace_gram(f: RationalPoly, alpha: RationalPoly) -> Matrix:
 
     Entry (i, j) is Tr(alpha x^(i+j)); the matrix is symmetric Hankel by
     construction.  alpha need not be reduced mod f, and alpha = 0 mod f gives
-    the zero matrix.  f is expected monic (and irreducible when the result is
-    meant to be a field trace form; that is not re-checked here).
+    the zero matrix.  f must be monic of degree >= 1, which `trace_moments`
+    checks (and irreducible when the result is meant to be a field trace
+    form; that is not re-checked here).
     """
-    if not f.is_monic or f.degree < 1:
-        raise ValueError("modulus must be monic of degree >= 1")
     n = f.degree
     moments = trace_moments(f, alpha, 2 * n - 1)
     return Matrix([[moments[i + j] for j in range(n)] for i in range(n)])

@@ -12,6 +12,10 @@ their generators: H0 = {(a, 0) : n | a} and H1 = {(a, x) : n | a}.
 
 `inverse` finds g^-1 by search over the group, so the axioms test checks that
 one exists, and `conjugate` is h g h^-1 from it; the package needs neither.
+
+`p_elements` is the definition, the g with g^(p^k) = e, by repeated
+multiplication; `traceforms.groups.p_elements` reads the same set off the
+power formula.
 """
 
 from traceforms.groups import Element, SemidirectGroup
@@ -47,3 +51,14 @@ def inverse(group: SemidirectGroup, g: Element) -> Element:
 
 def conjugate(group: SemidirectGroup, h: Element, g: Element) -> Element:
     return group.multiply(group.multiply(h, g), inverse(group, h))
+
+
+def p_elements(group: SemidirectGroup) -> set:
+    out = set()
+    for g in group.elements():
+        acc = group.identity
+        for _ in range(group.pk):
+            acc = group.multiply(acc, g)
+        if acc == group.identity:
+            out.add(g)
+    return out

@@ -360,12 +360,17 @@ def test_usage_error_exit_code(capsys):
     assert main(["no-such-command"]) == 2
     assert main(["invariants", "--diag", "1,1", "--json"]) == 2  # no such flag
     # options that no caller set are gone: the search schedule and the prime
-    # floor are constants, and every command writes its report
+    # floor are constants, and every command writes its report; only realize
+    # and galois draw anything, so only they take --seed
     for argv in (
         ["realize", "--diag", "1,1", "--bounds", "1"],
         ["realize", "--diag", "1,1", "--tries", "1"],
         ["galois", "--n", "3", "--prime-floor", "5"],
         ["invariants", "--diag", "1,1", "--quiet"],
+        ["verify", "cert.json", "--seed", "1"],
+        ["invariants", "--diag", "2,3", "--seed", "99"],
+        ["equivalent", "--diag", "1,1", "--diag", "2,2", "--seed", "1"],
+        ["group-verify", "--p", "2", "--k", "1", "--m", "3", "--seed", "1"],
     ):
         assert main(argv) == 2
         captured = capsys.readouterr()
@@ -450,14 +455,13 @@ REQUIRED = {
     "group-verify": GROUP,
 }
 OPTIONAL = {
-    "realize": {},
+    "realize": {"--seed": SMALL_INTS},
     "verify": {},
     "invariants": {},
     "equivalent": {"--diag": DIAGS},
-    "galois": {"--n": SMALL_INTS, "--diag": DIAGS, "--bound": SMALL_INTS},
+    "galois": {"--n": SMALL_INTS, "--diag": DIAGS, "--bound": SMALL_INTS, "--seed": SMALL_INTS},
     "group-verify": {"--n": _pool("1", "3", "5"), "--exhaustive": st.none()},
 }
-COMMON = {"--seed": SMALL_INTS}
 
 
 def _draw_flags(data, pool, optional):
@@ -480,7 +484,6 @@ def test_cli_argv_fuzz(data):
         argv.append(data.draw(_pool("missing.json")))
     argv += _draw_flags(data, REQUIRED[command], optional=False)
     argv += _draw_flags(data, OPTIONAL[command], optional=True)
-    argv += _draw_flags(data, COMMON, optional=True)
 
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

@@ -112,6 +112,17 @@ def test_frequency_reads_unsorted_patterns():
     assert s.frequency((1, 2)) == s.frequency((2, 1)) == Fraction(1, 2)
 
 
+def test_negative_prime_budget_is_refused():
+    # refused as generic_experiment refuses it, not read as an empty sample
+    for run in (
+        lambda: sample_cycle_types(X3_MINUS_X_MINUS_1, -3),
+        lambda: generic_experiment([1, 1, 1], 9, -3),
+    ):
+        with pytest.raises(ValueError, match="prime budget must be non-negative"):
+            run()
+    assert sample_cycle_types(X3_MINUS_X_MINUS_1, 0).counts == {}
+
+
 def test_prime_walk_stays_in_proven_range():
     with pytest.raises(ValueError, match="FACTOR_LIMIT"):
         sample_cycle_types(X3_MINUS_X_MINUS_1, 5, prime_floor=FACTOR_LIMIT - 1)

@@ -6,6 +6,7 @@ import pytest
 from group_oracles import conjugate, inverse
 from group_oracles import index_subgroups as index_subgroups_oracle
 from group_oracles import normal_subgroups as normal_subgroups_oracle
+from group_oracles import p_elements as p_elements_oracle
 
 from traceforms import groups
 from traceforms.algebra import divisors
@@ -87,7 +88,7 @@ def test_construct_requires_unit_alpha_minus_one():
         construct_group(5, 1, 33)
     # for m = 15 and p = 2, alpha = 4 and 11 are excluded (gcd(alpha-1, 15) > 1)
     # and only alpha = 14 = -1 qualifies
-    assert qualifying_alphas(2, 1, 15) == [14]
+    assert qualifying_alphas(2, 15) == [14]
     assert construct_group(2, 1, 15).alpha == 14
 
 
@@ -144,16 +145,13 @@ def test_power_closed_form_vs_iteration():
             g.power(g.identity, -1)
 
 
-def test_element_order_against_iteration():
-    for params in SMALL_PARAMS:
-        g = construct_group(*params)
-        for el in g.elements():
-            acc, order = el, 1
-            while acc != g.identity:
-                acc = g.multiply(acc, el)
-                order += 1
-            assert g.element_order(el) == order
-            assert g.order % order == 0  # Lagrange
+def test_p_elements_match_the_definition():
+    # the p-elements read off the power formula are the g with g^(p^k) = e,
+    # on the small groups, the direct product and every group of the sweep
+    direct = SemidirectGroup(2, 1, 3, alpha=1)
+    cases = [construct_group(*params) for params in SMALL_PARAMS + sweep_parameters(150)]
+    for g in cases + [direct]:
+        assert set(p_elements(g)) == p_elements_oracle(g), g
 
 
 def test_p_generated_subgroup_examples():
@@ -362,7 +360,7 @@ def test_alpha_choice_independence():
     # the properties hold for every qualifying alpha, not just the smallest
     for params in [(2, 1, 21), (3, 1, 13), (2, 2, 15), (5, 1, 31)]:
         p, k, m = params
-        alphas = qualifying_alphas(p, k, m)
+        alphas = qualifying_alphas(p, m)
         assert alphas, params
         for alpha in alphas:
             g = SemidirectGroup(p, k, m, alpha)

@@ -80,6 +80,10 @@ def test_scaled_trace_gram_examples():
     assert scaled_trace_gram(F2, RationalPoly()) == zero
     assert scaled_trace_gram(F2, mul(F2, (3,))) == zero
     assert scaled_trace_gram(F2, mul(F2, (1, Fraction(-2, 3), 5))) == zero
+    # trace_moments refuses a non-monic or constant modulus for it
+    for f in (RationalPoly((-3, 2)), RationalPoly((5,)), RationalPoly()):
+        with pytest.raises(ValueError, match="monic modulus of degree >= 1"):
+            scaled_trace_gram(f, RationalPoly.one())
 
 
 def test_scaled_trace_gram_is_hankel_and_nonsingular():
