@@ -5,8 +5,13 @@ checks more of a shape than a size.  It is stored as integer rows
 (`numerators`) over one positive common denominator (`denominator`), in
 lowest terms: the gcd of the denominator and every numerator is 1, so equal
 matrices have equal (numerators, denominator) pairs, and `==` and `hash`
-compare those directly.  `rows` and indexing hand out Fractions built on
-demand.
+compare those directly.
+
+The constructor reads each entry as an integer pair (`poly._rational_pair`)
+and builds the rows with one lcm and one division by the common gcd, with no
+Fraction per entry; `_lowest_terms` builds a Matrix from integer rows over
+any positive denominator the same way.  The Fractions a Matrix hands out are
+those of `rows`, indexing and `det`, built on demand.
 
 Everything below stays in integers until a result is handed out:
 
@@ -32,24 +37,25 @@ from fractions import Fraction
 from operator import mul
 
 from .intmath import _int_det_bareiss
-from .poly import RationalPoly, exact_rational, sequence
+from .poly import RationalPoly, _rational_pair, sequence
 
 Vector = tuple[Fraction, ...]
 
 
-def _lowest_terms(num, den: int) -> "Matrix":
+def _lowest_terms(num, den: int, into: "Matrix | None" = None) -> "Matrix":
     """The Matrix num / den (den > 0), after dividing out the gcd of den and
-    every entry of num (a tuple of integer tuples)."""
+    every entry of num (a tuple of integer tuples); `into` is the instance
+    to fill (Matrix.__init__ passes its own), a new one by default."""
     g = math.gcd(den, *(x for row in num for x in row))
     if g != 1:
         num = tuple(tuple(x // g for x in row) for row in num)
         den //= g
-    return _raw(num, den)
+    return _raw(num, den, into)
 
 
-def _raw(num, den: int) -> "Matrix":
+def _raw(num, den: int, into: "Matrix | None" = None) -> "Matrix":
     """The Matrix num / den; the caller guarantees it is in lowest terms."""
-    m = object.__new__(Matrix)
+    m = object.__new__(Matrix) if into is None else into
     object.__setattr__(m, "numerators", num)
     object.__setattr__(m, "denominator", den)
     return m
@@ -62,15 +68,11 @@ class Matrix:
     __slots__ = ("numerators", "denominator")
 
     def __init__(self, rows):
-        rs = [[x if type(x) in (int, Fraction) else exact_rational(x) for x in sequence(row, "matrix row")]
-              for row in sequence(rows, "matrix")]
+        rs = [[_rational_pair(x) for x in sequence(row, "matrix row")] for row in sequence(rows, "matrix")]
         if not rs or any(len(r) != len(rs) for r in rs):
             raise ValueError("a matrix must be n x n with n >= 1")
-        # the lcm of reduced denominators leaves no common factor to divide out
-        den = math.lcm(*(x.denominator for row in rs for x in row))
-        num = tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in rs)
-        object.__setattr__(self, "numerators", num)
-        object.__setattr__(self, "denominator", den)
+        den = math.lcm(*(q for row in rs for _, q in row))
+        _lowest_terms(tuple(tuple(p * (den // q) for p, q in row) for row in rs), den, self)
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")

@@ -29,18 +29,45 @@ from operator import mul
 from .intmath import _int_det_bareiss
 
 
+def _rational_pair(x) -> tuple[int, int]:
+    """x as integers (p, q), q > 0 and p / q = x, not necessarily in lowest
+    terms, under `exact_rational`'s rules and messages.
+
+    An int and a canonical ASCII string "p", "-p" or "p/q" (digits only,
+    q != 0) are read straight into integers; a Fraction gives its own pair.
+    Anything else goes through `Fraction` as `exact_rational` describes, so
+    " 3", "+3", "0.5", "1_0", non-ASCII digits and strings over the
+    int-digit limit are accepted or refused exactly as `Fraction` decides.
+    """
+    if type(x) is int:
+        return x, 1
+    if type(x) is str and x.isascii():
+        num, slash, den = x.partition("/")
+        if (num[1:] if num[:1] == "-" else num).isdigit() and (den.isdigit() or not slash):
+            try:
+                p, q = int(num), int(den) if slash else 1
+            except ValueError:  # past the int-digit limit: Fraction refuses it too
+                pass
+            else:
+                if q:
+                    return p, q
+    if isinstance(x, Fraction):
+        return x.as_integer_ratio()
+    if isinstance(x, (int, str)) and not isinstance(x, bool):
+        try:
+            return Fraction(x).as_integer_ratio()
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ValueError(f"expected an exact rational (int, Fraction or string), got {x!r}")
+
+
 def exact_rational(x) -> Fraction:
     """x as a Fraction: an int that is not a bool, a Fraction, or a string
     `Fraction` parses ("-3", "2/7", "0.5").  A float, which may already have
     been rounded, a bool or anything else raises ValueError."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, (int, str)) and not isinstance(x, bool):
-        try:
-            return Fraction(x)
-        except (ValueError, ZeroDivisionError):
-            pass
-    raise ValueError(f"expected an exact rational (int, Fraction or string), got {x!r}")
+    return Fraction(*_rational_pair(x))
 
 
 def sequence(items, what: str):
@@ -161,12 +188,20 @@ def power_traces(f: RationalPoly, m: int) -> tuple[Fraction, ...]:
 
 
 def trace_moments(f: RationalPoly, g: RationalPoly, count: int) -> tuple[Fraction, ...]:
-    """Traces Tr(g x^m) on Q[x]/(f) for m = 0..count-1.
+    """Traces Tr(g x^m) on Q[x]/(f) for m = 0..count-1, one Fraction each;
+    `_trace_products` has them as integers over one denominator."""
+    products, den = _trace_products(f, g, count)
+    return tuple(Fraction(t, den) for t in products)
+
+
+def _trace_products(f: RationalPoly, g: RationalPoly, count: int) -> tuple[list[int], int]:
+    """(t, den) with Tr(g x^m) = t[m] / den on Q[x]/(f), m = 0..count-1.
 
     Moment m is sum_k g_k tr[k + m] with tr the power sums of f, so g need
     not be reduced mod f and no polynomial division takes place.  With g's
-    denominators cleared (c) and f's power sums s_k / b^k, each moment is one
-    integer Hankel product over c b^(deg g + m), one Fraction per moment.
+    denominators cleared (c) and f's power sums s_k / b^k, moment m is one
+    integer Hankel product over c b^(d + m), d = max(deg g, 0), and den =
+    c b^(d + max(count - 1, 0)) is a multiple of each of these denominators.
     """
     if not f.is_monic or f.degree < 1:
         raise ValueError("trace requires a monic modulus of degree >= 1")
@@ -176,7 +211,8 @@ def trace_moments(f: RationalPoly, g: RationalPoly, count: int) -> tuple[Fractio
     d = max(g.degree, 0)
     c = math.lcm(*(x.denominator for x in g.coeffs))
     w = [x.numerator * (c // x.denominator) * b ** (d - k) for k, x in enumerate(g.coeffs)]
-    return tuple(Fraction(sum(map(mul, w, sums[m:])), c * b ** (d + m)) for m in range(count))
+    top = max(count - 1, 0)
+    return [sum(map(mul, w, sums[m:])) * b ** (top - m) for m in range(count)], c * b ** (d + top)
 
 
 def discriminant(f: RationalPoly) -> Fraction:

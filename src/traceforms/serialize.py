@@ -7,11 +7,18 @@ forms are {"dim": n, "gram": [[..]]} with the shorthand {"diag": [..]}
 accepted on input.  Input arrays must be JSON arrays (a string is not the
 list of its characters) and dim a JSON integer.  Output is canonical: sorted
 keys, fixed separators, trailing newline, no floats anywhere.
+
+Matrices cross the boundary as integers: `Matrix` reads each string into an
+integer pair (canonical "p", "-p" and "p/q" straight, any other spelling
+through `Fraction`, under `exact_rational`'s rules), and `matrix_to_json`
+prints from the integer rows over their denominator, one gcd per entry.
+Polynomial coefficients are still Fractions on both sides.
 """
 
 from __future__ import annotations
 
 import json
+import math
 
 from .algebra import Matrix, RationalPoly
 from .algebra.poly import exact_rational
@@ -42,7 +49,12 @@ def poly_from_json(data) -> RationalPoly:
 
 
 def matrix_to_json(m: Matrix) -> list:
-    return [[rational_to_str(x) for x in row] for row in m.rows]
+    # str(Fraction(x, den)) from the integer rows: one gcd per entry, no Fraction
+    den = m.denominator
+    return [
+        [str(x // g) if (g := math.gcd(x, den)) == den else f"{x // g}/{den // g}" for x in row]
+        for row in m.numerators
+    ]
 
 
 def matrix_from_json(data) -> Matrix:

@@ -29,10 +29,9 @@ from .algebra import (
     RationalPoly,
     charpoly,
     is_irreducible_over_rationals,
-    trace_moments,
 )
-from .algebra.matrix import _int_solve
-from .algebra.poly import _newton_sums, exact_rational
+from .algebra.matrix import _int_solve, _lowest_terms
+from .algebra.poly import _newton_sums, _trace_products, exact_rational
 from .quadform import DegenerateForm, SymmetricForm
 
 
@@ -93,13 +92,15 @@ def scaled_trace_gram(f: RationalPoly, alpha: RationalPoly) -> Matrix:
 
     Entry (i, j) is Tr(alpha x^(i+j)); the matrix is symmetric Hankel by
     construction.  alpha need not be reduced mod f, and alpha = 0 mod f gives
-    the zero matrix.  f must be monic of degree >= 1, which `trace_moments`
-    checks (and irreducible when the result is meant to be a field trace
-    form; that is not re-checked here).
+    the zero matrix.  The moments are `_trace_products`' integer Hankel
+    products over their one denominator, so no Fraction is built.  f must be
+    monic of degree >= 1, which `_trace_products` checks (and irreducible
+    when the result is meant to be a field trace form; that is not
+    re-checked here).
     """
     n = f.degree
-    moments = trace_moments(f, alpha, 2 * n - 1)
-    return Matrix([[moments[i + j] for j in range(n)] for i in range(n)])
+    products, den = _trace_products(f, alpha, 2 * n - 1)
+    return _lowest_terms(tuple(tuple(products[i : i + n]) for i in range(n)), den)
 
 
 def solve_alpha(f: RationalPoly, moments) -> RationalPoly:
@@ -184,17 +185,22 @@ def realize(form: SymmetricForm, policy: SearchPolicy | None = None) -> Certific
     # one walk M^k e1, k < 2n-1: its first n vectors form P (e1 is cyclic for irreducible f),
     # and M^T D = D M makes (P^T D P)_ij = e1^T D M^(i+j) e1 = (row 0 of D) . M^(i+j) e1.
     # It runs in integers on B = L M (L = M's denominator), so M^k e1 = B^k e1 / L^k.
+    # P and gram are integer rows over L^(n-1) and den L^(2n-2) (den = D's denominator); the
+    # only Fractions are the moments h_k = (row 0 of D's numerators) . B^k e1 / (den L^k) for solve_alpha.
     b, scale = m.numerators, m.denominator
     walk = [(1,) + (0,) * (n - 1)]
     for _ in range(2 * n - 2):
         v = walk[-1]
         walk.append(tuple(sum(map(mul, row, v)) for row in b))
-    p = Matrix([Fraction(x, scale**k) for x in w] for k, w in enumerate(walk[:n])).transpose()
+    top = 2 * n - 2
+    powers = [scale**k for k in range(top + 1)]
+    cols = [tuple(x * powers[n - 1 - k] for x in w) for k, w in enumerate(walk[:n])]
+    p = _lowest_terms(tuple(zip(*cols)), powers[n - 1])
     row0, den = d.numerators[0], d.denominator
-    moments = [Fraction(sum(map(mul, row0, w)), den * scale**k) for k, w in enumerate(walk)]
-
-    alpha = solve_alpha(f, moments)
-    gram = Matrix([[moments[i + j] for j in range(n)] for i in range(n)])
+    hankel = [sum(map(mul, row0, w)) for w in walk]
+    alpha = solve_alpha(f, [Fraction(h, den * powers[k]) for k, h in enumerate(hankel)])
+    hankel = [h * powers[top - k] for k, h in enumerate(hankel)]
+    gram = _lowest_terms(tuple(tuple(hankel[i : i + n]) for i in range(n)), den * powers[top])
 
     cert = Certificate(
         D=form,

@@ -13,6 +13,10 @@ Euclid on `mod_divmod` remainders, not from the package's in-place `mod_gcd`.
 `RationalPoly` computes nothing, so the tests build products, sums, values,
 quotients, remainders and monic rescalings of polynomials here, on coefficient
 lists; the Euclidean routines use this division, not any of the package's.
+
+`exact_rational` is the package's exact-rational reader as it was before
+canonical strings were read straight into integer pairs: every accepted
+input goes through `Fraction`.
 """
 
 import math
@@ -20,6 +24,19 @@ from fractions import Fraction
 
 from traceforms.algebra import RationalPoly
 from traceforms.algebra.modpoly import mod_divmod, mod_monic, mod_pow, mod_sub
+
+
+def exact_rational(x) -> Fraction:
+    """x as a Fraction by `Fraction` itself: an int that is not a bool, a
+    Fraction, or a string `Fraction` parses; anything else raises ValueError."""
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, (int, str)) and not isinstance(x, bool):
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ValueError(f"expected an exact rational (int, Fraction or string), got {x!r}")
 
 
 def mul(*factors) -> RationalPoly:

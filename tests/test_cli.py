@@ -6,6 +6,7 @@ import re
 import shlex
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 from hypothesis import given, settings
@@ -128,6 +129,57 @@ def test_verify_refuses_a_non_square_matrix(tmp_path, capsys):
     assert run.returncode == 2 and run.stdout == ""
     assert run.stderr.startswith("error: malformed certificate: ") and run.stderr.count("\n") == 1
     assert "Traceback" not in run.stderr
+
+
+def _respell(value: str, k: int):
+    """The exact rational `value` ("p" or "p/q") in the k-th of several
+    non-canonical spellings the reader accepts."""
+    x = Fraction(value)
+    if x.denominator == 1:
+        p = x.numerator
+        return (f"+{p}" if p >= 0 else f" {p}", f" {p} ", f"{2 * p}/2", p)[k % 4]
+    e = next((e for e in range(x.denominator.bit_length()) if 10**e % x.denominator == 0), None)
+    if k % 2 and e is not None:  # a terminating decimal, as "1/2" is "0.5"
+        digits = abs(x.numerator) * 10**e // x.denominator
+        return f"{'-' if x < 0 else ''}{digits // 10**e}.{digits % 10**e:0{e}d}"
+    return f" {3 * x.numerator}/{3 * x.denominator}"
+
+
+def test_verify_reads_non_canonical_spellings(tmp_path):
+    # the same certificate with "+3", " 3 ", "6/2", "0.5" and JSON integers in
+    # place of canonical strings verifies with the same stdout, in a fresh
+    # process and under -O; "1/0", "3/-4" and a float are input errors
+    run = _run_fresh_process(["realize", "--diag", "1/2,-3,5/4,7", "--seed", "2"])
+    assert run.returncode == 0
+    cert = json.loads(run.stdout)
+    counter = iter(range(10**6))
+
+    def respell(node):
+        if isinstance(node, list):
+            return [respell(x) for x in node]
+        return _respell(node, next(counter))
+
+    respelled = {key: respell(cert[key]) for key in ("A", "f", "alpha", "P", "gram")}
+    respelled["D"] = {"gram": respell(cert["D"]["gram"]), "dim": cert["D"]["dim"]}
+    spellings = {x for row in respelled["D"]["gram"] + respelled["P"] for x in row}
+    assert {"+0", " 0 ", "0/2", 0, "0.5"} <= spellings and any(str(x).startswith(" -") for x in spellings)
+    canonical, rewritten = tmp_path / "canonical.json", tmp_path / "rewritten.json"
+    canonical.write_text(run.stdout)
+    rewritten.write_text(json.dumps({**cert, **respelled}))
+    for flags in ((), ("-O",)):
+        want = _run_fresh_process(["verify", str(canonical)], *flags)
+        got = _run_fresh_process(["verify", str(rewritten)], *flags)
+        assert want.returncode == got.returncode == 0
+        assert got.stdout == want.stdout == '{\n  "valid": true\n}\n'
+        for bad in ("1/0", "3/-4", 0.5):
+            broken = tmp_path / "broken.json"
+            a = [row[:] for row in cert["A"]]
+            a[0][0] = bad
+            broken.write_text(json.dumps({**cert, "A": a}))
+            refused = _run_fresh_process(["verify", str(broken)], *flags)
+            assert refused.returncode == 2 and refused.stdout == ""
+            assert refused.stderr.startswith("error: ") and refused.stderr.count("\n") == 1
+            assert "expected an exact rational" in refused.stderr and "Traceback" not in refused.stderr
 
 
 def test_verify_malformed_json(tmp_path, capsys):

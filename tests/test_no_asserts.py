@@ -2,9 +2,10 @@
 only the standard library, the public names, classmethods and methods resolve
 and each has a caller, RationalPoly is a value with no operators,
 FACTOR_LIMIT is enforced in one place per job, f's integer forms are built in
-one place each, the power-sum Hankel stays in integers, no fact is
-checked twice by a determinant, only the classifier diagonalizes, and the
-Z/qZ kernel inverts leading coefficients only in its Euclidean routines."""
+one place each, the power-sum Hankel and a certificate's matrices stay in
+integers, no fact is checked twice by a determinant, only the classifier
+diagonalizes, and the Z/qZ kernel inverts leading coefficients only in its
+Euclidean routines."""
 
 import ast
 import sys
@@ -294,15 +295,18 @@ def test_monic_model_is_the_one_integer_form_of_f():
     # (Hensel lifting, cycle types, the discriminant) reads it with its sums;
     # no second rescaling of f exists
     assert _sites(_Calls, "_monic_model") == ["poly._newton_sums"]
+    # the trace moments are `_trace_products` over one denominator, which
+    # `trace_moments` and `scaled_trace_gram` both read
     assert _sites(_Calls, "_newton_sums") == [
         "poly._integer_model",
-        "poly.trace_moments",
+        "poly._trace_products",
         "traceform.solve_alpha",
     ]
+    assert _sites(_Calls, "_trace_products") == ["poly.trace_moments", "traceform.scaled_trace_gram"]
     # clearing a polynomial's denominators: the model clears f's, the trace
-    # moments clear the traced element's
+    # products clear the traced element's
     denominators = {site for site in _sites(_Reads, "denominator") if site.startswith(POLY_MODULES)}
-    assert denominators == {"poly._monic_model", "poly.trace_moments"}
+    assert denominators == {"poly._monic_model", "poly._trace_products"}
 
 
 def test_power_sum_hankel_stays_in_integers():
@@ -320,6 +324,38 @@ def test_power_sum_hankel_stays_in_integers():
     # solve_alpha's two: the moments read in (by exact_rational), and alpha's coefficients read out
     assert fractions.count("traceform.solve_alpha") == 1
     assert _sites(_Calls, "exact_rational").count("traceform.solve_alpha") == 1
+
+
+def test_certificate_matrices_stay_in_integers():
+    # a certificate's matrices are read, built and printed as integer rows over
+    # one denominator: no Fraction per entry, directly or through the
+    # Fraction-handing readers (`rows`, `exact_rational`, `trace_moments`)
+    fractions = _sites(_Calls, "Fraction") + _sites(_Calls, "exact_rational") + _sites(_Calls, "trace_moments")
+    rows = _sites(_Reads, "rows")
+    for site in ("serialize.matrix_to_json", "matrix.__init__", "traceform.scaled_trace_gram"):
+        assert site not in fractions and site not in rows
+    # the pair reader is Matrix's, and exact_rational wraps it
+    assert "matrix.__init__" in _sites(_Calls, "_rational_pair")
+    assert "poly.exact_rational" in _sites(_Calls, "_rational_pair")
+    # in realize, the only Fractions are the moments handed to solve_alpha
+    realize = next(
+        node
+        for node in ast.parse((PACKAGE / "traceform.py").read_text()).body
+        if isinstance(node, ast.FunctionDef) and node.name == "realize"
+    )
+
+    def fraction_calls(tree):
+        return [n for n in ast.walk(tree) if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "Fraction"]
+
+    handed = [
+        call
+        for node in ast.walk(realize)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "solve_alpha"
+        for arg in node.args
+        for call in fraction_calls(arg)
+    ]
+    assert len(handed) == 1 and fraction_calls(realize) == handed
+    assert "traceform.realize" not in rows
 
 
 def test_charpoly_and_verify_take_no_determinant():

@@ -1,5 +1,7 @@
+import enum
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -14,8 +16,9 @@ from traceforms.algebra import (
     power_traces,
     trace_moments,
 )
-from traceforms.algebra.poly import _monic_model
+from traceforms.algebra.poly import _monic_model, _rational_pair, exact_rational
 from poly_oracles import add, divide, evaluate, monic, mul, remainder
+from poly_oracles import exact_rational as _exact_rational_oracle
 from poly_oracles import derivative as _derivative
 from poly_oracles import discriminant as _discriminant_oracle
 from poly_oracles import primitive_part as _primitive_oracle
@@ -327,3 +330,51 @@ def test_trace_moments_match_fraction_oracle(data):
     )
     count = data.draw(st.integers(0, 2 * n + 1))
     assert trace_moments(f, g, count) == _trace_moments_oracle(f, g, count)
+
+
+class _Small(enum.IntEnum):
+    SEVEN = 7
+
+
+READER_CASES = (
+    "2/4", "-0", "0/7", "007", "1/0", "0/0", "3/-4", "-", "",
+    " 3", "+3", "0.5", "1_0", "1e3", "\u0663", "-\u0663/4", " 3 ", "6/2", "-12/8",
+    "9" * 5000, "-" + "9" * 5000, "1/" + "9" * 5000,
+    True, False, _Small.SEVEN, 1.5, 2.0, None, [1], 0, -5, 10**50, Fraction(-3, 4),
+)
+
+
+def _outcome(read, x):
+    try:
+        return read(x)
+    except ValueError as exc:
+        return ("refused", str(exc))
+
+
+def _assert_reader_matches_oracle(x):
+    expected = _outcome(_exact_rational_oracle, x)
+    pair = _outcome(_rational_pair, x)
+    if isinstance(expected, tuple):  # refused, with the oracle's message
+        assert pair == expected
+        assert expected[1].startswith("expected an exact rational")
+    else:
+        p, q = pair
+        assert type(p) is int and type(q) is int and q > 0
+        assert Fraction(p, q) == expected
+    assert _outcome(exact_rational, x) == expected
+
+
+def test_rational_reader_fixed_cases():
+    # the fast path covers an int and "p", "-p", "p/q" in ASCII digits; the
+    # rest goes through Fraction, including past the int-digit limit
+    assert sys.get_int_max_str_digits() < 5000
+    for x in READER_CASES:
+        _assert_reader_matches_oracle(x)
+    assert _rational_pair("2/4") == (2, 4) and _rational_pair("-0") == (0, 1)
+    assert type(exact_rational(_Small.SEVEN)) is Fraction
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.text(alphabet="0123456789-+/.e_ \u0663", max_size=10))
+def test_rational_reader_matches_fraction_oracle(text):
+    _assert_reader_matches_oracle(text)

@@ -1,7 +1,10 @@
 import json
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from traceforms.algebra import Matrix, RationalPoly
 from traceforms.quadform import SymmetricForm, invariants
@@ -106,3 +109,42 @@ def test_canonical_dumps_is_stable():
     payload = {"b": 1, "a": ["x"], "nested": {"z": "1/2", "y": 3}}
     assert canonical_dumps(payload) == canonical_dumps(dict(reversed(list(payload.items()))))
     assert canonical_dumps(payload).endswith("\n")
+
+
+@st.composite
+def _spelled_matrices(draw):
+    """(strings, fractions): an n x n matrix as input strings "p/q" with
+    mixed signs, possibly unreduced (p and q times a common factor), some
+    zero rows, and at times all denominators 1; and its parsed Fractions."""
+    n = draw(st.integers(1, 5))
+    whole = draw(st.booleans())
+    strings, fractions = [], []
+    for _ in range(n):
+        if draw(st.integers(0, 4)) == 0:
+            row = [(0, 1)] * n
+        else:
+            row = [(draw(st.integers(-30, 30)), 1 if whole else draw(st.integers(1, 12))) for _ in range(n)]
+        spelled = []
+        for p, q in row:
+            k = draw(st.integers(1, 3))
+            spelled.append(str(p) if q == 1 and k == 1 else f"{p * k}/{q * k}")
+        strings.append(spelled)
+        fractions.append([Fraction(p, q) for p, q in row])
+    return strings, fractions
+
+
+@settings(max_examples=300, deadline=None)
+@given(_spelled_matrices())
+def test_matrix_json_matches_fraction_oracle(spelled):
+    strings, fractions = spelled
+    m = matrix_from_json(strings)
+    # read: the same lowest-terms pair as Matrix of the parsed Fractions, and
+    # as the lcm of the reduced denominators over the Fractions themselves
+    expected = Matrix(fractions)
+    assert (m.numerators, m.denominator) == (expected.numerators, expected.denominator)
+    den = math.lcm(*(x.denominator for row in fractions for x in row))
+    assert m.denominator == den
+    assert m.numerators == tuple(tuple(int(x * den) for x in row) for row in fractions)
+    # printed: str(Fraction) of every entry, byte for byte
+    assert matrix_to_json(m) == [[str(Fraction(x, m.denominator)) for x in row] for row in m.numerators]
+    assert matrix_to_json(m) == [[str(x) for x in row] for row in fractions]
