@@ -23,6 +23,7 @@ disc(f) != 0, so no Euclidean algorithm runs over Q.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from operator import mul
 
@@ -37,7 +38,9 @@ def _rational_pair(x) -> tuple[int, int]:
     q != 0) are read straight into integers; a Fraction gives its own pair.
     Anything else goes through `Fraction` as `exact_rational` describes, so
     " 3", "+3", "0.5", "1_0", non-ASCII digits and strings over the
-    int-digit limit are accepted or refused exactly as `Fraction` decides.
+    int-digit limit are accepted or refused exactly as `Fraction` decides,
+    except that a decimal exponent past the int-digit limit ("1e99999999")
+    is refused up front: `Fraction` would spend minutes building 10**exponent.
     """
     if type(x) is int:
         return x, 1
@@ -55,16 +58,29 @@ def _rational_pair(x) -> tuple[int, int]:
         return x.as_integer_ratio()
     if isinstance(x, (int, str)) and not isinstance(x, bool):
         try:
-            return Fraction(x).as_integer_ratio()
+            if not (isinstance(x, str) and _exponent_past_limit(x)):
+                return Fraction(x).as_integer_ratio()
         except (ValueError, ZeroDivisionError):
             pass
     raise ValueError(f"expected an exact rational (int, Fraction or string), got {x!r}")
 
 
+def _exponent_past_limit(s: str) -> bool:
+    """Whether s ends in a decimal exponent, "e" then an integer, whose size
+    exceeds the int-digit limit (no limit when it is 0)."""
+    limit = sys.get_int_max_str_digits()
+    _, e, exp = s.lower().rpartition("e")
+    try:
+        return bool(e and limit and abs(int(exp)) > limit)
+    except ValueError:  # not an exponent, or one past the limit: Fraction refuses it
+        return False
+
+
 def exact_rational(x) -> Fraction:
     """x as a Fraction: an int that is not a bool, a Fraction, or a string
-    `Fraction` parses ("-3", "2/7", "0.5").  A float, which may already have
-    been rounded, a bool or anything else raises ValueError."""
+    `Fraction` parses ("-3", "2/7", "0.5") with a decimal exponent, if any,
+    within the int-digit limit.  A float, which may already have been
+    rounded, a bool or anything else raises ValueError."""
     if isinstance(x, Fraction):
         return x
     return Fraction(*_rational_pair(x))

@@ -16,10 +16,13 @@ lists; the Euclidean routines use this division, not any of the package's.
 
 `exact_rational` is the package's exact-rational reader as it was before
 canonical strings were read straight into integer pairs: every accepted
-input goes through `Fraction`.
+input goes through `Fraction`, and a string whose decimal exponent is past
+the int-digit limit is refused before it does.
 """
 
 import math
+import re
+import sys
 from fractions import Fraction
 
 from traceforms.algebra import RationalPoly
@@ -28,12 +31,16 @@ from traceforms.algebra.modpoly import mod_divmod, mod_monic, mod_pow, mod_sub
 
 def exact_rational(x) -> Fraction:
     """x as a Fraction by `Fraction` itself: an int that is not a bool, a
-    Fraction, or a string `Fraction` parses; anything else raises ValueError."""
+    Fraction, or a string `Fraction` parses with an exponent of at most the
+    int-digit limit; anything else raises ValueError."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, (int, str)) and not isinstance(x, bool):
+        limit = sys.get_int_max_str_digits()
+        exponent = re.search(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z", x) if isinstance(x, str) else None
         try:
-            return Fraction(x)
+            if not (exponent and limit and abs(int(exponent[1])) > limit):
+                return Fraction(x)
         except (ValueError, ZeroDivisionError):
             pass
     raise ValueError(f"expected an exact rational (int, Fraction or string), got {x!r}")

@@ -340,6 +340,7 @@ READER_CASES = (
     "2/4", "-0", "0/7", "007", "1/0", "0/0", "3/-4", "-", "",
     " 3", "+3", "0.5", "1_0", "1e3", "\u0663", "-\u0663/4", " 3 ", "6/2", "-12/8",
     "9" * 5000, "-" + "9" * 5000, "1/" + "9" * 5000,
+    "1e4300", "1e-4300", "1e4301", "-1E-4301 ", "0e99999999", "1e99999999", "1e1_0000",
     True, False, _Small.SEVEN, 1.5, 2.0, None, [1], 0, -5, 10**50, Fraction(-3, 4),
 )
 
@@ -371,6 +372,8 @@ def test_rational_reader_fixed_cases():
     for x in READER_CASES:
         _assert_reader_matches_oracle(x)
     assert _rational_pair("2/4") == (2, 4) and _rational_pair("-0") == (0, 1)
+    assert _rational_pair("1e4300") == (10**4300, 1)
+    assert _outcome(_rational_pair, "1e99999999")[0] == "refused"
     assert type(exact_rational(_Small.SEVEN)) is Fraction
 
 
