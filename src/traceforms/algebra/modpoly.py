@@ -15,7 +15,8 @@ splitting, then Cantor-Zassenhaus equal-degree splitting, factor it.  The
 randomness inside equal-degree splitting is drawn from a PRNG seeded by the
 input polynomial, so results are reproducible and the returned factor list
 is sorted canonically.  Cycle types need only factor degrees, which
-distinct-degree splitting gives directly.
+distinct-degree splitting gives directly, and which the trace of Frobenius
+and the discriminant's parity often give sooner (below).
 
 Distinct-degree splitting (Alg. 14.3 there) takes gcd(x^(p^d) - x, rest) for
 d = 1, 2, ...  Its Frobenius arithmetic runs on Kronecker-packed integers
@@ -31,13 +32,34 @@ mu = floor(2^b / p), the estimate e = floor(s mu / 2^b) of a slot s's
 quotient q by p is q - 1 or q, so s - e p lies in [0, 2p), and one
 conditional subtraction of p, read off each slot's top bit after adding
 2^(w-1) - p, finishes it.  The slot width w = b + bitlength(mu) + 1 leaves
-room for s mu, so no carry crosses a slot boundary.  x^p mod f comes by
-binary powering from x, a "square, then times x" step reducing h^2 shifted
-up one slot against the rows x^n, ..., x^(2n-1) mod f.  Each later
-x^(p^d) = h(x^p) = sum(h_i x^(i p)) is one combination of the packed
+room for s mu, so no carry crosses a slot boundary.  The rows x^n, ...,
+x^(2n-1) mod f are built one from the last: shifted up one slot, its one
+slot past n folded in times row 0 = x^n mod f, one product and one
+reduction each.  x^p mod f comes by binary powering from x, a "square, then
+times x" step reducing h^2 shifted up one slot against those rows.  Each
+later x^(p^d) = h(x^p) = sum(h_i x^(i p)) is one combination of the packed
 Frobenius rows x^(i p) mod f, i < n (the transpose of Berlekamp's Q matrix,
 §14.2), with slots below n p^2.  h is unpacked to a list only for the gcd,
 a remainder-only Euclid that reduces copies of its inputs in place.
+
+Cycle types at a prime p > n >= 2 first read two exact facts off those
+rows and the discriminant, and run gcds only when these leave the pattern
+open.  The trace of the Frobenius map a -> a^p on F_p[x]/(f), whose matrix
+has the rows x^(i p) mod f (Berlekamp's Q, Bell Syst. Tech. J. 46, 1967),
+counts the roots of f in F_p mod p: on a factor field F_(p^d) Frobenius has
+characteristic polynomial x^d - 1, so trace 0 unless d = 1.  The count is
+at most n < p, so it is exact.  Stickelberger's theorem (Swan, Pacific J.
+Math. 12, 1962) gives the parity of the number r of irreducible factors:
+(disc/p) = (-1)^(n - r) at odd p, read by Euler's criterion on the
+discriminant of f's primitive part b h, which differs from disc(g) by the
+square b^((n-1)(n-2)).  Let R be n less the root count, the degree of the
+factors of degree >= 2.  These are (R) for R < 4, and (R) or (2, R - 2) for
+R = 4, 5, told apart by the parity.  So every n <= 5, and every n = 6 with
+a root, needs no gcd.  Otherwise distinct-degree splitting continues on
+the same packed rows, skipping the first gcd when there is no root.  At
+p <= n the trace is only the count mod p, and there, as in `factor_mod_p`,
+which needs the blocks, and at n = 1, distinct-degree splitting alone
+decides.
 """
 
 from __future__ import annotations
@@ -191,29 +213,59 @@ def _unpack(h: int, w: int, n: int) -> list[int]:
     return [h >> (w * i) & mask for i in range(n)]
 
 
-def _reduce(prod: int, rows: list[int], w: int, n: int, p: int, reduce) -> int:
-    """A packed product of at most 2n slots reduced mod (f, p): each high slot
-    mod p times its packed row x^(n+k) mod f, added to the n low slots, which
-    `reduce` then takes mod p."""
-    mask = (1 << w) - 1
-    high = prod >> (n * w)
-    acc = prod & ((1 << (n * w)) - 1)
-    for row in rows:
-        acc += (high & mask) % p * row
-        high >>= w
-    return reduce(acc)
+def _frobenius(f: list[int], p: int):
+    """Packed arithmetic mod (f, p) for monic f of degree n >= 2, and x^p.
 
-
-def _distinct_degree(f: list[int], p: int) -> list[tuple[list[int], int]]:
-    """Squarefree monic f as (product of irreducibles of degree d, d) pairs.
-
-    h runs through x^(p^d) mod f, packed: x^p by powering against f's packed
-    rows x^n, ..., x^(2n-1) mod f, then h(x^p) = h^p as one combination of
-    the packed Frobenius rows x^(i p) mod f.  h stays reduced mod f, not mod
-    the shrinking rest: rest divides f, so gcd(h - x, rest) is the same.
+    Returns (w, reduce, mulmod, frobenius): the slot width and slotwise
+    reduction of `_slotwise_mod`, mulmod(a, b) = a b mod (f, p) on packed a
+    and b, and frobenius = [1, x^p mod f], the first packed Frobenius rows
+    x^(i p) mod f, which `_frobenius_rows` extends.  The module docstring
+    describes the rows x^n, ..., x^(2n-1) mod f that products reduce
+    against, x^(n+k+1) = x x^(n+k), and the powering.
     """
     n = len(f) - 1
     w, reduce = _slotwise_mod(n, p)
+    mask, low, top = (1 << w) - 1, (1 << (n * w)) - 1, n * w
+    rows = [_pack([-c % p for c in f[:n]], w)]
+    while len(rows) < n:
+        shifted = rows[-1] << w
+        rows.append(reduce((shifted & low) + (shifted >> top) * rows[0]))
+
+    def mulmod(a: int, b: int) -> int:
+        # each of the product's high slots mod p times its row x^(n+k) mod f,
+        # added to the n low slots, which `reduce` then takes mod p
+        prod = a * b
+        high, acc = prod >> top, prod & low
+        for row in rows:
+            acc += (high & mask) % p * row
+            high >>= w
+        return reduce(acc)
+
+    packed = 1 << w
+    for bit in bin(p)[3:]:
+        packed = mulmod(packed, packed << w if bit == "1" else packed)
+    return w, reduce, mulmod, [1, packed]
+
+
+def _frobenius_rows(frobenius: list[int], n: int, mulmod) -> list[int]:
+    """The packed Frobenius rows x^(i p) mod f, i < n, extended in place from
+    `_frobenius`'s [1, x^p mod f] by one product each."""
+    while len(frobenius) < n:
+        frobenius.append(mulmod(frobenius[-1], frobenius[1]))
+    return frobenius
+
+
+def _distinct_degree(f: list[int], p: int, state=None, roots=None) -> list[tuple[list[int], int]]:
+    """Squarefree monic f as (product of irreducibles of degree d, d) pairs.
+
+    h runs through x^(p^d) mod f, packed: x^p from `_frobenius` (or from
+    `state`, what it returned for this f and p), then h(x^p) = h^p as one
+    combination of the packed Frobenius rows x^(i p) mod f.  h stays reduced
+    mod f, not mod the shrinking rest: rest divides f, so gcd(h - x, rest) is
+    the same.  `roots`, when given, is f's number of roots mod p; at 0 the
+    first gcd, which would be 1, is skipped.
+    """
+    n = len(f) - 1
     out = []
     x = [0, 1]
     d = 0
@@ -221,18 +273,13 @@ def _distinct_degree(f: list[int], p: int) -> list[tuple[list[int], int]]:
     while len(rest) - 1 >= 2 * (d + 1):  # first pass only when n >= 2
         d += 1
         if d == 1:
-            rows = [_pack([-c % p for c in f[:n]], w)]
-            while len(rows) < n:
-                rows.append(_reduce(rows[-1] << w, rows, w, n, p, reduce))
-            packed = 1 << w
-            for bit in bin(p)[3:]:
-                packed = _reduce(packed * packed << w if bit == "1" else packed * packed, rows, w, n, p, reduce)
-            frobenius = [1, packed]
+            w, reduce, mulmod, frobenius = state or _frobenius(f, p)
+            packed = frobenius[1]
         else:
-            while len(frobenius) < n:
-                frobenius.append(_reduce(frobenius[-1] * frobenius[1], rows, w, n, p, reduce))
-            packed = reduce(sum(c * row for c, row in zip(h, frobenius)))
+            packed = reduce(sum(c * row for c, row in zip(h, _frobenius_rows(frobenius, n, mulmod))))
         h = _unpack(packed, w, n)
+        if d == 1 and roots == 0:
+            continue
         g = mod_gcd(mod_sub(h, x, p), rest, p)
         if len(g) > 1:
             out.append((g, d))
@@ -316,9 +363,14 @@ def cycle_type_mod_p(f: RationalPoly, p: int) -> tuple[int, ...]:
     Raises BadPrime when p divides the leading coefficient or the
     discriminant of f's primitive part (the factorization pattern mod such p
     does not reflect a Frobenius cycle type).  Otherwise f's monic model is
-    squarefree mod p with the same factor degrees as f, and distinct-degree
-    splitting alone gives the pattern: a degree-k block of degree-d factors
-    holds k/d of them.  Raises ValueError unless p is a prime at most FACTOR_LIMIT.
+    squarefree mod p with the same factor degrees as f.  At p > n = deg f >= 2
+    the trace of Frobenius (Berlekamp's Q matrix) counts the linear factors,
+    and Stickelberger's theorem, (disc/p) = (-1)^(n - r), gives the parity of
+    the factor count r; the module docstring says when these decide the
+    pattern, which is always for n <= 5.  Otherwise distinct-degree splitting
+    gives it, on the same Frobenius rows: a degree-k block of degree-d
+    factors holds k/d of them.  Raises ValueError unless p is a prime at most
+    FACTOR_LIMIT.
     """
     if f.degree < 1:
         raise ValueError("cycle type requires degree >= 1")
@@ -330,9 +382,24 @@ def _cycle_type(g: list[int], b: int, disc: int, p: int) -> tuple[int, ...]:
     """`cycle_type_mod_p` at the prime p, for f's `_integer_model` (g, b, disc)."""
     if b % p == 0:
         raise BadPrime(f"{p} divides the leading coefficient")
-    if disc % p == 0:
+    disc %= p
+    if disc == 0:
         raise BadPrime(f"{p} divides the discriminant")
+    f = mod_reduce(g, p)
+    n = len(f) - 1
+    state = roots = None
+    if 1 < n < p:  # the trace of Frobenius counts the roots exactly
+        w, _, mulmod, frobenius = state = _frobenius(f, p)
+        mask = (1 << w) - 1
+        roots = sum(row >> (w * i) & mask for i, row in enumerate(_frobenius_rows(frobenius, n, mulmod))) % p
+        left = n - roots  # the degree of the factors of degree >= 2
+        if left < 4:
+            return (1,) * roots + ((left,) if left else ())
+        if left < 6:  # one factor, of degree left, or two, of degrees 2 and left - 2
+            # Stickelberger: (disc/p) = (-1)^(n - r) = (-1)^(left - k) for k such factors
+            odd = (left + (pow(disc, (p - 1) // 2, p) == p - 1)) % 2
+            return (1,) * roots + ((left,) if odd else (2, left - 2))
     degrees: list[int] = []
-    for block, d in _distinct_degree(mod_reduce(g, p), p):
+    for block, d in _distinct_degree(f, p, state, roots):
         degrees += [d] * ((len(block) - 1) // d)
     return tuple(sorted(degrees))

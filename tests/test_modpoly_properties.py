@@ -1,5 +1,6 @@
 """Property-based differential tests of the Z/qZ list kernel and its users."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,9 @@ from traceforms.algebra import (
     factor_mod_p,
     is_irreducible_over_rationals,
     is_prime,
+    next_prime,
 )
+from traceforms.algebra import modpoly
 from traceforms.algebra.intmath import FACTOR_LIMIT
 from traceforms.algebra.modpoly import (
     _cycle_type,
@@ -139,6 +142,165 @@ def test_distinct_degree_matches_oracle(p, lower, zero_constant):
         f[0] = 0
     assume(mod_gcd(f, mod_reduce([i * c for i, c in enumerate(f)][1:], p), p) == [1])
     assert _distinct_degree(f, p) == distinct_degree(f, p)
+
+
+# the trace-and-parity route of `_cycle_type` (p > n) and the distinct-degree
+# route (p <= n) against the oracle's splitting of the primitive part made
+# monic mod p: the first prime above n is the route's boundary
+
+
+def _oracle_pattern(ints: list[int], p: int) -> tuple[int, ...]:
+    degrees: list[int] = []
+    for block, d in distinct_degree(mod_monic(mod_reduce(ints, p), p), p):
+        degrees += [d] * ((len(block) - 1) // d)
+    return tuple(sorted(degrees))
+
+
+def _route_prime(n: int, route: str) -> int:
+    if route == "first above n":
+        return next_prime(n)
+    if route == "at most n":
+        return max([k for k in range(2, n + 1) if is_prime(k)], default=2)  # n = 1: no such prime
+    return {"near 10^3": 1009, "2^31 - 1": 2**31 - 1, "largest": LARGEST_PRIME}[route]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    f=st.one_of(
+        int_poly(1, 12, 30).map(RationalPoly),
+        st.builds(
+            lambda lower, lc: RationalPoly(lower + [lc]), st.lists(RATIONALS, min_size=1, max_size=12), LEADING
+        ),
+    ),
+    route=st.sampled_from(["first above n", "at most n", "near 10^3", "2^31 - 1", "largest"]),
+)
+@example(f=RationalPoly((-1, -1, 0, 0, 0, 1)), route="first above n")  # x^5 - x - 1 at 7
+@example(f=RationalPoly((-1, -1, 0, 0, 0, 1)), route="at most n")  # at 5, Artin-Schreier
+@example(f=RationalPoly((0, -1, 0, 0, 0, 1)), route="at most n")  # x^5 - x: 5 roots, a trace of 0 mod 5
+def test_cycle_type_routes_match_oracle(f, route):
+    p = _route_prime(f.degree, route)
+    ints, disc = _integer_model_oracle(f)
+    if ints[-1] % p == 0 or disc % p == 0:
+        with pytest.raises(BadPrime):
+            cycle_type_mod_p(f, p)
+        return
+    expected = _oracle_pattern(ints, p)
+    assert _cycle_type(*_integer_model(f), p) == cycle_type_mod_p(f, p) == expected
+
+
+def _irreducibles(d: int, p: int):
+    """Monic irreducibles of degree d mod p, in lexicographic order."""
+    for k in range(p**d):
+        f = [k // p**i % p for i in range(d)] + [1]
+        if distinct_degree(f, p) == [(f, d)]:
+            yield f
+
+
+def _with_pattern(pattern: tuple[int, ...], p: int) -> list[int]:
+    """A monic integer polynomial, coefficients in [0, p), whose factors mod p
+    are distinct irreducibles of the degrees in pattern."""
+    found = {d: _irreducibles(d, p) for d in set(pattern)}
+    f = [1]
+    for d in pattern:
+        f = mod_mul(f, next(found[d]), p)
+    return f
+
+
+# pairs of patterns with one degree and one root count: the parity of the
+# factor count tells the first three pairs apart, and the degree-6 pairs,
+# whose counts have one parity, fall through to distinct-degree splitting
+PARITY_PAIRS = [
+    ((4,), (2, 2)),
+    ((5,), (2, 3)),
+    ((1, 4), (1, 2, 2)),
+    ((1, 5), (1, 2, 3)),
+    ((1, 1, 4), (1, 1, 2, 2)),
+    ((6,), (2, 2, 2)),
+    ((3, 3), (2, 4)),
+    ((1, 6), (1, 2, 2, 2)),
+]
+
+
+@pytest.mark.parametrize("p", [7, 11, 101])
+def test_cycle_type_parity_splits_each_pair(p):
+    for pair in PARITY_PAIRS:
+        for pattern in pair:
+            if sum(pattern) >= p:
+                continue
+            ints = _with_pattern(pattern, p)
+            assert _oracle_pattern(ints, p) == pattern
+            f = RationalPoly(ints)
+            assert _cycle_type(*_integer_model(f), p) == cycle_type_mod_p(f, p) == pattern
+
+
+def test_cycle_type_counts_n_roots_at_n_plus_one():
+    # x (x - 1) ... (x - n + 1) has n roots mod p = n + 1, the largest count
+    # below p, at the boundary of the exact root count
+    for n in range(2, 13):
+        p = n + 1
+        if not is_prime(p):
+            continue
+        f = [1]
+        for a in range(n):
+            f = mod_mul(f, [-a % p, 1], p)
+        assert cycle_type_mod_p(RationalPoly(f), p) == (1,) * n
+        assert cycle_type_mod_p(RationalPoly(f), next_prime(p)) == _oracle_pattern(f, next_prime(p))
+
+
+ODD_PRIMES = st.sampled_from([p for p in range(3, 400) if is_prime(p)] + [1009, 2**31 - 1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(f=RATIONAL_POLYS, p=ODD_PRIMES)
+@example(f=RationalPoly((1, 1, 0, 2)), p=3)  # 2 x^3 + x + 1: b = 2, a non-square mod 3
+@example(f=RationalPoly((Fraction(1, 3), Fraction(-5, 7), 0, Fraction(3, 2))), p=5)
+@example(f=RationalPoly((Fraction(1, 2), 0, Fraction(-7, 4), 0, Fraction(5, 3))), p=11)
+def test_stickelberger_reads_the_integer_model_discriminant(f, p):
+    # Euler's criterion on the primitive part's discriminant, as `_cycle_type`
+    # reads it, is (-1)^(n - r) for r irreducible factors: disc(g) differs
+    # from it by b^((n-1)(n-2)), an even power
+    g, b, disc = _integer_model(f)
+    assume(b % p and disc % p)
+    r = len(factor_mod_p(primitive_part(f), p))
+    assert pow(disc, (p - 1) // 2, p) == (1 if (f.degree - r) % 2 == 0 else p - 1)
+    assert len(factor_mod_p(g, p)) == r
+
+
+def test_small_degrees_above_the_degree_run_no_gcd(monkeypatch):
+    # the trace and the parity decide every n <= 5 at p > n, and every n = 6
+    # with a root; at p <= n distinct-degree splitting still runs its gcds
+    calls = []
+
+    def counting_gcd(a, b, q):
+        calls.append(q)
+        return mod_gcd(a, b, q)
+
+    monkeypatch.setattr(modpoly, "mod_gcd", counting_gcd)
+    rng = random.Random(33)
+    checked = small = 0
+    while checked < 300:
+        n = rng.randint(1, 6)
+        f = RationalPoly([rng.randint(-20, 20) for _ in range(n)] + [rng.choice([1, 2, 3])])
+        p = rng.choice([next_prime(n), 101, 2**31 - 1] + [k for k in range(2, n + 1) if is_prime(k)])
+        calls.clear()
+        try:
+            pattern = cycle_type_mod_p(f, p)
+        except BadPrime:
+            continue
+        checked += 1
+        if p > n and (n <= 5 or 1 in pattern):
+            assert calls == [], (f, p, pattern)
+        elif p <= n and n >= 2:
+            assert calls, (f, p, pattern)
+            small += 1
+    assert small > 20
+    # x^5 - x - 1 is irreducible mod 5 (Artin-Schreier) and mod 7 has a root
+    x5 = RationalPoly((-1, -1, 0, 0, 0, 1))
+    calls.clear()
+    assert cycle_type_mod_p(x5, 5) == (5,) and calls
+    calls.clear()
+    cycle_type_mod_p(x5, 7)
+    assert calls == []
 
 
 def test_slotwise_mod_at_the_slot_bounds():
