@@ -19,6 +19,14 @@ takes one class closure per class of cyclic subgroups (generators of one
 cyclic subgroup have the same closure) and then every join of those closures,
 each built as the union of the cosets N y (y in K) that make up N K.
 
+Every closure runs Dimino's algorithm (Butler, Fundamental Algorithms for
+Permutation Groups, LNCS 559, 1991): the first generator's cyclic group is a
+walk of its powers, and each later generator outside the closure H so far
+extends it by whole right cosets H t, so a product is taken about once per
+element rather than once per element and generator.  The coset and the power
+walk are the two helpers that build elements in bulk, for the joins and the
+marking of cyclic generators too.
+
 Validity of parameters: besides p prime, p not dividing m, and p | phi(m),
 construction requires every prime factor q of m to satisfy q = 1 (mod p).
 That is exactly the condition under which a unit alpha of order p with
@@ -38,6 +46,8 @@ iterated multiplication.
 from __future__ import annotations
 
 import math
+from functools import partial
+from itertools import product
 from typing import NamedTuple
 
 from .algebra import divisors, factorize, is_prime
@@ -45,7 +55,8 @@ from .algebra import divisors, factorize, is_prime
 # groups up to this order also run the exhaustive normal-subgroup enumeration
 EXHAUSTIVE_MAX_ORDER = 300
 # construct_group refuses larger orders: every check walks all m p^k elements
-# (group-verify at order 200,006: about 4 s of CPU and 95 MiB peak, Python 3.11)
+# (group-verify --p 2 --k 1 --m 99999, order 199,998: about 1.5 s of CPU and
+# 74 MiB peak, Python 3.11)
 MAX_GROUP_ORDER = 200_000
 # the primes p that sweep_parameters walks
 SWEEP_PRIMES = (2, 3, 5)
@@ -62,6 +73,9 @@ class NonDivisor(ValueError):
 class Element(NamedTuple):
     a: int
     x: int
+
+
+IDENTITY = Element(0, 0)
 
 
 class SemidirectGroup:
@@ -85,20 +99,35 @@ class SemidirectGroup:
 
     @property
     def identity(self) -> Element:
-        return Element(0, 0)
+        return IDENTITY
 
     def elements(self):
-        for a in range(self.m):
-            for x in range(self.pk):
-                yield Element(a, x)
+        return map(partial(tuple.__new__, Element), product(range(self.m), range(self.pk)))
 
     def multiply(self, g: Element, h: Element) -> Element:
         # tuple.__new__ and indexing skip the NamedTuple's Python-level
-        # constructor and field lookups; every closure runs through here
+        # constructor and field lookups; _coset and _powers inline the same
+        # product for their runs of products
         return tuple.__new__(
             Element,
             ((g[0] + self._alpha_pow[g[1]] * h[0]) % self.m, (g[1] + h[1]) % self.pk),
         )
+
+    def _coset(self, base, t: Element) -> list[Element]:
+        """The right coset base t = [h t for h in base], one product per element."""
+        m, pk, alpha_pow = self.m, self.pk, self._alpha_pow
+        b, y = t
+        return [tuple.__new__(Element, ((a + alpha_pow[x] * b) % m, (x + y) % pk)) for a, x in base]
+
+    def _powers(self, g: Element) -> list[Element]:
+        """g, g^2, ..., g^n = e, where n is the order of g."""
+        m, pk, alpha_pow = self.m, self.pk, self._alpha_pow
+        a, x = b, y = g
+        out = [g]
+        while a or x:
+            a, x = (a + alpha_pow[x] * b) % m, (x + y) % pk
+            out.append(tuple.__new__(Element, (a, x)))
+        return out
 
     def _geometric_sum(self, beta: int, n: int) -> int:
         # 1 + beta + ... + beta^(n-1) = (beta^n - 1) / (beta - 1) mod m; beta^n
@@ -118,43 +147,59 @@ class SemidirectGroup:
         )
 
     def subgroup_closure(self, gens) -> frozenset:
-        """Subgroup generated by `gens` (BFS over an effective generator list)."""
+        """Subgroup generated by `gens`, by Dimino's algorithm (Butler,
+        Fundamental Algorithms for Permutation Groups, LNCS 559, 1991).
+
+        The first generator gives its cyclic group by a walk of powers.  Each
+        later generator g not yet in the closure H extends it coset by coset:
+        over the representatives r (from e on) and the generators s so far,
+        each t = r s outside the closure adds the whole right coset H t, which
+        is H r s since H is a subgroup.  When the representatives run out,
+        the closure is a union of right cosets of H that right multiplication
+        by every generator keeps, so it is <H, g>.  That costs about
+        |<gens>| + (cosets) |gens| products.
+        """
+        closure = {IDENTITY}
         effective: list[Element] = []
-        current = {self.identity}
         for g in gens:
-            if g in current:
+            if g in closure:
                 continue
             effective.append(g)
-            frontier = list(current)
-            while frontier:
-                nxt = []
-                for h in frontier:
-                    for gen in effective:
-                        prod = self.multiply(h, gen)
-                        if prod not in current:
-                            current.add(prod)
-                            nxt.append(prod)
-                frontier = nxt
-        return frozenset(current)
+            if len(effective) == 1:
+                closure.update(self._powers(g))
+                continue
+            subgroup = list(closure)
+            reps = [IDENTITY]
+            for r in reps:
+                for s in effective:
+                    t = self.multiply(r, s)
+                    if t not in closure:
+                        # t goes in first, so reps and the set share one object
+                        closure.add(t)
+                        closure.update(self._coset(subgroup, t))
+                        reps.append(t)
+        return frozenset(closure)
 
     def conjugacy_classes(self) -> list[frozenset]:
         """Conjugation acts by (b, y)(a, x)(b, y)^-1 = (alpha^y a + (1 - alpha^x) b, x),
         so the class of (a, x) is the alpha-orbit of a shifted by the subgroup
         gcd(1 - alpha^x, m) Z/m."""
+        m = self.m
         classes = []
         seen: set[Element] = set()
         for x in range(self.pk):
-            step = math.gcd(1 - self._alpha_pow[x], self.m)
-            for a in range(self.m):
-                if Element(a, x) in seen:
+            step = math.gcd(1 - self._alpha_pow[x], m)
+            for a in range(m):
+                # a plain tuple hashes and compares as the Element
+                if (a, x) in seen:
                     continue
-                cls = set()
-                for y in range(self.p):
-                    base = self._alpha_pow[y] * a
-                    for t in range(0, self.m, step):
-                        cls.add(Element((base + t) % self.m, x))
+                cls = frozenset(
+                    tuple.__new__(Element, ((self._alpha_pow[y] * a + t) % m, x))
+                    for y in range(self.p)
+                    for t in range(0, m, step)
+                )
                 seen |= cls
-                classes.append(frozenset(cls))
+                classes.append(cls)
         return classes
 
 
@@ -206,7 +251,8 @@ def p_elements(group: SemidirectGroup) -> list[Element]:
     out = []
     for x in range(group.pk):
         s = group.power(Element(1, x), group.pk).a
-        out += (Element(a, x) for a in range(0, group.m, group.m // math.gcd(s, group.m)))
+        step = group.m // math.gcd(s, group.m)
+        out += (tuple.__new__(Element, (a, x)) for a in range(0, group.m, step))
     return out
 
 
@@ -238,16 +284,13 @@ def _normal_subgroups(group: SemidirectGroup) -> list[frozenset]:
             continue
         closures.add(group.subgroup_closure(cls))
         # g, g^2, ..., g^n = e: the walk's length is the order n of g
-        g = next(iter(cls))
-        powers = [g]
-        while powers[-1] != group.identity:
-            powers.append(group.multiply(powers[-1], g))
+        powers = group._powers(next(iter(cls)))
         n = len(powers)
         marked.update(h for j, h in enumerate(powers, 1) if math.gcd(j, n) == 1)
     # for normal N and K the join is N K, the union of the cosets N y (y in K);
     # it is the one subgroup of order |N| |K| / |N & K| containing both, so a
     # join already found is recognised by set operations, without products
-    found = {frozenset({group.identity})}
+    found = {frozenset({IDENTITY})}
     for closure in closures:
         for base in list(found):
             size = len(base) * len(closure) // len(base & closure)
@@ -256,7 +299,7 @@ def _normal_subgroups(group: SemidirectGroup) -> list[frozenset]:
             join = set(base)
             for y in closure:
                 if y not in join:
-                    join.update(group.multiply(b, y) for b in base)
+                    join.update(group._coset(base, y))
             found.add(frozenset(join))
     return sorted(found, key=len)
 

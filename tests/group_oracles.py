@@ -1,10 +1,16 @@
-"""Reference normal-subgroup enumeration and index subgroups.
+"""Reference closures, normal-subgroup enumeration and index subgroups.
+
+`subgroup_closure` is the body `traceforms.groups.SemidirectGroup.subgroup_closure`
+had before it closed by whole cosets (Dimino's algorithm): a breadth-first
+search that multiplies every element found by every effective generator, one
+`multiply` call per product.
 
 `normal_subgroups` is the body `traceforms.groups._normal_subgroups` had
 before it took one class closure per class of cyclic subgroups and built joins
 from cosets: a breadth-first search that closes every found normal subgroup
-with every conjugacy class from scratch.  It is quadratic in the order, so the
-tests run it on small groups only and compare the two sets.
+with every conjugacy class from scratch, by the breadth-first closure above.
+It is quadratic in the order, so the tests run it on small groups only and
+compare the two sets.
 
 `index_subgroups` lists the subgroups of part (c) element by element, as
 `traceforms.groups.index_subgroups` did before it took them as closures of
@@ -21,6 +27,26 @@ power formula.
 from traceforms.groups import Element, SemidirectGroup
 
 
+def subgroup_closure(group: SemidirectGroup, gens) -> frozenset:
+    effective: list[Element] = []
+    current = {group.identity}
+    for g in gens:
+        if g in current:
+            continue
+        effective.append(g)
+        frontier = list(current)
+        while frontier:
+            nxt = []
+            for h in frontier:
+                for gen in effective:
+                    prod = group.multiply(h, gen)
+                    if prod not in current:
+                        current.add(prod)
+                        nxt.append(prod)
+            frontier = nxt
+    return frozenset(current)
+
+
 def normal_subgroups(group: SemidirectGroup) -> list[frozenset]:
     classes = group.conjugacy_classes()
     trivial = frozenset({group.identity})
@@ -32,7 +58,7 @@ def normal_subgroups(group: SemidirectGroup) -> list[frozenset]:
             if cls <= base:
                 continue
             # class-closed generating set, so the closure is normal
-            candidate = group.subgroup_closure(set(base) | set(cls))
+            candidate = subgroup_closure(group, set(base) | set(cls))
             if candidate not in found:
                 found.add(candidate)
                 frontier.append(candidate)

@@ -7,6 +7,7 @@ from group_oracles import conjugate, inverse
 from group_oracles import index_subgroups as index_subgroups_oracle
 from group_oracles import normal_subgroups as normal_subgroups_oracle
 from group_oracles import p_elements as p_elements_oracle
+from group_oracles import subgroup_closure as subgroup_closure_oracle
 
 from traceforms import groups
 from traceforms.algebra import divisors
@@ -321,6 +322,33 @@ def test_sweep_reports_are_pinned():
         assert hashlib.sha256(canonical_dumps(reports).encode()).hexdigest() == digest
 
 
+def test_subgroup_closure_matches_the_bfs_oracle():
+    # closure by whole cosets against the breadth-first search, on the swept
+    # groups, the direct product and two groups past the exhaustive cutoff,
+    # for the p-elements, every conjugacy class, seeded random lists (also
+    # with a duplicate and the identity), the empty list, and lists whose
+    # later generators already lie in the closure
+    rng = random.Random(34)
+    direct = SemidirectGroup(2, 1, 3, alpha=1)
+    cases = [construct_group(*params) for params in sweep_parameters(150)]
+    cases += [direct, construct_group(2, 1, 1009), construct_group(3, 1, 91)]
+    for g in cases:
+        elements = list(g.elements())
+        lists = [p_elements(g), [], [g.identity]] + g.conjugacy_classes()
+        for _ in range(8):
+            gens = rng.choices(elements, k=rng.randint(1, 4))
+            lists.append(gens)
+            padded = list(gens)
+            padded.insert(rng.randrange(len(padded) + 1), rng.choice(gens))
+            padded.insert(rng.randrange(len(padded) + 1), g.identity)
+            lists.append(padded)
+            x, y = gens[0], rng.choice(elements)
+            lists.append([x, g.power(x, 2), y, g.multiply(x, y), g.multiply(y, x)])
+        for gens in lists:
+            assert g.subgroup_closure(gens) == subgroup_closure_oracle(g, gens), (g, gens)
+    assert direct.subgroup_closure([]) == frozenset({direct.identity})
+
+
 def test_normal_subgroups_match_the_bfs_oracle():
     # the same set of normal subgroups as the breadth-first search over
     # unions of classes, on the swept groups, a group with nontrivial
@@ -345,8 +373,9 @@ def test_normal_subgroups_take_one_closure_per_cyclic_subgroup_class(monkeypatch
 
 
 def test_group_operations_return_elements():
-    # multiply builds its Element without the NamedTuple constructor; the
-    # type must survive every operation the closures use
+    # multiply, the cosets, the power walk, the classes, elements() and
+    # p_elements build Elements without the NamedTuple constructor; the type
+    # must survive every operation, and the identity is one shared constant
     g = construct_group(2, 2, 5)
     a, b = Element(3, 1), Element(2, 3)
     assert type(g.multiply(a, b)) is Element
@@ -354,6 +383,13 @@ def test_group_operations_return_elements():
     assert g.multiply(a, b).a == g.multiply(a, b)[0]
     for normal in groups._normal_subgroups(g):
         assert all(type(el) is Element for el in normal)
+    built = [g.subgroup_closure(gens) for gens in ([a], [a, b], [b, a], p_elements(g))]
+    built += g.conjugacy_classes()
+    built += [g.elements(), p_elements(g)]
+    built += [h for n in divisors(g.m) for h in index_subgroups(g, n)]
+    for elements in built:
+        assert all(type(el) is Element for el in elements)
+    assert g.identity is g.identity is construct_group(2, 1, 3).identity
 
 
 def test_alpha_choice_independence():
