@@ -163,10 +163,11 @@ def factorize(n: int) -> dict[int, int]:
     return dict(sorted(factors.items()))
 
 
-def divisors(m: int) -> list[int]:
-    """All positive divisors of m, ascending."""
+def divisors(m: int, factors: "dict[int, int] | None" = None) -> list[int]:
+    """All positive divisors of m, ascending; `factors`, when given, is
+    factorize(m), so a caller that already holds it does not factor m again."""
     out = [1]
-    for p, e in factorize(m).items():
+    for p, e in (factorize(m) if factors is None else factors).items():
         out = [d * p**i for d in out for i in range(e + 1)]
     return sorted(out)
 

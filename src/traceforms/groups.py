@@ -1,23 +1,38 @@
-"""Finite semidirect products Z/m x| Z/p^k and exhaustive property checks.
+"""Finite semidirect products Z/m x| Z/p^k and their structural properties.
 
 Elements are pairs (a, x) with a mod m, x mod p^k, multiplied by
 (a, x)(b, y) = (a + alpha^x b, x + y) for a unit alpha of multiplicative
 order p.  Three structural properties are machine-verified over parameter
 sweeps: (a) the group is generated by its p-Sylow subgroups, (b) its only
 quotient of order prime to p is trivial, and (c) for every n | m there are
-subgroups of indices p^k n and n: the closures H0 = <(n, 0)> and
-H1 = <(n, 0), (0, 1)>, whose indices are counted off their sizes.
+subgroups of indices p^k n and n: H0 = <(n, 0)> and H1 = <(n, 0), (0, 1)>.
 
-Property (b) has two paths.  The derived one is the closure of the
-p-elements, the same closure as (a): conjugation preserves element order, so
-the p-elements are conjugation-stable and their closure is already normal,
-and a quotient of order prime to p kills it.  It is cross-checked against an
-exhaustive enumeration of the normal subgroups for orders up to
-EXHAUSTIVE_MAX_ORDER, or when forced.  Every normal subgroup is the join of
-the normal closures of the conjugacy classes it contains, so the enumeration
-takes one class closure per class of cyclic subgroups (generators of one
-cyclic subgroup have the same closure) and then every join of those closures,
-each built as the union of the cosets N y (y in K) that make up N K.
+verify_group decides each property by a witness of a few power and multiply
+calls, a certifying check in the sense of McConnell, Mehlhorn, Näher and
+Schweitzer, "Certifying algorithms", Computer Science Review 5 (2011):
+  (a) (1,1)^(p^k) = e and (0,1)^(p^k) = e make (1,1) and (0,1) p-elements,
+      and (1,1) (0,1)^(p^k - 1) = (1,0); as (a, x) = (1,0)^a (0,1)^x, the two
+      p-elements generate the group.
+  (b) derived from (a): a quotient of order prime to p kills every
+      p-element, and they generate the group.
+  (c) (n,0)^(m/n) = e and (n,0)^(m/(n q)) != e for each prime q | m/n give
+      |H0| = m/n; (0,1) has order p^k, prime to m, and conjugates (n,0) to an
+      element (a, 0) with n | a, so it normalizes H0 and |H1| = (m/n) p^k.
+A witness that fails (only a hand-built SemidirectGroup can fail one, never
+one from construct_group) hands its one fact to the closure that decides it,
+so no verdict rests on a failed witness.  The closures stay public as the
+independent cross-check: p_generated_subgroup, whose closure is the derived
+quotient check quotient_check_derived (conjugation preserves element order,
+so the p-elements are conjugation-stable and their closure is already
+normal), and index_subgroups.
+
+The derived half of (b) is cross-checked against an exhaustive enumeration of
+the normal subgroups for orders up to EXHAUSTIVE_MAX_ORDER, or when forced.
+Every normal subgroup is the join of the normal closures of the conjugacy
+classes it contains, so the enumeration takes one class closure per class of
+cyclic subgroups (generators of one cyclic subgroup have the same closure)
+and then every join of those closures, each built as the union of the cosets
+N y (y in K) that make up N K.
 
 Every closure runs Dimino's algorithm (Butler, Fundamental Algorithms for
 Permutation Groups, LNCS 559, 1991): the first generator's cyclic group is a
@@ -54,9 +69,12 @@ from .algebra import divisors, factorize, is_prime
 
 # groups up to this order also run the exhaustive normal-subgroup enumeration
 EXHAUSTIVE_MAX_ORDER = 300
-# construct_group refuses larger orders: every check walks all m p^k elements
-# (group-verify --p 2 --k 1 --m 99999, order 199,998: about 1.5 s of CPU and
-# 74 MiB peak, Python 3.11)
+# construct_group refuses larger orders.  The cap bounds the paths that walk
+# elements: the enumeration forced by --exhaustive, and the closures a failed
+# witness falls back to; the witnesses take O(1) products per divisor of m
+# (group-verify --p 2 --k 1 --m 99999 --exhaustive, order 199,998: about 3.9 s
+# of CPU and 147 MiB peak, Python 3.11; without --exhaustive, under 1 ms in
+# verify_group)
 MAX_GROUP_ORDER = 200_000
 # the primes p that sweep_parameters walks
 SWEEP_PRIMES = (2, 3, 5)
@@ -317,15 +335,48 @@ def quotient_check_exhaustive(group: SemidirectGroup) -> bool:
     return True
 
 
+def _require_divisor(group: SemidirectGroup, n: int) -> None:
+    if n < 1 or group.m % n != 0:
+        raise NonDivisor(f"{n} is not a positive divisor of m = {group.m}")
+
+
 def index_subgroups(group: SemidirectGroup, n: int) -> tuple[frozenset, frozenset]:
     """(H0, H1) for a divisor n of m: H0 = <(n, 0)>, the kernel of Z/m -> Z/n
     inside the group, and H1 = <(n, 0), (0, 1)>, its extension by the full
-    Z/p^k factor.  Each is a subgroup as the closure of its generators; part
-    (c) of verify_group checks that their indices are p^k n and n."""
-    if n < 1 or group.m % n != 0:
-        raise NonDivisor(f"{n} is not a positive divisor of m = {group.m}")
+    Z/p^k factor.  Each is a subgroup as the closure of its generators; their
+    indices must be p^k n and n, the sizes part (c) of verify_group reads off
+    its witness."""
+    _require_divisor(group, n)
     step = Element(n % group.m, 0)
     return group.subgroup_closure([step]), group.subgroup_closure([step, Element(0, 1)])
+
+
+def _sylow_generation_witness(group: SemidirectGroup) -> bool:
+    # (1,1) and (0,1) are p-elements, and (1,1) (0,1)^(p^k - 1) = (1,0), so
+    # with (a, x) = (1,0)^a (0,1)^x they generate the group
+    e, s, t = IDENTITY, Element(1, 1), Element(0, 1)
+    return (
+        group.power(s, group.pk) == e
+        and group.power(t, group.pk) == e
+        and group.multiply(s, group.power(t, group.pk - 1)) == Element(1, 0)
+    )
+
+
+def _index_sizes(group: SemidirectGroup, n: int, primes) -> "tuple[int, int] | None":
+    """(|H0|, |H1|) = (m/n, (m/n) p^k) from their witness, or None when it fails.
+
+    (n,0) has order exactly d = m/n: its d-th power is e and no d/q-th power
+    is, for a prime q | d.  Conjugation by (0,1) maps it to an (a, 0) with
+    n | a, a power of (n,0), so H1 = H0 <(0,1)>.  The caller has checked that
+    (0,1) has order p^k, prime to m, so the two factors meet in e."""
+    e, d, g = IDENTITY, group.m // n, Element(n % group.m, 0)
+    if group.power(g, d) != e or any(group.power(g, d // q) == e for q in primes if d % q == 0):
+        return None
+    t = Element(0, 1)
+    a, x = group.multiply(group.multiply(t, g), group.power(t, group.pk - 1))
+    if x != 0 or a % n != 0:
+        return None
+    return d, d * group.pk
 
 
 def verify_group(
@@ -333,13 +384,28 @@ def verify_group(
     index_divisors: "list[int] | None" = None,
     exhaustive: bool = False,
 ) -> dict:
-    """Check all three structural properties; returns a JSON-ready report."""
-    # (c) first, so that an index that does not divide m is refused before
-    # the p-element closure runs
+    """Check all three structural properties; returns a JSON-ready report.
+
+    Each property is read off its witness (module docstring); a witness that
+    fails hands its one property to the closure that decides it."""
+    if index_divisors is not None:
+        # refused before any work
+        for n in index_divisors:
+            _require_divisor(group, n)
+    primes = factorize(group.m)
+    # (0,1) has order p^k, prime to m: every (c) witness rests on it
+    t = Element(0, 1)
+    t_has_order_pk = (
+        group.power(t, group.pk) == IDENTITY
+        and group.power(t, group.pk // group.p) != IDENTITY
+        and group.m % group.p != 0
+    )
     part_c = []
-    for n in index_divisors if index_divisors is not None else divisors(group.m):
-        h0, h1 = index_subgroups(group, n)
-        index_h0, index_h1 = group.order // len(h0), group.order // len(h1)
+    for n in index_divisors if index_divisors is not None else divisors(group.m, primes):
+        sizes = _index_sizes(group, n, primes) if t_has_order_pk else None
+        if sizes is None:
+            sizes = tuple(map(len, index_subgroups(group, n)))
+        index_h0, index_h1 = (group.order // size for size in sizes)
         part_c.append(
             {
                 "n": n,
@@ -348,9 +414,9 @@ def verify_group(
                 "ok": index_h0 == group.pk * n and index_h1 == n,
             }
         )
-    # (a) and the derived half of (b) read the same closure; the exhaustive
-    # half runs on small groups, or when forced, and must agree with it
-    lemma_a = quotient_check_derived(group)
+    # (a) and the derived half of (b) are one fact; the exhaustive half runs
+    # on small groups, or when forced, and must agree with it
+    lemma_a = _sylow_generation_witness(group) or quotient_check_derived(group)
     enumerated = None
     if exhaustive or group.order <= EXHAUSTIVE_MAX_ORDER:
         enumerated = quotient_check_exhaustive(group)

@@ -22,9 +22,22 @@ one exists, and `conjugate` is h g h^-1 from it; the package needs neither.
 `p_elements` is the definition, the g with g^(p^k) = e, by repeated
 multiplication; `traceforms.groups.p_elements` reads the same set off the
 power formula.
+
+`verify_group` is the body `traceforms.groups.verify_group` had before it read
+each property off a witness of a few products: it decides every property by
+its closure, the p-elements' for (a) and the derived half of (b), and H0's and
+H1's for each index of (c), so it walks the whole group at every order.
 """
 
-from traceforms.groups import Element, SemidirectGroup
+from traceforms.algebra import divisors
+from traceforms.groups import (
+    EXHAUSTIVE_MAX_ORDER,
+    Element,
+    SemidirectGroup,
+    index_subgroups as closure_index_subgroups,
+    quotient_check_derived,
+    quotient_check_exhaustive,
+)
 
 
 def subgroup_closure(group: SemidirectGroup, gens) -> frozenset:
@@ -88,3 +101,35 @@ def p_elements(group: SemidirectGroup) -> set:
         if acc == group.identity:
             out.add(g)
     return out
+
+
+def verify_group(group: SemidirectGroup, index_divisors=None, exhaustive: bool = False) -> dict:
+    part_c = []
+    for n in index_divisors if index_divisors is not None else divisors(group.m):
+        h0, h1 = closure_index_subgroups(group, n)
+        index_h0, index_h1 = group.order // len(h0), group.order // len(h1)
+        part_c.append(
+            {
+                "n": n,
+                "index_H0": index_h0,
+                "index_H1": index_h1,
+                "ok": index_h0 == group.pk * n and index_h1 == n,
+            }
+        )
+    lemma_a = quotient_check_derived(group)
+    enumerated = None
+    if exhaustive or group.order <= EXHAUSTIVE_MAX_ORDER:
+        enumerated = quotient_check_exhaustive(group)
+        if enumerated != lemma_a:
+            raise ArithmeticError(
+                f"quotient check paths disagree on {group}: "
+                f"derived={lemma_a} exhaustive={enumerated}"
+            )
+    return {
+        "params": {"p": group.p, "k": group.k, "m": group.m, "alpha": group.alpha},
+        "order": group.order,
+        "lemma_a": lemma_a,
+        "lemma_b": {"derived": lemma_a, "exhaustive": enumerated},
+        "lemma_c": part_c,
+        "all_pass": lemma_a and all(entry["ok"] for entry in part_c),
+    }

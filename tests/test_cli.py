@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from traceforms import quadform
 from traceforms.algebra.intmath import FACTOR_LIMIT
 from traceforms.cli import build_parser, main
-from traceforms.groups import MAX_GROUP_ORDER
+from traceforms.groups import MAX_GROUP_ORDER, SemidirectGroup
 
 
 def _run_main(argv, capsys):
@@ -395,6 +395,22 @@ def test_group_verify_cli(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["lemma_c"] == [{"n": 5, "index_H0": 10, "index_H1": 5, "ok": True}]
+
+
+def test_group_verify_at_the_order_cap(monkeypatch, capsys):
+    # order 199,998 = 2 * 99999, 99999 = 3^2 * 41 * 271: every property is
+    # read off its witness, so no closure runs and the 12 divisors cost a
+    # few products each
+    def no_closure(self, gens):
+        raise RuntimeError("a closure ran")
+
+    monkeypatch.setattr(SemidirectGroup, "subgroup_closure", no_closure)
+    code, out = _run_main(["group-verify", "--p", "2", "--k", "1", "--m", "99999"], capsys)
+    assert code == 0
+    data = json.loads(out)
+    assert data["order"] == 199998 and data["lemma_a"] is True
+    assert data["lemma_b"] == {"derived": True, "exhaustive": None}
+    assert len(data["lemma_c"]) == 12 and all(row["ok"] for row in data["lemma_c"])
 
 
 def test_group_verify_exhaustive_at_order_10006(capsys):

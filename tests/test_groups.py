@@ -8,6 +8,7 @@ from group_oracles import index_subgroups as index_subgroups_oracle
 from group_oracles import normal_subgroups as normal_subgroups_oracle
 from group_oracles import p_elements as p_elements_oracle
 from group_oracles import subgroup_closure as subgroup_closure_oracle
+from group_oracles import verify_group as verify_group_oracle
 
 from traceforms import groups
 from traceforms.algebra import divisors
@@ -52,9 +53,9 @@ def test_construct_examples():
     with pytest.raises(InvalidParams, match=r"p = 2 does not divide phi\(1\)"):
         construct_group(2, 1, 1)
 
-    # every check walks all m p^k elements, so the order is capped up front;
-    # the first refusal is just above the cap, so a missing cap fails here
-    # instead of building 2^40 elements
+    # the enumeration, --exhaustive and the closures walk all m p^k elements,
+    # so the order is capped up front; the first refusal is just above the
+    # cap, so a missing cap fails here instead of building 2^40 elements
     assert construct_group(2, 1, 99991).order == 199982 <= MAX_GROUP_ORDER
     for p, k, m in ((2, 1, 100003), (2, 40, 3), (2, 10**6, 3)):
         with pytest.raises(InvalidParams, match="MAX_GROUP_ORDER"):
@@ -285,6 +286,9 @@ def test_p_elements_are_closed_under_conjugation():
 
 
 def test_verify_group_reads_the_p_elements_once(monkeypatch):
+    # a constructed group proves (a) by its witness and never reads the
+    # p-elements; the alpha = 4 mutant fails the witness, and the closure that
+    # then decides (a) reads them once
     calls = []
 
     def spy(group):
@@ -295,12 +299,83 @@ def test_verify_group_reads_the_p_elements_once(monkeypatch):
     for params in [(2, 1, 3), (3, 1, 7), (2, 1, 151)]:
         calls.clear()
         verify_group(construct_group(*params))
-        assert len(calls) == 1, params
-    # an index that does not divide m is refused before any closure runs
+        assert calls == [], params
+    calls.clear()
+    verify_group(SemidirectGroup(2, 1, 15, alpha=4))
+    assert len(calls) == 1
+    # an index that does not divide m is refused before any work
     calls.clear()
     with pytest.raises(NonDivisor):
         verify_group(construct_group(2, 1, 151), index_divisors=[4], exhaustive=True)
     assert calls == []
+
+
+def test_witness_reports_match_the_closure_oracle():
+    # byte for byte against the closure-based report, on the bench sweep, the
+    # README's group-verify examples and two groups past the exhaustive
+    # cutoff with the enumeration forced
+    cases = [(construct_group(*params), {}) for params in sweep_parameters(500)]
+    cases += [
+        (construct_group(2, 1, 3), {}),
+        (construct_group(2, 1, 15), {"index_divisors": [5]}),
+        (construct_group(2, 1, 151), {"exhaustive": True}),
+        (construct_group(5, 1, 101), {"exhaustive": True}),
+        (construct_group(2, 1, 1009), {"exhaustive": True}),
+    ]
+    for g, kwargs in cases:
+        expected = canonical_dumps(verify_group_oracle(g, **kwargs))
+        assert canonical_dumps(verify_group(g, **kwargs)) == expected, (g, kwargs)
+
+
+def test_mutants_fail_lemma_a_on_both_paths():
+    # alpha - 1 = 3 is not a unit mod 15, so (1,1) is no p-element and the
+    # p-elements generate a subgroup of order 10; the direct product's
+    # p-elements generate one of order 2.  Both fail the witness, and the
+    # closure and the enumeration then say no.
+    for g in (SemidirectGroup(2, 1, 15, alpha=4), SemidirectGroup(2, 1, 3, alpha=1)):
+        report = verify_group(g)
+        assert report["lemma_a"] is False and report["all_pass"] is False, g
+        assert report["lemma_b"] == {"derived": False, "exhaustive": False}, g
+        assert canonical_dumps(report) == canonical_dumps(verify_group_oracle(g)), g
+
+
+def test_a_failed_witness_hands_its_fact_to_the_closure(monkeypatch):
+    # a power that answers one witness's call wrongly, once, on a constructed
+    # group sends that one fact, and no other, to its closure (which reads
+    # power right), and the report is unchanged.  Keys: the group, power's
+    # argument, exponent and wrong value; values: the p-element closures
+    # taken, and the divisors whose index closures are taken
+    breaks = {
+        # (1,1)^2 != e: (a) is unproven
+        ((2, 1, 15), Element(1, 1), 2, Element(1, 0)): ([1], []),
+        # (5,0)^3 != e, or (5,0)^1 = e: the order of (5,0), so n = 5, is unproven
+        ((2, 1, 15), Element(5, 0), 3, Element(1, 0)): ([], [5]),
+        ((2, 1, 15), Element(5, 0), 1, Element(0, 0)): ([], [5]),
+        # (0,1)^1 = e: the order of (0,1), so every n, is unproven
+        ((2, 1, 15), Element(0, 1), 1, Element(0, 0)): ([], [1, 3, 5, 15]),
+        # (0,1)^-1 = (0,1)^3 read as (0,2): the conjugate of (1,0) then has
+        # x = 3, so (0,1) is not shown to normalize H0 at n = 1
+        ((2, 2, 5), Element(0, 1), 3, Element(0, 2)): ([], [1]),
+    }
+    for (params, wrong_el, wrong_n, wrong), closed in breaks.items():
+        expected = canonical_dumps(verify_group_oracle(construct_group(*params)))
+        g = construct_group(*params)
+        real = g.power
+        derived, indexed, lied = [], [], []
+
+        def power(el, n):
+            if (el, n) == (wrong_el, wrong_n) and not lied:
+                lied.append(n)
+                return wrong
+            return real(el, n)
+
+        real_derived, real_indexed = groups.quotient_check_derived, groups.index_subgroups
+        monkeypatch.setattr(g, "power", power)
+        monkeypatch.setattr(groups, "quotient_check_derived", lambda h: derived.append(1) or real_derived(h))
+        monkeypatch.setattr(groups, "index_subgroups", lambda h, n: indexed.append(n) or real_indexed(h, n))
+        assert canonical_dumps(verify_group(g)) == expected, (params, wrong_el, wrong_n)
+        assert (derived, indexed, lied) == (*closed, [wrong_n]), (params, wrong_el, wrong_n)
+        monkeypatch.undo()
 
 
 # verify_group over sweep_parameters(150): 78 groups, each on the exhaustive path
