@@ -3,12 +3,15 @@
 Pipeline: take f's monic integer model and its primitive part's discriminant
 (`poly._integer_model`), rule out repeated factors by the discriminant, and
 read the cycle types of f at the first few good primes (dividing neither
-leading coefficient nor discriminant) from distinct-degree splitting of the
-model, as the Galois sampler does.  An irreducible image or disjoint degree
-subset-sum sets decide at once; otherwise the same model is factored mod the
-good prime with the fewest factors (its image there is squarefree),
-Hensel-lifted past twice the Landau-Mignotte coefficient bound, and subset
-recombinations of the lifted factors are searched for a true integer divisor.
+leading coefficient nor discriminant) by `modpoly._cycle_type`, as the Galois
+sampler does: at p > n it first reads the trace of Frobenius (the root count)
+and the discriminant's parity (Stickelberger), and runs distinct-degree
+splitting of the model only when these leave the pattern open.  An
+irreducible image or disjoint degree subset-sum sets decide at once;
+otherwise the same model is factored mod the good prime with the fewest
+factors (its image there is squarefree), Hensel-lifted past twice the
+Landau-Mignotte coefficient bound, and subset recombinations of the lifted
+factors are searched for a true integer divisor.
 
 Recombination is exponential: it tries up to 2^(r-1) subsets of the r lifted
 factors.

@@ -39,8 +39,9 @@ def _rational_pair(x) -> tuple[int, int]:
     Anything else goes through `Fraction` as `exact_rational` describes, so
     " 3", "+3", "0.5", "1_0", non-ASCII digits and strings over the
     int-digit limit are accepted or refused exactly as `Fraction` decides,
-    except that a decimal exponent past the int-digit limit ("1e99999999")
-    is refused up front: `Fraction` would spend minutes building 10**exponent.
+    except that a decimal exponent past the int-digit limit ("1e99999999"),
+    or past Python's default limit when the limit is 0, is refused up front:
+    `Fraction` would spend minutes building 10**exponent.
     """
     if type(x) is int:
         return x, 1
@@ -67,11 +68,12 @@ def _rational_pair(x) -> tuple[int, int]:
 
 def _exponent_past_limit(s: str) -> bool:
     """Whether s ends in a decimal exponent, "e" then an integer, whose size
-    exceeds the int-digit limit (no limit when it is 0)."""
-    limit = sys.get_int_max_str_digits()
+    exceeds the int-digit limit, or Python's default limit where the limit is
+    lifted (0, as the CLI sets it for long certificate entries)."""
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
     _, e, exp = s.lower().rpartition("e")
     try:
-        return bool(e and limit and abs(int(exp)) > limit)
+        return bool(e and abs(int(exp)) > limit)
     except ValueError:  # not an exponent, or one past the limit: Fraction refuses it
         return False
 
@@ -79,7 +81,7 @@ def _exponent_past_limit(s: str) -> bool:
 def exact_rational(x) -> Fraction:
     """x as a Fraction: an int that is not a bool, a Fraction, or a string
     `Fraction` parses ("-3", "2/7", "0.5") with a decimal exponent, if any,
-    within the int-digit limit.  A float, which may already have been
+    within the int-digit limit (Python's default one when the limit is 0).  A float, which may already have been
     rounded, a bool or anything else raises ValueError."""
     if isinstance(x, Fraction):
         return x

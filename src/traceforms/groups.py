@@ -7,24 +7,27 @@ sweeps: (a) the group is generated by its p-Sylow subgroups, (b) its only
 quotient of order prime to p is trivial, and (c) for every n | m there are
 subgroups of indices p^k n and n: H0 = <(n, 0)> and H1 = <(n, 0), (0, 1)>.
 
-verify_group decides each property by a witness of a few power and multiply
+verify_group decides each property by a check of a few power and multiply
 calls, a certifying check in the sense of McConnell, Mehlhorn, Näher and
 Schweitzer, "Certifying algorithms", Computer Science Review 5 (2011):
-  (a) (1,1)^(p^k) = e and (0,1)^(p^k) = e make (1,1) and (0,1) p-elements,
-      and (1,1) (0,1)^(p^k - 1) = (1,0); as (a, x) = (1,0)^a (0,1)^x, the two
-      p-elements generate the group.
+  (a) with (1, x)^(p^k) = (s_x, 0) and step_x = m / gcd(s_x, m), the
+      p-elements over x are the (a, x) with step_x | a, and they generate
+      exactly {(a, x) : d | a}, d = gcd(step_0, ..., step_(p-1)): that set is
+      a subgroup (dZ/m is alpha-stable), it holds every p-element, and it
+      lies in their closure, as (0,1) and (step_x, x) (0,1)^(-x) = (step_x, 0)
+      are in it.  s_x depends on alpha^x alone, so x < p suffices, and (a)
+      holds exactly when d = 1.
   (b) derived from (a): a quotient of order prime to p kills every
-      p-element, and they generate the group.
+      p-element, so it is trivial exactly when they generate the group.
   (c) (n,0)^(m/n) = e and (n,0)^(m/(n q)) != e for each prime q | m/n give
       |H0| = m/n; (0,1) has order p^k, prime to m, and conjugates (n,0) to an
       element (a, 0) with n | a, so it normalizes H0 and |H1| = (m/n) p^k.
-A witness that fails (only a hand-built SemidirectGroup can fail one, never
-one from construct_group) hands its one fact to the closure that decides it,
-so no verdict rests on a failed witness.  The closures stay public as the
-independent cross-check: p_generated_subgroup, whose closure is the derived
-quotient check quotient_check_derived (conjugation preserves element order,
-so the p-elements are conjugation-stable and their closure is already
-normal), and index_subgroups.
+      This witness holds on every group SemidirectGroup admits; should it
+      fail, verify_group raises ArithmeticError naming n.
+The closures stay public as the independent cross-check: p_generated_subgroup,
+whose closure is the derived quotient check quotient_check_derived
+(conjugation preserves element order, so the p-elements are
+conjugation-stable and their closure is already normal), and index_subgroups.
 
 The derived half of (b) is cross-checked against an exhaustive enumeration of
 the normal subgroups for orders up to EXHAUSTIVE_MAX_ORDER, or when forced.
@@ -42,9 +45,12 @@ element rather than once per element and generator.  The coset and the power
 walk are the two helpers that build elements in bulk, for the joins and the
 marking of cyclic generators too.
 
-Validity of parameters: besides p prime, p not dividing m, and p | phi(m),
-construction requires every prime factor q of m to satisfy q = 1 (mod p).
-That is exactly the condition under which a unit alpha of order p with
+Validity of parameters: SemidirectGroup refuses anything but p prime, k and
+m positive, p not dividing m, and alpha^p = 1 (mod m); every proof here
+assumes them, and without alpha^p = 1 the multiplication is not associative
+(SemidirectGroup(2, 1, 15, alpha=2) would be no group).  Besides those and
+p | phi(m), construct_group requires every prime factor q of m to satisfy
+q = 1 (mod p).  That is exactly the condition under which a unit alpha of order p with
 alpha - 1 invertible mod m exists, and the unit condition is what makes
 (1,1) a p-element (its p^k-th power is (a (1-alpha^(p^k))/(1-alpha), 0),
 a quotient that only collapses when 1-alpha is a unit).  Without it the
@@ -54,7 +60,7 @@ Both conditions read the one factorization of m: as p does not divide m, p
 divides phi(m) = prod q^(e-1) (q - 1) exactly when some q = 1 (mod p).
 
 Powers take the closed form (a (1 + beta + ... + beta^(n-1)), n x) with
-beta = alpha^x; p_elements reads it at n = p^k, and the tests compare it with
+beta = alpha^x; _p_steps reads it at n = p^k, and the tests compare it with
 iterated multiplication.
 """
 
@@ -69,12 +75,12 @@ from .algebra import divisors, factorize, is_prime
 
 # groups up to this order also run the exhaustive normal-subgroup enumeration
 EXHAUSTIVE_MAX_ORDER = 300
-# construct_group refuses larger orders.  The cap bounds the paths that walk
-# elements: the enumeration forced by --exhaustive, and the closures a failed
-# witness falls back to; the witnesses take O(1) products per divisor of m
-# (group-verify --p 2 --k 1 --m 99999 --exhaustive, order 199,998: about 3.9 s
-# of CPU and 147 MiB peak, Python 3.11; without --exhaustive, under 1 ms in
-# verify_group)
+# construct_group refuses larger orders.  The cap bounds only the enumeration,
+# the one path of verify_group that walks elements: at order <= 300, or when
+# --exhaustive forces it (group-verify --p 2 --k 1 --m 99999 --exhaustive,
+# order 199,998: about 3.9 s of CPU and 147 MiB peak, Python 3.11); the checks
+# take O(p) products for (a) and O(1) per divisor of m for (c) (without
+# --exhaustive, under 1 ms in verify_group)
 MAX_GROUP_ORDER = 200_000
 # the primes p that sweep_parameters walks
 SWEEP_PRIMES = (2, 3, 5)
@@ -100,6 +106,9 @@ class SemidirectGroup:
     """Z/m x| Z/p^k with a fixed twisting unit alpha of order p mod m."""
 
     def __init__(self, p: int, k: int, m: int, alpha: int):
+        _require_shape(p, k, m)
+        if pow(alpha, p, m) != 1 % m:
+            raise InvalidParams(f"alpha = {alpha} does not satisfy alpha^{p} = 1 (mod {m})")
         self.p = p
         self.k = k
         self.m = m
@@ -221,6 +230,15 @@ class SemidirectGroup:
         return classes
 
 
+def _require_shape(p: int, k: int, m: int) -> None:
+    if not is_prime(p):
+        raise InvalidParams(f"p = {p} is not prime")
+    if k < 1 or m < 1:
+        raise InvalidParams("k and m must be positive")
+    if m % p == 0:
+        raise InvalidParams(f"p = {p} divides m = {m}")
+
+
 def qualifying_alphas(p: int, m: int) -> list[int]:
     """Units of order exactly p with alpha - 1 also a unit mod m."""
     # alpha^p = 1 makes alpha a unit, and alpha != 1 gives it order exactly p
@@ -230,17 +248,13 @@ def qualifying_alphas(p: int, m: int) -> list[int]:
 def construct_group(p: int, k: int, m: int) -> SemidirectGroup:
     """Validated construction with the smallest qualifying alpha.
 
-    Rejects p | m, then orders above MAX_GROUP_ORDER (before m is factored),
-    then p not dividing phi(m); additionally rejects m with a prime factor
-    q != 1 (mod p), because then no unit of order p with alpha - 1 invertible
-    exists and the Sylow generation property fails.
+    Rejects what SemidirectGroup refuses (p | m last), then orders above
+    MAX_GROUP_ORDER (before m is factored), then p not dividing phi(m);
+    additionally rejects m with a prime factor q != 1 (mod p), because then
+    no unit of order p with alpha - 1 invertible exists and the Sylow
+    generation property fails.
     """
-    if not is_prime(p):
-        raise InvalidParams(f"p = {p} is not prime")
-    if k < 1 or m < 1:
-        raise InvalidParams("k and m must be positive")
-    if m % p == 0:
-        raise InvalidParams(f"p = {p} divides m = {m}")
+    _require_shape(p, k, m)
     # p >= 2, so a k past the constant's bit length is too large without computing p^k
     if k > MAX_GROUP_ORDER.bit_length() or m * p**k > MAX_GROUP_ORDER:
         raise InvalidParams(f"order {m} * {p}^{k} exceeds MAX_GROUP_ORDER = {MAX_GROUP_ORDER}")
@@ -258,19 +272,26 @@ def construct_group(p: int, k: int, m: int) -> SemidirectGroup:
     return SemidirectGroup(p, k, m, alpha)
 
 
+def _p_steps(group: SemidirectGroup) -> list[int]:
+    """step_x = m / gcd(s_x, m) for x < p, where (1, x)^(p^k) = (s_x, 0).
+
+    By the power formula (a, x)^(p^k) = (a s_x, 0), so (a, x) is a p-element
+    exactly when step_x divides a; s_x depends on alpha^x alone, so step_x
+    serves every x' = x (mod p)."""
+    m, pk = group.m, group.pk
+    return [m // math.gcd(group.power(Element(1, x), pk).a, m) for x in range(group.p)]
+
+
 def p_elements(group: SemidirectGroup) -> list[Element]:
     """All elements of p-power order (the union of the Sylow p-subgroups).
 
     |G| = m p^k with p prime to m, so g has p-power order exactly when
-    g^(p^k) = e.  By the power formula (a, x)^(p^k) = (a s_x, 0), where
-    (1, x)^(p^k) = (s_x, 0), so the p-elements over x are the (a, x) with
-    m / gcd(s_x, m) dividing a.
+    g^(p^k) = e: the (a, x) with a a multiple of _p_steps' step for x mod p.
     """
+    steps = _p_steps(group)
     out = []
     for x in range(group.pk):
-        s = group.power(Element(1, x), group.pk).a
-        step = group.m // math.gcd(s, group.m)
-        out += (tuple.__new__(Element, (a, x)) for a in range(0, group.m, step))
+        out += (tuple.__new__(Element, (a, x)) for a in range(0, group.m, steps[x % group.p]))
     return out
 
 
@@ -351,17 +372,6 @@ def index_subgroups(group: SemidirectGroup, n: int) -> tuple[frozenset, frozense
     return group.subgroup_closure([step]), group.subgroup_closure([step, Element(0, 1)])
 
 
-def _sylow_generation_witness(group: SemidirectGroup) -> bool:
-    # (1,1) and (0,1) are p-elements, and (1,1) (0,1)^(p^k - 1) = (1,0), so
-    # with (a, x) = (1,0)^a (0,1)^x they generate the group
-    e, s, t = IDENTITY, Element(1, 1), Element(0, 1)
-    return (
-        group.power(s, group.pk) == e
-        and group.power(t, group.pk) == e
-        and group.multiply(s, group.power(t, group.pk - 1)) == Element(1, 0)
-    )
-
-
 def _index_sizes(group: SemidirectGroup, n: int, primes) -> "tuple[int, int] | None":
     """(|H0|, |H1|) = (m/n, (m/n) p^k) from their witness, or None when it fails.
 
@@ -386,8 +396,8 @@ def verify_group(
 ) -> dict:
     """Check all three structural properties; returns a JSON-ready report.
 
-    Each property is read off its witness (module docstring); a witness that
-    fails hands its one property to the closure that decides it."""
+    Each property is read off its check (module docstring); the closures
+    are not taken, and the enumeration cross-checks (a) where it runs."""
     if index_divisors is not None:
         # refused before any work
         for n in index_divisors:
@@ -396,15 +406,13 @@ def verify_group(
     # (0,1) has order p^k, prime to m: every (c) witness rests on it
     t = Element(0, 1)
     t_has_order_pk = (
-        group.power(t, group.pk) == IDENTITY
-        and group.power(t, group.pk // group.p) != IDENTITY
-        and group.m % group.p != 0
+        group.power(t, group.pk) == IDENTITY and group.power(t, group.pk // group.p) != IDENTITY
     )
     part_c = []
     for n in index_divisors if index_divisors is not None else divisors(group.m, primes):
         sizes = _index_sizes(group, n, primes) if t_has_order_pk else None
         if sizes is None:
-            sizes = tuple(map(len, index_subgroups(group, n)))
+            raise ArithmeticError(f"the index witness fails for n = {n} on {group}")
         index_h0, index_h1 = (group.order // size for size in sizes)
         part_c.append(
             {
@@ -416,7 +424,7 @@ def verify_group(
         )
     # (a) and the derived half of (b) are one fact; the exhaustive half runs
     # on small groups, or when forced, and must agree with it
-    lemma_a = _sylow_generation_witness(group) or quotient_check_derived(group)
+    lemma_a = math.gcd(*_p_steps(group)) == 1
     enumerated = None
     if exhaustive or group.order <= EXHAUSTIVE_MAX_ORDER:
         enumerated = quotient_check_exhaustive(group)

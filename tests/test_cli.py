@@ -3,6 +3,7 @@ import contextlib
 import io
 import json
 import re
+import resource
 import shlex
 import subprocess
 import sys
@@ -15,7 +16,9 @@ from hypothesis import strategies as st
 from traceforms import quadform
 from traceforms.algebra.intmath import FACTOR_LIMIT
 from traceforms.cli import build_parser, main
-from traceforms.groups import MAX_GROUP_ORDER, SemidirectGroup
+from group_oracles import hand_built_groups
+
+from traceforms.groups import MAX_GROUP_ORDER, SemidirectGroup, verify_group
 
 
 def _run_main(argv, capsys):
@@ -24,9 +27,28 @@ def _run_main(argv, capsys):
     return code, out
 
 
-def _run_fresh_process(argv, *python_flags):
+# CPU seconds a fresh CLI process may spend; every caller here takes about
+# 0.1 s (startup included), so a hang that comes back is stopped and fails its
+# test instead of stalling the suite
+FRESH_PROCESS_CPU_S = 10
+
+
+def _run_fresh_process(argv, *python_flags, cpu_seconds=FRESH_PROCESS_CPU_S):
+    # past the CPU budget the kernel stops the child (SIGXCPU), and a process
+    # that waits without spending CPU meets the wall-clock timeout
+    def limit_cpu():
+        resource.setrlimit(resource.RLIMIT_CPU, (cpu_seconds, cpu_seconds))
+
     cmd = [sys.executable, *python_flags, "-m", "traceforms.cli", *argv]
-    return subprocess.run(cmd, capture_output=True, text=True)
+    return subprocess.run(
+        cmd, capture_output=True, text=True, preexec_fn=limit_cpu, timeout=6 * cpu_seconds
+    )
+
+
+def _assert_fresh_input_error(run):
+    # exit 2 with a single error line on stderr and nothing on stdout
+    assert run.returncode == 2 and run.stdout == "", run
+    assert run.stderr.startswith("error: ") and run.stderr.count("\n") == 1, run.stderr
 
 
 def _assert_input_error(argv, capsys, match=""):
@@ -399,7 +421,7 @@ def test_group_verify_cli(capsys):
 
 def test_group_verify_at_the_order_cap(monkeypatch, capsys):
     # order 199,998 = 2 * 99999, 99999 = 3^2 * 41 * 271: every property is
-    # read off its witness, so no closure runs and the 12 divisors cost a
+    # read off its check, so no closure runs and the 12 divisors cost a
     # few products each
     def no_closure(self, gens):
         raise RuntimeError("a closure ran")
@@ -411,6 +433,27 @@ def test_group_verify_at_the_order_cap(monkeypatch, capsys):
     assert data["order"] == 199998 and data["lemma_a"] is True
     assert data["lemma_b"] == {"derived": True, "exhaustive": None}
     assert len(data["lemma_c"]) == 12 and all(row["ok"] for row in data["lemma_c"])
+    # nor on a hand-built group past the enumeration's cutoff, where (a) is
+    # false on most of them
+    past_cutoff = [g for g in hand_built_groups() if g.order > 300]
+    assert len(past_cutoff) == 495
+    verdicts = [verify_group(g)["lemma_a"] for g in past_cutoff]
+    assert True in verdicts and False in verdicts
+
+
+def test_a_huge_decimal_exponent_is_refused_in_a_fresh_process(tmp_path, capsys):
+    # main lifts the int-digit limit for each command, and the reader then
+    # bounds a decimal exponent by Python's default limit: 10**99999999 is
+    # never built, on the command line or in a certificate
+    run = _run_fresh_process(["invariants", "--diag", "1e99999999,1"], cpu_seconds=5)
+    _assert_fresh_input_error(run)
+    code, out = _run_main(["realize", "--diag", "1,2", "--seed", "1"], capsys)
+    assert code == 0
+    cert = json.loads(out)
+    cert["f"][0] = "1e99999999"
+    cert_file = tmp_path / "cert.json"
+    cert_file.write_text(json.dumps(cert))
+    _assert_fresh_input_error(_run_fresh_process(["verify", str(cert_file)], cpu_seconds=5))
 
 
 def test_group_verify_exhaustive_at_order_10006(capsys):

@@ -3,7 +3,7 @@ import math
 import random
 
 import pytest
-from group_oracles import conjugate, inverse
+from group_oracles import conjugate, hand_built_groups, inverse
 from group_oracles import index_subgroups as index_subgroups_oracle
 from group_oracles import normal_subgroups as normal_subgroups_oracle
 from group_oracles import p_elements as p_elements_oracle
@@ -94,6 +94,21 @@ def test_construct_requires_unit_alpha_minus_one():
     assert construct_group(2, 1, 15).alpha == 14
 
 
+def test_a_hand_built_group_must_be_a_group():
+    # every check assumes alpha^p = 1 (mod m) and p prime to m: alpha = 2 has
+    # order 4 mod 15, so its product would not be associative, and p = 2
+    # divides m = 4; both are refused before any element exists
+    with pytest.raises(InvalidParams, match=r"alpha = 2 does not satisfy alpha\^2 = 1 \(mod 15\)"):
+        SemidirectGroup(2, 1, 15, alpha=2)
+    with pytest.raises(InvalidParams, match="p = 2 divides m = 4"):
+        SemidirectGroup(2, 1, 4, alpha=1)
+    for p, k, m in ((4, 1, 5), (2, 0, 3), (2, 1, 0)):
+        with pytest.raises(InvalidParams):
+            SemidirectGroup(p, k, m, alpha=1)
+    # alpha = 1 mod 1 is 0, and Z/1 x| Z/2 is the group Z/2
+    assert verify_group(SemidirectGroup(2, 1, 1, alpha=0))["all_pass"]
+
+
 def test_multiplication_law():
     g = construct_group(2, 1, 3)
     assert g.multiply(Element(0, 0), Element(2, 1)) == Element(2, 1)
@@ -149,10 +164,11 @@ def test_power_closed_form_vs_iteration():
 
 def test_p_elements_match_the_definition():
     # the p-elements read off the power formula are the g with g^(p^k) = e,
-    # on the small groups, the direct product and every group of the sweep
-    direct = SemidirectGroup(2, 1, 3, alpha=1)
+    # on the small groups, the direct product, the alpha = 4 mutant and every
+    # group of the sweep
+    mutants = [SemidirectGroup(2, 1, 3, alpha=1), SemidirectGroup(2, 1, 15, alpha=4)]
     cases = [construct_group(*params) for params in SMALL_PARAMS + sweep_parameters(150)]
-    for g in cases + [direct]:
+    for g in cases + mutants:
         assert set(p_elements(g)) == p_elements_oracle(g), g
 
 
@@ -286,9 +302,9 @@ def test_p_elements_are_closed_under_conjugation():
 
 
 def test_verify_group_reads_the_p_elements_once(monkeypatch):
-    # a constructed group proves (a) by its witness and never reads the
-    # p-elements; the alpha = 4 mutant fails the witness, and the closure that
-    # then decides (a) reads them once
+    # (a) is read off the p steps, so verify_group never lists the
+    # p-elements: not on a constructed group, and not on the alpha = 4 mutant,
+    # where (a) is false
     calls = []
 
     def spy(group):
@@ -301,8 +317,8 @@ def test_verify_group_reads_the_p_elements_once(monkeypatch):
         verify_group(construct_group(*params))
         assert calls == [], params
     calls.clear()
-    verify_group(SemidirectGroup(2, 1, 15, alpha=4))
-    assert len(calls) == 1
+    assert verify_group(SemidirectGroup(2, 1, 15, alpha=4))["lemma_a"] is False
+    assert calls == []
     # an index that does not divide m is refused before any work
     calls.clear()
     with pytest.raises(NonDivisor):
@@ -312,9 +328,11 @@ def test_verify_group_reads_the_p_elements_once(monkeypatch):
 
 def test_witness_reports_match_the_closure_oracle():
     # byte for byte against the closure-based report, on the bench sweep, the
-    # README's group-verify examples and two groups past the exhaustive
-    # cutoff with the enumeration forced
+    # hand-built family (812 of its 1,116 groups fail (a)), the README's
+    # group-verify examples and two groups past the exhaustive cutoff with the
+    # enumeration forced
     cases = [(construct_group(*params), {}) for params in sweep_parameters(500)]
+    cases += [(g, {}) for g in hand_built_groups()]
     cases += [
         (construct_group(2, 1, 3), {}),
         (construct_group(2, 1, 15), {"index_divisors": [5]}),
@@ -330,8 +348,8 @@ def test_witness_reports_match_the_closure_oracle():
 def test_mutants_fail_lemma_a_on_both_paths():
     # alpha - 1 = 3 is not a unit mod 15, so (1,1) is no p-element and the
     # p-elements generate a subgroup of order 10; the direct product's
-    # p-elements generate one of order 2.  Both fail the witness, and the
-    # closure and the enumeration then say no.
+    # p-elements generate one of order 2.  The p steps give d = 3 and d = 3,
+    # and the closure and the enumeration say no too.
     for g in (SemidirectGroup(2, 1, 15, alpha=4), SemidirectGroup(2, 1, 3, alpha=1)):
         report = verify_group(g)
         assert report["lemma_a"] is False and report["all_pass"] is False, g
@@ -339,42 +357,64 @@ def test_mutants_fail_lemma_a_on_both_paths():
         assert canonical_dumps(report) == canonical_dumps(verify_group_oracle(g)), g
 
 
-def test_a_failed_witness_hands_its_fact_to_the_closure(monkeypatch):
-    # a power that answers one witness's call wrongly, once, on a constructed
-    # group sends that one fact, and no other, to its closure (which reads
-    # power right), and the report is unchanged.  Keys: the group, power's
-    # argument, exponent and wrong value; values: the p-element closures
-    # taken, and the divisors whose index closures are taken
+def _lie(monkeypatch, g, wrong_el, wrong_n, wrong, calls=1):
+    # g.power answers (wrong_el, wrong_n) with `wrong` on its first `calls`
+    # calls, and right otherwise; returns the list that records the lies
+    real, lied = g.power, []
+
+    def power(el, n):
+        if (el, n) == (wrong_el, wrong_n) and len(lied) < calls:
+            lied.append(n)
+            return wrong
+        return real(el, n)
+
+    monkeypatch.setattr(g, "power", power)
+    return lied
+
+
+def test_a_failed_index_witness_raises_naming_its_divisor(monkeypatch):
+    # a (c) witness that fails ends the check: verify_group raises, naming
+    # the divisor.  Keys: the group, power's argument, exponent, wrong value
+    # and the number of calls answered wrongly; values: the divisor named
     breaks = {
-        # (1,1)^2 != e: (a) is unproven
-        ((2, 1, 15), Element(1, 1), 2, Element(1, 0)): ([1], []),
-        # (5,0)^3 != e, or (5,0)^1 = e: the order of (5,0), so n = 5, is unproven
-        ((2, 1, 15), Element(5, 0), 3, Element(1, 0)): ([], [5]),
-        ((2, 1, 15), Element(5, 0), 1, Element(0, 0)): ([], [5]),
-        # (0,1)^1 = e: the order of (0,1), so every n, is unproven
-        ((2, 1, 15), Element(0, 1), 1, Element(0, 0)): ([], [1, 3, 5, 15]),
+        # (5,0)^3 != e, or (5,0)^1 = e: the order of (5,0) is unproven
+        ((2, 1, 15), Element(5, 0), 3, Element(1, 0), 1): 5,
+        ((2, 1, 15), Element(5, 0), 1, Element(0, 0), 1): 5,
+        # (0,1)^1 = e: the order of (0,1) is unproven at the first divisor
+        ((2, 1, 15), Element(0, 1), 1, Element(0, 0), 1): 1,
         # (0,1)^-1 = (0,1)^3 read as (0,2): the conjugate of (1,0) then has
         # x = 3, so (0,1) is not shown to normalize H0 at n = 1
-        ((2, 2, 5), Element(0, 1), 3, Element(0, 2)): ([], [1]),
+        ((2, 2, 5), Element(0, 1), 3, Element(0, 2), 1): 1,
+        # (0,1)^-1 = (0,1)^2 read as (1,2), at n = 1 and n = 7: the conjugate
+        # of (7,0) = e is then (2,0), outside H0 = {e} at n = 7
+        ((3, 1, 7), Element(0, 1), 2, Element(1, 2), 2): 7,
     }
-    for (params, wrong_el, wrong_n, wrong), closed in breaks.items():
-        expected = canonical_dumps(verify_group_oracle(construct_group(*params)))
+    for (params, wrong_el, wrong_n, wrong, calls), n in breaks.items():
         g = construct_group(*params)
-        real = g.power
-        derived, indexed, lied = [], [], []
+        lied = _lie(monkeypatch, g, wrong_el, wrong_n, wrong, calls)
+        with pytest.raises(ArithmeticError, match=f"index witness fails for n = {n} on"):
+            verify_group(g)
+        assert lied == [wrong_n] * calls, (params, wrong_el, wrong_n)
+        monkeypatch.undo()
 
-        def power(el, n):
-            if (el, n) == (wrong_el, wrong_n) and not lied:
-                lied.append(n)
-                return wrong
-            return real(el, n)
 
-        real_derived, real_indexed = groups.quotient_check_derived, groups.index_subgroups
-        monkeypatch.setattr(g, "power", power)
-        monkeypatch.setattr(groups, "quotient_check_derived", lambda h: derived.append(1) or real_derived(h))
-        monkeypatch.setattr(groups, "index_subgroups", lambda h, n: indexed.append(n) or real_indexed(h, n))
-        assert canonical_dumps(verify_group(g)) == expected, (params, wrong_el, wrong_n)
-        assert (derived, indexed, lied) == (*closed, [wrong_n]), (params, wrong_el, wrong_n)
+def test_a_wrong_p_step_is_caught_by_the_enumeration(monkeypatch):
+    # at p = 2, a wrong (1,1)^(p^k), read into step_1, flips (a) either way;
+    # at order <= 300 the enumeration disagrees and verify_group raises
+    breaks = [
+        # (1,1)^2 = e read as (5,0): step_1 = 3, so (a) would read false
+        (construct_group(2, 1, 15), Element(1, 1), 2, Element(5, 0)),
+        # (1,1)^4 = e read as (1,0): step_1 = 5 = m
+        (construct_group(2, 2, 5), Element(1, 1), 4, Element(1, 0)),
+        # the alpha = 4 mutant's (1,1)^2 = (5,0) read as e: (a) would read true
+        (SemidirectGroup(2, 1, 15, alpha=4), Element(1, 1), 2, Element(0, 0)),
+    ]
+    for g, wrong_el, wrong_n, wrong in breaks:
+        assert g.order <= groups.EXHAUSTIVE_MAX_ORDER
+        lied = _lie(monkeypatch, g, wrong_el, wrong_n, wrong)
+        with pytest.raises(ArithmeticError, match="quotient check paths disagree"):
+            verify_group(g)
+        assert lied == [wrong_n], g
         monkeypatch.undo()
 
 

@@ -377,6 +377,23 @@ def test_rational_reader_fixed_cases():
     assert type(exact_rational(_Small.SEVEN)) is Fraction
 
 
+def test_exponent_guard_holds_with_the_limit_lifted():
+    # the CLI sets the int-digit limit to 0 for each command; the exponent is
+    # then bounded by Python's default limit, 4300 digits, so 10**4301 is
+    # never built
+    limit = sys.get_int_max_str_digits()
+    assert sys.int_info.default_max_str_digits == 4300
+    sys.set_int_max_str_digits(0)
+    try:
+        assert _outcome(_rational_pair, "1e4301")[0] == "refused"
+        assert _outcome(_rational_pair, "1e99999999")[0] == "refused"
+        assert _rational_pair("1e4300") == (10**4300, 1)
+        for x in ("1e4300", "1e4301", "-2.5E-4301", "1e99999999"):
+            _assert_reader_matches_oracle(x)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 @settings(max_examples=1000, deadline=None)
 @given(st.text(alphabet="0123456789-+/.e_ \u0663", max_size=10))
 def test_rational_reader_matches_fraction_oracle(text):
