@@ -1,5 +1,5 @@
-"""Exact integer helpers: primality, factorization, divisors, and Bareiss
-elimination of integer matrices.
+"""Exact integer helpers: primality, factorization, divisors, CRT idempotents,
+and Bareiss elimination of integer matrices.
 
 Factorization is trial division by the 172 primes below 2**10, then
 Miller-Rabin on the cofactor and Brent's variant of Pollard's rho on whatever
@@ -91,6 +91,15 @@ def primes_above(n: int):
     while True:
         yield p
         p = next_prime(p)
+
+
+def crt_idempotents(moduli) -> list[int]:
+    """The CRT idempotents e_i of pairwise coprime moduli m_i, each in [0, M)
+    for M = prod(m_i): e_i = 1 mod m_i and e_i = 0 mod every other m_j.
+
+    e_i is (M / m_i) times its inverse mod m_i; one modulus gives [1 % m_1]."""
+    total = math.prod(moduli)
+    return [total // m * pow(total // m, -1, m) % total for m in moduli]
 
 
 def _brent_rho(n: int) -> int:

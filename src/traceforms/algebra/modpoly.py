@@ -60,14 +60,36 @@ the same packed rows, skipping the first gcd when there is no root.  At
 p <= n the trace is only the count mod p, and there, as in `factor_mod_p`,
 which needs the blocks, and at n = 1, distinct-degree splitting alone
 decides.
+
+Many primes share one chain.  Barrett's reduction needs no prime, so the
+packed arithmetic runs unchanged modulo the product P = p_1 ... p_B of
+distinct primes, and by the Chinese remainder theorem (§5.4 there) one
+powering chain in (Z/P)[x]/(f) computes every x^(p_i) mod (f, p_i) at once.
+Let e_i be the CRT idempotents, e_i = 1 mod p_i and 0 mod every other p_j
+(`intmath.crt_idempotents`).  The chain walks the bits j of the largest
+p_i, from the top, by h <- h^2 u_j with u_j = 1 + c_j (x - 1), where c_j is
+the sum of the e_i over the p_i whose bit j is set: u_j is x mod those p_i
+and 1 mod the others, so mod each p_i the chain is that prime's own.  A c_j
+of 0 makes the step a square, and a c_j of 1 the "square, then times x"
+step; at one prime every c_j is 0 or 1, so a one-prime chain is exactly the
+single-prime powering above.  n - 2 more products give the rows
+x^(i p_i) mod (f, P), and the sum of their diagonal slots is the trace of
+Frobenius mod P.  Reduced mod p_i it is the root count mod p_i, exact because
+the count is at most n < p_i; the parity is read per prime from the
+discriminant, as above.  `_cycle_types` reads a batch of good primes above n
+so; a prime whose count and parity leave the pattern open runs `_cycle_type`
+alone, so no gcd runs modulo a product.  The slots widen with P (about 540
+bits for 16 primes near 2,000), and the batch size `galois.CYCLE_TYPE_BATCH`
+balances those wider products against the chains saved.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from itertools import zip_longest
 
-from .intmath import is_prime
+from .intmath import crt_idempotents, is_prime
 from .poly import RationalPoly, _integer_model
 
 
@@ -213,37 +235,54 @@ def _unpack(h: int, w: int, n: int) -> list[int]:
     return [h >> (w * i) & mask for i in range(n)]
 
 
-def _frobenius(f: list[int], p: int):
-    """Packed arithmetic mod (f, p) for monic f of degree n >= 2, and x^p.
+def _frobenius(f: list[int], primes):
+    """Packed arithmetic mod (f, P) for monic f of degree n >= 2 and P the
+    product of the distinct `primes`, and x^p mod (f, p) for every p in them.
 
     Returns (w, reduce, mulmod, frobenius): the slot width and slotwise
-    reduction of `_slotwise_mod`, mulmod(a, b) = a b mod (f, p) on packed a
-    and b, and frobenius = [1, x^p mod f], the first packed Frobenius rows
-    x^(i p) mod f, which `_frobenius_rows` extends.  The module docstring
-    describes the rows x^n, ..., x^(2n-1) mod f that products reduce
-    against, x^(n+k+1) = x x^(n+k), and the powering.
+    reduction mod P of `_slotwise_mod`, mulmod(a, b) = a b mod (f, P) on
+    packed a and b, and frobenius = [1, h], the first packed Frobenius rows,
+    with h = x^p mod (f, p) for each p (by the Chinese remainder theorem),
+    which `_frobenius_rows` extends.  The module docstring describes the rows
+    x^n, ..., x^(2n-1) mod f that products reduce against, x^(n+k+1) =
+    x x^(n+k), and the one powering chain over P.  f's coefficients may lie
+    outside [0, P).
     """
     n = len(f) - 1
-    w, reduce = _slotwise_mod(n, p)
+    q = math.prod(primes)
+    w, reduce = _slotwise_mod(n, q)
     mask, low, top = (1 << w) - 1, (1 << (n * w)) - 1, n * w
-    rows = [_pack([-c % p for c in f[:n]], w)]
+    rows = [_pack([-c % q for c in f[:n]], w)]
     while len(rows) < n:
         shifted = rows[-1] << w
         rows.append(reduce((shifted & low) + (shifted >> top) * rows[0]))
 
     def mulmod(a: int, b: int) -> int:
-        # each of the product's high slots mod p times its row x^(n+k) mod f,
-        # added to the n low slots, which `reduce` then takes mod p
+        # each of the product's high slots mod P times its row x^(n+k) mod f,
+        # added to the n low slots, which `reduce` then takes mod P
         prod = a * b
         high, acc = prod >> top, prod & low
         for row in rows:
-            acc += (high & mask) % p * row
+            acc += (high & mask) % q * row
             high >>= w
         return reduce(acc)
 
-    packed = 1 << w
-    for bit in bin(p)[3:]:
-        packed = mulmod(packed, packed << w if bit == "1" else packed)
+    # c_j: the sum of the idempotents of the primes with bit j set, so that
+    # u_j = 1 + c_j (x - 1) is x mod those primes and 1 mod the others
+    steps = [0] * max(primes).bit_length()
+    for p, e in zip(primes, crt_idempotents(primes)):
+        for j, bit in enumerate(bin(p)[:1:-1]):
+            if bit == "1":
+                steps[j] = (steps[j] + e) % q
+    c = steps.pop()
+    packed = (1 - c) % q | c << w  # u_j packed, at the top bit: x for one prime
+    for c in reversed(steps):
+        if c == 1:  # "square, then times x"
+            packed = mulmod(packed, packed << w)
+        else:
+            packed = mulmod(packed, packed)
+            if c:
+                packed = mulmod(packed, (1 - c) % q | c << w)
     return w, reduce, mulmod, [1, packed]
 
 
@@ -253,6 +292,15 @@ def _frobenius_rows(frobenius: list[int], n: int, mulmod) -> list[int]:
     while len(frobenius) < n:
         frobenius.append(mulmod(frobenius[-1], frobenius[1]))
     return frobenius
+
+
+def _frobenius_trace(state, n: int) -> int:
+    """The sum of the diagonal slots of the Frobenius rows of `_frobenius`'s
+    state, extended to n rows: congruent to the trace of Frobenius mod each
+    of its primes."""
+    w, _, mulmod, frobenius = state
+    mask = (1 << w) - 1
+    return sum(row >> (w * i) & mask for i, row in enumerate(_frobenius_rows(frobenius, n, mulmod)))
 
 
 def _distinct_degree(f: list[int], p: int, state=None, roots=None) -> list[tuple[list[int], int]]:
@@ -273,7 +321,7 @@ def _distinct_degree(f: list[int], p: int, state=None, roots=None) -> list[tuple
     while len(rest) - 1 >= 2 * (d + 1):  # first pass only when n >= 2
         d += 1
         if d == 1:
-            w, reduce, mulmod, frobenius = state or _frobenius(f, p)
+            w, reduce, mulmod, frobenius = state or _frobenius(f, [p])
             packed = frobenius[1]
         else:
             packed = reduce(sum(c * row for c, row in zip(h, _frobenius_rows(frobenius, n, mulmod))))
@@ -378,28 +426,58 @@ def cycle_type_mod_p(f: RationalPoly, p: int) -> tuple[int, ...]:
     return _cycle_type(*_integer_model(f), p)
 
 
-def _cycle_type(g: list[int], b: int, disc: int, p: int) -> tuple[int, ...]:
-    """`cycle_type_mod_p` at the prime p, for f's `_integer_model` (g, b, disc)."""
+def _require_good(b: int, disc: int, p: int) -> None:
+    """BadPrime when p divides the leading coefficient b or the discriminant
+    of f's `_integer_model` (g, b, disc)."""
     if b % p == 0:
         raise BadPrime(f"{p} divides the leading coefficient")
-    disc %= p
-    if disc == 0:
+    if disc % p == 0:
         raise BadPrime(f"{p} divides the discriminant")
+
+
+def _cycle_type(g: list[int], b: int, disc: int, p: int) -> tuple[int, ...]:
+    """`cycle_type_mod_p` at the prime p, for f's `_integer_model` (g, b, disc)."""
+    _require_good(b, disc, p)
     f = mod_reduce(g, p)
     n = len(f) - 1
     state = roots = None
     if 1 < n < p:  # the trace of Frobenius counts the roots exactly
-        w, _, mulmod, frobenius = state = _frobenius(f, p)
-        mask = (1 << w) - 1
-        roots = sum(row >> (w * i) & mask for i, row in enumerate(_frobenius_rows(frobenius, n, mulmod))) % p
-        left = n - roots  # the degree of the factors of degree >= 2
-        if left < 4:
-            return (1,) * roots + ((left,) if left else ())
-        if left < 6:  # one factor, of degree left, or two, of degrees 2 and left - 2
-            # Stickelberger: (disc/p) = (-1)^(n - r) = (-1)^(left - k) for k such factors
-            odd = (left + (pow(disc, (p - 1) // 2, p) == p - 1)) % 2
-            return (1,) * roots + ((left,) if odd else (2, left - 2))
+        state = _frobenius(f, [p])
+        roots = _frobenius_trace(state, n) % p
+        pattern = _trace_pattern(n, roots, disc, p)
+        if pattern is not None:
+            return pattern
     degrees: list[int] = []
     for block, d in _distinct_degree(f, p, state, roots):
         degrees += [d] * ((len(block) - 1) // d)
     return tuple(sorted(degrees))
+
+
+def _cycle_types(g: list[int], b: int, disc: int, primes: list[int]) -> list[tuple[int, ...]]:
+    """`_cycle_type` at each of `primes`, distinct good primes for f's
+    `_integer_model` (g, b, disc), from one Frobenius chain over their
+    product when all of them exceed n = deg g >= 2.  A prime whose root
+    count and parity leave the pattern open, and every prime when the chain
+    cannot count roots exactly, runs `_cycle_type` alone."""
+    n = len(g) - 1
+    if not 1 < n < min(primes):
+        return [_cycle_type(g, b, disc, p) for p in primes]
+    trace = _frobenius_trace(_frobenius(g, primes), n)
+    types = []
+    for p in primes:
+        pattern = _trace_pattern(n, trace % p, disc, p)
+        types.append(_cycle_type(g, b, disc, p) if pattern is None else pattern)
+    return types
+
+
+def _trace_pattern(n: int, roots: int, disc: int, p: int) -> "tuple[int, ...] | None":
+    """The cycle type at a good prime p > n that f's number of roots mod p
+    and Stickelberger's parity decide, or None when they leave it open."""
+    left = n - roots  # the degree of the factors of degree >= 2
+    if left < 4:
+        return (1,) * roots + ((left,) if left else ())
+    if left < 6:  # one factor, of degree left, or two, of degrees 2 and left - 2
+        # Stickelberger: (disc/p) = (-1)^(n - r) = (-1)^(left - k) for k such factors
+        odd = (left + (pow(disc, (p - 1) // 2, p) == p - 1)) % 2
+        return (1,) * roots + ((left,) if odd else (2, left - 2))
+    return None

@@ -26,13 +26,21 @@ from .algebra import (
     is_separable,
     primes_above,
 )
-from .algebra.modpoly import _cycle_type
+from .algebra.modpoly import _cycle_types, _require_good
 from .algebra.poly import _integer_model, exact_rational
 
 CERTIFIED = "certified"
 INCONCLUSIVE = "inconclusive"
 
 DEFAULT_PRIME_FLOOR = 100  # keeps accidental bad-prime clustering away
+
+# Good primes per Frobenius chain in `sample_cycle_types`.  On 20 galois
+# bench polynomials (n = 3..6, 300 primes above 100; Python 3.11, one core of
+# a shared 2-core host), a sample took 6.2, 7.4, 9.0 and 19.2 ms at n = 3..6
+# with one chain per prime, 2.3, 3.0, 3.9 and 12.9 ms with batches of 16,
+# about the same with 8, 10-25 % more with 32, and 8.0 to 27.4 ms with one
+# batch of all 300: the chain's integers grow with the product of its primes.
+CYCLE_TYPE_BATCH = 16
 
 
 class NotSquarefree(ValueError):
@@ -80,7 +88,11 @@ def sample_cycle_types(
     The prime walk is deterministic (consecutive primes ascending) and draws
     no prime once the budget is spent; past FACTOR_LIMIT `is_prime` raises
     ValueError.  f's `_integer_model` (monic model and discriminant) is built
-    once, not per prime; a zero discriminant raises NotSquarefree.
+    once, not per prime; a zero discriminant raises NotSquarefree.  Good
+    primes above n = deg f go to `_cycle_types` in batches of up to
+    CYCLE_TYPE_BATCH, one Frobenius chain over their product each; a prime
+    at or below n goes alone.  The counts are those of one prime at a time,
+    in the same order.
     """
     if f.degree < 1:
         raise ValueError("cycle types require degree >= 1")
@@ -91,16 +103,21 @@ def sample_cycle_types(
         raise NotSquarefree("polynomial has a repeated root")
     counts: dict[tuple[int, ...], int] = {}
     used = skipped = 0
+    batch: list[int] = []
     walk = primes_above(prime_floor)
     while used < prime_budget:
         p = next(walk)
         try:
-            t = _cycle_type(g, b, disc, p)
+            _require_good(b, disc, p)
         except BadPrime:
             skipped += 1
             continue
-        counts[t] = counts.get(t, 0) + 1
+        batch.append(p)
         used += 1
+        if len(batch) == CYCLE_TYPE_BATCH or used == prime_budget or p <= f.degree:
+            for t in _cycle_types(g, b, disc, batch):
+                counts[t] = counts.get(t, 0) + 1
+            batch = []
     return CycleTypeSample(f=f, counts=counts, primes_used=used, primes_skipped=skipped)
 
 

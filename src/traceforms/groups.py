@@ -15,8 +15,9 @@ Schweitzer, "Certifying algorithms", Computer Science Review 5 (2011):
       exactly {(a, x) : d | a}, d = gcd(step_0, ..., step_(p-1)): that set is
       a subgroup (dZ/m is alpha-stable), it holds every p-element, and it
       lies in their closure, as (0,1) and (step_x, x) (0,1)^(-x) = (step_x, 0)
-      are in it.  s_x depends on alpha^x alone, so x < p suffices, and (a)
-      holds exactly when d = 1.
+      are in it.  s_x depends on x mod p alone, step_0 = m, and every x != 0
+      (mod p) has step_x = step_1 (_p_steps gives the proof), so d = step_1
+      and (a) holds exactly when (1, 1)^(p^k) = e.
   (b) derived from (a): a quotient of order prime to p kills every
       p-element, so it is trivial exactly when they generate the group.
   (c) (n,0)^(m/n) = e and (n,0)^(m/(n q)) != e for each prime q | m/n give
@@ -46,8 +47,9 @@ walk are the two helpers that build elements in bulk, for the joins and the
 marking of cyclic generators too.
 
 Validity of parameters: SemidirectGroup refuses anything but p prime, k and
-m positive, p not dividing m, and alpha^p = 1 (mod m); every proof here
-assumes them, and without alpha^p = 1 the multiplication is not associative
+m positive, p not dividing m, and alpha^p = 1 (mod m), and any order m p^k
+above MAX_GROUP_ORDER; every proof here assumes the first four, and without
+alpha^p = 1 the multiplication is not associative
 (SemidirectGroup(2, 1, 15, alpha=2) would be no group).  Besides those and
 p | phi(m), construct_group requires every prime factor q of m to satisfy
 q = 1 (mod p).  That is exactly the condition under which a unit alpha of order p with
@@ -75,11 +77,12 @@ from .algebra import divisors, factorize, is_prime
 
 # groups up to this order also run the exhaustive normal-subgroup enumeration
 EXHAUSTIVE_MAX_ORDER = 300
-# construct_group refuses larger orders.  The cap bounds only the enumeration,
-# the one path of verify_group that walks elements: at order <= 300, or when
+# SemidirectGroup (so construct_group too) refuses larger orders before it
+# builds its p^k-entry table of alpha^x.  The cap bounds the enumeration, the
+# one path of verify_group that walks elements: at order <= 300, or when
 # --exhaustive forces it (group-verify --p 2 --k 1 --m 99999 --exhaustive,
 # order 199,998: about 3.9 s of CPU and 147 MiB peak, Python 3.11); the checks
-# take O(p) products for (a) and O(1) per divisor of m for (c) (without
+# take O(1) products for (a) and O(1) per divisor of m for (c) (without
 # --exhaustive, under 1 ms in verify_group)
 MAX_GROUP_ORDER = 200_000
 # the primes p that sweep_parameters walks
@@ -231,12 +234,17 @@ class SemidirectGroup:
 
 
 def _require_shape(p: int, k: int, m: int) -> None:
+    """InvalidParams unless p is prime, k and m are positive, p does not
+    divide m, and m p^k is at most MAX_GROUP_ORDER, checked in that sequence."""
     if not is_prime(p):
         raise InvalidParams(f"p = {p} is not prime")
     if k < 1 or m < 1:
         raise InvalidParams("k and m must be positive")
     if m % p == 0:
         raise InvalidParams(f"p = {p} divides m = {m}")
+    # p >= 2, so a k past the constant's bit length is too large without computing p^k
+    if k > MAX_GROUP_ORDER.bit_length() or m * p**k > MAX_GROUP_ORDER:
+        raise InvalidParams(f"order {m} * {p}^{k} exceeds MAX_GROUP_ORDER = {MAX_GROUP_ORDER}")
 
 
 def qualifying_alphas(p: int, m: int) -> list[int]:
@@ -248,16 +256,13 @@ def qualifying_alphas(p: int, m: int) -> list[int]:
 def construct_group(p: int, k: int, m: int) -> SemidirectGroup:
     """Validated construction with the smallest qualifying alpha.
 
-    Rejects what SemidirectGroup refuses (p | m last), then orders above
-    MAX_GROUP_ORDER (before m is factored), then p not dividing phi(m);
+    Rejects what SemidirectGroup's shape check refuses (p | m, then orders
+    above MAX_GROUP_ORDER, before m is factored), then p not dividing phi(m);
     additionally rejects m with a prime factor q != 1 (mod p), because then
     no unit of order p with alpha - 1 invertible exists and the Sylow
     generation property fails.
     """
     _require_shape(p, k, m)
-    # p >= 2, so a k past the constant's bit length is too large without computing p^k
-    if k > MAX_GROUP_ORDER.bit_length() or m * p**k > MAX_GROUP_ORDER:
-        raise InvalidParams(f"order {m} * {p}^{k} exceeds MAX_GROUP_ORDER = {MAX_GROUP_ORDER}")
     # p does not divide m, so p | phi(m) exactly when some prime q | m is 1 mod p
     primes = list(factorize(m))
     bad = [q for q in primes if q % p != 1]
@@ -273,13 +278,19 @@ def construct_group(p: int, k: int, m: int) -> SemidirectGroup:
 
 
 def _p_steps(group: SemidirectGroup) -> list[int]:
-    """step_x = m / gcd(s_x, m) for x < p, where (1, x)^(p^k) = (s_x, 0).
+    """[step_0, ..., step_(p-1)] = [m, step_1, ..., step_1], where step_x =
+    m / gcd(s_x, m) and (1, x)^(p^k) = (s_x, 0), from one power.
 
     By the power formula (a, x)^(p^k) = (a s_x, 0), so (a, x) is a p-element
-    exactly when step_x divides a; s_x depends on alpha^x alone, so step_x
-    serves every x' = x (mod p)."""
-    m, pk = group.m, group.pk
-    return [m // math.gcd(group.power(Element(1, x), pk).a, m) for x in range(group.p)]
+    exactly when step_x divides a, and s_x = 1 + beta + ... + beta^(p^k - 1)
+    with beta = alpha^x depends on x mod p alone.  s_0 = p^k is prime to m,
+    so step_0 = m.  For x != 0 (mod p), beta generates <alpha>, of order
+    o = 1 or p (alpha^p = 1), since x is a unit mod p; its powers run through
+    <alpha> p^k / o times each, so s_x = (p^k / o) sum(<alpha>) is the same
+    for every such x, and step_x = step_1.  Hence d = gcd(steps) = step_1,
+    and lemma (a) holds exactly when (1, 1)^(p^k) = e."""
+    m = group.m
+    return [m] + [m // math.gcd(group.power(Element(1, 1), group.pk).a, m)] * (group.p - 1)
 
 
 def p_elements(group: SemidirectGroup) -> list[Element]:
@@ -424,7 +435,7 @@ def verify_group(
         )
     # (a) and the derived half of (b) are one fact; the exhaustive half runs
     # on small groups, or when forced, and must agree with it
-    lemma_a = math.gcd(*_p_steps(group)) == 1
+    lemma_a = group.power(Element(1, 1), group.pk) == IDENTITY
     enumerated = None
     if exhaustive or group.order <= EXHAUSTIVE_MAX_ORDER:
         enumerated = quotient_check_exhaustive(group)

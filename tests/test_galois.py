@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -17,11 +18,13 @@ from traceforms.algebra import (
     is_separable,
     primes_above,
 )
+from traceforms.algebra import modpoly
 from traceforms.algebra.intmath import FACTOR_LIMIT
 from traceforms.algebra.modpoly import mod_reduce
 from traceforms.algebra.poly import _integer_model
 from traceforms.galois import (
     CERTIFIED,
+    CYCLE_TYPE_BATCH,
     INCONCLUSIVE,
     CycleTypeSample,
     NotSquarefree,
@@ -29,6 +32,7 @@ from traceforms.galois import (
     sample_cycle_types,
     sn_certificate,
 )
+from traceforms.serialize import canonical_dumps, matrix_to_json, poly_to_json, rational_to_str
 
 X = RationalPoly((0, 1))
 X2_MINUS_2 = RationalPoly((-2, 0, 1))
@@ -105,6 +109,19 @@ def test_packed_walk_matches_mod_pow_oracle():
         s = sample_cycle_types(f, 300, 100)
         assert (s.counts, s.primes_skipped) == (counts, skipped)
     assert skipped == 2
+
+
+def test_walk_runs_one_chain_per_batch(monkeypatch):
+    # 300 good primes above 100 on a quintic: every prime exceeds n and the
+    # trace and parity decide every pattern, so the walk runs one Frobenius
+    # chain per batch of CYCLE_TYPE_BATCH primes, not one per prime
+    chains = []
+    real = modpoly._frobenius
+    monkeypatch.setattr(modpoly, "_frobenius", lambda f, primes: chains.append(len(primes)) or real(f, primes))
+    s = sample_cycle_types(RationalPoly((-1, -1, 0, 0, 0, 1)), 300, 100)
+    assert s.primes_used == 300
+    assert len(chains) == math.ceil(300 / CYCLE_TYPE_BATCH) == 19
+    assert chains == [CYCLE_TYPE_BATCH] * 18 + [300 - 18 * CYCLE_TYPE_BATCH]
 
 
 def test_frequency_reads_unsorted_patterns():
@@ -226,3 +243,49 @@ def test_discriminant_of_specializations_is_generically_nonsquare():
         if squarefree_part(disc.numerator * disc.denominator) == 1:
             square_hits += 1
     assert square_hits < trials // 10
+
+
+def _report_json(r):
+    # the fields of a SpecReport as `traceforms galois` prints them, with the
+    # counts also listed in the order the walk first met each pattern
+    stats = r.cycle_stats
+    return {
+        "n": r.n,
+        "diag": [rational_to_str(e) for e in r.diag],
+        "seed": r.seed,
+        "A": matrix_to_json(r.A),
+        "f": poly_to_json(r.f),
+        "separable": r.separable,
+        "irreducible": r.irreducible,
+        "sn_verdict": r.sn_verdict,
+        "cycle_stats": None if stats is None else _sample_json(stats),
+    }
+
+
+def _sample_json(s):
+    return {
+        "counts": [[list(t), c] for t, c in s.counts.items()],
+        "primes_used": s.primes_used,
+        "primes_skipped": s.primes_skipped,
+    }
+
+
+# generic_experiment(diag, 20, 300, seed) for n = 2..8, seeds 1..3, on the
+# mixed-sign diagonals 1, -2, 3/2, -4, 5/2, ... of length n; then
+# sample_cycle_types(f, 300, prime_floor=2) for the three polynomials below
+GALOIS_SHA256 = "041d9577b44bfbfd748e5f3d47d112633bb0bb85a682209e3b4f4f4d16f82f4a"
+FLOOR_2_POLYS = (
+    RationalPoly((Fraction(1, 3), Fraction(-5, 7), 0, Fraction(3, 2))),  # bad at 3, 7 and 2087
+    RationalPoly((-1, -1, 0, 0, 0, 1)),  # x^5 - x - 1, group S_5
+    RationalPoly((3, -7, 0, 0, 0, 0, 0, 1)),  # x^7 - 7x + 3, group PSL(2, 7)
+)
+
+
+def test_galois_outputs_are_pinned():
+    reports = []
+    for n in range(2, 9):
+        diag = [(-1) ** i * Fraction(i + 1, 1 + i % 2) for i in range(n)]
+        reports += [_report_json(generic_experiment(diag, 20, 300, seed)) for seed in (1, 2, 3)]
+    samples = [_sample_json(sample_cycle_types(f, 300, prime_floor=2)) for f in FLOOR_2_POLYS]
+    blob = canonical_dumps({"experiments": reports, "floor_2": samples})
+    assert hashlib.sha256(blob.encode()).hexdigest() == GALOIS_SHA256

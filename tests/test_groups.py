@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+import time
 
 import pytest
 from group_oracles import conjugate, hand_built_groups, inverse
@@ -107,6 +108,18 @@ def test_a_hand_built_group_must_be_a_group():
             SemidirectGroup(p, k, m, alpha=1)
     # alpha = 1 mod 1 is 0, and Z/1 x| Z/2 is the group Z/2
     assert verify_group(SemidirectGroup(2, 1, 1, alpha=0))["all_pass"]
+
+
+def test_a_hand_built_group_is_capped_before_its_table():
+    # the constructor builds a p^k-entry table of alpha^x, so it refuses an
+    # order past the cap first: k = 17 (order 393,216) is the first power of
+    # 2 past the cap at m = 3, and k = 40 would ask for 2^40 entries
+    started = time.perf_counter()
+    for k in (17, 40, 10**6):
+        with pytest.raises(InvalidParams, match=f"MAX_GROUP_ORDER = {MAX_GROUP_ORDER}"):
+            SemidirectGroup(2, k, 3, alpha=2)
+    assert time.perf_counter() - started < 1
+    assert SemidirectGroup(2, 16, 3, alpha=2).order == 196_608 <= MAX_GROUP_ORDER
 
 
 def test_multiplication_law():

@@ -1,7 +1,9 @@
 """Property-based differential tests of the Z/qZ list kernel and its users."""
 
+import math
 import random
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -15,11 +17,13 @@ from traceforms.algebra import (
     is_irreducible_over_rationals,
     is_prime,
     next_prime,
+    primes_above,
 )
 from traceforms.algebra import modpoly
 from traceforms.algebra.intmath import FACTOR_LIMIT
 from traceforms.algebra.modpoly import (
     _cycle_type,
+    _cycle_types,
     _distinct_degree,
     _pack,
     _slotwise_mod,
@@ -303,10 +307,46 @@ def test_small_degrees_above_the_degree_run_no_gcd(monkeypatch):
     assert calls == []
 
 
+def test_batched_chain_matches_one_prime_at_a_time():
+    # `_cycle_types` on a batch of good primes against `_cycle_type` at each,
+    # and the oracle's splitting: f of degree 2..12, batches of 1..40 primes
+    # from the walk above 2 or 100, some with a prime of 10, 17, 31 or 61
+    # bits added, so the chain's primes differ in bit length; the walk above
+    # 2 reaches primes at or below n, and the root-poor patterns of n >= 6,
+    # which the trace and parity leave open, are reached at both floors
+    rng = random.Random(39)
+    far = [1009, 65537, 2**31 - 1, 2**61 - 1]
+    small = opened = 0
+    for _ in range(100):
+        n = rng.randint(2, 12)
+        f = RationalPoly([rng.randint(-30, 30) for _ in range(n)] + [rng.choice([1, 2, 3, 6])])
+        g, b, disc = _integer_model(f)
+        if disc == 0:
+            continue
+        size = rng.randint(1, 40)
+        primes = [p for p in islice(primes_above(rng.choice([2, 100])), 2 * size + 4) if b % p and disc % p]
+        primes = primes[:size] + [p for p in rng.sample(far, rng.randint(0, 2)) if b % p and disc % p]
+        expected = {p: _cycle_type(g, b, disc, p) for p in primes}
+        assert list(expected.values()) == [_oracle_pattern(g, p) for p in primes], f
+        for batch in (primes, [p for p in primes if p > n]):
+            if batch:
+                assert _cycle_types(g, b, disc, batch) == [expected[p] for p in batch], (f, batch)
+        small += sum(p <= n for p in primes)
+        opened += sum(p > n and n - t.count(1) >= 6 for p, t in expected.items())
+    assert small > 50 and opened > 20
+
+
+# the moduli of batched Frobenius chains: products of 16 primes above 100,
+# and of the 16 largest primes below 2^61
+PRIMES_ABOVE_100 = [p for p in range(101, 200) if is_prime(p)][:16]
+PRIMES_BELOW_2_61 = list(islice((p for p in range(2**61 - 1, 2**60, -2) if is_prime(p)), 16))
+
+
 def test_slotwise_mod_at_the_slot_bounds():
     # every slot at 0, p - 1, p, 2p - 1 and 2^b - 1, the largest the
-    # reduction takes, alike and mixed, against per-slot % p
-    for p in (2, 3, 1009, 2**61 - 1, LARGEST_PRIME):
+    # reduction takes, alike and mixed, against per-slot % p; Barrett needs
+    # no prime, so composite moduli reduce alike
+    for p in (2, 3, 1009, 2**61 - 1, LARGEST_PRIME, math.prod(PRIMES_ABOVE_100), math.prod(PRIMES_BELOW_2_61)):
         for n in (1, 2, 7, 48):
             w, reduce = _slotwise_mod(n, p)
             edges = [0, p - 1, p, 2 * p - 1, (1 << (2 * n * p * p).bit_length()) - 1]
