@@ -4,9 +4,11 @@ Pipeline: take f's monic integer model and its primitive part's discriminant
 (`poly._integer_model`), rule out repeated factors by the discriminant, and
 read the cycle types of f at the first few good primes (dividing neither
 leading coefficient nor discriminant) by `modpoly._cycle_type`, as the Galois
-sampler does: at p > n it first reads the trace of Frobenius (the root count)
-and the discriminant's parity (Stickelberger), and runs distinct-degree
-splitting of the model only when these leave the pattern open.  An
+sampler does: at p > n it first reads the trace of Frobenius (the root
+count), the discriminant's parity (Stickelberger) and, when these leave
+six or more degrees open, the trace of Frobenius squared (the quadratic
+factors), and runs distinct-degree splitting of the model only when these
+leave the pattern open, which never happens for n <= 7.  An
 irreducible image or disjoint degree subset-sum sets decide at once;
 otherwise the same model is factored mod the good prime with the fewest
 factors (its image there is squarefree), Hensel-lifted past twice the

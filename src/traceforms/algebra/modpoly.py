@@ -42,24 +42,32 @@ Frobenius rows x^(i p) mod f, i < n (the transpose of Berlekamp's Q matrix,
 §14.2), with slots below n p^2.  h is unpacked to a list only for the gcd,
 a remainder-only Euclid that reduces copies of its inputs in place.
 
-Cycle types at a prime p > n >= 2 first read two exact facts off those
-rows and the discriminant, and run gcds only when these leave the pattern
-open.  The trace of the Frobenius map a -> a^p on F_p[x]/(f), whose matrix
-has the rows x^(i p) mod f (Berlekamp's Q, Bell Syst. Tech. J. 46, 1967),
-counts the roots of f in F_p mod p: on a factor field F_(p^d) Frobenius has
-characteristic polynomial x^d - 1, so trace 0 unless d = 1.  The count is
-at most n < p, so it is exact.  Stickelberger's theorem (Swan, Pacific J.
-Math. 12, 1962) gives the parity of the number r of irreducible factors:
-(disc/p) = (-1)^(n - r) at odd p, read by Euler's criterion on the
-discriminant of f's primitive part b h, which differs from disc(g) by the
-square b^((n-1)(n-2)).  Let R be n less the root count, the degree of the
-factors of degree >= 2.  These are (R) for R < 4, and (R) or (2, R - 2) for
-R = 4, 5, told apart by the parity.  So every n <= 5, and every n = 6 with
-a root, needs no gcd.  Otherwise distinct-degree splitting continues on
-the same packed rows, skipping the first gcd when there is no root.  At
-p <= n the trace is only the count mod p, and there, as in `factor_mod_p`,
-which needs the blocks, and at n = 1, distinct-degree splitting alone
-decides.
+Cycle types at a prime p > n >= 2 first read exact facts off those rows
+and the discriminant, and run gcds only when these leave the pattern open.
+Let f have a_e irreducible factors of degree e mod p.  As f is squarefree,
+F_p[x]/(f) is the product of the fields F_(p^e), one per factor, and the
+Frobenius map a -> a^p, whose matrix has the rows x^(i p) mod f
+(Berlekamp's Q, Bell Syst. Tech. J. 46, 1967), acts on each: on F_(p^e) it
+generates the cyclic Galois group of order e, so it permutes a normal basis
+cyclically and has characteristic polynomial x^e - 1.  Its square then has
+trace e when e divides 2 and 0 otherwise, so Tr(Q) = a_1, the number of
+roots of f in F_p, and Tr(Q^2) = a_1 + 2 a_2 mod p.  Both are at most
+n < p, so both are exact; Tr(Q^2) = sum over i, j of Q[i][j] Q[j][i] needs
+the n^2 products of the rows' slots, not a matrix product.  Stickelberger's
+theorem (Swan, Pacific J. Math. 12, 1962) gives the parity of the number r
+of irreducible factors: (disc/p) = (-1)^(n - r) at odd p, read by Euler's
+criterion on the discriminant of f's primitive part b h, which differs
+from disc(g) by the square b^((n-1)(n-2)).  Let L = n - a_1, the degree of
+the factors of degree >= 2.  These are (L) for L < 4, and (L) or (2, L - 2)
+for L = 4, 5, told apart by the parity.  Only at L >= 6 is Tr(Q^2) taken,
+so every n <= 5, and every n = 6 with a root, reads the root count and
+the parity alone.  Then a_2 = (Tr(Q^2) - a_1) / 2, and R = L - 2 a_2, the
+degree of the factors of degree >= 3, is one factor (R) for R in {0, 3, 4,
+5}, and (R) or (3, R - 3) for R = 6, 7, told apart by the parity.  So every
+n <= 7 needs no gcd.  At R >= 8 distinct-degree splitting continues on the
+same packed rows, skipping the first gcd when there is no root.  At p <= n
+the traces are only counts mod p, and there, as in `factor_mod_p`, which
+needs the blocks, and at n = 1, distinct-degree splitting alone decides.
 
 Many primes share one chain.  Barrett's reduction needs no prime, so the
 packed arithmetic runs unchanged modulo the product P = p_1 ... p_B of
@@ -71,14 +79,18 @@ p_i, from the top, by h <- h^2 u_j with u_j = 1 + c_j (x - 1), where c_j is
 the sum of the e_i over the p_i whose bit j is set: u_j is x mod those p_i
 and 1 mod the others, so mod each p_i the chain is that prime's own.  A c_j
 of 0 makes the step a square, and a c_j of 1 the "square, then times x"
-step; at one prime every c_j is 0 or 1, so a one-prime chain is exactly the
-single-prime powering above.  n - 2 more products give the rows
+step; at one prime the idempotent is 1 and the c_j are the bits of p, read
+with no CRT set-up, so a one-prime chain is exactly the single-prime
+powering above.  n - 2 more products give the rows
 x^(i p_i) mod (f, P), and the sum of their diagonal slots is the trace of
 Frobenius mod P.  Reduced mod p_i it is the root count mod p_i, exact because
 the count is at most n < p_i; the parity is read per prime from the
-discriminant, as above.  `_cycle_types` reads a batch of good primes above n
-so; a prime whose count and parity leave the pattern open runs `_cycle_type`
-alone, so no gcd runs modulo a product.  The slots widen with P (about 540
+discriminant, as above.  Likewise the one sum of Q[i][j] Q[j][i] over the
+rows mod P, taken at the batch's first prime that needs it, is Tr(Q^2) mod
+each p_i.  `_cycle_types` reads a batch of good primes above n so, sharing
+with `_cycle_type` the one decision above; a prime that it leaves open
+(R >= 8, so n >= 8) runs `_cycle_type` alone, so no gcd runs modulo a
+product.  The slots widen with P (about 540
 bits for 16 primes near 2,000), and the batch size `galois.CYCLE_TYPE_BATCH`
 balances those wider products against the chains saved.
 """
@@ -249,7 +261,19 @@ def _frobenius(f: list[int], primes):
     outside [0, P).
     """
     n = len(f) - 1
-    q = math.prod(primes)
+    if len(primes) == 1:  # the idempotent is 1, so the c_j are the bits of p
+        q = primes[0]
+        steps = [q >> j & 1 for j in range(q.bit_length() - 1, -1, -1)]
+    else:
+        # c_j: the sum of the idempotents of the primes with bit j set, so that
+        # u_j = 1 + c_j (x - 1) is x mod those primes and 1 mod the others
+        q = math.prod(primes)
+        steps = [0] * max(primes).bit_length()
+        for p, e in zip(primes, crt_idempotents(primes)):
+            for j, bit in enumerate(bin(p)[:1:-1]):
+                if bit == "1":
+                    steps[j] = (steps[j] + e) % q
+        steps.reverse()
     w, reduce = _slotwise_mod(n, q)
     mask, low, top = (1 << w) - 1, (1 << (n * w)) - 1, n * w
     rows = [_pack([-c % q for c in f[:n]], w)]
@@ -267,16 +291,9 @@ def _frobenius(f: list[int], primes):
             high >>= w
         return reduce(acc)
 
-    # c_j: the sum of the idempotents of the primes with bit j set, so that
-    # u_j = 1 + c_j (x - 1) is x mod those primes and 1 mod the others
-    steps = [0] * max(primes).bit_length()
-    for p, e in zip(primes, crt_idempotents(primes)):
-        for j, bit in enumerate(bin(p)[:1:-1]):
-            if bit == "1":
-                steps[j] = (steps[j] + e) % q
-    c = steps.pop()
+    c = steps[0]
     packed = (1 - c) % q | c << w  # u_j packed, at the top bit: x for one prime
-    for c in reversed(steps):
+    for c in steps[1:]:
         if c == 1:  # "square, then times x"
             packed = mulmod(packed, packed << w)
         else:
@@ -301,6 +318,15 @@ def _frobenius_trace(state, n: int) -> int:
     w, _, mulmod, frobenius = state
     mask = (1 << w) - 1
     return sum(row >> (w * i) & mask for i, row in enumerate(_frobenius_rows(frobenius, n, mulmod)))
+
+
+def _frobenius_square_trace(state, n: int) -> int:
+    """The sum over i, j of Q[i][j] Q[j][i], the entries Q[i][j] the slots of
+    the Frobenius rows of `_frobenius_trace`'s state (which built all n):
+    congruent to the trace of Frobenius squared mod each of its primes."""
+    w, _, _, frobenius = state
+    matrix = [_unpack(row, w, n) for row in frobenius]
+    return sum(a * b for row, column in zip(matrix, zip(*matrix)) for a, b in zip(row, column))
 
 
 def _distinct_degree(f: list[int], p: int, state=None, roots=None) -> list[tuple[list[int], int]]:
@@ -413,9 +439,10 @@ def cycle_type_mod_p(f: RationalPoly, p: int) -> tuple[int, ...]:
     does not reflect a Frobenius cycle type).  Otherwise f's monic model is
     squarefree mod p with the same factor degrees as f.  At p > n = deg f >= 2
     the trace of Frobenius (Berlekamp's Q matrix) counts the linear factors,
-    and Stickelberger's theorem, (disc/p) = (-1)^(n - r), gives the parity of
-    the factor count r; the module docstring says when these decide the
-    pattern, which is always for n <= 5.  Otherwise distinct-degree splitting
+    the trace of its square the quadratic ones, and Stickelberger's theorem,
+    (disc/p) = (-1)^(n - r), gives the parity of the factor count r; the
+    module docstring says when these decide the pattern, which is always for
+    n <= 7.  Otherwise distinct-degree splitting
     gives it, on the same Frobenius rows: a degree-k block of degree-d
     factors holds k/d of them.  Raises ValueError unless p is a prime at most
     FACTOR_LIMIT.
@@ -441,10 +468,10 @@ def _cycle_type(g: list[int], b: int, disc: int, p: int) -> tuple[int, ...]:
     f = mod_reduce(g, p)
     n = len(f) - 1
     state = roots = None
-    if 1 < n < p:  # the trace of Frobenius counts the roots exactly
+    if 1 < n < p:  # the traces of Frobenius and its square count exactly
         state = _frobenius(f, [p])
         roots = _frobenius_trace(state, n) % p
-        pattern = _trace_pattern(n, roots, disc, p)
+        pattern = _trace_pattern(n, roots, lambda: _frobenius_square_trace(state, n), disc, p)
         if pattern is not None:
             return pattern
     degrees: list[int] = []
@@ -456,28 +483,49 @@ def _cycle_type(g: list[int], b: int, disc: int, p: int) -> tuple[int, ...]:
 def _cycle_types(g: list[int], b: int, disc: int, primes: list[int]) -> list[tuple[int, ...]]:
     """`_cycle_type` at each of `primes`, distinct good primes for f's
     `_integer_model` (g, b, disc), from one Frobenius chain over their
-    product when all of them exceed n = deg g >= 2.  A prime whose root
-    count and parity leave the pattern open, and every prime when the chain
-    cannot count roots exactly, runs `_cycle_type` alone."""
+    product when all of them exceed n = deg g >= 2: the traces of Frobenius
+    and, at the first prime that needs it, of its square, taken once over
+    the product, decide every prime's pattern for n <= 7.  A prime they
+    leave open (n >= 8 only), and every prime when the chain cannot count
+    exactly, runs `_cycle_type` alone."""
     n = len(g) - 1
     if not 1 < n < min(primes):
         return [_cycle_type(g, b, disc, p) for p in primes]
-    trace = _frobenius_trace(_frobenius(g, primes), n)
+    state = _frobenius(g, primes)
+    trace = _frobenius_trace(state, n)
+    squares: list[int] = []  # Tr(Q^2) over the product, taken at most once
+
+    def square_trace() -> int:
+        if not squares:
+            squares.append(_frobenius_square_trace(state, n))
+        return squares[0]
+
     types = []
     for p in primes:
-        pattern = _trace_pattern(n, trace % p, disc, p)
+        pattern = _trace_pattern(n, trace % p, square_trace, disc, p)
         types.append(_cycle_type(g, b, disc, p) if pattern is None else pattern)
     return types
 
 
-def _trace_pattern(n: int, roots: int, disc: int, p: int) -> "tuple[int, ...] | None":
-    """The cycle type at a good prime p > n that f's number of roots mod p
-    and Stickelberger's parity decide, or None when they leave it open."""
+def _trace_pattern(n: int, roots: int, square_trace, disc: int, p: int) -> "tuple[int, ...] | None":
+    """The cycle type at a good prime p > n that f's number of roots mod p,
+    Stickelberger's parity and, when these two leave it open, the number of
+    quadratic factors decide, or None when all three leave it open.
+    `square_trace()` is congruent mod p to the trace of Frobenius squared."""
     left = n - roots  # the degree of the factors of degree >= 2
     if left < 4:
         return (1,) * roots + ((left,) if left else ())
-    if left < 6:  # one factor, of degree left, or two, of degrees 2 and left - 2
-        # Stickelberger: (disc/p) = (-1)^(n - r) = (-1)^(left - k) for k such factors
-        odd = (left + (pow(disc, (p - 1) // 2, p) == p - 1)) % 2
-        return (1,) * roots + ((left,) if odd else (2, left - 2))
-    return None
+    head, pairs, small = (1,) * roots, 0, 2
+    if left >= 6:  # Tr(Q^2) = roots + 2 pairs, for pairs quadratic factors
+        pairs = (square_trace() % p - roots) // 2
+        head += (2,) * pairs
+        left -= 2 * pairs  # now the degree of the factors of degree >= 3
+        small = 3
+        if left < 6:
+            return head + ((left,) if left else ())
+        if left >= 8:
+            return None
+    # one factor, of degree left, or two, of degrees small and left - small;
+    # Stickelberger: (disc/p) = (-1)^(n - r) = (-1)^(pairs + left - k) for k such factors
+    one = (pairs + left + (pow(disc, (p - 1) // 2, p) == p - 1)) % 2
+    return head + ((left,) if one else (small, left - small))

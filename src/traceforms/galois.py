@@ -35,11 +35,12 @@ INCONCLUSIVE = "inconclusive"
 DEFAULT_PRIME_FLOOR = 100  # keeps accidental bad-prime clustering away
 
 # Good primes per Frobenius chain in `sample_cycle_types`.  On 20 galois
-# bench polynomials (n = 3..6, 300 primes above 100; Python 3.11, one core of
-# a shared 2-core host), a sample took 6.2, 7.4, 9.0 and 19.2 ms at n = 3..6
-# with one chain per prime, 2.3, 3.0, 3.9 and 12.9 ms with batches of 16,
-# about the same with 8, 10-25 % more with 32, and 8.0 to 27.4 ms with one
-# batch of all 300: the chain's integers grow with the product of its primes.
+# bench polynomials per degree (n = 3..6, 300 primes above 100; Python 3.11,
+# one core of a shared 2-core host, medians of process time), a sample takes
+# 2.5, 3.4, 4.5 and 5.8 ms at n = 3..6 with batches of 16, about the same
+# with 8 (2.7, 3.6, 4.5 and 5.9 ms) and 11-21 % more with 32: the chain's
+# integers grow with the product of its primes.  The batch's own rows decide
+# every pattern at n <= 7, so no prime redoes its chain alone.
 CYCLE_TYPE_BATCH = 16
 
 

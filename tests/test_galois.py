@@ -124,6 +124,22 @@ def test_walk_runs_one_chain_per_batch(monkeypatch):
     assert chains == [CYCLE_TYPE_BATCH] * 18 + [300 - 18 * CYCLE_TYPE_BATCH]
 
 
+def test_walk_above_the_degree_runs_no_lone_chain_and_no_gcd(monkeypatch):
+    # 300 good primes above 100 on x^6 - x - 1 and x^7 - x - 1: the batch's
+    # traces of Frobenius and its square, with the parity, decide every
+    # pattern, the rootless ones included, so no prime runs `_cycle_type`
+    # alone and no gcd runs
+    lone, gcds = [], []
+    cycle_type, gcd = modpoly._cycle_type, modpoly.mod_gcd
+    monkeypatch.setattr(modpoly, "_cycle_type", lambda g, b, disc, p: lone.append(p) or cycle_type(g, b, disc, p))
+    monkeypatch.setattr(modpoly, "mod_gcd", lambda a, b, q: gcds.append(q) or gcd(a, b, q))
+    for n in (6, 7):
+        s = sample_cycle_types(RationalPoly((-1, -1) + (0,) * (n - 2) + (1,)), 300, 100)
+        assert s.primes_used == 300
+        assert sum(c for t, c in s.counts.items() if n - t.count(1) >= 6) > 50, s.counts
+    assert lone == [] and gcds == []
+
+
 def test_frequency_reads_unsorted_patterns():
     s = sample_cycle_types(X3_MINUS_X_MINUS_1, 100)
     assert s.frequency((1, 2)) == s.frequency((2, 1)) == Fraction(1, 2)

@@ -210,9 +210,11 @@ def _with_pattern(pattern: tuple[int, ...], p: int) -> list[int]:
     return f
 
 
-# pairs of patterns with one degree and one root count: the parity of the
-# factor count tells the first three pairs apart, and the degree-6 pairs,
-# whose counts have one parity, fall through to distinct-degree splitting
+# pairs of patterns with one degree and one root count.  Below six degrees
+# of factors of degree >= 2, the parity of the factor count tells a pair
+# apart; from six on, Tr(Q^2) gives the number of quadratic factors, which
+# tells apart (6)/(2,2,2), (3,3)/(2,4) and (2,5)/(2,2,3), and the parity
+# then splits (6)/(3,3) and (7)/(3,4)
 PARITY_PAIRS = [
     ((4,), (2, 2)),
     ((5,), (2, 3)),
@@ -222,6 +224,10 @@ PARITY_PAIRS = [
     ((6,), (2, 2, 2)),
     ((3, 3), (2, 4)),
     ((1, 6), (1, 2, 2, 2)),
+    ((6,), (3, 3)),
+    ((2, 2, 2), (2, 4)),
+    ((7,), (3, 4)),
+    ((2, 5), (2, 2, 3)),
 ]
 
 
@@ -271,8 +277,10 @@ def test_stickelberger_reads_the_integer_model_discriminant(f, p):
 
 
 def test_small_degrees_above_the_degree_run_no_gcd(monkeypatch):
-    # the trace and the parity decide every n <= 5 at p > n, and every n = 6
-    # with a root; at p <= n distinct-degree splitting still runs its gcds
+    # the traces of Frobenius and its square, with the parity, decide every
+    # n <= 7 at p > n; at p <= n distinct-degree splitting still runs its
+    # gcds, and so does a degree-8 pattern with 8 degrees in factors of
+    # degree >= 3, such as (4, 4)
     calls = []
 
     def counting_gcd(a, b, q):
@@ -281,9 +289,9 @@ def test_small_degrees_above_the_degree_run_no_gcd(monkeypatch):
 
     monkeypatch.setattr(modpoly, "mod_gcd", counting_gcd)
     rng = random.Random(33)
-    checked = small = 0
-    while checked < 300:
-        n = rng.randint(1, 6)
+    checked = small = square_traced = 0
+    while checked < 400:
+        n = rng.randint(1, 7)
         f = RationalPoly([rng.randint(-20, 20) for _ in range(n)] + [rng.choice([1, 2, 3])])
         p = rng.choice([next_prime(n), 101, 2**31 - 1] + [k for k in range(2, n + 1) if is_prime(k)])
         calls.clear()
@@ -292,12 +300,16 @@ def test_small_degrees_above_the_degree_run_no_gcd(monkeypatch):
         except BadPrime:
             continue
         checked += 1
-        if p > n and (n <= 5 or 1 in pattern):
+        if p > n:
             assert calls == [], (f, p, pattern)
+            square_traced += n - pattern.count(1) >= 6
         elif p <= n and n >= 2:
             assert calls, (f, p, pattern)
             small += 1
-    assert small > 20
+    assert small > 20 and square_traced > 20
+    for p in (11, 101):
+        calls.clear()
+        assert cycle_type_mod_p(RationalPoly(_with_pattern((4, 4), p)), p) == (4, 4) and calls
     # x^5 - x - 1 is irreducible mod 5 (Artin-Schreier) and mod 7 has a root
     x5 = RationalPoly((-1, -1, 0, 0, 0, 1))
     calls.clear()
@@ -310,13 +322,18 @@ def test_small_degrees_above_the_degree_run_no_gcd(monkeypatch):
 def test_batched_chain_matches_one_prime_at_a_time():
     # `_cycle_types` on a batch of good primes against `_cycle_type` at each,
     # and the oracle's splitting: f of degree 2..12, batches of 1..40 primes
-    # from the walk above 2 or 100, some with a prime of 10, 17, 31 or 61
-    # bits added, so the chain's primes differ in bit length; the walk above
-    # 2 reaches primes at or below n, and the root-poor patterns of n >= 6,
-    # which the trace and parity leave open, are reached at both floors
+    # from the walk above 2, n + 1, 100, 10^3 or 10^6, some with a prime of
+    # 17, 31 or 61 bits or the largest proven prime added, so the chain's
+    # primes differ in bit length.  The walk above 2 reaches primes at or
+    # below n.  Where the root count leaves six or more degrees in factors of
+    # degree >= 2, Tr(Q^2) = roots + 2 pairs gives the quadratic factors, and
+    # R, the degree left in factors of degree >= 3, is one part, two parts
+    # that the parity splits (R = 6, 7), or left to distinct-degree splitting
+    # (R >= 8); each case is reached
     rng = random.Random(39)
-    far = [1009, 65537, 2**31 - 1, 2**61 - 1]
-    small = opened = 0
+    far = [65537, 2**31 - 1, 2**61 - 1, LARGEST_PRIME]
+    small = 0
+    rests = {"R <= 5": 0, "R = 6, 7": 0, "R >= 8": 0}
     for _ in range(100):
         n = rng.randint(2, 12)
         f = RationalPoly([rng.randint(-30, 30) for _ in range(n)] + [rng.choice([1, 2, 3, 6])])
@@ -324,7 +341,8 @@ def test_batched_chain_matches_one_prime_at_a_time():
         if disc == 0:
             continue
         size = rng.randint(1, 40)
-        primes = [p for p in islice(primes_above(rng.choice([2, 100])), 2 * size + 4) if b % p and disc % p]
+        walk = primes_above(rng.choice([2, 2, n + 1, 100, 1000, 10**6]))
+        primes = [p for p in islice(walk, 2 * size + 4) if b % p and disc % p]
         primes = primes[:size] + [p for p in rng.sample(far, rng.randint(0, 2)) if b % p and disc % p]
         expected = {p: _cycle_type(g, b, disc, p) for p in primes}
         assert list(expected.values()) == [_oracle_pattern(g, p) for p in primes], f
@@ -332,8 +350,11 @@ def test_batched_chain_matches_one_prime_at_a_time():
             if batch:
                 assert _cycle_types(g, b, disc, batch) == [expected[p] for p in batch], (f, batch)
         small += sum(p <= n for p in primes)
-        opened += sum(p > n and n - t.count(1) >= 6 for p, t in expected.items())
-    assert small > 50 and opened > 20
+        for p, t in expected.items():
+            if p > n and n - t.count(1) >= 6:
+                rest = n - t.count(1) - 2 * t.count(2)
+                rests["R <= 5" if rest <= 5 else "R = 6, 7" if rest <= 7 else "R >= 8"] += 1
+    assert small > 50 and min(rests.values()) > 20, (small, rests)
 
 
 # the moduli of batched Frobenius chains: products of 16 primes above 100,
