@@ -3,12 +3,13 @@
 Pipeline: take f's monic integer model and its primitive part's discriminant
 (`poly._integer_model`), rule out repeated factors by the discriminant, and
 read the cycle types of f at the first few good primes (dividing neither
-leading coefficient nor discriminant) by `modpoly._cycle_type`, as the Galois
-sampler does: at p > n it first reads the trace of Frobenius (the root
-count), the discriminant's parity (Stickelberger) and, when these leave
-six or more degrees open, the trace of Frobenius squared (the quadratic
-factors), and runs distinct-degree splitting of the model only when these
-leave the pattern open, which never happens for n <= 7.  An
+leading coefficient nor discriminant) by `modpoly._cycle_types`, one prime
+per call, the routine that the Galois sampler calls on all its primes at
+once: at p > n it first reads the trace of Frobenius (the root count), the
+discriminant's parity (Stickelberger) and, when these leave six or more
+degrees open, the trace of Frobenius squared (the quadratic factors), and
+runs distinct-degree splitting of the model only when these leave the
+pattern open, which never happens for n <= 7.  An
 irreducible image or disjoint degree subset-sum sets decide at once;
 otherwise the same model is factored mod the good prime with the fewest
 factors (its image there is squarefree), Hensel-lifted past twice the
@@ -27,7 +28,7 @@ from itertools import combinations
 from .intmath import primes_above
 from .modpoly import (
     BadPrime,
-    _cycle_type,
+    _cycle_types,
     factor_mod_p,
     mod_add,
     mod_divmod,
@@ -142,7 +143,7 @@ def is_irreducible_over_rationals(f: RationalPoly) -> bool:
     candidates: list[tuple[int, int]] = []
     for p in primes_above(1):
         try:
-            degrees = _cycle_type(work, b, disc, p)
+            degrees = _cycle_types(work, b, disc, [p])[0]
         except BadPrime:
             continue
         possible &= _subset_sums(degrees)

@@ -86,13 +86,16 @@ x^(i p_i) mod (f, P), and the sum of their diagonal slots is the trace of
 Frobenius mod P.  Reduced mod p_i it is the root count mod p_i, exact because
 the count is at most n < p_i; the parity is read per prime from the
 discriminant, as above.  Likewise the one sum of Q[i][j] Q[j][i] over the
-rows mod P, taken at the batch's first prime that needs it, is Tr(Q^2) mod
-each p_i.  `_cycle_types` reads a batch of good primes above n so, sharing
-with `_cycle_type` the one decision above; a prime that it leaves open
-(R >= 8, so n >= 8) runs `_cycle_type` alone, so no gcd runs modulo a
-product.  The slots widen with P (about 540
-bits for 16 primes near 2,000), and the batch size `galois.CYCLE_TYPE_BATCH`
-balances those wider products against the chains saved.
+rows mod P, taken at the chain's first prime that needs it, is Tr(Q^2) mod
+each p_i.  `_cycle_types`, the one cycle-type routine, decides the
+batching: it takes any distinct primes, chains those above n in
+consecutive groups of CYCLE_TYPE_BATCH, and reads every pattern that the
+traces and the parity decide.  A prime at or below n, and a prime that the
+traces leave open (R >= 8, so n >= 8), goes to distinct-degree splitting,
+which reuses the chain's root count, and a one-prime chain's rows as well,
+so no gcd runs modulo a product.  The slots widen with P (about 540 bits
+for 16 primes near 2,000), and CYCLE_TYPE_BATCH balances those wider
+products against the chains saved.
 """
 
 from __future__ import annotations
@@ -103,6 +106,15 @@ from itertools import zip_longest
 
 from .intmath import crt_idempotents, is_prime
 from .poly import RationalPoly, _integer_model
+
+# Good primes above n per Frobenius chain in `_cycle_types`.  On 20 galois
+# bench polynomials per degree (n = 3..6, 300 primes above 100; Python 3.11,
+# one core of a shared 2-core host, medians of process time), a sample takes
+# 2.5, 3.4, 4.5 and 5.8 ms at n = 3..6 with batches of 16, about the same
+# with 8 (2.7, 3.6, 4.5 and 5.9 ms) and 11-21 % more with 32: the chain's
+# integers grow with the product of its primes.  The chain's own rows decide
+# every pattern at n <= 7, so no prime redoes its chain alone.
+CYCLE_TYPE_BATCH = 16
 
 
 class BadPrime(ValueError):
@@ -249,16 +261,18 @@ def _unpack(h: int, w: int, n: int) -> list[int]:
 
 def _frobenius(f: list[int], primes):
     """Packed arithmetic mod (f, P) for monic f of degree n >= 2 and P the
-    product of the distinct `primes`, and x^p mod (f, p) for every p in them.
+    product of the distinct `primes`, and the Frobenius rows mod (f, p) for
+    every p in them.
 
-    Returns (w, reduce, mulmod, frobenius): the slot width and slotwise
-    reduction mod P of `_slotwise_mod`, mulmod(a, b) = a b mod (f, P) on
-    packed a and b, and frobenius = [1, h], the first packed Frobenius rows,
-    with h = x^p mod (f, p) for each p (by the Chinese remainder theorem),
-    which `_frobenius_rows` extends.  The module docstring describes the rows
-    x^n, ..., x^(2n-1) mod f that products reduce against, x^(n+k+1) =
-    x x^(n+k), and the one powering chain over P.  f's coefficients may lie
-    outside [0, P).
+    Returns (w, reduce, rows): the slot width and slotwise reduction mod P of
+    `_slotwise_mod`, and all n packed Frobenius rows x^(i p) mod f, i < n,
+    each congruent mod every p to that prime's own (by the Chinese remainder
+    theorem).  Row 1, h = x^p, comes from the one powering chain over P, and
+    each later row is the last times h, one product each, except that a row
+    x^k with k < 2n, which only a single prime p < n has, is x^k itself or
+    one of the powers x^n, ..., x^(2n-1) mod f that products reduce
+    against.  The module docstring describes those powers, x^(n+k+1) =
+    x x^(n+k), and the chain.  f's coefficients may lie outside [0, P).
     """
     n = len(f) - 1
     if len(primes) == 1:  # the idempotent is 1, so the c_j are the bits of p
@@ -276,18 +290,18 @@ def _frobenius(f: list[int], primes):
         steps.reverse()
     w, reduce = _slotwise_mod(n, q)
     mask, low, top = (1 << w) - 1, (1 << (n * w)) - 1, n * w
-    rows = [_pack([-c % q for c in f[:n]], w)]
-    while len(rows) < n:
-        shifted = rows[-1] << w
-        rows.append(reduce((shifted & low) + (shifted >> top) * rows[0]))
+    powers = [_pack([-c % q for c in f[:n]], w)]
+    while len(powers) < n:
+        shifted = powers[-1] << w
+        powers.append(reduce((shifted & low) + (shifted >> top) * powers[0]))
 
     def mulmod(a: int, b: int) -> int:
-        # each of the product's high slots mod P times its row x^(n+k) mod f,
+        # each of the product's high slots mod P times its power x^(n+k) mod f,
         # added to the n low slots, which `reduce` then takes mod P
         prod = a * b
         high, acc = prod >> top, prod & low
-        for row in rows:
-            acc += (high & mask) % q * row
+        for power in powers:
+            acc += (high & mask) % q * power
             high >>= w
         return reduce(acc)
 
@@ -300,33 +314,11 @@ def _frobenius(f: list[int], primes):
             packed = mulmod(packed, packed)
             if c:
                 packed = mulmod(packed, (1 - c) % q | c << w)
-    return w, reduce, mulmod, [1, packed]
-
-
-def _frobenius_rows(frobenius: list[int], n: int, mulmod) -> list[int]:
-    """The packed Frobenius rows x^(i p) mod f, i < n, extended in place from
-    `_frobenius`'s [1, x^p mod f] by one product each."""
-    while len(frobenius) < n:
-        frobenius.append(mulmod(frobenius[-1], frobenius[1]))
-    return frobenius
-
-
-def _frobenius_trace(state, n: int) -> int:
-    """The sum of the diagonal slots of the Frobenius rows of `_frobenius`'s
-    state, extended to n rows: congruent to the trace of Frobenius mod each
-    of its primes."""
-    w, _, mulmod, frobenius = state
-    mask = (1 << w) - 1
-    return sum(row >> (w * i) & mask for i, row in enumerate(_frobenius_rows(frobenius, n, mulmod)))
-
-
-def _frobenius_square_trace(state, n: int) -> int:
-    """The sum over i, j of Q[i][j] Q[j][i], the entries Q[i][j] the slots of
-    the Frobenius rows of `_frobenius_trace`'s state (which built all n):
-    congruent to the trace of Frobenius squared mod each of its primes."""
-    w, _, _, frobenius = state
-    matrix = [_unpack(row, w, n) for row in frobenius]
-    return sum(a * b for row, column in zip(matrix, zip(*matrix)) for a, b in zip(row, column))
+    rows = [1, packed]
+    while len(rows) < n:
+        k = len(rows) * q  # x^k mod f for k < 2n needs no product
+        rows.append(1 << w * k if k < n else powers[k - n] if k < 2 * n else mulmod(rows[-1], packed))
+    return w, reduce, rows
 
 
 def _distinct_degree(f: list[int], p: int, state=None, roots=None) -> list[tuple[list[int], int]]:
@@ -334,7 +326,7 @@ def _distinct_degree(f: list[int], p: int, state=None, roots=None) -> list[tuple
 
     h runs through x^(p^d) mod f, packed: x^p from `_frobenius` (or from
     `state`, what it returned for this f and p), then h(x^p) = h^p as one
-    combination of the packed Frobenius rows x^(i p) mod f.  h stays reduced
+    combination of its packed Frobenius rows x^(i p) mod f.  h stays reduced
     mod f, not mod the shrinking rest: rest divides f, so gcd(h - x, rest) is
     the same.  `roots`, when given, is f's number of roots mod p; at 0 the
     first gcd, which would be 1, is skipped.
@@ -347,10 +339,10 @@ def _distinct_degree(f: list[int], p: int, state=None, roots=None) -> list[tuple
     while len(rest) - 1 >= 2 * (d + 1):  # first pass only when n >= 2
         d += 1
         if d == 1:
-            w, reduce, mulmod, frobenius = state or _frobenius(f, [p])
-            packed = frobenius[1]
+            w, reduce, rows = state or _frobenius(f, [p])
+            packed = rows[1]
         else:
-            packed = reduce(sum(c * row for c, row in zip(h, _frobenius_rows(frobenius, n, mulmod))))
+            packed = reduce(sum(c * row for c, row in zip(h, rows)))
         h = _unpack(packed, w, n)
         if d == 1 and roots == 0:
             continue
@@ -450,7 +442,7 @@ def cycle_type_mod_p(f: RationalPoly, p: int) -> tuple[int, ...]:
     if f.degree < 1:
         raise ValueError("cycle type requires degree >= 1")
     _require_proven_prime(p)
-    return _cycle_type(*_integer_model(f), p)
+    return _cycle_types(*_integer_model(f), [p])[0]
 
 
 def _require_good(b: int, disc: int, p: int) -> None:
@@ -462,49 +454,54 @@ def _require_good(b: int, disc: int, p: int) -> None:
         raise BadPrime(f"{p} divides the discriminant")
 
 
-def _cycle_type(g: list[int], b: int, disc: int, p: int) -> tuple[int, ...]:
-    """`cycle_type_mod_p` at the prime p, for f's `_integer_model` (g, b, disc)."""
-    _require_good(b, disc, p)
-    f = mod_reduce(g, p)
-    n = len(f) - 1
-    state = roots = None
-    if 1 < n < p:  # the traces of Frobenius and its square count exactly
-        state = _frobenius(f, [p])
-        roots = _frobenius_trace(state, n) % p
-        pattern = _trace_pattern(n, roots, lambda: _frobenius_square_trace(state, n), disc, p)
-        if pattern is not None:
-            return pattern
+def _cycle_types(g: list[int], b: int, disc: int, primes: list[int]) -> list[tuple[int, ...]]:
+    """`cycle_type_mod_p` at each of `primes`, distinct primes in any order,
+    for f's `_integer_model` (g, b, disc); BadPrime at a bad one.
+
+    The primes above n = deg g >= 2 run in consecutive groups of
+    CYCLE_TYPE_BATCH, one Frobenius chain over each group's product: the
+    traces of Frobenius and, at the first prime that needs it, of its
+    square, taken once over the product, decide every pattern for n <= 7.
+    A prime at or below n, and a prime that they leave open (n >= 8 only),
+    goes to distinct-degree splitting, which reuses the chain's root count,
+    and the chain's rows when the group is that one prime."""
+    n = len(g) - 1
+    types = {}
+    chained = []  # the primes where the traces count exactly
+    for p in primes:
+        _require_good(b, disc, p)
+        if 1 < n < p:
+            chained.append(p)
+        else:
+            types[p] = _split_degrees(g, p)
+    for k in range(0, len(chained), CYCLE_TYPE_BATCH):
+        group = chained[k : k + CYCLE_TYPE_BATCH]
+        w, _, rows = state = _frobenius(g, group)
+        mask = (1 << w) - 1
+        trace = sum(row >> (w * i) & mask for i, row in enumerate(rows))
+        squares: list[int] = []  # Tr(Q^2) over the product, taken at most once
+
+        def square_trace() -> int:
+            # the sum over i, j of Q[i][j] Q[j][i], Q[i][j] the slots of the rows
+            if not squares:
+                matrix = [_unpack(row, w, n) for row in rows]
+                squares.append(sum(a * b for row, column in zip(matrix, zip(*matrix)) for a, b in zip(row, column)))
+            return squares[0]
+
+        for p in group:
+            pattern = _trace_pattern(n, trace % p, square_trace, disc, p)
+            types[p] = pattern or _split_degrees(g, p, state if len(group) == 1 else None, trace % p)
+    return [types[p] for p in primes]
+
+
+def _split_degrees(g: list[int], p: int, state=None, roots=None) -> tuple[int, ...]:
+    """The cycle type of monic g at a good prime p by distinct-degree
+    splitting, a degree-k block of degree-d factors holding k/d of them;
+    `state` and `roots` as for `_distinct_degree`."""
     degrees: list[int] = []
-    for block, d in _distinct_degree(f, p, state, roots):
+    for block, d in _distinct_degree(mod_reduce(g, p), p, state, roots):
         degrees += [d] * ((len(block) - 1) // d)
     return tuple(sorted(degrees))
-
-
-def _cycle_types(g: list[int], b: int, disc: int, primes: list[int]) -> list[tuple[int, ...]]:
-    """`_cycle_type` at each of `primes`, distinct good primes for f's
-    `_integer_model` (g, b, disc), from one Frobenius chain over their
-    product when all of them exceed n = deg g >= 2: the traces of Frobenius
-    and, at the first prime that needs it, of its square, taken once over
-    the product, decide every prime's pattern for n <= 7.  A prime they
-    leave open (n >= 8 only), and every prime when the chain cannot count
-    exactly, runs `_cycle_type` alone."""
-    n = len(g) - 1
-    if not 1 < n < min(primes):
-        return [_cycle_type(g, b, disc, p) for p in primes]
-    state = _frobenius(g, primes)
-    trace = _frobenius_trace(state, n)
-    squares: list[int] = []  # Tr(Q^2) over the product, taken at most once
-
-    def square_trace() -> int:
-        if not squares:
-            squares.append(_frobenius_square_trace(state, n))
-        return squares[0]
-
-    types = []
-    for p in primes:
-        pattern = _trace_pattern(n, trace % p, square_trace, disc, p)
-        types.append(_cycle_type(g, b, disc, p) if pattern is None else pattern)
-    return types
 
 
 def _trace_pattern(n: int, roots: int, square_trace, disc: int, p: int) -> "tuple[int, ...] | None":

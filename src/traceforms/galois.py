@@ -13,6 +13,7 @@ observe the patterns yields "inconclusive", never a refutation.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -33,15 +34,6 @@ CERTIFIED = "certified"
 INCONCLUSIVE = "inconclusive"
 
 DEFAULT_PRIME_FLOOR = 100  # keeps accidental bad-prime clustering away
-
-# Good primes per Frobenius chain in `sample_cycle_types`.  On 20 galois
-# bench polynomials per degree (n = 3..6, 300 primes above 100; Python 3.11,
-# one core of a shared 2-core host, medians of process time), a sample takes
-# 2.5, 3.4, 4.5 and 5.8 ms at n = 3..6 with batches of 16, about the same
-# with 8 (2.7, 3.6, 4.5 and 5.9 ms) and 11-21 % more with 32: the chain's
-# integers grow with the product of its primes.  The batch's own rows decide
-# every pattern at n <= 7, so no prime redoes its chain alone.
-CYCLE_TYPE_BATCH = 16
 
 
 class NotSquarefree(ValueError):
@@ -89,11 +81,10 @@ def sample_cycle_types(
     The prime walk is deterministic (consecutive primes ascending) and draws
     no prime once the budget is spent; past FACTOR_LIMIT `is_prime` raises
     ValueError.  f's `_integer_model` (monic model and discriminant) is built
-    once, not per prime; a zero discriminant raises NotSquarefree.  Good
-    primes above n = deg f go to `_cycle_types` in batches of up to
-    CYCLE_TYPE_BATCH, one Frobenius chain over their product each; a prime
-    at or below n goes alone.  The counts are those of one prime at a time,
-    in the same order.
+    once, not per prime; a zero discriminant raises NotSquarefree.  The
+    good primes go to one `_cycle_types` call, which shares Frobenius chains
+    among those above n = deg f, and are tallied in prime order, so the
+    counts are those of one prime at a time.
     """
     if f.degree < 1:
         raise ValueError("cycle types require degree >= 1")
@@ -102,24 +93,19 @@ def sample_cycle_types(
     g, b, disc = _integer_model(f)
     if disc == 0:
         raise NotSquarefree("polynomial has a repeated root")
-    counts: dict[tuple[int, ...], int] = {}
-    used = skipped = 0
-    batch: list[int] = []
+    good: list[int] = []
+    skipped = 0
     walk = primes_above(prime_floor)
-    while used < prime_budget:
+    while len(good) < prime_budget:
         p = next(walk)
         try:
             _require_good(b, disc, p)
         except BadPrime:
             skipped += 1
             continue
-        batch.append(p)
-        used += 1
-        if len(batch) == CYCLE_TYPE_BATCH or used == prime_budget or p <= f.degree:
-            for t in _cycle_types(g, b, disc, batch):
-                counts[t] = counts.get(t, 0) + 1
-            batch = []
-    return CycleTypeSample(f=f, counts=counts, primes_used=used, primes_skipped=skipped)
+        good.append(p)
+    counts = dict(Counter(_cycle_types(g, b, disc, good)))  # in order of first occurrence
+    return CycleTypeSample(f=f, counts=counts, primes_used=len(good), primes_skipped=skipped)
 
 
 def sn_certificate(sample: CycleTypeSample, n: int) -> str:

@@ -20,11 +20,10 @@ from traceforms.algebra import (
 )
 from traceforms.algebra import modpoly
 from traceforms.algebra.intmath import FACTOR_LIMIT
-from traceforms.algebra.modpoly import mod_reduce
+from traceforms.algebra.modpoly import CYCLE_TYPE_BATCH, mod_reduce
 from traceforms.algebra.poly import _integer_model
 from traceforms.galois import (
     CERTIFIED,
-    CYCLE_TYPE_BATCH,
     INCONCLUSIVE,
     CycleTypeSample,
     NotSquarefree,
@@ -127,11 +126,17 @@ def test_walk_runs_one_chain_per_batch(monkeypatch):
 def test_walk_above_the_degree_runs_no_lone_chain_and_no_gcd(monkeypatch):
     # 300 good primes above 100 on x^6 - x - 1 and x^7 - x - 1: the batch's
     # traces of Frobenius and its square, with the parity, decide every
-    # pattern, the rootless ones included, so no prime runs `_cycle_type`
-    # alone and no gcd runs
+    # pattern, the rootless ones included, so no prime runs a Frobenius
+    # chain alone and no gcd runs
     lone, gcds = [], []
-    cycle_type, gcd = modpoly._cycle_type, modpoly.mod_gcd
-    monkeypatch.setattr(modpoly, "_cycle_type", lambda g, b, disc, p: lone.append(p) or cycle_type(g, b, disc, p))
+    frobenius, gcd = modpoly._frobenius, modpoly.mod_gcd
+
+    def counted_frobenius(f, primes):
+        if len(primes) == 1:
+            lone.append(primes[0])
+        return frobenius(f, primes)
+
+    monkeypatch.setattr(modpoly, "_frobenius", counted_frobenius)
     monkeypatch.setattr(modpoly, "mod_gcd", lambda a, b, q: gcds.append(q) or gcd(a, b, q))
     for n in (6, 7):
         s = sample_cycle_types(RationalPoly((-1, -1) + (0,) * (n - 2) + (1,)), 300, 100)

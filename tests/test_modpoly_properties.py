@@ -22,7 +22,7 @@ from traceforms.algebra import (
 from traceforms.algebra import modpoly
 from traceforms.algebra.intmath import FACTOR_LIMIT
 from traceforms.algebra.modpoly import (
-    _cycle_type,
+    CYCLE_TYPE_BATCH,
     _cycle_types,
     _distinct_degree,
     _pack,
@@ -115,11 +115,11 @@ def test_cycle_type_reads_the_monic_model(f, p):
         expected = _cycle_type_oracle(ints, old_disc, p)
     except BadPrime as bad:
         with pytest.raises(BadPrime, match=str(bad)):
-            _cycle_type(g, b, disc, p)
+            _cycle_types(g, b, disc, [p])
         with pytest.raises(BadPrime, match=str(bad)):
             cycle_type_mod_p(f, p)
         return
-    assert _cycle_type(g, b, disc, p) == cycle_type_mod_p(f, p) == expected
+    assert _cycle_types(g, b, disc, [p])[0] == cycle_type_mod_p(f, p) == expected
 
 
 # small p (n > p is common), primes near 10**3 and 10**6, 2**31 - 1, 2**61 - 1
@@ -148,7 +148,7 @@ def test_distinct_degree_matches_oracle(p, lower, zero_constant):
     assert _distinct_degree(f, p) == distinct_degree(f, p)
 
 
-# the trace-and-parity route of `_cycle_type` (p > n) and the distinct-degree
+# the trace-and-parity route of `_cycle_types` (p > n) and the distinct-degree
 # route (p <= n) against the oracle's splitting of the primitive part made
 # monic mod p: the first prime above n is the route's boundary
 
@@ -189,7 +189,7 @@ def test_cycle_type_routes_match_oracle(f, route):
             cycle_type_mod_p(f, p)
         return
     expected = _oracle_pattern(ints, p)
-    assert _cycle_type(*_integer_model(f), p) == cycle_type_mod_p(f, p) == expected
+    assert _cycle_types(*_integer_model(f), [p])[0] == cycle_type_mod_p(f, p) == expected
 
 
 def _irreducibles(d: int, p: int):
@@ -240,7 +240,7 @@ def test_cycle_type_parity_splits_each_pair(p):
             ints = _with_pattern(pattern, p)
             assert _oracle_pattern(ints, p) == pattern
             f = RationalPoly(ints)
-            assert _cycle_type(*_integer_model(f), p) == cycle_type_mod_p(f, p) == pattern
+            assert _cycle_types(*_integer_model(f), [p])[0] == cycle_type_mod_p(f, p) == pattern
 
 
 def test_cycle_type_counts_n_roots_at_n_plus_one():
@@ -266,7 +266,7 @@ ODD_PRIMES = st.sampled_from([p for p in range(3, 400) if is_prime(p)] + [1009, 
 @example(f=RationalPoly((Fraction(1, 3), Fraction(-5, 7), 0, Fraction(3, 2))), p=5)
 @example(f=RationalPoly((Fraction(1, 2), 0, Fraction(-7, 4), 0, Fraction(5, 3))), p=11)
 def test_stickelberger_reads_the_integer_model_discriminant(f, p):
-    # Euler's criterion on the primitive part's discriminant, as `_cycle_type`
+    # Euler's criterion on the primitive part's discriminant, as `_cycle_types`
     # reads it, is (-1)^(n - r) for r irreducible factors: disc(g) differs
     # from it by b^((n-1)(n-2)), an even power
     g, b, disc = _integer_model(f)
@@ -320,19 +320,22 @@ def test_small_degrees_above_the_degree_run_no_gcd(monkeypatch):
 
 
 def test_batched_chain_matches_one_prime_at_a_time():
-    # `_cycle_types` on a batch of good primes against `_cycle_type` at each,
-    # and the oracle's splitting: f of degree 2..12, batches of 1..40 primes
-    # from the walk above 2, n + 1, 100, 10^3 or 10^6, some with a prime of
-    # 17, 31 or 61 bits or the largest proven prime added, so the chain's
-    # primes differ in bit length.  The walk above 2 reaches primes at or
-    # below n.  Where the root count leaves six or more degrees in factors of
-    # degree >= 2, Tr(Q^2) = roots + 2 pairs gives the quadratic factors, and
-    # R, the degree left in factors of degree >= 3, is one part, two parts
-    # that the parity splits (R = 6, 7), or left to distinct-degree splitting
-    # (R >= 8); each case is reached
+    # `_cycle_types` on lists of up to 60 good primes, in walk order and
+    # shuffled, against the oracle's splitting prime by prime and against
+    # one-prime calls: f of degree 2..12, primes from the walk above 2,
+    # n + 1, 100, 10^3 or 10^6, some with a prime of 17, 31 or 61 bits or
+    # the largest proven prime added, so a chain's primes differ in bit
+    # length.  The walk above 2 mixes primes at or below n, which
+    # distinct-degree splitting decides, with primes above n, and a list with
+    # more than CYCLE_TYPE_BATCH primes above n spans several chains; a bad
+    # prime anywhere in a list raises BadPrime.  Where the root count leaves
+    # six or more degrees in factors of degree >= 2, Tr(Q^2) = roots + 2 pairs
+    # gives the quadratic factors, and R, the degree left in factors of
+    # degree >= 3, is one part, two parts that the parity splits (R = 6, 7),
+    # or left to distinct-degree splitting (R >= 8); each case is reached
     rng = random.Random(39)
     far = [65537, 2**31 - 1, 2**61 - 1, LARGEST_PRIME]
-    small = 0
+    small = mixed = chains = bad = 0
     rests = {"R <= 5": 0, "R = 6, 7": 0, "R >= 8": 0}
     for _ in range(100):
         n = rng.randint(2, 12)
@@ -340,21 +343,31 @@ def test_batched_chain_matches_one_prime_at_a_time():
         g, b, disc = _integer_model(f)
         if disc == 0:
             continue
-        size = rng.randint(1, 40)
+        size = rng.randint(1, 60)
         walk = primes_above(rng.choice([2, 2, n + 1, 100, 1000, 10**6]))
         primes = [p for p in islice(walk, 2 * size + 4) if b % p and disc % p]
         primes = primes[:size] + [p for p in rng.sample(far, rng.randint(0, 2)) if b % p and disc % p]
-        expected = {p: _cycle_type(g, b, disc, p) for p in primes}
-        assert list(expected.values()) == [_oracle_pattern(g, p) for p in primes], f
-        for batch in (primes, [p for p in primes if p > n]):
+        expected = {p: _oracle_pattern(g, p) for p in primes}
+        assert [_cycle_types(g, b, disc, [p])[0] for p in primes] == list(expected.values()), f
+        for batch in (primes, rng.sample(primes, len(primes)), [p for p in primes if p > n]):
             if batch:
                 assert _cycle_types(g, b, disc, batch) == [expected[p] for p in batch], (f, batch)
-        small += sum(p <= n for p in primes)
+        above = sum(p > n for p in primes)
+        small += len(primes) - above
+        mixed += 0 < above < len(primes)
+        chains += above > CYCLE_TYPE_BATCH
+        for q in islice(primes_above(1), 10):
+            if b % q == 0 or disc % q == 0:
+                with pytest.raises(BadPrime):
+                    _cycle_types(g, b, disc, rng.sample(primes + [q], len(primes) + 1))
+                bad += 1
+                break
         for p, t in expected.items():
             if p > n and n - t.count(1) >= 6:
                 rest = n - t.count(1) - 2 * t.count(2)
                 rests["R <= 5" if rest <= 5 else "R = 6, 7" if rest <= 7 else "R >= 8"] += 1
-    assert small > 50 and min(rests.values()) > 20, (small, rests)
+    reached = (small, mixed, chains, bad, rests)
+    assert small > 50 and mixed > 10 and chains > 10 and bad > 10 and min(rests.values()) > 20, reached
 
 
 # the moduli of batched Frobenius chains: products of 16 primes above 100,

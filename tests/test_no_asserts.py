@@ -2,10 +2,10 @@
 only the standard library, the public names, classmethods and methods resolve
 and each has a caller, RationalPoly is a value with no operators,
 FACTOR_LIMIT is enforced in one place per job, f's integer forms are built in
-one place each, the power-sum Hankel and a certificate's matrices stay in
-integers, no fact is checked twice by a determinant, only the classifier
-diagonalizes, and the Z/qZ kernel inverts leading coefficients only in its
-Euclidean routines."""
+one place each, one routine owns the cycle types' Frobenius chains, the
+power-sum Hankel and a certificate's matrices stay in integers, no fact is
+checked twice by a determinant, only the classifier diagonalizes, and the
+Z/qZ kernel inverts leading coefficients only in its Euclidean routines."""
 
 import ast
 import sys
@@ -183,7 +183,8 @@ def test_rational_poly_is_a_value_with_no_operators():
 
 
 class _Scoped(ast.NodeVisitor):
-    """Collects module.function sites; subclasses decide what is a site."""
+    """Collects module.function sites; subclasses decide what is a site.  A
+    site inside a nested function belongs to the function that encloses it."""
 
     def __init__(self, module: str):
         self.module = module
@@ -191,7 +192,9 @@ class _Scoped(ast.NodeVisitor):
         self.found: list[str] = []
 
     def visit_FunctionDef(self, node):
-        outer, self.scope = self.scope, node.name
+        outer = self.scope
+        if outer == "<module>":
+            self.scope = node.name
         self.generic_visit(node)
         self.scope = outer
 
@@ -271,7 +274,34 @@ def test_integer_model_is_built_in_one_place():
     assert _sites(_Calls, "is_separable") == ["galois.generic_experiment"]
     assert _sites(_Calls, "primitive_integer_coeffs") == []
     # cycle types read the monic model, so no prime makes it monic again
-    assert "modpoly._cycle_type" not in _sites(_Calls, "mod_monic")
+    assert "modpoly._cycle_types" not in _sites(_Calls, "mod_monic")
+
+
+class _Names(_Scoped):
+    """module.function of every read of the named module constant."""
+
+    def __init__(self, module: str, name: str):
+        super().__init__(module)
+        self.name = name
+
+    def visit_Name(self, node):
+        if node.id == self.name and isinstance(node.ctx, ast.Load):
+            self.found.append(f"{self.module}.{self.scope}")
+
+    def visit_Attribute(self, node):
+        if node.attr == self.name:
+            self.found.append(f"{self.module}.{self.scope}")
+        self.generic_visit(node)
+
+
+def test_one_cycle_type_routine_owns_the_chains():
+    # `_cycle_types` alone decides which primes share a Frobenius chain and
+    # reads the traces: the batch size, the chains and the trace patterns are
+    # its own, and distinct-degree splitting runs its one-prime chain only
+    # when it is handed none
+    assert set(_sites(_Names, "CYCLE_TYPE_BATCH")) == {"modpoly._cycle_types"}
+    assert _sites(_Calls, "_frobenius") == ["modpoly._cycle_types", "modpoly._distinct_degree"]
+    assert _sites(_Calls, "_trace_pattern") == ["modpoly._cycle_types"]
 
 
 class _Reads(_Scoped):
