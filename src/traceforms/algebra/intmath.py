@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
+from itertools import islice
 
 FACTOR_LIMIT = 3_317_044_064_679_887_385_961_980  # deterministic MR witness range
 
@@ -86,11 +87,13 @@ def next_prime(n: int) -> int:
 
 
 def primes_above(n: int):
-    """Yield primes > n in increasing order, indefinitely."""
-    p = next_prime(n)
+    """Yield primes > n in increasing order, indefinitely: the sieve's primes
+    above n, then `next_prime` from past the larger of n and the sieve."""
+    yield from islice(_PRIMES, bisect_right(_PRIMES, n), None)
+    p = max(n, _PRIMES[-1])
     while True:
-        yield p
         p = next_prime(p)
+        yield p
 
 
 def crt_idempotents(moduli) -> list[int]:

@@ -17,7 +17,8 @@ Landau-Mignotte coefficient bound, and subset recombinations of the lifted
 factors are searched for a true integer divisor.
 
 Recombination is exponential: it tries up to 2^(r-1) subsets of the r lifted
-factors.
+factors.  `_irreducible` is the decision on a model already built, which
+the Galois experiment hands over when its own sample leaves it open.
 """
 
 from __future__ import annotations
@@ -132,7 +133,11 @@ def is_irreducible_over_rationals(f: RationalPoly) -> bool:
     so it is also the separability decision: True means separable."""
     if f.degree < 1:
         raise ValueError("irreducibility is only defined for degree >= 1")
-    work, b, disc = _integer_model(f)
+    return _irreducible(*_integer_model(f))
+
+
+def _irreducible(work: list[int], b: int, disc: int) -> bool:
+    """`is_irreducible_over_rationals` on f's `_integer_model` (work, b, disc)."""
     if disc == 0:
         return False  # a repeated factor, so certainly reducible at degree >= 2
 

@@ -27,20 +27,26 @@ product mod (f, p) is one integer product; each high slot, reduced mod p,
 times the packed row x^(n+k) mod f is added to the n low slots, and all n
 are then reduced mod p at once.  A product slot is below n p^2 and the rows
 add below n p^2, so every slot to reduce is below 2^b, b = bitlength(2 n p^2).
-The reduction is Barrett's (CRYPTO '86) on every slot in parallel: with
-mu = floor(2^b / p), the estimate e = floor(s mu / 2^b) of a slot s's
-quotient q by p is q - 1 or q, so s - e p lies in [0, 2p), and one
-conditional subtraction of p, read off each slot's top bit after adding
-2^(w-1) - p, finishes it.  The slot width w = b + bitlength(mu) + 1 leaves
-room for s mu, so no carry crosses a slot boundary.  The rows x^n, ...,
-x^(2n-1) mod f are built one from the last: shifted up one slot, its one
-slot past n folded in times row 0 = x^n mod f, one product and one
-reduction each.  x^p mod f comes by binary powering from x, a "square, then
-times x" step reducing h^2 shifted up one slot against those rows.  Each
-later x^(p^d) = h(x^p) = sum(h_i x^(i p)) is one combination of the packed
-Frobenius rows x^(i p) mod f, i < n (the transpose of Berlekamp's Q matrix,
-§14.2), with slots below n p^2.  h is unpacked to a list only for the gcd,
-a remainder-only Euclid that reduces copies of its inputs in place.
+The reduction is Barrett's two-shift estimate (CRYPTO '86; Menezes et al.,
+*Handbook of Applied Cryptography*, Alg. 14.42) on every slot in parallel:
+with k = bitlength(p) and mu = floor(2^(b+1) / p), the estimate
+e = floor(floor(s / 2^(k-2)) mu / 2^(b+3-k)) of a slot s's quotient q by p
+is q - 1 or q, since dropping the k - 2 low bits of s costs less than
+2^(k-2) / p <= 1/2 and mu's own rounding less than s / 2^(b+1) < 1/2.  So
+s - e p lies in [0, 2p), and one conditional subtraction of p, read off
+every slot's top bit after adding 2^(w-1) - p, finishes it.  A slot must
+hold s and floor(s / 2^(k-2)) mu, so the slot width is w = b - k + 2 +
+bitlength(mu), at most b + bitlength(2n) + 4, where the full product s mu
+would need b + bitlength(mu), and no carry crosses a slot boundary.  The
+rows x^n, ..., x^(2n-1) mod f are built one from the last: shifted up one
+slot, its one slot past n folded in times row 0 = x^n mod f, one product
+and one reduction each.  x^p mod f comes by binary powering from x, a
+"square, then times x" step folding h^2, shifted up one slot, against those
+rows.  Each later x^(p^d) = h(x^p) = sum(h_i x^(i p)) is one combination of
+the packed Frobenius rows x^(i p) mod f, i < n (the transpose of
+Berlekamp's Q matrix, §14.2), with slots below n p^2.  h is unpacked to a
+list only for the gcd, a remainder-only Euclid that reduces copies of its
+inputs in place.
 
 Cycle types at a prime p > n >= 2 first read exact facts off those rows
 and the discriminant, and run gcds only when these leave the pattern open.
@@ -81,7 +87,14 @@ and 1 mod the others, so mod each p_i the chain is that prime's own.  A c_j
 of 0 makes the step a square, and a c_j of 1 the "square, then times x"
 step; at one prime the idempotent is 1 and the c_j are the bits of p, read
 with no CRT set-up, so a one-prime chain is exactly the single-prime
-powering above.  n - 2 more products give the rows
+powering above.  No step multiplies by u_j as a polynomial: with s = h^2
+mod (f, P), s u_j = (1 - c_j) s + c_j x s, and x s is s shifted up one
+slot with its top slot folded in times x^n mod f, so the step is one
+shift, three scalar products and one reduction, every slot below 3 P^2.
+The product P, the idempotents, the c_j and the slot reduction depend only
+on n and the primes, and the galois walk meets the same groups for almost
+every polynomial, so `_chain_setup` builds them once per (n, primes) in a
+bounded cache.  n - 2 more products give the rows
 x^(i p_i) mod (f, P), and the sum of their diagonal slots is the trace of
 Frobenius mod P.  Reduced mod p_i it is the root count mod p_i, exact because
 the count is at most n < p_i; the parity is read per prime from the
@@ -93,13 +106,15 @@ consecutive groups of CYCLE_TYPE_BATCH, and reads every pattern that the
 traces and the parity decide.  A prime at or below n, and a prime that the
 traces leave open (R >= 8, so n >= 8), goes to distinct-degree splitting,
 which reuses the chain's root count, and a one-prime chain's rows as well,
-so no gcd runs modulo a product.  The slots widen with P (about 540 bits
-for 16 primes near 2,000), and CYCLE_TYPE_BATCH balances those wider
-products against the chains saved.
+so no gcd runs modulo a product.  The slots widen with P (360-366 bits for
+16 primes above 2,000 at n = 2..16, against 130-140 for the one prime
+2^61 - 1 at n = 2..48), and CYCLE_TYPE_BATCH balances those wider products
+against the chains saved.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from itertools import zip_longest
@@ -108,13 +123,21 @@ from .intmath import crt_idempotents, is_prime
 from .poly import RationalPoly, _integer_model
 
 # Good primes above n per Frobenius chain in `_cycle_types`.  On 20 galois
-# bench polynomials per degree (n = 3..6, 300 primes above 100; Python 3.11,
-# one core of a shared 2-core host, medians of process time), a sample takes
-# 2.5, 3.4, 4.5 and 5.8 ms at n = 3..6 with batches of 16, about the same
-# with 8 (2.7, 3.6, 4.5 and 5.9 ms) and 11-21 % more with 32: the chain's
-# integers grow with the product of its primes.  The chain's own rows decide
-# every pattern at n <= 7, so no prime redoes its chain alone.
+# bench polynomials per degree (n = 3..6, 300 primes above 100, set-up cache
+# warm; Python 3.11, one core of a shared 2-core host, median over the
+# polynomials of each one's least process time in 9 rounds), a sample takes
+# 1.31, 1.90, 2.61 and 3.68 ms at n = 3..6 with batches of 16, 6-24 % more
+# with 8 (1.63, 2.22, 2.76 and 4.25 ms) and 2-15 % more with 32 (1.33, 2.07,
+# 2.93 and 4.22 ms): the chain's integers grow with the product of its
+# primes.  The chain's own rows decide every pattern at n <= 7, so no prime
+# redoes its chain alone.
 CYCLE_TYPE_BATCH = 16
+
+# Chain set-ups `_chain_setup` keeps.  On 500 galois bench polynomials (n =
+# 3..6, 300 primes above 100, 9,506 chains over 499 distinct (n, primes)),
+# 256 entries serve 94 % of the chains from the cache (128: 74 %, 512: 95 %)
+# and hold 0.57 MB of 16-prime set-ups at n = 3, 0.76 MB at n = 6.
+CHAIN_SETUP_CACHE = 256
 
 
 class BadPrime(ValueError):
@@ -235,19 +258,28 @@ def _pack(coeffs, w: int) -> int:
 
 def _slotwise_mod(n: int, p: int):
     """(w, reduce): the slot width w for n coefficients mod p, and `reduce`,
-    which takes every slot of an n-slot packed value, each below
-    2^b with b = bitlength(2 n p^2), to its residue mod p at once (Barrett,
-    see the module docstring)."""
+    which takes every slot of an n-slot packed value, each below 2^b with
+    b = bitlength(2 n p^2), to its residue mod p at once.
+
+    Barrett's two-shift estimate (Handbook of Applied Cryptography, Alg.
+    14.42): with k = bitlength(p) and mu = floor(2^(b+1) / p), the estimate
+    floor(floor(s / 2^(k-2)) mu / 2^(b+3-k)) of a slot s's quotient by p is
+    that quotient or one less, so one conditional subtraction of p finishes
+    it (see the module docstring).  A slot holds s and floor(s / 2^(k-2)) mu,
+    so w is b - k + 2 plus bitlength(mu)."""
     b = (2 * n * p * p).bit_length()
-    mu = (1 << b) // p
-    w = b + mu.bit_length() + 1
+    k = p.bit_length()
+    mu = (1 << (b + 1)) // p
+    w = b - k + 2 + mu.bit_length()
+    shift = b + 3 - k
     ones = ((1 << (n * w)) - 1) // ((1 << w) - 1)
-    high = ones * ((1 << w) - (1 << b))  # bits b..w-1 of every slot
+    keep = ones * ((1 << (b - k + 2)) - 1)  # the b - k + 2 bits of floor(s / 2^(k-2))
+    high = ones * ((1 << w) - (1 << shift))  # bits shift..w-1 of every slot
     bias = ones * ((1 << (w - 1)) - p)
     top = w - 1
 
     def reduce(acc: int) -> int:
-        r = acc - ((acc * mu & high) >> b) * p  # every slot in [0, 2p)
+        r = acc - (((acc >> (k - 2) & keep) * mu & high) >> shift) * p  # every slot in [0, 2p)
         return r - ((r + bias) >> top & ones) * p  # top bit set: the slot is >= p
 
     return w, reduce
@@ -259,22 +291,12 @@ def _unpack(h: int, w: int, n: int) -> list[int]:
     return [h >> (w * i) & mask for i in range(n)]
 
 
-def _frobenius(f: list[int], primes):
-    """Packed arithmetic mod (f, P) for monic f of degree n >= 2 and P the
-    product of the distinct `primes`, and the Frobenius rows mod (f, p) for
-    every p in them.
-
-    Returns (w, reduce, rows): the slot width and slotwise reduction mod P of
-    `_slotwise_mod`, and all n packed Frobenius rows x^(i p) mod f, i < n,
-    each congruent mod every p to that prime's own (by the Chinese remainder
-    theorem).  Row 1, h = x^p, comes from the one powering chain over P, and
-    each later row is the last times h, one product each, except that a row
-    x^k with k < 2n, which only a single prime p < n has, is x^k itself or
-    one of the powers x^n, ..., x^(2n-1) mod f that products reduce
-    against.  The module docstring describes those powers, x^(n+k+1) =
-    x x^(n+k), and the chain.  f's coefficients may lie outside [0, P).
-    """
-    n = len(f) - 1
+@functools.lru_cache(maxsize=CHAIN_SETUP_CACHE)
+def _chain_setup(n: int, primes: tuple[int, ...]):
+    """(q, steps, w, reduce): the Frobenius chain's modulus q = prod(primes),
+    its steps c_j from the top bit of max(primes) down, and
+    `_slotwise_mod(n, q)`.  The galois walk hands `_frobenius` the same
+    prime tuples for almost every polynomial, so this is built once each."""
     if len(primes) == 1:  # the idempotent is 1, so the c_j are the bits of p
         q = primes[0]
         steps = [q >> j & 1 for j in range(q.bit_length() - 1, -1, -1)]
@@ -288,17 +310,36 @@ def _frobenius(f: list[int], primes):
                 if bit == "1":
                     steps[j] = (steps[j] + e) % q
         steps.reverse()
-    w, reduce = _slotwise_mod(n, q)
+    return (q, tuple(steps), *_slotwise_mod(n, q))
+
+
+def _frobenius(f: list[int], primes):
+    """Packed arithmetic mod (f, P) for monic f of degree n >= 2 and P the
+    product of the distinct `primes`, and the Frobenius rows mod (f, p) for
+    every p in them.
+
+    Returns (w, reduce, rows): the slot width and slotwise reduction mod P of
+    `_slotwise_mod`, and all n packed Frobenius rows x^(i p) mod f, i < n,
+    each congruent mod every p to that prime's own (by the Chinese remainder
+    theorem).  Row 1, h = x^p, comes from the one powering chain over P,
+    whose set-up `_chain_setup` caches per (n, primes); each step squares,
+    and its factor u_j costs no product (module docstring).  Each later row
+    is the last times h, one product each, except that a row x^k with
+    k < 2n, which only a single prime p < n has, is x^k itself or one of the
+    powers x^n, ..., x^(2n-1) mod f that products reduce against.  f's
+    coefficients may lie outside [0, P).
+    """
+    n = len(f) - 1
+    q, steps, w, reduce = _chain_setup(n, tuple(primes))
     mask, low, top = (1 << w) - 1, (1 << (n * w)) - 1, n * w
     powers = [_pack([-c % q for c in f[:n]], w)]
     while len(powers) < n:
         shifted = powers[-1] << w
         powers.append(reduce((shifted & low) + (shifted >> top) * powers[0]))
 
-    def mulmod(a: int, b: int) -> int:
+    def fold(prod: int) -> int:
         # each of the product's high slots mod P times its power x^(n+k) mod f,
         # added to the n low slots, which `reduce` then takes mod P
-        prod = a * b
         high, acc = prod >> top, prod & low
         for power in powers:
             acc += (high & mask) % q * power
@@ -308,16 +349,17 @@ def _frobenius(f: list[int], primes):
     c = steps[0]
     packed = (1 - c) % q | c << w  # u_j packed, at the top bit: x for one prime
     for c in steps[1:]:
-        if c == 1:  # "square, then times x"
-            packed = mulmod(packed, packed << w)
+        square = packed * packed
+        if c == 1:  # "square, then times x": the square shifted up one slot
+            packed = fold(square << w)
         else:
-            packed = mulmod(packed, packed)
-            if c:
-                packed = mulmod(packed, (1 - c) % q | c << w)
+            packed = fold(square)
+            if c:  # times u_j = (1 - c_j) + c_j x: x h is h shifted, its top slot folded into x^n
+                packed = reduce((1 - c) % q * packed + c * (packed << w & low) + c * (packed >> top - w) % q * powers[0])
     rows = [1, packed]
     while len(rows) < n:
         k = len(rows) * q  # x^k mod f for k < 2n needs no product
-        rows.append(1 << w * k if k < n else powers[k - n] if k < 2 * n else mulmod(rows[-1], packed))
+        rows.append(1 << w * k if k < n else powers[k - n] if k < 2 * n else fold(rows[-1] * packed))
     return w, reduce, rows
 
 

@@ -8,6 +8,13 @@ observed patterns suffice for a sound certificate: a transposition pattern
 (1,...,1,2) plus a q-cycle for a prime q with n/2 < q < n generate S_n in any
 transitive group (transitivity is supplied by irreducibility).  Failure to
 observe the patterns yields "inconclusive", never a refutation.
+
+`generic_experiment` samples first and decides irreducibility after: a
+factor of degree d over Q has degree-d images at every good prime, so d is
+a subset sum of every observed pattern, and when no 0 < d < n survives the
+sample the sample itself witnesses irreducibility.  Only when some d
+survives, as it does for every reducible f, does the complete decision of
+`irreducibility` run, on the same integer model.
 """
 
 from __future__ import annotations
@@ -22,11 +29,10 @@ from .algebra import (
     Matrix,
     RationalPoly,
     charpoly,
-    is_irreducible_over_rationals,
     is_prime,
-    is_separable,
     primes_above,
 )
+from .algebra.irreducibility import _irreducible, _subset_sums
 from .algebra.modpoly import _cycle_types, _require_good
 from .algebra.poly import _integer_model, exact_rational
 
@@ -90,9 +96,15 @@ def sample_cycle_types(
         raise ValueError("cycle types require degree >= 1")
     if prime_budget < 0:
         raise ValueError("prime budget must be non-negative")
-    g, b, disc = _integer_model(f)
-    if disc == 0:
+    model = _integer_model(f)
+    if model[2] == 0:
         raise NotSquarefree("polynomial has a repeated root")
+    return _sample(f, model, prime_budget, prime_floor)
+
+
+def _sample(f: RationalPoly, model, prime_budget: int, prime_floor: int) -> CycleTypeSample:
+    """`sample_cycle_types` on f's squarefree `_integer_model` (g, b, disc)."""
+    g, b, disc = model
     good: list[int] = []
     skipped = 0
     walk = primes_above(prime_floor)
@@ -141,9 +153,16 @@ def generic_experiment(
     seed: int = 0,
 ) -> SpecReport:
     """One random specialization: sample symmetric integer A, |entries| <= coeff_bound,
-    decide whether charpoly(A diag(d)) is irreducible (hence separable; `is_separable`
-    runs only when it is not), then sample cycle types at `prime_budget` good
-    primes above DEFAULT_PRIME_FLOOR and give the S_n verdict."""
+    and decide whether f = charpoly(A diag(d)) is separable and irreducible,
+    with cycle types at `prime_budget` good primes above DEFAULT_PRIME_FLOOR
+    and the S_n verdict when it is.
+
+    f's `_integer_model` is built once: its discriminant decides separability,
+    and a separable f is sampled first.  The sample is its own irreducibility
+    witness when no degree 0 < d < n is a subset sum of every observed
+    pattern, since a factor of degree d over Q would make it one at every
+    good prime; only when the sample leaves d open does the complete
+    decision run, on the same model."""
     entries = tuple(exact_rational(e) for e in diag)
     if not entries:
         raise ValueError("diagonal must be non-empty")
@@ -156,13 +175,20 @@ def generic_experiment(
     n = len(entries)
     a = Matrix.random_symmetric(n, coeff_bound, random.Random(seed))
     f = charpoly(a * Matrix.diagonal(entries))
-    irreducible = is_irreducible_over_rationals(f)
-    separable = irreducible or is_separable(f)
+    model = _integer_model(f)
+    separable = model[2] != 0  # f's discriminant is nonzero
+    irreducible = False
     stats = None
     verdict = INCONCLUSIVE
-    if irreducible:
-        stats = sample_cycle_types(f, prime_budget)
-        verdict = sn_certificate(stats, n)
+    if separable:
+        sample = _sample(f, model, prime_budget, DEFAULT_PRIME_FLOOR)
+        possible = set(range(1, n))
+        for degrees in sample.counts:
+            possible &= _subset_sums(degrees)
+        irreducible = not possible or _irreducible(*model)
+        if irreducible:
+            stats = sample
+            verdict = sn_certificate(stats, n)
     return SpecReport(
         n=n,
         diag=entries,
@@ -174,4 +200,3 @@ def generic_experiment(
         sn_verdict=verdict,
         cycle_stats=stats,
     )
-

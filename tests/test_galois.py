@@ -18,6 +18,7 @@ from traceforms.algebra import (
     is_separable,
     primes_above,
 )
+from traceforms import galois
 from traceforms.algebra import modpoly
 from traceforms.algebra.intmath import FACTOR_LIMIT
 from traceforms.algebra.modpoly import CYCLE_TYPE_BATCH, mod_reduce
@@ -210,7 +211,8 @@ def test_generic_experiment_examples():
 
 def test_generic_experiment_names_each_separability_outcome():
     # diag [1, 1], bound 1: seed 4 draws (x + 1)^2, seed 0 x^2 + x, seed 3 x^2 - 2;
-    # irreducibility decides first and separability is only named after a "no"
+    # the model's discriminant names separability, and only a separable f is
+    # sampled and, when the sample leaves it open, decided in full
     outcomes = {}
     for seed in (4, 0, 3):
         r = generic_experiment([1, 1], 1, 20, seed=seed)
@@ -219,6 +221,43 @@ def test_generic_experiment_names_each_separability_outcome():
         assert (r.cycle_stats is not None) == r.irreducible
         outcomes[seed] = (r.separable, r.irreducible)
     assert outcomes == {4: (False, False), 0: (True, False), 3: (True, True)}
+
+
+def _experiment_oracle(diag, bound, budget, seed):
+    """generic_experiment composed from the public routines: the complete
+    irreducibility decision first, then the sample of an irreducible f."""
+    a = Matrix.random_symmetric(len(diag), bound, random.Random(seed))
+    f = charpoly(a * Matrix.diagonal(diag))
+    irreducible = is_irreducible_over_rationals(f)
+    separable = irreducible or is_separable(f)
+    stats = sample_cycle_types(f, budget) if irreducible else None
+    verdict = sn_certificate(stats, len(diag)) if irreducible else INCONCLUSIVE
+    return f, separable, irreducible, verdict, stats
+
+
+def test_sample_witness_matches_the_complete_decision(monkeypatch):
+    # the sample's degree-set witness decides irreducibility, and the
+    # complete decision runs only when the sample leaves a factor degree
+    # open: every report equals the public decisions composed, over n = 2..8,
+    # bounds 1..3, diagonals with repeated entries and budgets 0, 1, 5, 300
+    fallbacks = []
+    real = galois._irreducible
+    monkeypatch.setattr(galois, "_irreducible", lambda *model: fallbacks.append(model) or real(*model))
+    rng = random.Random(47)
+    reducible = inseparable = 0
+    for trial in range(640):
+        n = rng.randint(2, 8)
+        diag = [rng.choice([1, 1, -1, 2, 2, -3, 5]) for _ in range(n)]
+        bound = rng.randint(1, 3)
+        budget = rng.choice([0, 1, 5, 5, 300])
+        r = generic_experiment(diag, bound, budget, seed=trial)
+        f, separable, irreducible, verdict, stats = _experiment_oracle(diag, bound, budget, trial)
+        assert r.f == f and (r.separable, r.irreducible) == (separable, irreducible), (diag, bound, trial)
+        assert r.sn_verdict == verdict and r.cycle_stats == stats, (diag, bound, budget, trial)
+        reducible += separable and not irreducible
+        inseparable += not separable
+    reached = (reducible, inseparable, len(fallbacks))
+    assert reducible > 20 and inseparable > 5 and len(fallbacks) > 20, reached
 
 
 def test_experiment_outputs_are_separable_when_irreducible():

@@ -1,6 +1,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import islice
 from unittest import mock
 
 import pytest
@@ -173,6 +174,18 @@ def test_next_prime_reads_the_sieve_then_walks_past_it():
     assert intmath._PRIMES[-1] < 5000
     span = range(-5, 5000)
     assert [next_prime(n) for n in span] == [_next_prime_by_miller_rabin(n) for n in span]
+
+
+def test_primes_above_is_the_next_prime_walk():
+    # the sieve's slice above the floor, then next_prime past 2**12: floors
+    # inside the sieve, at its last prime (4093), between it and 2**12, and
+    # far above it
+    for floor in (-5, 0, 1, 2, 100, 4090, 4093, 4095, 10**6):
+        walk, p = [], floor
+        while len(walk) < 400:
+            p = next_prime(p)
+            walk.append(p)
+        assert list(islice(primes_above(floor), 400)) == walk, floor
 
 
 def test_primality_is_refused_above_factor_limit():

@@ -1,9 +1,12 @@
 """Property-based differential tests of the Z/qZ list kernel and its users."""
 
+import ast
 import math
 import random
+import sys
 from fractions import Fraction
 from itertools import islice
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -25,6 +28,7 @@ from traceforms.algebra.modpoly import (
     CYCLE_TYPE_BATCH,
     _cycle_types,
     _distinct_degree,
+    _frobenius,
     _pack,
     _slotwise_mod,
     _unpack,
@@ -371,24 +375,81 @@ def test_batched_chain_matches_one_prime_at_a_time():
 
 
 # the moduli of batched Frobenius chains: products of 16 primes above 100,
-# and of the 16 largest primes below 2^61
+# and of the 16 largest primes below 2^61; SLOT_MODULI adds single primes
+# from 2 to the largest proven one
 PRIMES_ABOVE_100 = [p for p in range(101, 200) if is_prime(p)][:16]
 PRIMES_BELOW_2_61 = list(islice((p for p in range(2**61 - 1, 2**60, -2) if is_prime(p)), 16))
+SLOT_MODULI = (
+    2, 3, 257, 1009, 65537, 2**31 - 1, 2**61 - 1, LARGEST_PRIME,
+    math.prod(PRIMES_ABOVE_100), math.prod(PRIMES_BELOW_2_61),
+)
 
 
 def test_slotwise_mod_at_the_slot_bounds():
-    # every slot at 0, p - 1, p, 2p - 1 and 2^b - 1, the largest the
-    # reduction takes, alike and mixed, against per-slot % p; Barrett needs
-    # no prime, so composite moduli reduce alike
-    for p in (2, 3, 1009, 2**61 - 1, LARGEST_PRIME, math.prod(PRIMES_ABOVE_100), math.prod(PRIMES_BELOW_2_61)):
-        for n in (1, 2, 7, 48):
+    # every slot at 0, p - 1, p, 2p - 1, 3p - 1, the last multiple of p below
+    # 2^b less 1, and 2^b - 1 (the largest the reduction takes), alike and
+    # mixed, against per-slot % p; Barrett needs no prime, so composite
+    # moduli reduce alike
+    short = 0
+    for p in SLOT_MODULI:
+        for n in (1, 2, 3, 7, 16, 48):
             w, reduce = _slotwise_mod(n, p)
-            edges = [0, p - 1, p, 2 * p - 1, (1 << (2 * n * p * p).bit_length()) - 1]
-            patterns = [[e] * n for e in edges] + [[edges[(i + k) % 5] for i in range(n)] for k in range(5)]
+            b = (2 * n * p * p).bit_length()
+            edges = [0, p - 1, p, 2 * p - 1, 3 * p - 1, ((1 << b) // p) * p - 1, (1 << b) - 1]
+            k, mu = p.bit_length(), (1 << (b + 1)) // p
+            short += sum(s // p - ((s >> (k - 2)) * mu >> (b + 3 - k)) == 1 for s in edges)
+            e = len(edges)
+            patterns = [[x] * n for x in edges] + [[edges[(i + j) % e] for i in range(n)] for j in range(e)]
             for slots in patterns:
                 reduced = reduce(_pack(slots, w))
                 assert reduced >> (n * w) == 0
                 assert _unpack(reduced, w, n) == [s % p for s in slots], (p, n, slots)
+    # Barrett's estimate falls one short on many edges, so the conditional
+    # subtraction is needed
+    assert short > 50, short
+
+
+def test_frobenius_rows_do_not_depend_on_the_set_up_cache():
+    # the chain set-up is cached per (n, primes): the rows from a cold cache,
+    # from a warm one, and with the cache emptied in between are equal, for
+    # one prime and for 16-prime groups, at several degrees sharing primes
+    rng = random.Random(47)
+    walk = list(islice(primes_above(100), 64))
+    cases = []
+    for _ in range(40):
+        n = rng.choice([2, 3, 5, 9])
+        f = [rng.randint(-40, 40) for _ in range(n)] + [1]
+        start = rng.choice([0, 16, 48])
+        primes = rng.choice([walk[start : start + 16], [rng.choice(walk[:3])], rng.sample(walk, 16)])
+        cases.append((f, primes))
+    modpoly._chain_setup.cache_clear()
+    cold = [_frobenius(f, primes) for f, primes in cases]
+    assert modpoly._chain_setup.cache_info().hits > 0  # some cases share (n, primes)
+    warm = [_frobenius(f, primes) for f, primes in cases]
+    for (f, primes), first, second in zip(cases, cold, warm):
+        modpoly._chain_setup.cache_clear()
+        third = _frobenius(f, primes)
+        assert first[0] == second[0] == third[0] and first[2] == second[2] == third[2], (f, primes)
+        n, (w, _, rows) = len(f) - 1, first
+        for p in primes:  # each row is congruent to that prime's own x^(i p) mod f
+            one_w, _, one_rows = _frobenius(f, [p])
+            own = [_unpack(row, one_w, n) for row in one_rows]
+            assert [[c % p for c in _unpack(row, w, n)] for row in rows] == own, (f, primes, p)
+
+
+def test_chain_set_up_cache_is_bounded_and_cleared_with_the_library():
+    # a functools cache with a fixed maxsize: the benchmark's
+    # clear_library_caches empties every callable with `cache_clear` in the
+    # package, this one included
+    assert modpoly._chain_setup.cache_info().maxsize == modpoly.CHAIN_SETUP_CACHE
+    _frobenius([1, 2, 1], [101, 103])
+    assert modpoly._chain_setup.cache_info().currsize > 0
+    tree = ast.parse((Path(__file__).resolve().parent.parent / "bench" / "run.py").read_text())
+    clear = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "clear_library_caches")
+    namespace = {"sys": sys}
+    exec(compile(ast.Module(body=[clear], type_ignores=[]), "run.py", "exec"), namespace)
+    namespace["clear_library_caches"]()
+    assert modpoly._chain_setup.cache_info().currsize == 0
 
 
 @settings(max_examples=400, deadline=None)

@@ -259,19 +259,24 @@ class _Defs(_Scoped):
 
 def test_integer_model_is_built_in_one_place():
     # f's (monic model, discriminant) triple is built only by poly._integer_model,
-    # and the cycle types, the irreducibility decision and the discriminant read
-    # it; the one discriminant call is is_separable's, which only
-    # generic_experiment reaches, after irreducibility has said no, to report
-    # separability (verify needs no name for an inseparable f: it is reducible)
+    # and the cycle types, the irreducibility decision, the discriminant and
+    # generic_experiment read it; generic_experiment builds it once and hands
+    # it to the sampler and the complete decision, and reads separability off
+    # its discriminant, so no package code calls is_separable (the public
+    # discriminant test, which the bench and the tests call)
     assert _sites(_Defs, "_integer_model") == ["poly._integer_model"]
     assert _sites(_Calls, "_integer_model") == [
+        "galois.generic_experiment",
         "galois.sample_cycle_types",
         "irreducibility.is_irreducible_over_rationals",
         "modpoly.cycle_type_mod_p",
         "poly.discriminant",
     ]
     assert _sites(_Calls, "discriminant") == ["poly.is_separable"]
-    assert _sites(_Calls, "is_separable") == ["galois.generic_experiment"]
+    assert _sites(_Calls, "is_separable") == []
+    # the complete decision on a model: the public decision and the galois
+    # fallback, when the sample leaves a factor degree open
+    assert _sites(_Calls, "_irreducible") == ["galois.generic_experiment", "irreducibility.is_irreducible_over_rationals"]
     assert _sites(_Calls, "primitive_integer_coeffs") == []
     # cycle types read the monic model, so no prime makes it monic again
     assert "modpoly._cycle_types" not in _sites(_Calls, "mod_monic")
@@ -302,6 +307,9 @@ def test_one_cycle_type_routine_owns_the_chains():
     assert set(_sites(_Names, "CYCLE_TYPE_BATCH")) == {"modpoly._cycle_types"}
     assert _sites(_Calls, "_frobenius") == ["modpoly._cycle_types", "modpoly._distinct_degree"]
     assert _sites(_Calls, "_trace_pattern") == ["modpoly._cycle_types"]
+    # the chain set-up (product, idempotents, steps, slot reduction) is
+    # cached for `_frobenius` alone
+    assert _sites(_Calls, "_chain_setup") == ["modpoly._frobenius"]
 
 
 class _Reads(_Scoped):

@@ -321,12 +321,13 @@ def test_one_discriminant_per_separability_decision():
         assert verify_certificate(cert).failed_clause == "not_irreducible"
     assert len(calls) == 1
 
-    # generic_experiment: the decision, then the cycle-type walk (seed 3,
-    # irreducible) or the separability name (seed 4 inseparable, seed 0 reducible)
+    # generic_experiment: one model serves the separability name (seed 4
+    # inseparable), the cycle-type walk and its witness (seed 3, irreducible)
+    # and the complete decision the walk leaves open (seed 0, reducible)
     for seed in (3, 4, 0):
         with _counted("_integer_model") as calls:
             generic_experiment([1, 1], 1, 5, seed=seed)
-        assert len(calls) == 2
+        assert len(calls) == 1
 
 
 def test_solve_alpha_computes_power_sums_once():
