@@ -2,15 +2,16 @@
 
 Pipeline: take f's monic integer model and its primitive part's discriminant
 (`poly._integer_model`), rule out repeated factors by the discriminant, and
-read the cycle types of f at the first few good primes (dividing neither
-leading coefficient nor discriminant) by `modpoly._cycle_types`, one prime
-per call, the routine that the Galois sampler calls on all its primes at
-once: at p > n it first reads the trace of Frobenius (the root count), the
-discriminant's parity (Stickelberger) and, when these leave six or more
-degrees open, the trace of Frobenius squared (the quadratic factors), and
-runs distinct-degree splitting of the model only when these leave the
-pattern open, which never happens for n <= 7.  An
-irreducible image or disjoint degree subset-sum sets decide at once;
+read the cycle types of f at the first _CANDIDATE_PRIMES good primes above
+n = deg f (dividing neither leading coefficient nor discriminant), which
+`modpoly._good_primes` walks to, in one `modpoly._cycle_types` call, the
+routine that the Galois sampler calls on its primes too.  At n >= 2 the
+five share one Frobenius chain, which reads the trace of Frobenius (the root
+count), the discriminant's parity (Stickelberger) and, when these leave six
+or more degrees open, the trace of Frobenius squared (the quadratic
+factors); distinct-degree splitting runs on the chain's rows only when these
+leave the pattern open, which never happens for n <= 7.  An irreducible
+image or disjoint degree subset-sum sets (`_open_degrees`) decide at once;
 otherwise the same model is factored mod the good prime with the fewest
 factors (its image there is squarefree), Hensel-lifted past twice the
 Landau-Mignotte coefficient bound, and subset recombinations of the lifted
@@ -26,10 +27,9 @@ from __future__ import annotations
 import math
 from itertools import combinations
 
-from .intmath import primes_above
 from .modpoly import (
-    BadPrime,
     _cycle_types,
+    _good_primes,
     factor_mod_p,
     mod_add,
     mod_divmod,
@@ -136,30 +136,30 @@ def is_irreducible_over_rationals(f: RationalPoly) -> bool:
     return _irreducible(*_integer_model(f))
 
 
+def _open_degrees(n: int, patterns) -> set[int]:
+    """The degrees 0 < d < n that are a subset sum of every pattern.  A
+    factor of degree d over Q has degree-d images at every good prime, so an
+    empty set, as an irreducible image alone gives, witnesses irreducibility."""
+    possible = set(range(1, n))
+    for degrees in patterns:
+        possible &= _subset_sums(degrees)
+    return possible
+
+
 def _irreducible(work: list[int], b: int, disc: int) -> bool:
     """`is_irreducible_over_rationals` on f's `_integer_model` (work, b, disc)."""
     if disc == 0:
         return False  # a repeated factor, so certainly reducible at degree >= 2
 
-    # a true factor's degree must be a subset sum of the cycle type at every
-    # good prime; an empty intersection (an irreducible image among them, whose
-    # sums are only 0 and n) certifies irreducibility
-    possible = set(range(1, len(work) - 1))
-    candidates: list[tuple[int, int]] = []
-    for p in primes_above(1):
-        try:
-            degrees = _cycle_types(work, b, disc, [p])[0]
-        except BadPrime:
-            continue
-        possible &= _subset_sums(degrees)
-        if not possible:
-            return True
-        candidates.append((len(degrees), p))
-        if len(candidates) == _CANDIDATE_PRIMES:
-            break
+    n = len(work) - 1
+    primes, _ = _good_primes(b, disc, n, _CANDIDATE_PRIMES)
+    types = _cycle_types(work, disc, primes)
+    possible = _open_degrees(n, types)
+    if not possible:
+        return True
 
     # at a good prime the monic model's image is squarefree, as lifting needs
-    _, p = min(candidates)
+    _, p = min(zip(map(len, types), primes))  # the fewest factors
     factors = factor_mod_p(work, p)
     lifted, modulus = _lift_factors(work, factors, p, 2 * mignotte_bound(work) + 1)
 

@@ -85,31 +85,36 @@ p_i, from the top, by h <- h^2 u_j with u_j = 1 + c_j (x - 1), where c_j is
 the sum of the e_i over the p_i whose bit j is set: u_j is x mod those p_i
 and 1 mod the others, so mod each p_i the chain is that prime's own.  A c_j
 of 0 makes the step a square, and a c_j of 1 the "square, then times x"
-step; at one prime the idempotent is 1 and the c_j are the bits of p, read
-with no CRT set-up, so a one-prime chain is exactly the single-prime
-powering above.  No step multiplies by u_j as a polynomial: with s = h^2
-mod (f, P), s u_j = (1 - c_j) s + c_j x s, and x s is s shifted up one
-slot with its top slot folded in times x^n mod f, so the step is one
-shift, three scalar products and one reduction, every slot below 3 P^2.
-The product P, the idempotents, the c_j and the slot reduction depend only
-on n and the primes, and the galois walk meets the same groups for almost
-every polynomial, so `_chain_setup` builds them once per (n, primes) in a
-bounded cache.  n - 2 more products give the rows
-x^(i p_i) mod (f, P), and the sum of their diagonal slots is the trace of
-Frobenius mod P.  Reduced mod p_i it is the root count mod p_i, exact because
-the count is at most n < p_i; the parity is read per prime from the
-discriminant, as above.  Likewise the one sum of Q[i][j] Q[j][i] over the
-rows mod P, taken at the chain's first prime that needs it, is Tr(Q^2) mod
-each p_i.  `_cycle_types`, the one cycle-type routine, decides the
-batching: it takes any distinct primes, chains those above n in
-consecutive groups of CYCLE_TYPE_BATCH, and reads every pattern that the
-traces and the parity decide.  A prime at or below n, and a prime that the
-traces leave open (R >= 8, so n >= 8), goes to distinct-degree splitting,
-which reuses the chain's root count, and a one-prime chain's rows as well,
-so no gcd runs modulo a product.  The slots widen with P (360-366 bits for
-16 primes above 2,000 at n = 2..16, against 130-140 for the one prime
-2^61 - 1 at n = 2..48), and CYCLE_TYPE_BATCH balances those wider products
-against the chains saved.
+step; at one prime the idempotent is 1 and the c_j are the bits of p, so
+a one-prime chain is exactly the single-prime powering above.  No step
+multiplies by u_j as a polynomial: with s = h^2 mod (f, P), s u_j =
+(1 - c_j) s + c_j x s, and x s is s shifted up one slot with its top slot
+folded in times x^n mod f, so the step is one shift, three scalar products
+and one reduction, every slot below 3 P^2.  The product P, the
+idempotents, the c_j and the slot reduction depend only on n and the
+primes, and the galois walk meets the same groups for almost every
+polynomial, so `_chain_setup` builds them once per (n, primes) in a
+bounded cache.  n - 2 more products give the rows x^(i p_i) mod (f, P),
+and the sum of their diagonal slots is the trace of Frobenius mod P.
+Reduced mod p_i it is the root count mod p_i, exact because the count is
+at most n < p_i; the parity is read per prime from the discriminant, as
+above.  Likewise the one sum of Q[i][j] Q[j][i] over the rows mod P, taken
+at the chain's first prime that needs it, is Tr(Q^2) mod each p_i.
+`_good_primes` is the one walk that decides which primes are
+good for f, and `_cycle_types`, the one cycle-type routine, trusts the
+primes it is handed and decides the batching: it chains those above n in
+consecutive groups of CYCLE_TYPE_BATCH and reads every pattern that the
+traces and the parity decide.  A prime that the traces leave open (R >= 8,
+so n >= 8) goes to distinct-degree splitting on its group's rows mod P,
+with the chain's root count: each combination h(x^(p_i)) of those rows is
+congruent mod p_i to that prime's own, and every gcd reduces mod p_i
+first, so no gcd runs modulo a product.  A prime at or below n runs a
+chain of its own.  The complete decision takes its primes above n and the
+galois walk above its floor (100 by default), so only a caller's small
+prime reaches that.  The slots widen with P (360-366 bits for 16 primes
+above 2,000 at n = 2..16, against 130-140 for the one prime 2^61 - 1 at
+n = 2..48), and CYCLE_TYPE_BATCH balances those wider products against the
+chains saved.
 """
 
 from __future__ import annotations
@@ -119,7 +124,7 @@ import math
 import random
 from itertools import zip_longest
 
-from .intmath import crt_idempotents, is_prime
+from .intmath import crt_idempotents, is_prime, primes_above
 from .poly import RationalPoly, _integer_model
 
 # Good primes above n per Frobenius chain in `_cycle_types`.  On 20 galois
@@ -295,21 +300,18 @@ def _unpack(h: int, w: int, n: int) -> list[int]:
 def _chain_setup(n: int, primes: tuple[int, ...]):
     """(q, steps, w, reduce): the Frobenius chain's modulus q = prod(primes),
     its steps c_j from the top bit of max(primes) down, and
-    `_slotwise_mod(n, q)`.  The galois walk hands `_frobenius` the same
-    prime tuples for almost every polynomial, so this is built once each."""
-    if len(primes) == 1:  # the idempotent is 1, so the c_j are the bits of p
-        q = primes[0]
-        steps = [q >> j & 1 for j in range(q.bit_length() - 1, -1, -1)]
-    else:
-        # c_j: the sum of the idempotents of the primes with bit j set, so that
-        # u_j = 1 + c_j (x - 1) is x mod those primes and 1 mod the others
-        q = math.prod(primes)
-        steps = [0] * max(primes).bit_length()
-        for p, e in zip(primes, crt_idempotents(primes)):
-            for j, bit in enumerate(bin(p)[:1:-1]):
-                if bit == "1":
-                    steps[j] = (steps[j] + e) % q
-        steps.reverse()
+    `_slotwise_mod(n, q)`.  c_j is the sum of the idempotents of the primes
+    with bit j set, so that u_j = 1 + c_j (x - 1) is x mod those primes and
+    1 mod the others; at one prime the idempotent is 1 and the c_j are the
+    bits of p.  The galois walk hands `_frobenius` the same prime tuples for
+    almost every polynomial, so this is built once each."""
+    q = math.prod(primes)
+    steps = [0] * max(primes).bit_length()
+    for p, e in zip(primes, crt_idempotents(primes)):
+        for j, bit in enumerate(bin(p)[:1:-1]):
+            if bit == "1":
+                steps[j] = (steps[j] + e) % q
+    steps.reverse()
     return (q, tuple(steps), *_slotwise_mod(n, q))
 
 
@@ -324,10 +326,8 @@ def _frobenius(f: list[int], primes):
     theorem).  Row 1, h = x^p, comes from the one powering chain over P,
     whose set-up `_chain_setup` caches per (n, primes); each step squares,
     and its factor u_j costs no product (module docstring).  Each later row
-    is the last times h, one product each, except that a row x^k with
-    k < 2n, which only a single prime p < n has, is x^k itself or one of the
-    powers x^n, ..., x^(2n-1) mod f that products reduce against.  f's
-    coefficients may lie outside [0, P).
+    is the last times h, one product each.  f's coefficients may lie outside
+    [0, P).
     """
     n = len(f) - 1
     q, steps, w, reduce = _chain_setup(n, tuple(primes))
@@ -358,8 +358,7 @@ def _frobenius(f: list[int], primes):
                 packed = reduce((1 - c) % q * packed + c * (packed << w & low) + c * (packed >> top - w) % q * powers[0])
     rows = [1, packed]
     while len(rows) < n:
-        k = len(rows) * q  # x^k mod f for k < 2n needs no product
-        rows.append(1 << w * k if k < n else powers[k - n] if k < 2 * n else fold(rows[-1] * packed))
+        rows.append(fold(rows[-1] * packed))
     return w, reduce, rows
 
 
@@ -367,8 +366,10 @@ def _distinct_degree(f: list[int], p: int, state=None, roots=None) -> list[tuple
     """Squarefree monic f as (product of irreducibles of degree d, d) pairs.
 
     h runs through x^(p^d) mod f, packed: x^p from `_frobenius` (or from
-    `state`, what it returned for this f and p), then h(x^p) = h^p as one
-    combination of its packed Frobenius rows x^(i p) mod f.  h stays reduced
+    `state`, what it returned for f and primes that include p: its rows mod
+    their product are congruent mod p to p's own, and each gcd reduces h mod
+    p first), then h(x^p) = h^p as one combination of its packed Frobenius
+    rows x^(i p) mod f.  h stays reduced
     mod f, not mod the shrinking rest: rest divides f, so gcd(h - x, rest) is
     the same.  `roots`, when given, is f's number of roots mod p; at 0 the
     first gcd, which would be 1, is skipped.
@@ -484,34 +485,51 @@ def cycle_type_mod_p(f: RationalPoly, p: int) -> tuple[int, ...]:
     if f.degree < 1:
         raise ValueError("cycle type requires degree >= 1")
     _require_proven_prime(p)
-    return _cycle_types(*_integer_model(f), [p])[0]
-
-
-def _require_good(b: int, disc: int, p: int) -> None:
-    """BadPrime when p divides the leading coefficient b or the discriminant
-    of f's `_integer_model` (g, b, disc)."""
+    g, b, disc = _integer_model(f)
     if b % p == 0:
         raise BadPrime(f"{p} divides the leading coefficient")
     if disc % p == 0:
         raise BadPrime(f"{p} divides the discriminant")
+    return _cycle_types(g, disc, [p])[0]
 
 
-def _cycle_types(g: list[int], b: int, disc: int, primes: list[int]) -> list[tuple[int, ...]]:
-    """`cycle_type_mod_p` at each of `primes`, distinct primes in any order,
-    for f's `_integer_model` (g, b, disc); BadPrime at a bad one.
+def _good_primes(b: int, disc: int, floor: int, count: int) -> tuple[list[int], int]:
+    """(good, skipped): the first `count` primes above `floor` that divide
+    neither the leading coefficient b nor the nonzero discriminant disc of
+    f's `_integer_model` (g, b, disc), ascending, and the number of primes
+    the walk skipped among them.  The one walk that decides which primes
+    are good: it draws no prime once `count` are found, so a count of 0
+    draws none, and past FACTOR_LIMIT `is_prime` raises ValueError."""
+    good: list[int] = []
+    skipped = 0
+    walk = primes_above(floor)
+    while len(good) < count:
+        p = next(walk)
+        if b % p and disc % p:
+            good.append(p)
+        else:
+            skipped += 1
+    return good, skipped
+
+
+def _cycle_types(g: list[int], disc: int, primes: list[int]) -> list[tuple[int, ...]]:
+    """`cycle_type_mod_p` at each of `primes` for f's monic model g and
+    discriminant disc from `_integer_model`: distinct primes in any order,
+    each good for f, as `_good_primes` yields them (none is checked here).
 
     The primes above n = deg g >= 2 run in consecutive groups of
     CYCLE_TYPE_BATCH, one Frobenius chain over each group's product: the
     traces of Frobenius and, at the first prime that needs it, of its
     square, taken once over the product, decide every pattern for n <= 7.
-    A prime at or below n, and a prime that they leave open (n >= 8 only),
-    goes to distinct-degree splitting, which reuses the chain's root count,
-    and the chain's rows when the group is that one prime."""
+    A prime that they leave open (R >= 8, so n >= 8 only) goes to
+    distinct-degree splitting on the group's own rows mod the product, with
+    the chain's root count, and its gcds run mod that prime alone.  A prime
+    at or below n, and every prime at n = 1, goes to distinct-degree
+    splitting alone."""
     n = len(g) - 1
     types = {}
     chained = []  # the primes where the traces count exactly
     for p in primes:
-        _require_good(b, disc, p)
         if 1 < n < p:
             chained.append(p)
         else:
@@ -531,8 +549,8 @@ def _cycle_types(g: list[int], b: int, disc: int, primes: list[int]) -> list[tup
             return squares[0]
 
         for p in group:
-            pattern = _trace_pattern(n, trace % p, square_trace, disc, p)
-            types[p] = pattern or _split_degrees(g, p, state if len(group) == 1 else None, trace % p)
+            roots = trace % p
+            types[p] = _trace_pattern(n, roots, square_trace, disc, p) or _split_degrees(g, p, state, roots)
     return [types[p] for p in primes]
 
 

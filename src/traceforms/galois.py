@@ -9,12 +9,15 @@ observed patterns suffice for a sound certificate: a transposition pattern
 transitive group (transitivity is supplied by irreducibility).  Failure to
 observe the patterns yields "inconclusive", never a refutation.
 
-`generic_experiment` samples first and decides irreducibility after: a
-factor of degree d over Q has degree-d images at every good prime, so d is
-a subset sum of every observed pattern, and when no 0 < d < n survives the
-sample the sample itself witnesses irreducibility.  Only when some d
-survives, as it does for every reducible f, does the complete decision of
-`irreducibility` run, on the same integer model.
+The sample's primes are the first good ones above a floor, as
+`modpoly._good_primes` walks to them, and one `modpoly._cycle_types` call
+reads all their patterns.  `generic_experiment` samples first and decides
+irreducibility after: a factor of degree d over Q has degree-d images at
+every good prime, so d is a subset sum of every observed pattern, and when
+no 0 < d < n survives the sample (`irreducibility._open_degrees`) the
+sample itself witnesses irreducibility.  Only when some d survives, as it
+does for every reducible f, does the complete decision of `irreducibility`
+run, on the same integer model.
 """
 
 from __future__ import annotations
@@ -24,16 +27,9 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import (
-    BadPrime,
-    Matrix,
-    RationalPoly,
-    charpoly,
-    is_prime,
-    primes_above,
-)
-from .algebra.irreducibility import _irreducible, _subset_sums
-from .algebra.modpoly import _cycle_types, _require_good
+from .algebra import Matrix, RationalPoly, charpoly, is_prime
+from .algebra.irreducibility import _irreducible, _open_degrees
+from .algebra.modpoly import _cycle_types, _good_primes
 from .algebra.poly import _integer_model, exact_rational
 
 CERTIFIED = "certified"
@@ -84,13 +80,14 @@ def sample_cycle_types(
     """Collect cycle types of f at the first `prime_budget` good primes above
     `prime_floor`, counting skipped bad primes separately.
 
-    The prime walk is deterministic (consecutive primes ascending) and draws
-    no prime once the budget is spent; past FACTOR_LIMIT `is_prime` raises
-    ValueError.  f's `_integer_model` (monic model and discriminant) is built
-    once, not per prime; a zero discriminant raises NotSquarefree.  The
-    good primes go to one `_cycle_types` call, which shares Frobenius chains
-    among those above n = deg f, and are tallied in prime order, so the
-    counts are those of one prime at a time.
+    The prime walk, `modpoly._good_primes`, is deterministic (consecutive
+    primes ascending) and draws no prime once the budget is spent; past
+    FACTOR_LIMIT `is_prime` raises ValueError.  f's `_integer_model` (monic
+    model and discriminant) is built once, not per prime, and the walk
+    reads it to skip bad primes; a zero discriminant raises NotSquarefree.
+    The good primes go to one `_cycle_types` call, which shares Frobenius
+    chains among those above n = deg f, and are tallied in prime order, so
+    the counts are those of one prime at a time.
     """
     if f.degree < 1:
         raise ValueError("cycle types require degree >= 1")
@@ -105,18 +102,8 @@ def sample_cycle_types(
 def _sample(f: RationalPoly, model, prime_budget: int, prime_floor: int) -> CycleTypeSample:
     """`sample_cycle_types` on f's squarefree `_integer_model` (g, b, disc)."""
     g, b, disc = model
-    good: list[int] = []
-    skipped = 0
-    walk = primes_above(prime_floor)
-    while len(good) < prime_budget:
-        p = next(walk)
-        try:
-            _require_good(b, disc, p)
-        except BadPrime:
-            skipped += 1
-            continue
-        good.append(p)
-    counts = dict(Counter(_cycle_types(g, b, disc, good)))  # in order of first occurrence
+    good, skipped = _good_primes(b, disc, prime_floor, prime_budget)
+    counts = dict(Counter(_cycle_types(g, disc, good)))  # in order of first occurrence
     return CycleTypeSample(f=f, counts=counts, primes_used=len(good), primes_skipped=skipped)
 
 
@@ -182,10 +169,7 @@ def generic_experiment(
     verdict = INCONCLUSIVE
     if separable:
         sample = _sample(f, model, prime_budget, DEFAULT_PRIME_FLOOR)
-        possible = set(range(1, n))
-        for degrees in sample.counts:
-            possible &= _subset_sums(degrees)
-        irreducible = not possible or _irreducible(*model)
+        irreducible = not _open_degrees(n, sample.counts) or _irreducible(*model)
         if irreducible:
             stats = sample
             verdict = sn_certificate(stats, n)

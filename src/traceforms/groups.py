@@ -71,7 +71,7 @@ from __future__ import annotations
 import math
 from functools import partial
 from itertools import product
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .algebra import divisors, factorize, is_prime
 
@@ -247,10 +247,10 @@ def _require_shape(p: int, k: int, m: int) -> None:
         raise InvalidParams(f"order {m} * {p}^{k} exceeds MAX_GROUP_ORDER = {MAX_GROUP_ORDER}")
 
 
-def qualifying_alphas(p: int, m: int) -> list[int]:
-    """Units of order exactly p with alpha - 1 also a unit mod m."""
+def qualifying_alphas(p: int, m: int) -> Iterator[int]:
+    """Units of order exactly p with alpha - 1 also a unit mod m, ascending."""
     # alpha^p = 1 makes alpha a unit, and alpha != 1 gives it order exactly p
-    return [a for a in range(2, m) if pow(a, p, m) == 1 and math.gcd(a - 1, m) == 1]
+    return (a for a in range(2, m) if pow(a, p, m) == 1 and math.gcd(a - 1, m) == 1)
 
 
 def construct_group(p: int, k: int, m: int) -> SemidirectGroup:
@@ -273,7 +273,7 @@ def construct_group(p: int, k: int, m: int) -> SemidirectGroup:
             f"prime factors {bad} of m are not 1 mod p; no twisting unit of "
             f"order {p} with alpha - 1 invertible exists"
         )
-    alpha = min(qualifying_alphas(p, m))
+    alpha = next(qualifying_alphas(p, m))
     return SemidirectGroup(p, k, m, alpha)
 
 

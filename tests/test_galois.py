@@ -21,6 +21,7 @@ from traceforms.algebra import (
 from traceforms import galois
 from traceforms.algebra import modpoly
 from traceforms.algebra.intmath import FACTOR_LIMIT
+from traceforms.algebra.irreducibility import _open_degrees
 from traceforms.algebra.modpoly import CYCLE_TYPE_BATCH, mod_reduce
 from traceforms.algebra.poly import _integer_model
 from traceforms.galois import (
@@ -125,10 +126,13 @@ def test_walk_runs_one_chain_per_batch(monkeypatch):
 
 
 def test_walk_above_the_degree_runs_no_lone_chain_and_no_gcd(monkeypatch):
-    # 300 good primes above 100 on x^6 - x - 1 and x^7 - x - 1: the batch's
+    # 300 good primes above 100 on x^n - x - 1: at n = 6, 7 the batch's
     # traces of Frobenius and its square, with the parity, decide every
     # pattern, the rootless ones included, so no prime runs a Frobenius
-    # chain alone and no gcd runs
+    # chain alone and no gcd runs; at n = 8..16 a prime that they leave open
+    # (R >= 8) splits on its batch's rows, so still no prime runs a chain
+    # alone, and every gcd runs mod one of the sampled primes, never mod
+    # their product
     lone, gcds = [], []
     frobenius, gcd = modpoly._frobenius, modpoly.mod_gcd
 
@@ -139,11 +143,43 @@ def test_walk_above_the_degree_runs_no_lone_chain_and_no_gcd(monkeypatch):
 
     monkeypatch.setattr(modpoly, "_frobenius", counted_frobenius)
     monkeypatch.setattr(modpoly, "mod_gcd", lambda a, b, q: gcds.append(q) or gcd(a, b, q))
-    for n in (6, 7):
-        s = sample_cycle_types(RationalPoly((-1, -1) + (0,) * (n - 2) + (1,)), 300, 100)
+    open_primes = 0
+    for n in range(6, 17):
+        f = RationalPoly((-1, -1) + (0,) * (n - 2) + (1,))
+        gcds.clear()
+        s = sample_cycle_types(f, 300, 100)
         assert s.primes_used == 300
         assert sum(c for t, c in s.counts.items() if n - t.count(1) >= 6) > 50, s.counts
-    assert lone == [] and gcds == []
+        rests = [n - t.count(1) - 2 * t.count(2) for t in s.counts for _ in range(s.counts[t])]
+        open_primes += sum(rest >= 8 for rest in rests)
+        sampled = set(modpoly._good_primes(*_integer_model(f)[1:], 100, 300)[0])
+        assert set(gcds) <= sampled and (gcds == []) == (n <= 7), n
+    assert lone == [] and open_primes > 300
+
+
+def test_decision_at_small_degree_runs_one_chain_and_no_gcd(monkeypatch):
+    # the complete decision's five primes above n share one Frobenius chain,
+    # and at n <= 7 their traces and parities decide every pattern, so when
+    # the patterns alone decide irreducibility it runs that one chain and no
+    # gcd
+    chains, gcds = [], []
+    frobenius, gcd = modpoly._frobenius, modpoly.mod_gcd
+    monkeypatch.setattr(modpoly, "_frobenius", lambda f, primes: chains.append(len(primes)) or frobenius(f, primes))
+    monkeypatch.setattr(modpoly, "mod_gcd", lambda a, b, q: gcds.append(q) or gcd(a, b, q))
+    rng = random.Random(48)
+    decided = 0
+    for _ in range(60):
+        n = rng.randint(2, 7)
+        f = RationalPoly([rng.randint(-9, 9) for _ in range(n)] + [rng.choice([1, 2, 3])])
+        _, b, disc = _integer_model(f)
+        if disc == 0 or _open_degrees(n, [cycle_type_mod_p(f, p) for p in modpoly._good_primes(b, disc, n, 5)[0]]):
+            continue
+        chains.clear()
+        gcds.clear()
+        assert is_irreducible_over_rationals(f)
+        assert chains == [5] and gcds == [], (f, chains, gcds)
+        decided += 1
+    assert decided > 30, decided
 
 
 def test_frequency_reads_unsorted_patterns():

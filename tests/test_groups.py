@@ -91,7 +91,7 @@ def test_construct_requires_unit_alpha_minus_one():
         construct_group(5, 1, 33)
     # for m = 15 and p = 2, alpha = 4 and 11 are excluded (gcd(alpha-1, 15) > 1)
     # and only alpha = 14 = -1 qualifies
-    assert qualifying_alphas(2, 15) == [14]
+    assert list(qualifying_alphas(2, 15)) == [14]
     assert construct_group(2, 1, 15).alpha == 14
 
 
@@ -524,7 +524,7 @@ def test_alpha_choice_independence():
     # the properties hold for every qualifying alpha, not just the smallest
     for params in [(2, 1, 21), (3, 1, 13), (2, 2, 15), (5, 1, 31)]:
         p, k, m = params
-        alphas = qualifying_alphas(p, m)
+        alphas = list(qualifying_alphas(p, m))
         assert alphas, params
         for alpha in alphas:
             g = SemidirectGroup(p, k, m, alpha)

@@ -15,6 +15,7 @@ from traceforms.algebra import (
     irreducibility,
     is_irreducible_over_rationals,
     mignotte_bound,
+    modpoly,
     poly,
     primes_above,
 )
@@ -212,7 +213,9 @@ def _lc_meets_disc(draw):
 
 POLYS = st.one_of(
     _rational_polys(1, 8),
+    _rational_polys(9, 12),
     st.builds(mul, _rational_polys(1, 4), _rational_polys(1, 4)),
+    st.builds(mul, _rational_polys(4, 6), _rational_polys(4, 6)),  # up to degree 12
     st.builds(lambda g: mul(g, g), _rational_polys(1, 4)),
     _lc_meets_disc(),
 )
@@ -229,12 +232,41 @@ def test_matches_factor_every_prime_oracle(f):
     assert is_irreducible_over_rationals(f) == _factor_every_prime_oracle(f)
 
 
+def test_open_primes_on_shared_rows_match_the_oracle(monkeypatch):
+    # degree 9..12, and products reaching degree 12, as POLYS draws them: the
+    # decision's five primes above n share one chain, and a prime whose
+    # pattern keeps 8 or more degrees in factors of degree >= 3 (R >= 8)
+    # splits on that chain's rows mod the product of the five; the oracle
+    # factors at the first five primes from 2, so the old prime policy checks
+    # the new one
+    opened = []
+    split = modpoly._split_degrees
+
+    def spy(g, p, state=None, roots=None):
+        if state is not None:
+            opened.append(p)
+        return split(g, p, state, roots)
+
+    monkeypatch.setattr(modpoly, "_split_degrees", spy)
+    rng = random.Random(48)
+    leading = [1, -1, 2, 3, 4, 6, 9, 12, -10, Fraction(1, 2), Fraction(2, 3), Fraction(-5, 4)]
+
+    def rational_poly(low, high):
+        lower = [Fraction(rng.randint(-20, 20), rng.randint(1, 6)) for _ in range(rng.randint(low, high))]
+        return RationalPoly(lower + [rng.choice(leading)])
+
+    for i in range(40):
+        f = rational_poly(9, 12) if i % 2 else mul(rational_poly(4, 6), rational_poly(4, 6))
+        assert is_irreducible_over_rationals(f) == _factor_every_prime_oracle(f), f
+    assert len(opened) > 20, len(opened)
+
+
 def _decided_by_cycle_types(f: RationalPoly) -> bool:
     """An irreducible image or an empty degree-set intersection among the
-    first five good primes, read from the public cycle types."""
+    first five good primes above deg f, read from the public cycle types."""
     possible = set(range(1, f.degree))
     good = 0
-    for p in primes_above(1):
+    for p in primes_above(f.degree):
         try:
             possible &= _subset_sums(cycle_type_mod_p(f, p))
         except BadPrime:

@@ -4,6 +4,7 @@ import ast
 import math
 import random
 import sys
+from bisect import bisect_right
 from fractions import Fraction
 from itertools import islice
 from pathlib import Path
@@ -29,6 +30,7 @@ from traceforms.algebra.modpoly import (
     _cycle_types,
     _distinct_degree,
     _frobenius,
+    _good_primes,
     _pack,
     _slotwise_mod,
     _unpack,
@@ -119,11 +121,12 @@ def test_cycle_type_reads_the_monic_model(f, p):
         expected = _cycle_type_oracle(ints, old_disc, p)
     except BadPrime as bad:
         with pytest.raises(BadPrime, match=str(bad)):
-            _cycle_types(g, b, disc, [p])
-        with pytest.raises(BadPrime, match=str(bad)):
             cycle_type_mod_p(f, p)
+        if disc:  # `_cycle_types` trusts its primes: the walk from p on never yields p
+            good, skipped = _good_primes(b, disc, p - 1, 1)
+            assert good[0] > p and skipped >= 1
         return
-    assert _cycle_types(g, b, disc, [p])[0] == cycle_type_mod_p(f, p) == expected
+    assert _cycle_types(g, disc, [p])[0] == cycle_type_mod_p(f, p) == expected
 
 
 # small p (n > p is common), primes near 10**3 and 10**6, 2**31 - 1, 2**61 - 1
@@ -193,7 +196,8 @@ def test_cycle_type_routes_match_oracle(f, route):
             cycle_type_mod_p(f, p)
         return
     expected = _oracle_pattern(ints, p)
-    assert _cycle_types(*_integer_model(f), [p])[0] == cycle_type_mod_p(f, p) == expected
+    g, _, disc = _integer_model(f)
+    assert _cycle_types(g, disc, [p])[0] == cycle_type_mod_p(f, p) == expected
 
 
 def _irreducibles(d: int, p: int):
@@ -244,7 +248,8 @@ def test_cycle_type_parity_splits_each_pair(p):
             ints = _with_pattern(pattern, p)
             assert _oracle_pattern(ints, p) == pattern
             f = RationalPoly(ints)
-            assert _cycle_types(*_integer_model(f), [p])[0] == cycle_type_mod_p(f, p) == pattern
+            g, _, disc = _integer_model(f)
+            assert _cycle_types(g, disc, [p])[0] == cycle_type_mod_p(f, p) == pattern
 
 
 def test_cycle_type_counts_n_roots_at_n_plus_one():
@@ -331,9 +336,10 @@ def test_batched_chain_matches_one_prime_at_a_time():
     # the largest proven prime added, so a chain's primes differ in bit
     # length.  The walk above 2 mixes primes at or below n, which
     # distinct-degree splitting decides, with primes above n, and a list with
-    # more than CYCLE_TYPE_BATCH primes above n spans several chains; a bad
-    # prime anywhere in a list raises BadPrime.  Where the root count leaves
-    # six or more degrees in factors of degree >= 2, Tr(Q^2) = roots + 2 pairs
+    # more than CYCLE_TYPE_BATCH primes above n spans several chains; the
+    # good-prime walk from 2 skips exactly the primes dividing b disc, for
+    # more than ten f one before its tenth good prime.  Where the root count
+    # leaves six or more degrees in factors of degree >= 2, Tr(Q^2) = roots + 2 pairs
     # gives the quadratic factors, and R, the degree left in factors of
     # degree >= 3, is one part, two parts that the parity splits (R = 6, 7),
     # or left to distinct-degree splitting (R >= 8); each case is reached
@@ -352,26 +358,66 @@ def test_batched_chain_matches_one_prime_at_a_time():
         primes = [p for p in islice(walk, 2 * size + 4) if b % p and disc % p]
         primes = primes[:size] + [p for p in rng.sample(far, rng.randint(0, 2)) if b % p and disc % p]
         expected = {p: _oracle_pattern(g, p) for p in primes}
-        assert [_cycle_types(g, b, disc, [p])[0] for p in primes] == list(expected.values()), f
+        assert [_cycle_types(g, disc, [p])[0] for p in primes] == list(expected.values()), f
         for batch in (primes, rng.sample(primes, len(primes)), [p for p in primes if p > n]):
             if batch:
-                assert _cycle_types(g, b, disc, batch) == [expected[p] for p in batch], (f, batch)
+                assert _cycle_types(g, disc, batch) == [expected[p] for p in batch], (f, batch)
         above = sum(p > n for p in primes)
         small += len(primes) - above
         mixed += 0 < above < len(primes)
         chains += above > CYCLE_TYPE_BATCH
-        for q in islice(primes_above(1), 10):
-            if b % q == 0 or disc % q == 0:
-                with pytest.raises(BadPrime):
-                    _cycle_types(g, b, disc, rng.sample(primes + [q], len(primes) + 1))
-                bad += 1
-                break
+        walked, skipped = _good_primes(b, disc, 1, 10)
+        dividing = [q for q in range(2, walked[-1]) if is_prime(q) and b * disc % q == 0]
+        assert walked == [q for q in range(2, walked[-1] + 1) if is_prime(q) and b * disc % q], f
+        assert skipped == len(dividing), f
+        bad += skipped > 0
         for p, t in expected.items():
             if p > n and n - t.count(1) >= 6:
                 rest = n - t.count(1) - 2 * t.count(2)
                 rests["R <= 5" if rest <= 5 else "R = 6, 7" if rest <= 7 else "R >= 8"] += 1
     reached = (small, mixed, chains, bad, rests)
     assert small > 50 and mixed > 10 and chains > 10 and bad > 10 and min(rests.values()) > 20, reached
+
+
+def _sieve(limit: int) -> list[int]:
+    """The primes below limit, by Eratosthenes' sieve."""
+    marks = bytearray([1]) * limit
+    marks[:2] = b"\0\0"
+    for q in range(2, math.isqrt(limit) + 1):
+        if marks[q]:
+            marks[q * q :: q] = bytes(len(range(q * q, limit, q)))
+    return [q for q in range(limit) if marks[q]]
+
+
+def test_good_primes_match_a_brute_force_walk():
+    # the one good-prime walk against a sieve: at floors 1, n, 100 and 10^6
+    # and counts 0, 1, 5 and 300, the first `count` sieved primes above the
+    # floor dividing neither b nor disc, and the number of sieved primes
+    # below the last of them that divide one; b and disc carry many small
+    # primes and some just above 100 and 10^6, so every floor skips a run
+    sieved = _sieve(10**6 + 10**4)
+    rng = random.Random(48)
+    small = sieved[:60]
+    near = [q for q in sieved if 100 < q < 200] + [q for q in sieved if 10**6 < q < 10**6 + 400]
+    skips = 0
+    for _ in range(8):
+        n = rng.randint(2, 12)
+        b = math.prod(rng.sample(small[:8], rng.randint(0, 4)))
+        disc = rng.choice([1, -1]) * math.prod(rng.sample(small, 25) + rng.sample(near, 20))
+        for floor in (1, n, 100, 10**6):
+            walk = sieved[bisect_right(sieved, floor) :][:400]  # 300 good primes and every skip
+            for count in (0, 1, 5, 300):
+                good, skipped = _good_primes(b, disc, floor, count)
+                expected = [q for q in walk if b % q and disc % q][:count]
+                drawn = walk[: walk.index(expected[-1]) + 1] if count else []
+                assert good == expected, (b, disc, floor, count)
+                assert skipped == len(drawn) - count, (b, disc, floor, count)
+                skips += skipped > 0
+    assert skips > 50, skips
+    # a count of 0 draws no prime, even where the walk could prove none
+    assert _good_primes(1, 1, FACTOR_LIMIT, 0) == ([], 0)
+    with pytest.raises(ValueError, match="FACTOR_LIMIT"):
+        _good_primes(1, 1, FACTOR_LIMIT, 1)
 
 
 # the moduli of batched Frobenius chains: products of 16 primes above 100,

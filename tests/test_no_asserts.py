@@ -2,10 +2,11 @@
 only the standard library, the public names, classmethods and methods resolve
 and each has a caller, RationalPoly is a value with no operators,
 FACTOR_LIMIT is enforced in one place per job, f's integer forms are built in
-one place each, one routine owns the cycle types' Frobenius chains, the
-power-sum Hankel and a certificate's matrices stay in integers, no fact is
-checked twice by a determinant, only the classifier diagonalizes, and the
-Z/qZ kernel inverts leading coefficients only in its Euclidean routines."""
+one place each, one walk picks the good primes and one routine owns the
+cycle types' Frobenius chains, the power-sum Hankel and a certificate's
+matrices stay in integers, no fact is checked twice by a determinant, only
+the classifier diagonalizes, and the Z/qZ kernel inverts leading
+coefficients only in its Euclidean routines."""
 
 import ast
 import sys
@@ -310,6 +311,41 @@ def test_one_cycle_type_routine_owns_the_chains():
     # the chain set-up (product, idempotents, steps, slot reduction) is
     # cached for `_frobenius` alone
     assert _sites(_Calls, "_chain_setup") == ["modpoly._frobenius"]
+
+
+class _BadPrimeSites(_Scoped):
+    """module.function of every `raise BadPrime(...)` (kind "raise") or
+    `except` clause naming BadPrime (kind "except")."""
+
+    def __init__(self, module: str, kind: str):
+        super().__init__(module)
+        self.kind = kind
+
+    def _names_bad_prime(self, node) -> bool:
+        return node is not None and any(getattr(sub, "id", None) == "BadPrime" for sub in ast.walk(node))
+
+    def visit_Raise(self, node):
+        if self.kind == "raise" and self._names_bad_prime(node.exc):
+            self.found.append(f"{self.module}.{self.scope}")
+        self.generic_visit(node)
+
+    def visit_ExceptHandler(self, node):
+        if self.kind == "except" and self._names_bad_prime(node.type):
+            self.found.append(f"{self.module}.{self.scope}")
+        self.generic_visit(node)
+
+
+def test_one_good_prime_walk():
+    # `_good_primes` alone walks the primes of the cycle types and the
+    # decision and decides which are good for f; `_cycle_types` trusts the
+    # primes it is handed, so only the public entry points refuse a bad
+    # prime, and no caller catches BadPrime to skip one
+    walks = [site for site in _sites(_Calls, "primes_above") if site.startswith(("modpoly.", "galois.", "irreducibility."))]
+    assert walks == ["modpoly._good_primes"]
+    assert _sites(_Calls, "_good_primes") == ["galois._sample", "irreducibility._irreducible"]
+    assert _sites(_Calls, "_cycle_types") == ["galois._sample", "irreducibility._irreducible", "modpoly.cycle_type_mod_p"]
+    assert _sites(_BadPrimeSites, "raise") == ["modpoly.cycle_type_mod_p"] * 2 + ["modpoly.factor_mod_p"] * 2
+    assert [site for site in _sites(_BadPrimeSites, "except") if site.startswith(("galois.", "irreducibility."))] == []
 
 
 class _Reads(_Scoped):
