@@ -37,7 +37,6 @@ from .galois import (
     sn_certificate,
 )
 from .groups import (
-    Element,
     InvalidParams,
     NonDivisor,
     SemidirectGroup,

@@ -1,8 +1,9 @@
 """Complete irreducibility decision for rational polynomials.
 
 Pipeline: take f's monic integer model and its primitive part's discriminant
-(`poly._integer_model`), rule out repeated factors by the discriminant, and
-read the cycle types of f at the first _CANDIDATE_PRIMES good primes above
+(`poly._integer_model`), rule out repeated factors by the discriminant,
+return True at n = 1 (no degree 0 < d < n is open), and otherwise read the
+cycle types of f at the first _CANDIDATE_PRIMES good primes above
 n = deg f (dividing neither leading coefficient nor discriminant), which
 `modpoly._good_primes` walks to, in one `modpoly._cycle_types` call, the
 routine that the Galois sampler calls on its primes too.  At n >= 2 the
@@ -152,6 +153,8 @@ def _irreducible(work: list[int], b: int, disc: int) -> bool:
         return False  # a repeated factor, so certainly reducible at degree >= 2
 
     n = len(work) - 1
+    if n == 1:
+        return True  # no degree 0 < d < 1 is open, so no prime need be read
     primes, _ = _good_primes(b, disc, n, _CANDIDATE_PRIMES)
     types = _cycle_types(work, disc, primes)
     possible = _open_degrees(n, types)

@@ -51,11 +51,6 @@ class CycleTypeSample:
     primes_used: int
     primes_skipped: int
 
-    def frequency(self, cycle_type: tuple[int, ...]) -> Fraction:
-        if self.primes_used == 0:
-            return Fraction(0)
-        return Fraction(self.counts.get(tuple(sorted(cycle_type)), 0), self.primes_used)
-
 
 @dataclass(frozen=True)
 class SpecReport:

@@ -1,6 +1,6 @@
 """Finite semidirect products Z/m x| Z/p^k and their structural properties.
 
-Elements are pairs (a, x) with a mod m, x mod p^k, multiplied by
+A group element is a plain pair (a, x), a mod m and x mod p^k, multiplied by
 (a, x)(b, y) = (a + alpha^x b, x + y) for a unit alpha of multiplicative
 order p.  Three structural properties are machine-verified over parameter
 sweeps: (a) the group is generated by its p-Sylow subgroups, (b) its only
@@ -69,21 +69,21 @@ iterated multiplication.
 from __future__ import annotations
 
 import math
-from functools import partial
 from itertools import product
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 from .algebra import divisors, factorize, is_prime
 
 # groups up to this order also run the exhaustive normal-subgroup enumeration
 EXHAUSTIVE_MAX_ORDER = 300
-# SemidirectGroup (so construct_group too) refuses larger orders before it
-# builds its p^k-entry table of alpha^x.  The cap bounds the enumeration, the
-# one path of verify_group that walks elements: at order <= 300, or when
-# --exhaustive forces it (group-verify --p 2 --k 1 --m 99999 --exhaustive,
-# order 199,998: about 3.9 s of CPU and 147 MiB peak, Python 3.11); the checks
-# take O(1) products for (a) and O(1) per divisor of m for (c) (without
-# --exhaustive, under 1 ms in verify_group)
+# SemidirectGroup (so construct_group too) refuses larger orders.  The cap is
+# there for the enumeration, the one path of verify_group that walks every
+# element: at order <= 300, or when --exhaustive forces it (group-verify --p 2
+# --k 1 --m 99999 --exhaustive, order 199,998: about 3.9 s of CPU and 147 MiB
+# peak, Python 3.11); the checks take O(1) products for (a) and O(1) per
+# divisor of m for (c) (without --exhaustive, under 1 ms in verify_group).
+# Checked before anything is built, it also bounds the p^k-entry table of
+# alpha^x that every group holds
 MAX_GROUP_ORDER = 200_000
 # the primes p that sweep_parameters walks
 SWEEP_PRIMES = (2, 3, 5)
@@ -97,12 +97,7 @@ class NonDivisor(ValueError):
     """The requested index parameter is not a positive divisor of m."""
 
 
-class Element(NamedTuple):
-    a: int
-    x: int
-
-
-IDENTITY = Element(0, 0)
+IDENTITY = (0, 0)
 
 
 class SemidirectGroup:
@@ -127,36 +122,27 @@ class SemidirectGroup:
     def __repr__(self):
         return f"SemidirectGroup(p={self.p}, k={self.k}, m={self.m}, alpha={self.alpha})"
 
-    @property
-    def identity(self) -> Element:
-        return IDENTITY
-
     def elements(self):
-        return map(partial(tuple.__new__, Element), product(range(self.m), range(self.pk)))
+        return product(range(self.m), range(self.pk))
 
-    def multiply(self, g: Element, h: Element) -> Element:
-        # tuple.__new__ and indexing skip the NamedTuple's Python-level
-        # constructor and field lookups; _coset and _powers inline the same
-        # product for their runs of products
-        return tuple.__new__(
-            Element,
-            ((g[0] + self._alpha_pow[g[1]] * h[0]) % self.m, (g[1] + h[1]) % self.pk),
-        )
+    def multiply(self, g: tuple, h: tuple) -> tuple:
+        # _coset and _powers inline the same product for their runs of products
+        return (g[0] + self._alpha_pow[g[1]] * h[0]) % self.m, (g[1] + h[1]) % self.pk
 
-    def _coset(self, base, t: Element) -> list[Element]:
+    def _coset(self, base, t: tuple) -> list[tuple]:
         """The right coset base t = [h t for h in base], one product per element."""
         m, pk, alpha_pow = self.m, self.pk, self._alpha_pow
         b, y = t
-        return [tuple.__new__(Element, ((a + alpha_pow[x] * b) % m, (x + y) % pk)) for a, x in base]
+        return [((a + alpha_pow[x] * b) % m, (x + y) % pk) for a, x in base]
 
-    def _powers(self, g: Element) -> list[Element]:
+    def _powers(self, g: tuple) -> list[tuple]:
         """g, g^2, ..., g^n = e, where n is the order of g."""
         m, pk, alpha_pow = self.m, self.pk, self._alpha_pow
         a, x = b, y = g
         out = [g]
         while a or x:
             a, x = (a + alpha_pow[x] * b) % m, (x + y) % pk
-            out.append(tuple.__new__(Element, (a, x)))
+            out.append((a, x))
         return out
 
     def _geometric_sum(self, beta: int, n: int) -> int:
@@ -166,15 +152,12 @@ class SemidirectGroup:
             return n % self.m
         return (pow(beta, n, self.m * (beta - 1)) - 1) // (beta - 1) % self.m
 
-    def power(self, g: Element, n: int) -> Element:
+    def power(self, g: tuple, n: int) -> tuple:
         """g**n for n >= 0 by the closed form (a (1 + beta + ... + beta^(n-1)), n x),
         beta = alpha^x."""
         if n < 0:
             raise ValueError("negative exponents are not needed here")
-        return Element(
-            g.a * self._geometric_sum(self._alpha_pow[g.x], n) % self.m,
-            n * g.x % self.pk,
-        )
+        return g[0] * self._geometric_sum(self._alpha_pow[g[1]], n) % self.m, n * g[1] % self.pk
 
     def subgroup_closure(self, gens) -> frozenset:
         """Subgroup generated by `gens`, by Dimino's algorithm (Butler,
@@ -190,7 +173,7 @@ class SemidirectGroup:
         |<gens>| + (cosets) |gens| products.
         """
         closure = {IDENTITY}
-        effective: list[Element] = []
+        effective: list[tuple] = []
         for g in gens:
             if g in closure:
                 continue
@@ -216,17 +199,14 @@ class SemidirectGroup:
         gcd(1 - alpha^x, m) Z/m."""
         m = self.m
         classes = []
-        seen: set[Element] = set()
+        seen: set[tuple] = set()
         for x in range(self.pk):
             step = math.gcd(1 - self._alpha_pow[x], m)
             for a in range(m):
-                # a plain tuple hashes and compares as the Element
                 if (a, x) in seen:
                     continue
                 cls = frozenset(
-                    tuple.__new__(Element, ((self._alpha_pow[y] * a + t) % m, x))
-                    for y in range(self.p)
-                    for t in range(0, m, step)
+                    ((self._alpha_pow[y] * a + t) % m, x) for y in range(self.p) for t in range(0, m, step)
                 )
                 seen |= cls
                 classes.append(cls)
@@ -277,9 +257,9 @@ def construct_group(p: int, k: int, m: int) -> SemidirectGroup:
     return SemidirectGroup(p, k, m, alpha)
 
 
-def _p_steps(group: SemidirectGroup) -> list[int]:
-    """[step_0, ..., step_(p-1)] = [m, step_1, ..., step_1], where step_x =
-    m / gcd(s_x, m) and (1, x)^(p^k) = (s_x, 0), from one power.
+def _p_steps(group: SemidirectGroup) -> int:
+    """step_1, the one step of every x != 0 (mod p), where step_x =
+    m / gcd(s_x, m) and (1, x)^(p^k) = (s_x, 0), from one power; step_0 = m.
 
     By the power formula (a, x)^(p^k) = (a s_x, 0), so (a, x) is a p-element
     exactly when step_x divides a, and s_x = 1 + beta + ... + beta^(p^k - 1)
@@ -289,20 +269,20 @@ def _p_steps(group: SemidirectGroup) -> list[int]:
     <alpha> p^k / o times each, so s_x = (p^k / o) sum(<alpha>) is the same
     for every such x, and step_x = step_1.  Hence d = gcd(steps) = step_1,
     and lemma (a) holds exactly when (1, 1)^(p^k) = e."""
-    m = group.m
-    return [m] + [m // math.gcd(group.power(Element(1, 1), group.pk).a, m)] * (group.p - 1)
+    return group.m // math.gcd(group.power((1, 1), group.pk)[0], group.m)
 
 
-def p_elements(group: SemidirectGroup) -> list[Element]:
+def p_elements(group: SemidirectGroup) -> list[tuple]:
     """All elements of p-power order (the union of the Sylow p-subgroups).
 
     |G| = m p^k with p prime to m, so g has p-power order exactly when
-    g^(p^k) = e: the (a, x) with a a multiple of _p_steps' step for x mod p.
+    g^(p^k) = e: the (a, x) with a a multiple of step_x, which is m at
+    x = 0 (mod p) and _p_steps' step elsewhere.
     """
-    steps = _p_steps(group)
+    step = _p_steps(group)
     out = []
     for x in range(group.pk):
-        out += (tuple.__new__(Element, (a, x)) for a in range(0, group.m, steps[x % group.p]))
+        out += ((a, x) for a in range(0, group.m, group.m if x % group.p == 0 else step))
     return out
 
 
@@ -328,7 +308,7 @@ def _normal_subgroups(group: SemidirectGroup) -> list[frozenset]:
     # subgroups, and the generators of <g> are marked to skip the rest.  Only
     # the generators: a lower power of g can have a smaller closure.
     closures: set[frozenset] = set()
-    marked: set[Element] = set()
+    marked: set[tuple] = set()
     for cls in group.conjugacy_classes():
         if not marked.isdisjoint(cls):
             continue
@@ -379,8 +359,8 @@ def index_subgroups(group: SemidirectGroup, n: int) -> tuple[frozenset, frozense
     indices must be p^k n and n, the sizes part (c) of verify_group reads off
     its witness."""
     _require_divisor(group, n)
-    step = Element(n % group.m, 0)
-    return group.subgroup_closure([step]), group.subgroup_closure([step, Element(0, 1)])
+    step = (n % group.m, 0)
+    return group.subgroup_closure([step]), group.subgroup_closure([step, (0, 1)])
 
 
 def _index_sizes(group: SemidirectGroup, n: int, primes) -> "tuple[int, int] | None":
@@ -390,10 +370,10 @@ def _index_sizes(group: SemidirectGroup, n: int, primes) -> "tuple[int, int] | N
     is, for a prime q | d.  Conjugation by (0,1) maps it to an (a, 0) with
     n | a, a power of (n,0), so H1 = H0 <(0,1)>.  The caller has checked that
     (0,1) has order p^k, prime to m, so the two factors meet in e."""
-    e, d, g = IDENTITY, group.m // n, Element(n % group.m, 0)
+    e, d, g = IDENTITY, group.m // n, (n % group.m, 0)
     if group.power(g, d) != e or any(group.power(g, d // q) == e for q in primes if d % q == 0):
         return None
-    t = Element(0, 1)
+    t = (0, 1)
     a, x = group.multiply(group.multiply(t, g), group.power(t, group.pk - 1))
     if x != 0 or a % n != 0:
         return None
@@ -415,7 +395,7 @@ def verify_group(
             _require_divisor(group, n)
     primes = factorize(group.m)
     # (0,1) has order p^k, prime to m: every (c) witness rests on it
-    t = Element(0, 1)
+    t = (0, 1)
     t_has_order_pk = (
         group.power(t, group.pk) == IDENTITY and group.power(t, group.pk // group.p) != IDENTITY
     )
@@ -435,7 +415,7 @@ def verify_group(
         )
     # (a) and the derived half of (b) are one fact; the exhaustive half runs
     # on small groups, or when forced, and must agree with it
-    lemma_a = group.power(Element(1, 1), group.pk) == IDENTITY
+    lemma_a = group.power((1, 1), group.pk) == IDENTITY
     enumerated = None
     if exhaustive or group.order <= EXHAUSTIVE_MAX_ORDER:
         enumerated = quotient_check_exhaustive(group)

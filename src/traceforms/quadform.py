@@ -125,12 +125,6 @@ def _square_class_product(a: int, b: int) -> int:
     return (a // g) * (b // g)
 
 
-def relevant_places(entries) -> list:
-    """The real place, 2, and every odd prime dividing some entry's numerator
-    or denominator; all Hilbert symbols among the entries are +1 elsewhere."""
-    return _classes_and_places([exact_rational(e) for e in entries])[1]
-
-
 def _classes_and_places(entries) -> tuple[list[int], list]:
     """Square class of each nonzero entry and the relevant places of all of
     them, factoring each numerator and denominator once.

@@ -37,7 +37,7 @@ a unit included, for p in (2, 3, 5), k <= 3, m >= 2 prime to p and order
 from traceforms.algebra import divisors
 from traceforms.groups import (
     EXHAUSTIVE_MAX_ORDER,
-    Element,
+    IDENTITY,
     SemidirectGroup,
     index_subgroups as closure_index_subgroups,
     quotient_check_derived,
@@ -56,8 +56,8 @@ def hand_built_groups() -> list[SemidirectGroup]:
 
 
 def subgroup_closure(group: SemidirectGroup, gens) -> frozenset:
-    effective: list[Element] = []
-    current = {group.identity}
+    effective: list[tuple[int, int]] = []
+    current = {IDENTITY}
     for g in gens:
         if g in current:
             continue
@@ -77,7 +77,7 @@ def subgroup_closure(group: SemidirectGroup, gens) -> frozenset:
 
 def normal_subgroups(group: SemidirectGroup) -> list[frozenset]:
     classes = group.conjugacy_classes()
-    trivial = frozenset({group.identity})
+    trivial = frozenset({IDENTITY})
     found = {trivial}
     frontier = [trivial]
     while frontier:
@@ -94,26 +94,26 @@ def normal_subgroups(group: SemidirectGroup) -> list[frozenset]:
 
 
 def index_subgroups(group: SemidirectGroup, n: int) -> tuple[frozenset, frozenset]:
-    h0 = frozenset(Element(a, 0) for a in range(0, group.m, n))
-    h1 = frozenset(Element(a, x) for a in range(0, group.m, n) for x in range(group.pk))
+    h0 = frozenset((a, 0) for a in range(0, group.m, n))
+    h1 = frozenset((a, x) for a in range(0, group.m, n) for x in range(group.pk))
     return h0, h1
 
 
-def inverse(group: SemidirectGroup, g: Element) -> Element:
-    return next(h for h in group.elements() if group.multiply(g, h) == group.identity)
+def inverse(group: SemidirectGroup, g: tuple[int, int]) -> tuple[int, int]:
+    return next(h for h in group.elements() if group.multiply(g, h) == IDENTITY)
 
 
-def conjugate(group: SemidirectGroup, h: Element, g: Element) -> Element:
+def conjugate(group: SemidirectGroup, h: tuple[int, int], g: tuple[int, int]) -> tuple[int, int]:
     return group.multiply(group.multiply(h, g), inverse(group, h))
 
 
 def p_elements(group: SemidirectGroup) -> set:
     out = set()
     for g in group.elements():
-        acc = group.identity
+        acc = IDENTITY
         for _ in range(group.pk):
             acc = group.multiply(acc, g)
-        if acc == group.identity:
+        if acc == IDENTITY:
             out.add(g)
     return out
 

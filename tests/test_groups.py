@@ -16,8 +16,8 @@ from traceforms.algebra import divisors
 from traceforms.algebra.intmath import FACTOR_LIMIT, next_prime
 from traceforms.cli import main
 from traceforms.groups import (
+    IDENTITY,
     MAX_GROUP_ORDER,
-    Element,
     InvalidParams,
     NonDivisor,
     SemidirectGroup,
@@ -124,11 +124,11 @@ def test_a_hand_built_group_is_capped_before_its_table():
 
 def test_multiplication_law():
     g = construct_group(2, 1, 3)
-    assert g.multiply(Element(0, 0), Element(2, 1)) == Element(2, 1)
-    assert g.multiply(Element(1, 1), Element(1, 1)) == Element(0, 0)
+    assert g.multiply((0, 0), (2, 1)) == (2, 1)
+    assert g.multiply((1, 1), (1, 1)) == (0, 0)
     # non-commutativity witness
-    assert g.multiply(Element(0, 1), Element(1, 0)) == Element(2, 1)
-    assert g.multiply(Element(1, 0), Element(0, 1)) == Element(1, 1)
+    assert g.multiply((0, 1), (1, 0)) == (2, 1)
+    assert g.multiply((1, 0), (0, 1)) == (1, 1)
 
 
 def test_associativity_random_triples():
@@ -145,17 +145,17 @@ def test_inverses_and_identity():
     for params in SMALL_PARAMS:
         g = construct_group(*params)
         for el in g.elements():
-            assert g.multiply(el, inverse(g, el)) == g.identity
-            assert g.multiply(inverse(g, el), el) == g.identity
+            assert g.multiply(el, inverse(g, el)) == IDENTITY
+            assert g.multiply(inverse(g, el), el) == IDENTITY
 
 
 def test_power_identities():
     for params in SMALL_PARAMS:
         g = construct_group(*params)
-        assert g.power(Element(0, 1), g.pk) == g.identity
-        assert g.power(Element(1, 1), g.pk) == g.identity
+        assert g.power((0, 1), g.pk) == IDENTITY
+        assert g.power((1, 1), g.pk) == IDENTITY
         for a in range(g.m):
-            assert g.power(Element(a, 0), g.m) == g.identity
+            assert g.power((a, 0), g.m) == IDENTITY
 
 
 def test_power_closed_form_vs_iteration():
@@ -167,12 +167,12 @@ def test_power_closed_form_vs_iteration():
         if g.order > 200:
             continue
         for el in g.elements():
-            acc = g.identity
+            acc = IDENTITY
             for n in range(1, g.order + 1):
                 acc = g.multiply(acc, el)
                 assert g.power(el, n) == acc
         with pytest.raises(ValueError):
-            g.power(g.identity, -1)
+            g.power(IDENTITY, -1)
 
 
 def test_p_elements_match_the_definition():
@@ -188,7 +188,7 @@ def test_p_elements_match_the_definition():
 def test_p_generated_subgroup_examples():
     g = construct_group(2, 1, 3)
     assert p_generated_subgroup(g) == frozenset(g.elements())
-    assert g.subgroup_closure([g.identity]) == frozenset({g.identity})
+    assert g.subgroup_closure([IDENTITY]) == frozenset({IDENTITY})
     g = construct_group(3, 1, 7)
     assert p_generated_subgroup(g) == frozenset(g.elements())
 
@@ -208,7 +208,7 @@ def test_quotient_negative_control():
     assert not quotient_check_exhaustive(direct)
     # p-elements of the direct product are {(0,0), (0,1)}: closure order 2
     assert len(p_generated_subgroup(direct)) == 2
-    assert set(p_elements(direct)) == {Element(0, 0), Element(0, 1)}
+    assert set(p_elements(direct)) == {(0, 0), (0, 1)}
 
 
 def test_index_subgroups_examples():
@@ -216,7 +216,7 @@ def test_index_subgroups_examples():
     h0, h1 = index_subgroups(g, 1)
     assert len(h0) == 3 and len(h1) == 6
     h0, h1 = index_subgroups(g, 3)
-    assert h0 == frozenset({g.identity}) and len(h1) == 2
+    assert h0 == frozenset({IDENTITY}) and len(h1) == 2
 
     g = construct_group(2, 1, 15)
     h0, h1 = index_subgroups(g, 5)
@@ -249,7 +249,7 @@ def test_index_subgroups_close_their_generators_once(monkeypatch):
     real = g.subgroup_closure
     monkeypatch.setattr(g, "subgroup_closure", lambda gens: calls.append(list(gens)) or real(gens))
     index_subgroups(g, 5)
-    assert calls == [[Element(5, 0)], [Element(5, 0), Element(0, 1)]]
+    assert calls == [[(5, 0)], [(5, 0), (0, 1)]]
 
 
 def test_power_makes_no_multiplication(monkeypatch):
@@ -257,8 +257,8 @@ def test_power_makes_no_multiplication(monkeypatch):
     calls = []
     real = g.multiply
     monkeypatch.setattr(g, "multiply", lambda a, b: calls.append((a, b)) or real(a, b))
-    assert g.power(Element(3, 1), 7) == Element(3, 3)
-    assert g.power(Element(2, 2), g.order) == g.identity
+    assert g.power((3, 1), 7) == (3, 3)
+    assert g.power((2, 2), g.order) == IDENTITY
     assert calls == []
 
 
@@ -268,7 +268,7 @@ def test_h0_alpha_invariance():
         for n in [d for d in range(1, g.m + 1) if g.m % d == 0]:
             h0, _ = index_subgroups(g, n)
             for el in h0:
-                assert Element(g.alpha * el.a % g.m, 0) in h0
+                assert (g.alpha * el[0] % g.m, 0) in h0
 
 
 def test_verify_group_report():
@@ -310,7 +310,7 @@ def test_p_elements_are_closed_under_conjugation():
     direct = SemidirectGroup(2, 1, 3, alpha=1)
     for g in [construct_group(*params) for params in SMALL_PARAMS] + [direct]:
         elements = set(p_elements(g))
-        for t in (Element(1, 0), Element(0, 1)):
+        for t in ((1, 0), (0, 1)):
             assert {conjugate(g, t, el) for el in elements} <= elements, g
 
 
@@ -391,16 +391,16 @@ def test_a_failed_index_witness_raises_naming_its_divisor(monkeypatch):
     # and the number of calls answered wrongly; values: the divisor named
     breaks = {
         # (5,0)^3 != e, or (5,0)^1 = e: the order of (5,0) is unproven
-        ((2, 1, 15), Element(5, 0), 3, Element(1, 0), 1): 5,
-        ((2, 1, 15), Element(5, 0), 1, Element(0, 0), 1): 5,
+        ((2, 1, 15), (5, 0), 3, (1, 0), 1): 5,
+        ((2, 1, 15), (5, 0), 1, (0, 0), 1): 5,
         # (0,1)^1 = e: the order of (0,1) is unproven at the first divisor
-        ((2, 1, 15), Element(0, 1), 1, Element(0, 0), 1): 1,
+        ((2, 1, 15), (0, 1), 1, (0, 0), 1): 1,
         # (0,1)^-1 = (0,1)^3 read as (0,2): the conjugate of (1,0) then has
         # x = 3, so (0,1) is not shown to normalize H0 at n = 1
-        ((2, 2, 5), Element(0, 1), 3, Element(0, 2), 1): 1,
+        ((2, 2, 5), (0, 1), 3, (0, 2), 1): 1,
         # (0,1)^-1 = (0,1)^2 read as (1,2), at n = 1 and n = 7: the conjugate
         # of (7,0) = e is then (2,0), outside H0 = {e} at n = 7
-        ((3, 1, 7), Element(0, 1), 2, Element(1, 2), 2): 7,
+        ((3, 1, 7), (0, 1), 2, (1, 2), 2): 7,
     }
     for (params, wrong_el, wrong_n, wrong, calls), n in breaks.items():
         g = construct_group(*params)
@@ -412,22 +412,26 @@ def test_a_failed_index_witness_raises_naming_its_divisor(monkeypatch):
 
 
 def test_a_wrong_p_step_is_caught_by_the_enumeration(monkeypatch):
-    # at p = 2, a wrong (1,1)^(p^k), read into step_1, flips (a) either way;
-    # at order <= 300 the enumeration disagrees and verify_group raises
+    # at p = 2, a wrong (1,1)^(p^k) plants a wrong step_1 and flips (a)
+    # either way; at order <= 300 the enumeration disagrees and verify_group
+    # raises
     breaks = [
         # (1,1)^2 = e read as (5,0): step_1 = 3, so (a) would read false
-        (construct_group(2, 1, 15), Element(1, 1), 2, Element(5, 0)),
+        (construct_group(2, 1, 15), (1, 1), 2, (5, 0), 3),
         # (1,1)^4 = e read as (1,0): step_1 = 5 = m
-        (construct_group(2, 2, 5), Element(1, 1), 4, Element(1, 0)),
-        # the alpha = 4 mutant's (1,1)^2 = (5,0) read as e: (a) would read true
-        (SemidirectGroup(2, 1, 15, alpha=4), Element(1, 1), 2, Element(0, 0)),
+        (construct_group(2, 2, 5), (1, 1), 4, (1, 0), 5),
+        # the alpha = 4 mutant's (1,1)^2 = (5,0) read as e: step_1 = 1, so
+        # (a) would read true
+        (SemidirectGroup(2, 1, 15, alpha=4), (1, 1), 2, (0, 0), 1),
     ]
-    for g, wrong_el, wrong_n, wrong in breaks:
+    for g, wrong_el, wrong_n, wrong, wrong_step in breaks:
         assert g.order <= groups.EXHAUSTIVE_MAX_ORDER
-        lied = _lie(monkeypatch, g, wrong_el, wrong_n, wrong)
+        assert groups._p_steps(g) != wrong_step, g
+        lied = _lie(monkeypatch, g, wrong_el, wrong_n, wrong, calls=2)
+        assert groups._p_steps(g) == wrong_step, g
         with pytest.raises(ArithmeticError, match="quotient check paths disagree"):
             verify_group(g)
-        assert lied == [wrong_n], g
+        assert lied == [wrong_n] * 2, g
         monkeypatch.undo()
 
 
@@ -462,19 +466,19 @@ def test_subgroup_closure_matches_the_bfs_oracle():
     cases += [direct, construct_group(2, 1, 1009), construct_group(3, 1, 91)]
     for g in cases:
         elements = list(g.elements())
-        lists = [p_elements(g), [], [g.identity]] + g.conjugacy_classes()
+        lists = [p_elements(g), [], [IDENTITY]] + g.conjugacy_classes()
         for _ in range(8):
             gens = rng.choices(elements, k=rng.randint(1, 4))
             lists.append(gens)
             padded = list(gens)
             padded.insert(rng.randrange(len(padded) + 1), rng.choice(gens))
-            padded.insert(rng.randrange(len(padded) + 1), g.identity)
+            padded.insert(rng.randrange(len(padded) + 1), IDENTITY)
             lists.append(padded)
             x, y = gens[0], rng.choice(elements)
             lists.append([x, g.power(x, 2), y, g.multiply(x, y), g.multiply(y, x)])
         for gens in lists:
             assert g.subgroup_closure(gens) == subgroup_closure_oracle(g, gens), (g, gens)
-    assert direct.subgroup_closure([]) == frozenset({direct.identity})
+    assert direct.subgroup_closure([]) == frozenset({IDENTITY})
 
 
 def test_normal_subgroups_match_the_bfs_oracle():
@@ -501,23 +505,24 @@ def test_normal_subgroups_take_one_closure_per_cyclic_subgroup_class(monkeypatch
 
 
 def test_group_operations_return_elements():
-    # multiply, the cosets, the power walk, the classes, elements() and
-    # p_elements build Elements without the NamedTuple constructor; the type
-    # must survive every operation, and the identity is one shared constant
+    # an element is a plain (a, x) pair: multiply, power, the closures, the
+    # cosets, the power walk, the classes, elements(), p_elements, the index
+    # subgroups and the normal subgroups all return exact tuples of two ints,
+    # no wrapper type, and IDENTITY is the one identity
     g = construct_group(2, 2, 5)
-    a, b = Element(3, 1), Element(2, 3)
-    assert type(g.multiply(a, b)) is Element
-    assert type(g.power(a, 7)) is Element
-    assert g.multiply(a, b).a == g.multiply(a, b)[0]
-    for normal in groups._normal_subgroups(g):
-        assert all(type(el) is Element for el in normal)
+    a, b = (3, 1), (2, 3)
+
+    def pair(el):
+        return type(el) is tuple and len(el) == 2 and all(type(c) is int for c in el)
+
+    assert pair(g.multiply(a, b)) and pair(g.power(a, 7))
     built = [g.subgroup_closure(gens) for gens in ([a], [a, b], [b, a], p_elements(g))]
-    built += g.conjugacy_classes()
-    built += [g.elements(), p_elements(g)]
+    built += g.conjugacy_classes() + groups._normal_subgroups(g)
+    built += [g.elements(), p_elements(g), g._coset(p_elements(g), b), g._powers(a)]
     built += [h for n in divisors(g.m) for h in index_subgroups(g, n)]
     for elements in built:
-        assert all(type(el) is Element for el in elements)
-    assert g.identity is g.identity is construct_group(2, 1, 3).identity
+        assert all(pair(el) for el in elements)
+    assert IDENTITY == (0, 0) and not hasattr(g, "identity")
 
 
 def test_alpha_choice_independence():

@@ -41,6 +41,18 @@ def test_examples():
         is_irreducible_over_rationals(RationalPoly.one())
 
 
+def test_a_linear_decision_walks_no_primes(monkeypatch):
+    # a linear f is irreducible with no degree 0 < d < 1 open, so the
+    # decision reads no prime: neither the walk nor the cycle types run
+    calls = []
+    for name in ("_good_primes", "_cycle_types"):
+        real = getattr(irreducibility, name)
+        monkeypatch.setattr(irreducibility, name, lambda *args, name=name, real=real: calls.append(name) or real(*args))
+    for coeffs in ((-5, 1), (0, 1), (3, -7), (Fraction(1, 2), Fraction(-3, 4)), (Fraction(5, 9), 6)):
+        assert is_irreducible_over_rationals(RationalPoly(coeffs)), coeffs
+    assert calls == []
+
+
 def test_x4_plus_1_is_reducible_mod_every_good_prime():
     # the classical recombination stress case
     f = RationalPoly((1, 0, 0, 0, 1))

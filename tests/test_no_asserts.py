@@ -95,9 +95,9 @@ class _References(ast.NodeVisitor):
 
 def test_every_public_name_has_a_caller():
     # a re-exported name, a public module-level function or class, or a
-    # public classmethod of the package, is reached from the package itself,
-    # the benchmark or the acceptance criteria; the two export lists do not
-    # count as callers.  A classmethod is called qualified, so it is its
+    # public classmethod of the package, is reached from the package itself
+    # (the CLI included) or the benchmark; the two export lists and the tests
+    # do not count as callers.  A classmethod is called qualified, so it is its
     # "Class.method" that must appear, outside the class itself.
     inits = {PACKAGE / "__init__.py", PACKAGE / "algebra" / "__init__.py"}
     public = set()
@@ -117,7 +117,7 @@ def test_every_public_name_has_a_caller():
                     and any(getattr(d, "id", None) == "classmethod" for d in item.decorator_list)
                 }
     callers = [p for p in sorted(PACKAGE.rglob("*.py")) if p not in inits]
-    callers += sorted((ROOT / "bench").glob("*.py")) + [ROOT / "tests" / "test_acceptance.py"]
+    callers += sorted((ROOT / "bench").glob("*.py"))
     referenced = set()
     for path in callers:
         visitor = _References()
@@ -146,8 +146,8 @@ class _AttributeReads(ast.NodeVisitor):
 
 def test_every_public_method_has_a_caller():
     # a public instance method or property of a package class is read as
-    # `.name` in the package, the benchmark or the acceptance criteria,
-    # outside its own body (classmethods are the test above's)
+    # `.name` in the package (the CLI included) or the benchmark, outside its
+    # own body; the tests do not count (classmethods are the test above's)
     public = set()
     for path in sorted(PACKAGE.rglob("*.py")):
         for node in ast.parse(path.read_text(), str(path)).body:
@@ -161,7 +161,7 @@ def test_every_public_method_has_a_caller():
                 }
     callers = sorted(PACKAGE.rglob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
     visitor = _AttributeReads()
-    for path in callers + [ROOT / "tests" / "test_acceptance.py"]:
+    for path in callers:
         visitor.visit(ast.parse(path.read_text(), str(path)))
     assert sorted(name for name in public if name.partition(".")[2] not in visitor.found) == []
 

@@ -21,7 +21,6 @@ from traceforms.quadform import (
     hilbert_symbol,
     invariants,
     is_isotropic,
-    relevant_places,
 )
 
 PLACES = [2, 3, 5, 7, 11, 97, REAL_PLACE]
@@ -79,7 +78,7 @@ def test_global_product_formula():
         a = rng.choice([-1, 1]) * rng.randrange(1, 10**4)
         b = rng.choice([-1, 1]) * rng.randrange(1, 10**4)
         product = 1
-        for v in relevant_places([Fraction(a), Fraction(b)]):
+        for v in _places_oracle([Fraction(a), Fraction(b)]):
             product *= hilbert_symbol(a, b, v)
         assert product == 1, (a, b)
 
@@ -280,10 +279,11 @@ def test_isotropy_binary_family_bidirectional():
 
 
 def test_relevant_places_cover_all_nontrivial_symbols():
+    # the places the invariants read, factored once with the square classes
     rng = random.Random(48)
     for _ in range(100):
         a, b = (_random_rational(rng, span=50, den=10) for _ in range(2))
-        places = set(relevant_places([a, b]))
+        places = set(quadform._classes_and_places([a, b])[1])
         for p in [2, 3, 5, 7, 11, 13, 17, 19, 23]:
             if p not in places:
                 assert hilbert_symbol(a, b, p) == 1
@@ -361,7 +361,7 @@ def test_factor_once_matches_two_pass_oracle(entries):
     # the oracle's Hasse invariant is the pairwise product prod_(i<j) (a_i, a_j)_v
     assert invariants(SymmetricForm.diagonal(entries)) == _invariants_oracle(entries)
     assert is_isotropic(SymmetricForm.diagonal(entries)) == _is_isotropic_oracle(entries)
-    assert relevant_places(entries) == _places_oracle(entries)
+    assert quadform._classes_and_places(entries)[1] == _places_oracle(entries)
 
 
 def test_hasse_invariant_takes_n_minus_1_symbols_per_place(monkeypatch):
@@ -372,7 +372,7 @@ def test_hasse_invariant_takes_n_minus_1_symbols_per_place(monkeypatch):
     monkeypatch.setattr(quadform, "_hilbert_symbol", lambda a, b, v: calls.append(v) or real(a, b, v))
     entries = [3, -5, Fraction(7, 2), 11, -1]
     invariants(SymmetricForm.diagonal(entries))
-    assert len(calls) == (len(entries) - 1) * len(relevant_places(entries))
+    assert len(calls) == (len(entries) - 1) * len(_places_oracle(entries))
 
 
 def test_factor_limit_is_checked_before_factoring(monkeypatch):

@@ -23,7 +23,7 @@ from poly_oracles import add, mul, remainder
 from traceform_oracles import realize_via_congruence
 from traceforms.algebra import poly
 from traceforms.galois import generic_experiment
-from traceforms.quadform import DegenerateForm, SymmetricForm, equivalent, hilbert_symbol, relevant_places
+from traceforms.quadform import DegenerateForm, SymmetricForm, equivalent, hilbert_symbol
 from traceforms import traceform
 from traceforms.cli import main
 from traceforms.serialize import canonical_dumps, certificate_to_json
@@ -577,7 +577,6 @@ def test_inexact_inputs_are_refused():
         lambda: RationalPoly((1, 0.5)),
         lambda: generic_experiment([0.5, 1], 9, 5),
         lambda: hilbert_symbol(0.5, 3, 3),
-        lambda: relevant_places([3, 0.5]),
         lambda: solve_alpha(F2, [2, 0, 4.0]),
     )
     for refused in refusals:
